@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import approx, fluid, gaussian, sim
@@ -44,13 +45,20 @@ def _load(args):
     return spec
 
 
-def _solve_fluid(spec, args):
+@contextmanager
+def _fluid_errors():
+    """Map the fluid solver's failures to their exit codes."""
     try:
-        return fluid.solve_fluid(spec, args.grid_step)
+        yield
     except fluid.StaffingInfeasibleError as exc:
         raise _CliError(EXIT_INFEASIBLE, str(exc))
     except (fluid.CriticalLoadingError, fluid.BoundaryDensityError) as exc:
         raise _CliError(EXIT_INVALID, str(exc))
+
+
+def _solve_fluid(spec, args):
+    with _fluid_errors():
+        return fluid.solve_fluid(spec, args.grid_step)
 
 
 def _outdir(args):
@@ -102,15 +110,13 @@ def cmd_simulate(args):
 
 def cmd_compare(args):
     spec = _load(args)
-    try:
+    with _fluid_errors():
         result = run_compare(
             spec, n=args.n, reps=args.reps, seed=args.seed,
             grid_step=args.grid_step, obs_step=args.obs_step,
             parallel=args.parallel, tol_mean=args.tol_mean,
             tol_var=args.tol_var, tol_wait=args.tol_wait,
         )
-    except fluid.StaffingInfeasibleError as exc:
-        raise _CliError(EXIT_INFEASIBLE, str(exc))
     out = _outdir(args)
     write_compare_csv(result, out / "compare.csv")
     write_summary(result, out / "summary.txt")

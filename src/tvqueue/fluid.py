@@ -156,32 +156,20 @@ class _Ctx:
     """Scalar evaluators bound to one spec."""
 
     def __init__(self, spec: ModelSpec):
-        self.spec = spec
         self.mu = spec.mu
-
-    def lam(self, t):
-        return float(self.spec.arrival_rate(t))
-
-    def s(self, t):
-        return float(self.spec.staffing(t))
-
-    def s_d(self, t):
-        return float(self.spec.staffing.deriv(t))
+        self.lam = spec.arrival_rate.scalar
+        self.s = spec.staffing.scalar
+        self.s_d = spec.staffing.scalar_deriv
+        self.fc = spec.patience.survival_scalar
 
     def b0(self, t):
         return self.s(t) * self.mu + self.s_d(t)
-
-    def fc(self, x):
-        return float(self.spec.patience.survival(x))
-
-    def qtilde(self, t, w):
-        return self.lam(t - w) * self.fc(w)
 
     def ul_rhs(self, t, x):
         return self.lam(t) - self.mu * x
 
     def ol_rhs(self, t, w):
-        q = self.qtilde(t, w)
+        q = self.lam(t - w) * self.fc(w)
         if q < _QTILDE_FLOOR:
             raise BoundaryDensityError(
                 f"queue boundary density vanished at t={t:.6f}"
@@ -242,12 +230,13 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     t_cur = 0.0
     k = 0
     x_cur = spec.x0
+    times = memoryview(grid)    # indexes to plain floats for the scalar sweep
 
     while k <= n:
         if kind == UL:
-            t_cur, k, x_cur, iv = _sweep_ul(ctx, grid, X, regime, t_cur, k, x_cur)
+            t_cur, k, x_cur, iv = _sweep_ul(ctx, times, X, regime, t_cur, k, x_cur)
         else:
-            t_cur, k, x_cur, iv = _sweep_ol(ctx, grid, w, wdot, regime, t_cur, k)
+            t_cur, k, x_cur, iv = _sweep_ol(ctx, times, w, wdot, regime, t_cur, k)
         intervals.append(iv)
         if k > n:
             break
@@ -486,7 +475,7 @@ def service_density(solution: FluidSolution, t: float, x, b0_density=None) -> np
     tl = t - iv.start
     x = np.asarray(x, dtype=float)
     if b0_density is None:
-        s_start = float(spec.staffing(iv.start))
+        s_start = spec.staffing.scalar(iv.start)
 
         def b0_density(y):
             return s_start * mu * np.exp(-mu * np.asarray(y, dtype=float))

@@ -5,10 +5,15 @@ polynomials.  Every function exposes vectorized value / derivative /
 second-derivative evaluation on [0, horizon]; sinusoids and polynomials
 extend naturally beyond the horizon, which the fluid solver uses when a
 waiting-time profile has to be continued past the end of the grid.
+The fluid solver's RK4 sweep evaluates one time at a time through
+`scalar` / `scalar_deriv`, which every family computes with plain
+`math` instead of a one-element numpy array.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +40,14 @@ class SmoothFn:
     def deriv2(self, t):
         raise NotImplementedError
 
+    def scalar(self, t: float) -> float:
+        """Value at a single time as a float (override for speed)."""
+        return float(self(t))
+
+    def scalar_deriv(self, t: float) -> float:
+        """Derivative at a single time as a float (override for speed)."""
+        return float(self.deriv(t))
+
     def breakpoints(self):
         """Times where the derivative may jump (empty for closed forms)."""
         return np.empty(0)
@@ -52,6 +65,12 @@ class ConstantFn(SmoothFn):
 
     deriv2 = deriv
 
+    def scalar(self, t):
+        return float(self.value)
+
+    def scalar_deriv(self, t):
+        return 0.0
+
 
 @dataclass(frozen=True)
 class LinearFn(SmoothFn):
@@ -66,6 +85,12 @@ class LinearFn(SmoothFn):
 
     def deriv2(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
+
+    def scalar(self, t):
+        return self.intercept + self.slope * t
+
+    def scalar_deriv(self, t):
+        return float(self.slope)
 
 
 @dataclass(frozen=True)
@@ -89,6 +114,12 @@ class SinusoidFn(SmoothFn):
         t = np.asarray(t, dtype=float)
         return -self.b * self.c ** 2 * np.sin(self.c * t + self.d)
 
+    def scalar(self, t):
+        return self.a + self.b * math.sin(self.c * t + self.d)
+
+    def scalar_deriv(self, t):
+        return self.b * self.c * math.cos(self.c * t + self.d)
+
 
 @dataclass(frozen=True)
 class PiecewisePolyFn(SmoothFn):
@@ -105,6 +136,11 @@ class PiecewisePolyFn(SmoothFn):
     def __post_init__(self):
         if len(self.knots) != len(self.coeffs) + 1:
             raise ValueError("need len(knots) == len(coeffs) + 1")
+        # per-piece derivative coefficients for scalar_deriv
+        dcoeffs = tuple(
+            tuple(k * c[k] for k in range(1, len(c))) or (0.0,) for c in self.coeffs
+        )
+        object.__setattr__(self, "_dcoeffs", dcoeffs)
 
     def _piece(self, t):
         idx = np.searchsorted(self.knots, t, side="right") - 1
@@ -130,6 +166,21 @@ class PiecewisePolyFn(SmoothFn):
 
     def deriv2(self, t):
         return self._eval(t, 2)
+
+    def _scalar_eval(self, t, coeffs):
+        """Horner on the piece holding t, clipped as in `_piece`."""
+        i = min(max(bisect_right(self.knots, t) - 1, 0), len(coeffs) - 1)
+        u = t - self.knots[i]
+        acc = 0.0
+        for c in reversed(coeffs[i]):
+            acc = c + acc * u
+        return acc
+
+    def scalar(self, t):
+        return self._scalar_eval(t, self.coeffs)
+
+    def scalar_deriv(self, t):
+        return self._scalar_eval(t, self._dcoeffs)
 
     def breakpoints(self):
         return np.asarray(self.knots[1:-1], dtype=float)

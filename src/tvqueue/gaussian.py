@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline
 
-from .fluid import OL, UL, BoundaryDensityError, FluidInterval, FluidSolution
+from .fluid import _QTILDE_FLOOR, OL, UL, BoundaryDensityError, FluidInterval, FluidSolution
 from .model import ModelSpec
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "write_gaussian_csv",
 ]
 
-_QTILDE_FLOOR = 1e-12
 _QUAD_NODES = 129       # Simpson nodes for the per-time sweep integrals
 _KERNEL_NODES = 801     # Simpson nodes for the kernel cross-check integrals
 _DEDUPE_TOL = 1e-9
@@ -488,11 +487,11 @@ def propagate(spec: ModelSpec, fluid: FluidSolution) -> GaussianSolution:
     for iv in fluid.intervals:
         interval_var0.append((iv.kind, iv.start, varX0))
         if iv.start > 0.0:
-            svals = float(spec.staffing(iv.start))
-            b0s = svals * spec.mu + float(spec.staffing.deriv(iv.start))
+            svals = spec.staffing.scalar(iv.start)
+            b0s = svals * spec.mu + spec.staffing.scalar_deriv(iv.start)
             endpoints.append(_one_sided_split(iv.start, varX0, b0s))
         if iv.kind == UL:
-            X0 = spec.x0 if iv.start == 0.0 else float(spec.staffing(iv.start))
+            X0 = spec.x0 if iv.start == 0.0 else spec.staffing.scalar(iv.start)
             ulv = var_UL(spec, fluid, X0, varX0, iv)
             idx = _grid_index_map(ulv.t, fluid, iv)
             gsl = slice(iv.i0, iv.i1 + 1)

@@ -70,7 +70,7 @@ def validate(spec: ModelSpec) -> ValidationReport:
         report.violations.append("Var(X(0)) >= 0 fails")
     if spec.x0 < 0:
         report.violations.append("X(0) >= 0 fails")
-    s0 = float(spec.staffing(0.0))
+    s0 = spec.staffing.scalar(0.0)
     if spec.x0 > s0 + 1e-12:
         report.violations.append("X(0) <= s(0) fails")
     try:

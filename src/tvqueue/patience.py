@@ -2,11 +2,14 @@
 
 Families: exponential, two-phase hyperexponential (H2), and tabulated
 cdfs interpolated by a monotone cubic so the hazard stays continuous.
-All evaluators are vectorized.
+All evaluators are vectorized; `survival_scalar` evaluates one point
+with plain `math` for the fluid solver's RK4 sweep.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,10 @@ class PatienceDist:
 
     def survival(self, x):
         return 1.0 - self.cdf(x)
+
+    def survival_scalar(self, x: float) -> float:
+        """Fc at a single point as a float (override for speed)."""
+        return float(self.survival(x))
 
     def pdf(self, x):
         raise NotImplementedError
@@ -62,6 +69,9 @@ class ExponentialPatience(PatienceDist):
     def survival(self, x):
         return np.exp(-self.rate * np.asarray(x, dtype=float))
 
+    def survival_scalar(self, x):
+        return math.exp(-self.rate * x)
+
     def pdf(self, x):
         return self.rate * np.exp(-self.rate * np.asarray(x, dtype=float))
 
@@ -90,6 +100,9 @@ class H2Patience(PatienceDist):
     def survival(self, x):
         x = np.asarray(x, dtype=float)
         return self.p * np.exp(-self.rate1 * x) + (1.0 - self.p) * np.exp(-self.rate2 * x)
+
+    def survival_scalar(self, x):
+        return self.p * math.exp(-self.rate1 * x) + (1.0 - self.p) * math.exp(-self.rate2 * x)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -136,12 +149,33 @@ class TabulatedPatience(PatienceDist):
         self._tail_rate = float(self._dinterp(x[-1]) / (1.0 - F[-1]))
         if self._tail_rate <= 0:
             raise ValueError("terminal hazard must be positive for the tail extension")
+        # the interpolant's breakpoints and per-interval power coefficients
+        # (highest power first, in x - breakpoint) as plain floats
+        self._knots = self._interp.x.tolist()
+        self._pieces = self._interp.c.T.tolist()
+        self._F_end = float(F[-1])
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         inside = self._interp(np.clip(x, self.x[0], self.x[-1]))
         tail = 1.0 - (1.0 - self.F[-1]) * np.exp(-self._tail_rate * (x - self.x[-1]))
         return np.where(x <= self.x[-1], inside, tail)
+
+    def survival_scalar(self, x):
+        x_end = self._knots[-1]
+        if x > x_end:
+            cdf = 1.0 - (1.0 - self._F_end) * math.exp(-self._tail_rate * (x - x_end))
+        else:
+            # clip to the table and sum the powers in the interpolant's order
+            x = max(x, self._knots[0])
+            i = min(bisect_right(self._knots, x) - 1, len(self._pieces) - 1)
+            u = x - self._knots[i]
+            cdf = 0.0
+            z = 1.0
+            for c in reversed(self._pieces[i]):
+                cdf = cdf + c * z
+                z *= u
+        return 1.0 - cdf
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -87,6 +87,20 @@ def test_infeasible_staffing(tmp_path, capsys):
     assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize("command", ["fluid", "compare"])
+def test_critical_loading_exits_invalid(tmp_path, capsys, command):
+    # lambda = s = mu = 1 starting full: the fluid stays on the boundary
+    cfg = _write_config(
+        tmp_path, **{"lambda": {"kind": "constant", "params": {"value": 1.0}}})
+    argv = [command, "--config", cfg, "--out", str(tmp_path)]
+    if command == "compare":
+        argv += ["--n", "20", "--reps", "2"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "critical loading" in err
+    assert "Traceback" not in err
+
+
 def test_compare_pass_and_fail(tmp_path, capsys):
     cfg = _write_config(tmp_path, horizon=4.0)
     out = tmp_path / "cmp"

@@ -13,9 +13,9 @@ from tvqueue.fluid import (
     ul_content,
     write_fluid_csv,
 )
-from tvqueue.functions import ConstantFn, LinearFn, SinusoidFn
+from tvqueue.functions import ConstantFn, LinearFn, PiecewisePolyFn, SinusoidFn, SmoothFn
 from tvqueue.model import ModelSpec
-from tvqueue.patience import ExponentialPatience
+from tvqueue.patience import ExponentialPatience, PatienceDist, TabulatedPatience
 
 # regime switch times of the sinusoidal H2 model, frozen from two runs at
 # step 1e-3 and 5e-4 (agreement < 5e-9)
@@ -179,3 +179,52 @@ def test_csv_export(tmp_path, sine_h2_fluid):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("t,regime,X,B,Q,w")
     assert len(lines) == len(sine_h2_fluid.grid) + 1
+
+
+class _VectorOnlyFn(SmoothFn):
+    """A user-style SmoothFn with vector methods only."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, t):
+        return self.f(t)
+
+    def deriv(self, t):
+        return self.f.deriv(t)
+
+    def deriv2(self, t):
+        return self.f.deriv2(t)
+
+
+class _VectorOnlyPatience(PatienceDist):
+    """A user-style PatienceDist with vector methods only."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def cdf(self, x):
+        return self.d.cdf(x)
+
+    def pdf(self, x):
+        return self.d.pdf(x)
+
+
+def test_scalar_fallback_matches_fast_path():
+    # piecewise-quadratic rate into and out of overload, tabulated patience
+    lam = PiecewisePolyFn(
+        knots=(0.0, 3.0, 6.0, 9.0, 12.0),
+        coeffs=((0.5, 0.2, 0.05), (1.55, 0.0, -0.05), (1.10, -0.15, 0.0),
+                (0.65, 0.1, 0.03)),
+    )
+    xs = np.linspace(0.0, 10.0, 21)
+    patience = TabulatedPatience(xs, 1.0 - (1.0 + 0.1 * xs) * np.exp(-0.5 * xs))
+    fast = ModelSpec(lam, ConstantFn(1.0), 1.0, patience, 12.0)
+    slow = ModelSpec(_VectorOnlyFn(lam), _VectorOnlyFn(ConstantFn(1.0)), 1.0,
+                     _VectorOnlyPatience(patience), 12.0)
+    a = solve_fluid(fast, step=0.01)
+    b = solve_fluid(slow, step=0.01)
+    assert len(a.switch_times) == 3
+    np.testing.assert_allclose(b.switch_times, a.switch_times, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.w, a.w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.X, a.X, rtol=0, atol=1e-12)

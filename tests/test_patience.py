@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from tvqueue.patience import (
     ExponentialPatience,
@@ -94,3 +98,59 @@ def test_config_dispatch():
     assert isinstance(d2, H2Patience)
     with pytest.raises(ValueError, match="unknown patience kind"):
         patience_from_config({"kind": "weibull"})
+
+
+# --- survival_scalar against the vector survival -------------------------
+
+def assert_within_4ulp(got, want, scale):
+    assert isinstance(got, float)
+    assert abs(got - want) <= 4 * math.ulp(scale), (got, want)
+
+
+rates = st.floats(0.01, 10.0)
+points = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+
+
+@given(rates, points)
+def test_exponential_survival_scalar(rate, x):
+    d = ExponentialPatience(rate)
+    want = float(d.survival(x))
+    assert_within_4ulp(d.survival_scalar(x), want, want)
+
+
+@given(st.floats(0.0, 1.0), rates, rates, points)
+def test_h2_survival_scalar(p, rate1, rate2, x):
+    d = H2Patience(p, rate1, rate2)
+    want = float(d.survival(x))
+    assert_within_4ulp(d.survival_scalar(x), want, want)
+
+
+@st.composite
+def table_and_point(draw):
+    m = draw(st.integers(1, 8))
+    dx = draw(st.lists(st.floats(0.05, 3.0), min_size=m, max_size=m))
+    dF = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                       min_size=m, max_size=m))
+    assume(sum(dF) > 0)
+    F_end = draw(st.floats(0.05, 0.95))
+    x = np.concatenate([[0.0], np.cumsum(dx)])
+    F = np.concatenate([[0.0], np.cumsum(dF)]) * (F_end / sum(dF))
+    try:
+        d = TabulatedPatience(x, F)
+    except ValueError:      # flat end of table: no tail hazard
+        assume(False)
+    # x = 0, on a node, inside the table, in the exponential tail
+    pt = draw(st.one_of(
+        st.just(0.0),
+        st.sampled_from(x.tolist()),
+        st.floats(0.0, float(x[-1])),
+        st.floats(float(x[-1]), float(x[-1]) + 20.0),
+    ))
+    return d, pt
+
+
+@given(table_and_point())
+def test_tabulated_survival_scalar(case):
+    d, x = case
+    # survival is 1 - cdf on both paths, so its error is on the scale of 1
+    assert_within_4ulp(d.survival_scalar(x), float(d.survival(x)), 1.0)
