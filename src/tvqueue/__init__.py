@@ -2,7 +2,7 @@
 with time-varying arrival rate and staffing, plus an exact discrete-event
 simulator for validation."""
 
-from .approx import PerformanceReport, gaussian_X, report, truncated_moments
+from .approx import PerformanceReport, report, truncated_moments
 from .compare import CompareResult, compare
 from .fluid import (
     FluidInterval,
@@ -13,7 +13,7 @@ from .fluid import (
     solve_fluid,
 )
 from .functions import ConstantFn, LinearFn, PiecewisePolyFn, SinusoidFn, SmoothFn
-from .gaussian import GaussianSolution, Kernels, build_kernels, propagate
+from .gaussian import GaussianSolution, build_kernels, propagate
 from .model import ModelSpec, ValidationReport, load_spec, spec_from_dict, validate
 from .patience import (
     ExponentialPatience,

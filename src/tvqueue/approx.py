@@ -10,19 +10,18 @@ in underloaded interiors, where the refinement offers nothing.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .fluid import UL, FluidSolution
+from .fluid import FluidSolution
 from .gaussian import GaussianSolution
+from .model import staffing_level, write_columns
 
 __all__ = [
     "PerformanceReport",
     "truncated_moments",
-    "gaussian_X",
     "report",
     "write_report_csv",
 ]
@@ -62,18 +61,6 @@ def truncated_moments(mean, var, threshold):
     return e1, var_hi, e_lo, var_lo
 
 
-def staffing_level(spec, n, t):
-    """Integer staffing ceil(n s(t)), guarded against float fuzz."""
-    return np.ceil(n * np.asarray(spec.staffing(t), dtype=float) - 1e-9)
-
-
-def gaussian_X(n, fluid: FluidSolution, gaussian: GaussianSolution, t):
-    """Mean and variance of the content at scale n and time t."""
-    m = n * np.interp(t, fluid.grid, fluid.X)
-    v = n * np.interp(t, fluid.grid, gaussian.var_X)
-    return m, v
-
-
 @dataclass
 class PerformanceReport:
     n: int
@@ -89,7 +76,6 @@ class PerformanceReport:
     var_W: np.ndarray
     mean_V: np.ndarray
     var_V: np.ndarray
-    aban_rate: np.ndarray
     ul_interior: np.ndarray     # True where waiting refinement is absent
 
 
@@ -98,31 +84,22 @@ def report(n, fluid: FluidSolution, gaussian: GaussianSolution) -> PerformanceRe
     grid = fluid.grid
     mean_X = n * fluid.X
     var_X = n * gaussian.var_X
-    s_n = staffing_level(spec, n, grid)
+    s_n = staffing_level(n, np.asarray(spec.staffing(grid), dtype=float))
     mean_Q, var_Q, mean_B, var_B = truncated_moments(mean_X, var_X, s_n)
-    ul = fluid.regime == UL
     return PerformanceReport(
         n=n, grid=grid, s_n=s_n,
         mean_X=mean_X, var_X=var_X,
         mean_Q=mean_Q, var_Q=var_Q, mean_B=mean_B, var_B=var_B,
         mean_W=fluid.w.copy(), var_W=gaussian.var_W / n,
         mean_V=fluid.v.copy(), var_V=gaussian.var_V / n,
-        aban_rate=n * fluid.alpha,
-        ul_interior=ul,
+        ul_interior=~fluid.ol,
     )
 
 
 def write_report_csv(rep: PerformanceReport, path):
-    cols = [
-        "t", "mean_X", "var_X", "mean_Q", "var_Q", "mean_B", "var_B",
-        "mean_W", "var_W", "mean_V", "var_V",
-    ]
-    data = [
-        rep.grid, rep.mean_X, rep.var_X, rep.mean_Q, rep.var_Q,
-        rep.mean_B, rep.var_B, rep.mean_W, rep.var_W, rep.mean_V, rep.var_V,
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(len(rep.grid)):
-            writer.writerow([f"{col[i]:.10g}" for col in data])
+    write_columns(path, {
+        "t": rep.grid, "mean_X": rep.mean_X, "var_X": rep.var_X,
+        "mean_Q": rep.mean_Q, "var_Q": rep.var_Q, "mean_B": rep.mean_B,
+        "var_B": rep.var_B, "mean_W": rep.mean_W, "var_W": rep.var_W,
+        "mean_V": rep.mean_V, "var_V": rep.var_V,
+    })

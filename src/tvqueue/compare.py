@@ -11,14 +11,13 @@ dropped.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fluid import OL, FluidSolution, solve_fluid
+from .fluid import FluidSolution, solve_fluid
 from .gaussian import GaussianSolution, propagate
-from .model import ModelSpec
+from .model import ModelSpec, write_columns
 from .sim import SimConfig, SimEstimate, estimate
 
 __all__ = ["CompareResult", "compare", "compare_metrics",
@@ -34,8 +33,8 @@ class CompareResult:
     gaussian: GaussianSolution
     sim: SimEstimate
     metrics: dict
-    tolerances: dict
     passed: dict
+    masks: dict                 # compare_metrics' masks on the observation grid
 
     @property
     def ok(self):
@@ -58,7 +57,6 @@ def compare_metrics(fluid, gaussian, est, switch_window=SWITCH_WINDOW,
 
     Returns (metrics dict, masks dict); masks index the observation grid.
     """
-    n = est.config.n
     tg = est.t
     Xf = np.interp(tg, fluid.grid, fluid.X)
     vXf = np.interp(tg, fluid.grid, gaussian.var_X)
@@ -71,7 +69,7 @@ def compare_metrics(fluid, gaussian, est, switch_window=SWITCH_WINDOW,
     wait = np.ones(len(tg), dtype=bool)
     for tau in cut_points:
         wait &= np.abs(tg - tau) > wait_window
-    ol = np.interp(tg, fluid.grid, (fluid.regime == OL).astype(float)) > 0.99
+    ol = np.interp(tg, fluid.grid, fluid.ol.astype(float)) > 0.99
     wait &= ol & (wf > 1e-9)
     resolved = est.moments["V"].count >= est.config.reps
     vmask = wait & resolved & np.isfinite(est.mean("V")) & (vf > 1e-9)
@@ -110,7 +108,6 @@ def compare(spec: ModelSpec, n: int, reps: int, seed: int = 0,
                              obs_step=obs_step, parallel=parallel))
     metrics, masks = compare_metrics(fluid, gaussian, est,
                                      switch_window, wait_window)
-    tolerances = {"tol_mean": tol_mean, "tol_var": tol_var, "tol_wait": tol_wait}
     passed = {
         "mean_X_rel_sup": metrics["mean_X_rel_sup"] <= tol_mean,
         "var_X_ratio_min": metrics["var_X_ratio_min"] >= 1.0 / tol_var,
@@ -119,37 +116,26 @@ def compare(spec: ModelSpec, n: int, reps: int, seed: int = 0,
     for key in ("mean_W_rel_sup", "mean_V_rel_sup"):
         if key in metrics:
             passed[key] = metrics[key] <= tol_wait
-    result = CompareResult(fluid=fluid, gaussian=gaussian, sim=est,
-                           metrics=metrics, tolerances=tolerances, passed=passed)
-    result.masks = masks
-    return result
+    return CompareResult(fluid=fluid, gaussian=gaussian, sim=est,
+                         metrics=metrics, passed=passed, masks=masks)
 
 
 def write_compare_csv(result: CompareResult, path):
     fluid, gaussian, est = result.fluid, result.gaussian, result.sim
     tg = est.t
-    n = est.config.n
-    cols = ["t", "fluid_X", "sim_mean_X", "pred_var_X", "sim_var_X",
-            "fluid_w", "sim_mean_W", "fluid_v", "sim_mean_V",
-            "in_base_mask", "in_wait_mask"]
-    data = [
-        tg,
-        np.interp(tg, fluid.grid, fluid.X),
-        est.scaled_mean("X"),
-        np.interp(tg, fluid.grid, gaussian.var_X),
-        est.scaled_var("X"),
-        np.interp(tg, fluid.grid, fluid.w),
-        est.mean("W"),
-        np.interp(tg, fluid.grid, fluid.v),
-        est.mean("V"),
-        result.masks["base"].astype(int),
-        result.masks["wait"].astype(int),
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(len(tg)):
-            writer.writerow([f"{col[i]:.10g}" for col in data])
+    write_columns(path, {
+        "t": tg,
+        "fluid_X": np.interp(tg, fluid.grid, fluid.X),
+        "sim_mean_X": est.scaled_mean("X"),
+        "pred_var_X": np.interp(tg, fluid.grid, gaussian.var_X),
+        "sim_var_X": est.scaled_var("X"),
+        "fluid_w": np.interp(tg, fluid.grid, fluid.w),
+        "sim_mean_W": est.mean("W"),
+        "fluid_v": np.interp(tg, fluid.grid, fluid.v),
+        "sim_mean_V": est.mean("V"),
+        "in_base_mask": result.masks["base"].astype(int),
+        "in_wait_mask": result.masks["wait"].astype(int),
+    })
 
 
 def write_summary(result: CompareResult, path):

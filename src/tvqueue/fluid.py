@@ -14,13 +14,12 @@ L(t) = t - w(t).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from .model import ModelSpec, validate
+from .model import ModelSpec, validate, write_columns
 
 __all__ = [
     "FluidSolution",
@@ -30,11 +29,8 @@ __all__ = [
     "BoundaryDensityError",
     "solve_fluid",
     "ul_content",
-    "step_w",
-    "solve_v",
     "queue_density",
     "service_density",
-    "abandonment",
     "write_fluid_csv",
 ]
 
@@ -42,7 +38,7 @@ UL, OL = "UL", "OL"
 
 _SWITCH_TOL = 1e-10       # bisection tolerance for switching times
 _QTILDE_FLOOR = 1e-12     # minimum admissible boundary density
-_QUAD_NODES = 129         # Simpson nodes for queue-content integrals (odd)
+_QUAD_NODES = 129         # Simpson nodes for the swept age integrals (odd)
 
 
 class StaffingInfeasibleError(RuntimeError):
@@ -87,9 +83,8 @@ class FluidInterval:
 @dataclass
 class FluidSolution:
     spec: ModelSpec
-    delta: float
     grid: np.ndarray
-    regime: np.ndarray          # "UL"/"OL" per grid point
+    ol: np.ndarray              # True at the grid points of OL intervals
     intervals: list
     switch_times: np.ndarray
     X: np.ndarray
@@ -100,7 +95,6 @@ class FluidSolution:
     v: np.ndarray
     b0: np.ndarray              # rate into service s*mu + sdot (nan in UL)
     qtilde_w: np.ndarray        # lambda(t-w) Fc(w) (nan in UL)
-    qtilde_x_w: np.ndarray      # d/dx qtilde at (t, w) (nan in UL)
     alpha: np.ndarray
     A: np.ndarray
     D: np.ndarray
@@ -177,11 +171,6 @@ class _Ctx:
         return 1.0 - self.b0(t) / q
 
 
-def step_w(spec: ModelSpec, t: float, w: float, delta: float) -> float:
-    """One RK4 step of the head-of-line waiting-time ODE."""
-    return _rk4_step(_Ctx(spec).ol_rhs, t, w, delta)
-
-
 def ul_content(spec: ModelSpec, t: float, x0: float, interval_start: float = 0.0) -> float:
     """X(t) in a UL interval by quadrature of the linear-ODE solution.
 
@@ -216,7 +205,6 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     X = np.zeros(n + 1)
     w = np.zeros(n + 1)
     wdot = np.zeros(n + 1)
-    regime = np.empty(n + 1, dtype=object)
     intervals: list[FluidInterval] = []
     switches: list[float] = []
 
@@ -234,17 +222,17 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
 
     while k <= n:
         if kind == UL:
-            t_cur, k, x_cur, iv = _sweep_ul(ctx, times, X, regime, t_cur, k, x_cur)
+            t_cur, k, x_cur, iv = _sweep_ul(ctx, times, X, t_cur, k, x_cur)
         else:
-            t_cur, k, x_cur, iv = _sweep_ol(ctx, times, w, wdot, regime, t_cur, k)
+            t_cur, k, x_cur, iv = _sweep_ol(ctx, times, w, wdot, t_cur, k)
         intervals.append(iv)
         if k > n:
             break
         switches.append(t_cur)
         kind = OL if kind == UL else UL
 
+    ol = np.zeros(n + 1, dtype=bool)
     qtilde_w = np.full(n + 1, np.nan)
-    qtilde_x_w = np.full(n + 1, np.nan)
     b0 = np.full(n + 1, np.nan)
     Q = np.zeros(n + 1)
     alpha = np.zeros(n + 1)
@@ -255,19 +243,23 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
         if iv.kind != OL or iv.i1 < iv.i0:
             continue
         sl = slice(iv.i0, iv.i1 + 1)
+        ol[sl] = True
         ts = grid[sl]
         ws = w[sl]
-        lam_tw = np.asarray(spec.arrival_rate(ts - ws), dtype=float)
-        fc_w = np.asarray(spec.patience.survival(ws), dtype=float)
-        qtilde_w[sl] = lam_tw * fc_w
-        qtilde_x_w[sl] = (
-            -np.asarray(spec.arrival_rate.deriv(ts - ws), dtype=float) * fc_w
-            - lam_tw * np.asarray(spec.patience.pdf(ws), dtype=float)
-        )
+        qtilde_w[sl] = (np.asarray(spec.arrival_rate(ts - ws), dtype=float)
+                        * np.asarray(spec.patience.survival(ws), dtype=float))
         svals = np.asarray(spec.staffing(ts), dtype=float)
         b0[sl] = svals * spec.mu + np.asarray(spec.staffing.deriv(ts), dtype=float)
-        Q[sl] = _queue_integral(spec, ts, ws, weighted=False)
-        alpha[sl] = _queue_integral(spec, ts, ws, weighted=True)
+
+        def arrived(x):
+            return np.asarray(spec.arrival_rate(ts[:, None] - x), dtype=float)
+
+        # queue content and abandonment rate: arrivals of age x in [0, w(t)]
+        # weighted by Fc(x), and by the density f(x)
+        Q[sl] = swept_integral(ws, lambda x: arrived(x) * np.asarray(
+            spec.patience.survival(x), dtype=float))
+        alpha[sl] = swept_integral(ws, lambda x: arrived(x) * np.asarray(
+            spec.patience.pdf(x), dtype=float))
         X[sl] = svals + Q[sl]
         B[sl] = svals
 
@@ -279,9 +271,8 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
 
     return FluidSolution(
         spec=spec,
-        delta=step,
         grid=grid,
-        regime=regime,
+        ol=ol,
         intervals=intervals,
         switch_times=np.asarray(switches),
         X=X,
@@ -292,7 +283,6 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
         v=v,
         b0=b0,
         qtilde_w=qtilde_w,
-        qtilde_x_w=qtilde_x_w,
         alpha=alpha,
         A=A,
         D=D,
@@ -300,14 +290,13 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     )
 
 
-def _sweep_ul(ctx, grid, X, regime, start, k, x_start):
+def _sweep_ul(ctx, grid, X, start, k, x_start):
     """Integrate the UL content until a switch or the horizon."""
     n = len(grid) - 1
     i0 = k
     t_prev, x_prev = start, x_start
     if k <= n and abs(grid[k] - start) < 1e-14:
         X[k] = x_start
-        regime[k] = UL
         t_prev = grid[k]
         k += 1
     while k <= n:
@@ -325,13 +314,12 @@ def _sweep_ul(ctx, grid, X, regime, start, k, x_start):
                 )
             return tau, k, ctx.s(tau), FluidInterval(UL, start, tau, i0, k - 1)
         X[k] = x_new
-        regime[k] = UL
         t_prev, x_prev = grid[k], x_new
         k += 1
     return grid[n], n + 1, x_prev, FluidInterval(UL, start, grid[n], i0, n)
 
 
-def _sweep_ol(ctx, grid, w, wdot, regime, start, k):
+def _sweep_ol(ctx, grid, w, wdot, start, k):
     """Integrate the HWT ODE until w returns to zero or the horizon."""
     n = len(grid) - 1
     i0 = k
@@ -343,7 +331,6 @@ def _sweep_ol(ctx, grid, w, wdot, regime, start, k):
     if k <= n and abs(grid[k] - start) < 1e-14:
         w[k] = 0.0
         wdot[k] = loc_wd[0]
-        regime[k] = OL
         t_prev = grid[k]
         k += 1
     while k <= n:
@@ -372,7 +359,6 @@ def _sweep_ol(ctx, grid, w, wdot, regime, start, k):
             return tau, k, ctx.s(tau), iv
         w[k] = w_new
         wdot[k] = ctx.ol_rhs(grid[k], w_new)
-        regime[k] = OL
         loc_t.append(grid[k])
         loc_w.append(w_new)
         loc_wd.append(wdot[k])
@@ -425,28 +411,15 @@ def solve_v_arrays(intervals, grid):
     return v
 
 
-def solve_v(solution: FluidSolution) -> np.ndarray:
-    """Recompute the PWT grid from the stored intervals (public wrapper)."""
-    return solve_v_arrays(solution.intervals, solution.grid)
+def swept_integral(ws, integrand):
+    """For each i, the integral over x in [0, ws[i]] of integrand(x)[i].
 
-
-def _queue_integral(spec, ts, ws, weighted):
-    """Integral over [0, w(t)] of lambda(t-x) Fc(x) (density f instead of
-    Fc when weighted, which folds in the hazard rate).
-
-    Scaled Simpson quadrature with a fixed node count per time point,
-    vectorized over the whole interval.
+    integrand receives the full (len(ws), nodes) age matrix; Simpson on a
+    scaled unit grid keeps the node count fixed as w varies.
     """
-    ts = np.atleast_1d(ts)
-    ws = np.atleast_1d(ws)
     xi = np.linspace(0.0, 1.0, _QUAD_NODES)
     x = ws[:, None] * xi[None, :]
-    vals = np.asarray(spec.arrival_rate(ts[:, None] - x), dtype=float)
-    if weighted:
-        vals = vals * np.asarray(spec.patience.pdf(x), dtype=float)
-    else:
-        vals = vals * np.asarray(spec.patience.survival(x), dtype=float)
-    return simpson(vals, x=xi, axis=1) * ws
+    return simpson(integrand(x), x=xi, axis=1) * ws
 
 
 def queue_density(solution: FluidSolution, t: float, x) -> np.ndarray:
@@ -490,26 +463,10 @@ def service_density(solution: FluidSolution, t: float, x, b0_density=None) -> np
     return np.where(recent, boundary, aged)
 
 
-def abandonment(solution: FluidSolution):
-    """(alpha, A) grids: instantaneous and cumulative fluid abandonment."""
-    return solution.alpha.copy(), solution.A.copy()
-
-
 def write_fluid_csv(solution: FluidSolution, path):
-    cols = [
-        "t", "regime", "X", "B", "Q", "w", "wdot", "v",
-        "b0", "qtilde_w", "alpha", "A", "D",
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i, t in enumerate(solution.grid):
-            writer.writerow([
-                f"{t:.10g}", solution.regime[i],
-                f"{solution.X[i]:.10g}", f"{solution.B[i]:.10g}",
-                f"{solution.Q[i]:.10g}", f"{solution.w[i]:.10g}",
-                f"{solution.wdot[i]:.10g}", f"{solution.v[i]:.10g}",
-                f"{solution.b0[i]:.10g}", f"{solution.qtilde_w[i]:.10g}",
-                f"{solution.alpha[i]:.10g}", f"{solution.A[i]:.10g}",
-                f"{solution.D[i]:.10g}",
-            ])
+    s = solution
+    write_columns(path, {
+        "t": s.grid, "regime": np.where(s.ol, OL, UL), "X": s.X, "B": s.B,
+        "Q": s.Q, "w": s.w, "wdot": s.wdot, "v": s.v, "b0": s.b0,
+        "qtilde_w": s.qtilde_w, "alpha": s.alpha, "A": s.A, "D": s.D,
+    })

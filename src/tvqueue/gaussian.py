@@ -9,25 +9,29 @@ hands the content variance at each switching point to the next interval
 as its initial-condition variance.
 
 Queue-length and in-service variances are deliberately not emitted as
-limit quantities; the limits are discontinuous at switching points, so
-only the one-sided endpoint splits of the content deviation are reported
-as diagnostics.  Distributional summaries live in the approx module.
+limit quantities: the limits are discontinuous at switching points.
+Distributional summaries live in the approx module.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline
 
-from .fluid import _QTILDE_FLOOR, OL, UL, BoundaryDensityError, FluidInterval, FluidSolution
-from .model import ModelSpec
+from .fluid import (
+    _QTILDE_FLOOR,
+    UL,
+    BoundaryDensityError,
+    FluidInterval,
+    FluidSolution,
+    swept_integral,
+)
+from .model import ModelSpec, write_columns
 
 __all__ = [
-    "Kernels",
     "IntervalKernels",
     "GaussianSolution",
     "ULVariances",
@@ -36,17 +40,13 @@ __all__ = [
     "var_W_star",
     "var_X_star",
     "var_X_star_kernel",
-    "F_w_c",
-    "var_X_OL",
     "var_W_V",
-    "cov_XW",
     "var_UL",
     "propagate",
     "mean_shift_refined",
     "write_gaussian_csv",
 ]
 
-_QUAD_NODES = 129       # Simpson nodes for the per-time sweep integrals
 _KERNEL_NODES = 801     # Simpson nodes for the kernel cross-check integrals
 _DEDUPE_TOL = 1e-9
 
@@ -56,18 +56,6 @@ def _cumquad(y, x):
     if len(x) < 3:
         return cumulative_trapezoid(y, x, initial=0.0)
     return cumulative_simpson(y, x=x, initial=0.0)
-
-
-def _swept_integral(ws, integrand):
-    """For each i, the integral over x in [0, ws[i]] of integrand(i, x).
-
-    integrand receives the full (len(ws), nodes) age matrix; Simpson on a
-    scaled unit grid keeps the node count fixed as w varies.
-    """
-    xi = np.linspace(0.0, 1.0, _QUAD_NODES)
-    x = ws[:, None] * xi[None, :]
-    vals = integrand(x)
-    return simpson(vals, x=xi, axis=1) * ws
 
 
 def _dedupe(t, *arrays):
@@ -89,13 +77,7 @@ class IntervalKernels:
     tau: np.ndarray
     w: np.ndarray
     wdot: np.ndarray
-    lam_tw: np.ndarray      # lambda(t - w)
     qw: np.ndarray          # boundary queue density lambda(t-w) Fc(w)
-    b0: np.ndarray          # rate into service s mu + sdot
-    sdot: np.ndarray
-    Fw: np.ndarray
-    Fcw: np.ndarray
-    hFw: np.ndarray         # patience hazard at the boundary age
     h: np.ndarray           # waiting-time relaxation exponent
     G: np.ndarray           # cumulative integral of h
     Hc: np.ndarray          # exp(G)
@@ -103,7 +85,7 @@ class IntervalKernels:
     I2: np.ndarray          # service noise intensity
     I3: np.ndarray          # abandonment noise intensity
     Isq: np.ndarray         # I1^2 + I2^2 + I3^2
-    Fwc: np.ndarray         # exp(-int of hFw): initial-content survival
+    Fwc: np.ndarray         # exp(-int of the hazard at w): initial-content survival
 
     @property
     def start(self):
@@ -125,11 +107,6 @@ class IntervalKernels:
     def H(self, t, u):
         """Propagator of the waiting-time deviation from time u to t."""
         return np.exp(self._G_at(t) - self._G_at(u))
-
-    def J(self, i, t, u):
-        """J_i(t, u) = I_i(u) H(t, u)."""
-        Ii = {1: self.I1, 2: self.I2, 3: self.I3}[i]
-        return np.interp(u, self.t, Ii) * self.H(t, u)
 
     def K(self, i, t, u):
         """Content-deviation kernels K_i(t, u), scalar t, vectorized u.
@@ -169,8 +146,7 @@ class IntervalKernels:
         return np.where(u > split, upper, lower)
 
     @staticmethod
-    def build(fluid: FluidSolution, interval: FluidInterval, spec: ModelSpec = None):
-        spec = spec or fluid.spec
+    def build(interval: FluidInterval, spec: ModelSpec):
         t, w, wdot = _dedupe(interval.t_loc, interval.w_loc, interval.wdot_loc)
         tau = t - interval.start
         lam_tw = np.asarray(spec.arrival_rate(t - w), dtype=float)
@@ -181,7 +157,7 @@ class IntervalKernels:
         qw = lam_tw * Fcw
         if np.min(qw) < _QTILDE_FLOOR:
             raise BoundaryDensityError("boundary density vanished")
-        hFw = fw / Fcw
+        hFw = fw / Fcw          # patience hazard at the boundary age
         sv = np.asarray(spec.staffing(t), dtype=float)
         sdot = np.asarray(spec.staffing.deriv(t), dtype=float)
         b0 = sv * spec.mu + sdot
@@ -194,33 +170,14 @@ class IntervalKernels:
         Isq = I1 ** 2 + I2 ** 2 + I3 ** 2
         Fwc = np.exp(-_cumquad(hFw, tau))
         return IntervalKernels(
-            interval=interval, spec=spec, t=t, tau=tau, w=w, wdot=wdot,
-            lam_tw=lam_tw, qw=qw, b0=b0, sdot=sdot, Fw=Fw, Fcw=Fcw, hFw=hFw,
+            interval=interval, spec=spec, t=t, tau=tau, w=w, wdot=wdot, qw=qw,
             h=h, G=G, Hc=Hc, I1=I1, I2=I2, I3=I3, Isq=Isq, Fwc=Fwc,
         )
 
 
-@dataclass
-class Kernels:
-    """Kernel grids for every OL interval of a fluid solution, in order."""
-
-    fluid: FluidSolution
-    intervals: list
-
-    def for_interval(self, iv: FluidInterval) -> IntervalKernels:
-        for k in self.intervals:
-            if k.interval is iv:
-                return k
-        raise ValueError("no kernels built for that interval")
-
-
-def build_kernels(fluid: FluidSolution, spec: ModelSpec = None) -> Kernels:
-    """Kernel grids for all OL intervals of the fluid solution."""
-    spec = spec or fluid.spec
-    return Kernels(
-        fluid=fluid,
-        intervals=[IntervalKernels.build(fluid, iv, spec) for iv in fluid.ol_intervals()],
-    )
+def build_kernels(fluid: FluidSolution) -> list:
+    """Kernel grids for all OL intervals of the fluid solution, in order."""
+    return [IntervalKernels.build(iv, fluid.spec) for iv in fluid.ol_intervals()]
 
 
 def _var_w_star_parts(k: IntervalKernels):
@@ -242,12 +199,11 @@ def var_W_star(kernels: IntervalKernels) -> np.ndarray:
     return p1 + p2 + p3
 
 
-def _var_x_star_parts(k: IntervalKernels, w_parts=None):
+def _var_x_star_parts(k: IntervalKernels, w_parts):
     """Per-source content-deviation variances (queue noise + waiting-time
-    feedback) evaluated by the direct formula."""
+    feedback, w_parts = _var_w_star_parts(k)) evaluated by the direct
+    formula."""
     spec = k.spec
-    if w_parts is None:
-        w_parts = _var_w_star_parts(k)
     ts = k.t[:, None]
     c2 = spec.c_lambda ** 2
 
@@ -262,15 +218,15 @@ def _var_x_star_parts(k: IntervalKernels, w_parts=None):
         return lam * fc * (1.0 - fc)
 
     q2 = k.qw ** 2
-    part_lam = _swept_integral(k.w, arrivals) + q2 * w_parts[0]
+    part_lam = swept_integral(k.w, arrivals) + q2 * w_parts[0]
     part_s = q2 * w_parts[1]
-    part_a = _swept_integral(k.w, abandons) + q2 * w_parts[2]
+    part_a = swept_integral(k.w, abandons) + q2 * w_parts[2]
     return part_lam, part_s, part_a
 
 
-def var_X_star(kernels: IntervalKernels, fluid: FluidSolution = None) -> np.ndarray:
+def var_X_star(kernels: IntervalKernels) -> np.ndarray:
     """Variance of the scaled content deviation, zero-start version."""
-    pl, ps, pa = _var_x_star_parts(kernels)
+    pl, ps, pa = _var_x_star_parts(kernels, _var_w_star_parts(kernels))
     return pl + ps + pa
 
 
@@ -296,31 +252,15 @@ def var_X_star_kernel(kernels: IntervalKernels, times) -> np.ndarray:
     return out
 
 
-def F_w_c(kernels: IntervalKernels, t=None):
-    """Survival factor of the initial content against abandonment.
-
-    With t (interval-local) given, interpolates; otherwise returns the
-    grid array.
-    """
-    if t is None:
-        return kernels.Fwc.copy()
-    return np.interp(kernels.start + np.asarray(t, dtype=float), kernels.t, kernels.Fwc)
-
-
-def var_X_OL(kernels: IntervalKernels, varX0: float) -> np.ndarray:
-    """Content-deviation variance including the initial-condition term."""
-    return var_X_star(kernels) + varX0 * kernels.Fwc ** 2
-
-
-def var_W_V(kernels: IntervalKernels, fluid: FluidSolution, varX0: float):
-    """(var_W, var_V, var_Vstar, var_Wstar) grids on the interval.
+def var_W_V(kernels: IntervalKernels, vws: np.ndarray, varX0: float):
+    """(var_W, var_V, var_Vstar) grids on the interval, from the
+    zero-start head-of-line variance vws = var_W_star(kernels).
 
     The potential-waiting variance reads the head-of-line variance at the
     virtual exit time t + v(t) = L^{-1}(t); points whose exit time falls
     beyond the solved horizon are marked nan rather than extrapolated.
     """
     k = kernels
-    vws = var_W_star(k)
     var_W = vws + varX0 * k.Fwc ** 2 / k.qw ** 2
     u = k.interval.l_inverse(k.t)
     inside = u <= k.t[-1] + 1e-12
@@ -341,28 +281,13 @@ def var_W_V(kernels: IntervalKernels, fluid: FluidSolution, varX0: float):
         )
         var_Vstar[inside] = np.maximum(vws_u, 0.0) / (1.0 - wdot_u) ** 2
         var_V[inside] = var_Vstar[inside] + varX0 * fwc_u ** 2 / b0_u ** 2
-    return var_W, var_V, var_Vstar, vws
-
-
-def cov_XW(kernels: IntervalKernels) -> np.ndarray:
-    """Covariance of the content and head-of-line deviations.
-
-    Each content kernel is the matching waiting-time kernel times the
-    boundary density at the later time, so the cross integral factorizes
-    into the boundary density times the waiting-time variance.
-    """
-    return kernels.qw * var_W_star(kernels)
+    return var_W, var_V, var_Vstar
 
 
 def _interval_times(fluid: FluidSolution, iv: FluidInterval):
-    """Local anchor times for an interval (start, grid interior, end)."""
-    if iv.t_loc is not None:
-        return _dedupe(iv.t_loc)[0]
-    pieces = [np.asarray([iv.start])]
-    if iv.i1 >= iv.i0:
-        pieces.append(fluid.grid[iv.i0 : iv.i1 + 1])
-    pieces.append(np.asarray([iv.end]))
-    return _dedupe(np.concatenate(pieces))[0]
+    """Local anchor times for a UL interval (start, grid interior, end)."""
+    times = np.concatenate([[iv.start], fluid.grid[iv.i0 : iv.i1 + 1], [iv.end]])
+    return _dedupe(times)[0]
 
 
 def _grid_index_map(t_loc, fluid, iv):
@@ -377,8 +302,6 @@ class ULVariances:
     t: np.ndarray
     tau: np.ndarray
     var_X: np.ndarray
-    var_arrival: np.ndarray     # net input noise
-    var_initial: np.ndarray     # thinned initial content
 
 
 def _exp_filter(rate, tau, y):
@@ -422,27 +345,7 @@ def var_UL(
     var_arr = (c2 - 1.0) * _exp_filter(2.0 * mu, tau, lam) + _exp_filter(mu, tau, lam)
     decay = np.exp(-mu * tau)
     var_init = X0 * (1.0 - decay) * decay + varX0 * decay ** 2
-    return ULVariances(t=t, tau=tau, var_X=var_arr + var_init,
-                       var_arrival=var_arr, var_initial=var_init)
-
-
-def _one_sided_split(t, var_x, b0):
-    """Endpoint diagnostics: split of a centered normal content deviation
-    into its positive (queue) and negative (surplus) parts, plus the
-    implied waiting deviation."""
-    sd = np.sqrt(max(var_x, 0.0))
-    m_pos = sd / np.sqrt(2.0 * np.pi)
-    v_pos = var_x / 2.0 - m_pos ** 2
-    return {
-        "t": t,
-        "var_X": var_x,
-        "mean_Q": m_pos,
-        "var_Q": v_pos,
-        "mean_B": -m_pos,
-        "var_B": v_pos,
-        "mean_V": m_pos / b0,
-        "var_V": v_pos / b0 ** 2,
-    }
+    return ULVariances(t=t, tau=tau, var_X=var_arr + var_init)
 
 
 @dataclass
@@ -461,8 +364,7 @@ class GaussianSolution:
     var_X_s: np.ndarray
     var_X_a: np.ndarray
     interval_var0: list         # (kind, start, Var(X deviation) at start)
-    endpoints: list             # one-sided switching-point diagnostics
-    kernels: Kernels
+    kernels: list               # IntervalKernels of each OL interval, in order
 
 
 def propagate(spec: ModelSpec, fluid: FluidSolution) -> GaussianSolution:
@@ -481,15 +383,10 @@ def propagate(spec: ModelSpec, fluid: FluidSolution) -> GaussianSolution:
 
     kern_list = []
     interval_var0 = []
-    endpoints = []
     varX0 = spec.var_x0
 
     for iv in fluid.intervals:
         interval_var0.append((iv.kind, iv.start, varX0))
-        if iv.start > 0.0:
-            svals = spec.staffing.scalar(iv.start)
-            b0s = svals * spec.mu + spec.staffing.scalar_deriv(iv.start)
-            endpoints.append(_one_sided_split(iv.start, varX0, b0s))
         if iv.kind == UL:
             X0 = spec.x0 if iv.start == 0.0 else spec.staffing.scalar(iv.start)
             ulv = var_UL(spec, fluid, X0, varX0, iv)
@@ -500,13 +397,14 @@ def propagate(spec: ModelSpec, fluid: FluidSolution) -> GaussianSolution:
             var_V[gsl] = 0.0
             varX0 = float(ulv.var_X[-1])
         else:
-            k = IntervalKernels.build(fluid, iv, spec)
+            k = IntervalKernels.build(iv, spec)
             kern_list.append(k)
             w_parts = _var_w_star_parts(k)
             x_parts = _var_x_star_parts(k, w_parts)
             vxs = x_parts[0] + x_parts[1] + x_parts[2]
             vx = vxs + varX0 * k.Fwc ** 2
-            vw, vv, vvs, vws = var_W_V(k, fluid, varX0)
+            vws = w_parts[0] + w_parts[1] + w_parts[2]
+            vw, vv, vvs = var_W_V(k, vws, varX0)
             idx = _grid_index_map(k.t, fluid, iv)
             gsl = slice(iv.i0, iv.i1 + 1)
             var_X[gsl] = vx[idx]
@@ -515,6 +413,8 @@ def propagate(spec: ModelSpec, fluid: FluidSolution) -> GaussianSolution:
             var_Wstar[gsl] = vws[idx]
             var_V[gsl] = vv[idx]
             var_Vstar[gsl] = vvs[idx]
+            # each content kernel is the matching waiting-time kernel times
+            # the boundary density, so the cross integral factorizes
             cov[gsl] = (k.qw * vws)[idx]
             fwc[gsl] = k.Fwc[idx]
             comp_l[gsl] = x_parts[0][idx]
@@ -526,8 +426,7 @@ def propagate(spec: ModelSpec, fluid: FluidSolution) -> GaussianSolution:
         fluid=fluid, grid=fluid.grid, var_X=var_X, var_Xstar=var_Xstar,
         var_W=var_W, var_Wstar=var_Wstar, var_V=var_V, var_Vstar=var_Vstar,
         cov_XW=cov, Fwc=fwc, var_X_lambda=comp_l, var_X_s=comp_s,
-        var_X_a=comp_a, interval_var0=interval_var0, endpoints=endpoints,
-        kernels=Kernels(fluid=fluid, intervals=kern_list),
+        var_X_a=comp_a, interval_var0=interval_var0, kernels=kern_list,
     )
 
 
@@ -538,8 +437,7 @@ class MeanShift:
     mean_W: np.ndarray
 
 
-def mean_shift_refined(spec: ModelSpec, fluid: FluidSolution,
-                       kernels: Kernels = None) -> MeanShift:
+def mean_shift_refined(spec: ModelSpec, fluid: FluidSolution) -> MeanShift:
     """Order-sqrt(n) deterministic mean corrections from the refined
     arrival-rate and staffing scaling.
 
@@ -549,8 +447,6 @@ def mean_shift_refined(spec: ModelSpec, fluid: FluidSolution,
     """
     if spec.arrival_rate_g is None or spec.staffing_g is None:
         raise ValueError("refined terms not specified")
-    if kernels is None:
-        kernels = build_kernels(fluid, spec)
 
     n1 = len(fluid.grid)
     mean_X = np.zeros(n1)
@@ -566,7 +462,7 @@ def mean_shift_refined(spec: ModelSpec, fluid: FluidSolution,
             m = _exp_filter(mu, tau, lam_g)
             mean_X[gsl] = m[_grid_index_map(t, fluid, iv)]
         else:
-            k = kernels.for_interval(iv)
+            k = IntervalKernels.build(iv, spec)
             lam_g_tw = np.asarray(spec.arrival_rate_g(k.t - k.w), dtype=float)
             s_g = np.asarray(spec.staffing_g(k.t), dtype=float)
             sdot_g = np.asarray(spec.staffing_g.deriv(k.t), dtype=float)
@@ -578,7 +474,7 @@ def mean_shift_refined(spec: ModelSpec, fluid: FluidSolution,
                 lam = np.asarray(spec.arrival_rate_g(ts - x), dtype=float)
                 return lam * np.asarray(spec.patience.survival(x), dtype=float)
 
-            Q1g = _swept_integral(k.w, queued)
+            Q1g = swept_integral(k.w, queued)
             idx = _grid_index_map(k.t, fluid, iv)
             mean_X[gsl] = (Q1g + k.qw * W_g)[idx]
             mean_W[gsl] = W_g[idx]
@@ -586,16 +482,9 @@ def mean_shift_refined(spec: ModelSpec, fluid: FluidSolution,
 
 
 def write_gaussian_csv(gs: GaussianSolution, path):
-    cols = [
-        "t", "var_X", "var_Xstar", "var_W", "var_Wstar", "var_V",
-        "cov_XW", "Fwc", "var_X_lambda", "var_X_s", "var_X_a",
-    ]
-    data = [
-        gs.grid, gs.var_X, gs.var_Xstar, gs.var_W, gs.var_Wstar, gs.var_V,
-        gs.cov_XW, gs.Fwc, gs.var_X_lambda, gs.var_X_s, gs.var_X_a,
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(len(gs.grid)):
-            writer.writerow([f"{col[i]:.10g}" for col in data])
+    write_columns(path, {
+        "t": gs.grid, "var_X": gs.var_X, "var_Xstar": gs.var_Xstar,
+        "var_W": gs.var_W, "var_Wstar": gs.var_Wstar, "var_V": gs.var_V,
+        "cov_XW": gs.cov_XW, "Fwc": gs.Fwc, "var_X_lambda": gs.var_X_lambda,
+        "var_X_s": gs.var_X_s, "var_X_a": gs.var_X_a,
+    })

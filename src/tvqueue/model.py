@@ -8,6 +8,7 @@ instead of raising, so callers can show all problems at once.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 
@@ -32,6 +33,7 @@ class ModelSpec:
     x0: float = 0.0
     var_x0: float = 0.0
     c_lambda: float = 1.0  # Poisson arrivals
+    # order-sqrt(n) refinement terms, read only by gaussian.mean_shift_refined
     arrival_rate_g: SmoothFn | None = None
     staffing_g: SmoothFn | None = None
 
@@ -96,8 +98,6 @@ def spec_from_dict(cfg: dict) -> ModelSpec:
         x0=float(cfg.get("x0", 0.0)),
         var_x0=float(cfg.get("var_x0", 0.0)),
         c_lambda=float(cfg.get("c_lambda", 1.0)),
-        arrival_rate_g=fn_from_config(cfg["lambda_g"]) if "lambda_g" in cfg else None,
-        staffing_g=fn_from_config(cfg["staffing_g"]) if "staffing_g" in cfg else None,
     )
 
 
@@ -106,3 +106,28 @@ def load_spec(path) -> ModelSpec:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     return spec_from_dict(cfg)
+
+
+def staffing_level(n, s):
+    """Integer staffing ceil(n s) of staffing value(s) s, guarded against
+    float fuzz."""
+    return np.ceil(n * s - 1e-9)
+
+
+def write_columns(path, columns):
+    """Write a CSV table, one column per entry of the name -> values dict.
+
+    Float columns are written as %.10g; integer and string columns are
+    written as they are.
+    """
+    cells = []
+    for col in columns.values():
+        col = np.asarray(col)
+        if col.dtype.kind == "f":
+            cells.append([f"{v:.10g}" for v in col.tolist()])
+        else:
+            cells.append(col.tolist())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))

@@ -158,7 +158,10 @@ class TabulatedPatience(PatienceDist):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         inside = self._interp(np.clip(x, self.x[0], self.x[-1]))
-        tail = 1.0 - (1.0 - self.F[-1]) * np.exp(-self._tail_rate * (x - self.x[-1]))
+        # the tail is read only past the table; clamping the distance keeps
+        # a steep tail's exp from overflowing at the points inside it
+        past = np.maximum(x - self.x[-1], 0.0)
+        tail = 1.0 - (1.0 - self.F[-1]) * np.exp(-self._tail_rate * past)
         return np.where(x <= self.x[-1], inside, tail)
 
     def survival_scalar(self, x):
@@ -180,7 +183,8 @@ class TabulatedPatience(PatienceDist):
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         inside = self._dinterp(np.clip(x, self.x[0], self.x[-1]))
-        tail = (1.0 - self.F[-1]) * self._tail_rate * np.exp(-self._tail_rate * (x - self.x[-1]))
+        past = np.maximum(x - self.x[-1], 0.0)
+        tail = (1.0 - self.F[-1]) * self._tail_rate * np.exp(-self._tail_rate * past)
         return np.where(x <= self.x[-1], inside, tail)
 
     def sample(self, rng, size):

@@ -11,14 +11,13 @@ function of the seed.
 
 from __future__ import annotations
 
-import csv
 import heapq
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelSpec, validate
+from .model import ModelSpec, staffing_level, validate, write_columns
 
 __all__ = [
     "SimConfig",
@@ -95,14 +94,14 @@ def gen_arrivals(spec: ModelSpec, n: int, rng: np.random.Generator,
 def staffing_epochs(spec: ModelSpec, n: int, horizon: float):
     """(times, levels) at which ceil(n s(t)) changes, by bisection."""
     probe = np.linspace(0.0, horizon, 20001)
-    lv = np.ceil(n * np.asarray(spec.staffing(probe), dtype=float) - 1e-9).astype(int)
+    lv = staffing_level(n, np.asarray(spec.staffing(probe), dtype=float)).astype(int)
     times, levels = [], []
     for i in np.flatnonzero(np.diff(lv)):
         lo, hi = probe[i], probe[i + 1]
         target = lv[i + 1]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            here = int(np.ceil(n * float(spec.staffing(mid)) - 1e-9))
+            here = int(staffing_level(n, float(spec.staffing(mid))))
             if here == lv[i]:
                 lo = mid
             else:
@@ -162,7 +161,7 @@ def run_replication(config: SimConfig, seed: int) -> SimPath:
     heapq.heapify(heap)
     seq = len(heap)
 
-    s_now = int(np.ceil(n * float(spec.staffing(0.0)) - 1e-9))
+    s_now = int(staffing_level(n, float(spec.staffing(0.0))))
     x0 = min(int(round(n * spec.x0)), s_now)
     state = {}
     arr_time = {}
@@ -417,30 +416,20 @@ def estimate(config: SimConfig) -> SimEstimate:
 
 
 def write_path_csv(path: SimPath, out):
-    cols = ["t", "X", "Q", "B", "W", "V", "s", "N", "D", "A", "E", "forced"]
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(len(path.t)):
-            writer.writerow([
-                f"{path.t[i]:.10g}", path.X[i], path.Q[i], path.B[i],
-                f"{path.W[i]:.10g}", f"{path.V[i]:.10g}", path.s[i],
-                path.N[i], path.D[i], path.A[i], path.E[i], path.forced[i],
-            ])
+    write_columns(out, {
+        "t": path.t, "X": path.X, "Q": path.Q, "B": path.B, "W": path.W,
+        "V": path.V, "s": path.s, "N": path.N, "D": path.D, "A": path.A,
+        "E": path.E, "forced": path.forced,
+    })
 
 
 def write_estimate_csv(est: SimEstimate, out):
-    n = est.config.n
-    cols = ["t"]
-    data = [est.t]
+    columns = {"t": est.t}
     for name in _TRACKED:
-        cols += [f"mean_{name}", f"se_{name}", f"var_{name}"]
-        data += [est.mean(name), est.se(name), est.var(name)]
+        columns[f"mean_{name}"] = est.mean(name)
+        columns[f"se_{name}"] = est.se(name)
+        columns[f"var_{name}"] = est.var(name)
     for name in _TRACKED:
-        cols += [f"scaled_mean_{name}", f"scaled_var_{name}"]
-        data += [est.scaled_mean(name), est.scaled_var(name)]
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(len(est.t)):
-            writer.writerow([f"{col[i]:.10g}" for col in data])
+        columns[f"scaled_mean_{name}"] = est.scaled_mean(name)
+        columns[f"scaled_var_{name}"] = est.scaled_var(name)
+    write_columns(out, columns)

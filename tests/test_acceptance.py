@@ -93,7 +93,7 @@ def test_criterion_3_kernel_identity(capsys):
     # the single-quadrature variance equals the squared-kernel integrals
     t0 = time.perf_counter()
     fl = solve_fluid(_sine_h2_spec())
-    k = build_kernels(fl).intervals[0]
+    k = build_kernels(fl)[0]
     times = np.linspace(k.start + 0.5, k.t[-1] - 0.1, 9)
     direct = np.interp(times, k.t, var_X_star(k))
     kernel = var_X_star_kernel(k, times)
@@ -111,7 +111,7 @@ def test_criterion_4_waiting_sde_oracle(capsys):
     # 1e-3, against the quadrature variance at t = 0.5, 1, 2
     t0 = time.perf_counter()
     fl = solve_fluid(_stationary_spec(horizon=3.0), step=1e-3)
-    k = build_kernels(fl).intervals[0]
+    k = build_kernels(fl)[0]
     vws = var_W_star(k)
     sig = np.sqrt(k.Isq)
     paths = 100_000

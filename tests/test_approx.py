@@ -3,13 +3,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from tvqueue.approx import (
-    gaussian_X,
-    report,
-    staffing_level,
-    truncated_moments,
-    write_report_csv,
-)
+from tvqueue.approx import report, truncated_moments, write_report_csv
+from tvqueue.model import staffing_level
 
 
 def test_truncated_at_mean():
@@ -91,16 +86,19 @@ def test_split_adds_back():
     assert np.max(np.abs(e1 + el - m)) < 1e-12
 
 
-def test_staffing_level_ceiling(sine_h2_spec):
-    assert staffing_level(sine_h2_spec, 200, 1.0) == 200
-    assert staffing_level(sine_h2_spec, 7, 0.5) == 7
+def test_staffing_level_ceiling():
+    assert staffing_level(200, 1.0) == 200
+    assert staffing_level(7, 1.0) == 7
+    # 10 * 0.3 rounds to 3.0000000000000004: the guard keeps 3 servers
+    assert staffing_level(10, 0.3) == 3
+    assert np.array_equal(staffing_level(4, np.array([0.5, 0.6, 1.0])), [2.0, 3.0, 4.0])
 
 
 def test_gaussian_X_scaling(sine_h2_fluid, sine_h2_gaussian):
-    m, v = gaussian_X(100, sine_h2_fluid, sine_h2_gaussian, 2.5)
+    rep = report(100, sine_h2_fluid, sine_h2_gaussian)
     i = np.searchsorted(sine_h2_fluid.grid, 2.5)
-    assert m == pytest.approx(100 * sine_h2_fluid.X[i], rel=1e-9)
-    assert v == pytest.approx(100 * sine_h2_gaussian.var_X[i], rel=1e-9)
+    assert rep.mean_X[i] == pytest.approx(100 * sine_h2_fluid.X[i], rel=1e-9)
+    assert rep.var_X[i] == pytest.approx(100 * sine_h2_gaussian.var_X[i], rel=1e-9)
 
 
 def test_report_consistency(sine_h2_fluid, sine_h2_gaussian):

@@ -4,12 +4,12 @@ import pytest
 from tvqueue.fluid import (
     CriticalLoadingError,
     StaffingInfeasibleError,
-    abandonment,
+    _Ctx,
+    _rk4_step,
     queue_density,
     service_density,
     solve_fluid,
-    solve_v,
-    step_w,
+    solve_v_arrays,
     ul_content,
     write_fluid_csv,
 )
@@ -71,7 +71,8 @@ def test_pwt_fixed_point(sine_h2_fluid):
 
 
 def test_solve_v_wrapper(sine_h2_fluid):
-    assert np.allclose(solve_v(sine_h2_fluid), sine_h2_fluid.v)
+    fl = sine_h2_fluid
+    assert np.allclose(solve_v_arrays(fl.intervals, fl.grid), fl.v)
 
 
 def test_flow_conservation(sine_h2_fluid):
@@ -95,7 +96,7 @@ def test_queue_content_against_fine_quadrature(sine_h2_fluid):
 def test_abandonment_rate_against_fine_quadrature(sine_h2_fluid):
     fl = sine_h2_fluid
     spec = fl.spec
-    alpha, A = abandonment(fl)
+    alpha, A = fl.alpha, fl.A
     for t in (2.5, 8.5):
         i = np.searchsorted(fl.grid, t)
         x = np.linspace(0.0, fl.w[i], 20001)
@@ -118,7 +119,8 @@ def test_step_w_matches_solver(sine_h2_fluid):
     i = iv.i0 + 100
     t, w = fl.grid[i], fl.w[i]
     h = fl.grid[i + 1] - t
-    assert step_w(fl.spec, t, w, h) == pytest.approx(fl.w[i + 1], abs=1e-10)
+    step = _rk4_step(_Ctx(fl.spec).ol_rhs, t, w, h)
+    assert step == pytest.approx(fl.w[i + 1], abs=1e-10)
 
 
 def test_queue_density_truncation(sine_h2_fluid):
@@ -179,6 +181,9 @@ def test_csv_export(tmp_path, sine_h2_fluid):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("t,regime,X,B,Q,w")
     assert len(lines) == len(sine_h2_fluid.grid) + 1
+    regimes = [line.split(",")[1] for line in lines[1:]]
+    assert set(regimes) == {"UL", "OL"}
+    assert regimes.count("OL") == int(sine_h2_fluid.ol.sum())
 
 
 class _VectorOnlyFn(SmoothFn):

@@ -4,15 +4,12 @@ import pytest
 from tvqueue.fluid import solve_fluid
 from tvqueue.functions import ConstantFn
 from tvqueue.gaussian import (
-    F_w_c,
     build_kernels,
-    cov_XW,
     mean_shift_refined,
     propagate,
     var_UL,
     var_W_star,
     var_W_V,
-    var_X_OL,
     var_X_star,
     var_X_star_kernel,
     write_gaussian_csv,
@@ -28,8 +25,7 @@ from tvqueue.patience import ExponentialPatience
 
 
 def test_stationary_kernel_ingredients(stationary_ol_fluid):
-    ks = build_kernels(stationary_ol_fluid)
-    k = ks.intervals[0]
+    k = build_kernels(stationary_ol_fluid)[0]
     assert k.h[-1] == pytest.approx(-0.5, abs=1e-6)
     assert k.qw[-1] == pytest.approx(1.0, abs=1e-6)
     assert k.Isq[-1] == pytest.approx(2.0, abs=1e-5)
@@ -49,7 +45,7 @@ def test_stationary_variance_limits(stationary_ol_gaussian):
 
 
 def test_propagator_semigroup(sine_h2_gaussian):
-    k = sine_h2_gaussian.kernels.intervals[0]
+    k = sine_h2_gaussian.kernels[0]
     t0, t1 = k.start, k.t[-1]
     r = 0.5 * (t0 + t1)
     for tt in np.linspace(t0, t1, 7):
@@ -67,8 +63,7 @@ def test_variance_additivity(sine_h2_gaussian):
 
 def test_direct_vs_kernel_route(sine_h2_fluid):
     # two independent evaluations of the content-deviation variance
-    ks = build_kernels(sine_h2_fluid)
-    k = ks.intervals[0]
+    k = build_kernels(sine_h2_fluid)[0]
     times = np.array([2.0, 2.5, 3.0, 3.5])
     direct = np.interp(times, k.t, var_X_star(k))
     kernel = var_X_star_kernel(k, times)
@@ -77,16 +72,17 @@ def test_direct_vs_kernel_route(sine_h2_fluid):
 
 def test_initial_content_survival_exponential(stationary_ol_fluid):
     # constant hazard theta: the survival factor is exactly exp(-theta tau)
-    k = build_kernels(stationary_ol_fluid).intervals[0]
-    assert np.max(np.abs(F_w_c(k) - np.exp(-0.5 * k.tau))) < 1e-10
-    # interpolating accessor agrees with the grid
-    assert F_w_c(k, 1.0) == pytest.approx(np.exp(-0.5), abs=1e-9)
+    k = build_kernels(stationary_ol_fluid)[0]
+    assert np.max(np.abs(k.Fwc - np.exp(-0.5 * k.tau))) < 1e-10
+    # interpolated between grid points, one time unit into the interval
+    assert np.interp(k.start + 1.0, k.t, k.Fwc) == pytest.approx(np.exp(-0.5), abs=1e-9)
 
 
 def test_waiting_potential_identity(sine_h2_fluid):
     # var_Vstar(t) (1 - wdot(t+v))^2 equals var_Wstar read at t + v(t)
-    k = build_kernels(sine_h2_fluid).intervals[0]
-    vw, vv, vvs, vws = var_W_V(k, sine_h2_fluid, 0.0)
+    k = build_kernels(sine_h2_fluid)[0]
+    vws = var_W_star(k)
+    vw, vv, vvs = var_W_V(k, vws, 0.0)
     u = k.interval.l_inverse(k.t)
     ok = (u <= k.t[-1]) & (k.tau > 0.1)
     wdot_u = np.interp(u[ok], k.t, k.wdot)
@@ -103,9 +99,13 @@ def test_initial_condition_terms():
     assert gs.var_X[0] == pytest.approx(0.5, abs=1e-9)
     # at time zero the waiting deviation is varX0 / qw(0)^2, qw(0) = 1.5
     assert gs.var_W[0] == pytest.approx(0.5 / 1.5 ** 2, abs=1e-9)
-    k = gs.kernels.intervals[0]
-    shifted = var_X_OL(k, 0.5)
-    assert np.max(np.abs(shifted - (var_X_star(k) + 0.5 * k.Fwc ** 2))) == 0.0
+    # on the OL grid the content variance is the zero-start variance plus
+    # the initial variance thinned by the initial-content survival
+    k = gs.kernels[0]
+    iv = k.interval
+    ts = fl.grid[iv.i0 : iv.i1 + 1]
+    shifted = np.interp(ts, k.t, var_X_star(k) + 0.5 * k.Fwc ** 2)
+    assert np.max(np.abs(gs.var_X[iv.i0 : iv.i1 + 1] - shifted)) < 1e-12
 
 
 def test_ul_variance_against_quadrature(sine_h2_spec, sine_h2_fluid):
@@ -138,7 +138,7 @@ def test_ul_variance_constant_closed_form():
 
 def test_waiting_sde_monte_carlo(sine_h2_fluid):
     # Euler scheme for dW = h W dt + |I| dB reproduces var_Wstar within 3 SE
-    k = build_kernels(sine_h2_fluid).intervals[0]
+    k = build_kernels(sine_h2_fluid)[0]
     t, h, sig = k.tau, k.h, np.sqrt(k.Isq)
     rng = np.random.default_rng(42)
     paths = 40000
@@ -172,9 +172,13 @@ def test_cauchy_schwarz(sine_h2_gaussian):
     assert np.all(gs.cov_XW[ol] ** 2 <= bound * (1.0 + 1e-9))
 
 
-def test_cov_is_boundary_density_times_var(sine_h2_fluid):
-    k = build_kernels(sine_h2_fluid).intervals[0]
-    assert np.allclose(cov_XW(k), k.qw * var_W_star(k))
+def test_cov_is_boundary_density_times_var(sine_h2_gaussian):
+    gs = sine_h2_gaussian
+    k = gs.kernels[0]
+    iv = k.interval
+    ts = gs.grid[iv.i0 : iv.i1 + 1]
+    expect = np.interp(ts, k.t, k.qw * var_W_star(k))
+    assert np.allclose(gs.cov_XW[iv.i0 : iv.i1 + 1], expect)
 
 
 def test_variance_continuity_at_switches(sine_h2_gaussian):

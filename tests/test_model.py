@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from tvqueue.functions import ConstantFn, SinusoidFn
-from tvqueue.model import ModelSpec, load_spec, spec_from_dict, validate
+from tvqueue.model import ModelSpec, load_spec, spec_from_dict, validate, write_columns
 from tvqueue.patience import ExponentialPatience
 
 
@@ -79,3 +80,17 @@ def test_load_spec_roundtrip(tmp_path):
     assert spec.horizon == 16.0
     assert float(spec.arrival_rate(0.0)) == pytest.approx(1.0)
     assert validate(spec).ok
+
+
+def test_write_columns(tmp_path):
+    path = tmp_path / "table.csv"
+    write_columns(path, {
+        "t": np.array([0.0, 1.0 / 3.0]),
+        "count": np.array([3, 12], dtype=int),
+        "kind": np.array(["UL", "OL"]),
+        "v": np.array([np.nan, 1234567.891234]),
+    })
+    rows = path.read_text().splitlines()
+    assert rows[0] == "t,count,kind,v"      # dict order
+    assert rows[1] == "0,3,UL,nan"
+    assert rows[2] == "0.3333333333,12,OL,1234567.891"

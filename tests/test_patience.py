@@ -73,6 +73,25 @@ def test_tabulated_interpolation_and_tail():
     assert np.all(np.diff(d.cdf(grid)) >= -1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_tabulated_steep_tail_no_overflow():
+    # F(1) = 0.999999 makes the tail rate about 1e6; the tail must not be
+    # evaluated (and overflow) at the points inside the table
+    x = np.linspace(0.0, 1.0, 6)
+    F = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 0.999999])
+    d = TabulatedPatience(x, F)
+    assert d._tail_rate > 1e5
+    inside = np.array([0.0, 0.5])
+    assert np.array_equal(d.cdf(inside), d._interp(inside))
+    assert np.array_equal(d.pdf(inside), d._dinterp(inside))
+    beyond = np.array([1.0 + 1e-6, 1.0 + 2e-6])
+    rate = d._tail_rate
+    tail_mass = 1.0 - F[-1]
+    assert np.allclose(d.cdf(beyond), 1.0 - tail_mass * np.exp(-rate * (beyond - 1.0)),
+                       rtol=0.0, atol=1e-15)
+    assert np.allclose(d.pdf(beyond), tail_mass * rate * np.exp(-rate * (beyond - 1.0)))
+
+
 def test_tabulated_sampling_roundtrip():
     x = np.array([0.0, 1.0, 2.0, 4.0])
     F = np.array([0.0, 0.3, 0.5, 0.8])
