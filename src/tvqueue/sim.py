@@ -1,11 +1,15 @@
 """Exact discrete-event simulation of the many-server system.
 
 Arrivals follow a nonhomogeneous Poisson process of rate n lambda(t)
-generated by thinning.  Service is exponential(mu), patience is drawn
-i.i.d. from the patience distribution, entry to service is FCFS, and a
-staffing decrease below the busy-server count forces the most recent
-entrants out.  Every replication keeps integer counters, so flow
-conservation holds exactly, and the whole path is a deterministic
+generated by thinning, patience is drawn i.i.d. from the patience
+distribution, and entry to service is FCFS.  Service is exponential(mu),
+so the B busy servers finish at total rate mu B whomever they serve:
+departures are one exponential clock of that rate, drawn afresh after
+each departure and whenever B changes (the next-reaction scheme of
+Gibson & Bruck 2000, with one clock for all departures).  A staffing
+decrease below B forces busy servers out; which ones does not matter in
+law, for the same reason.  Every replication keeps integer counters, so
+flow conservation holds exactly, and the whole path is a deterministic
 function of the seed.
 """
 
@@ -14,6 +18,7 @@ from __future__ import annotations
 import heapq
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
@@ -31,13 +36,6 @@ __all__ = [
     "write_path_csv",
     "write_estimate_csv",
 ]
-
-# event kinds, ordered so ties resolve: staffing first, then arrivals,
-# then departures and abandonments in insertion order
-_STAFF, _ARRIVAL, _DEPART, _ABANDON = 0, 1, 2, 3
-
-# customer states
-_QUEUED, _SERVING, _ABANDONED, _DEPARTED, _REMOVED = 0, 1, 2, 3, 4
 
 
 @dataclass
@@ -92,23 +90,30 @@ def gen_arrivals(spec: ModelSpec, n: int, rng: np.random.Generator,
 
 
 def staffing_epochs(spec: ModelSpec, n: int, horizon: float):
-    """(times, levels) at which ceil(n s(t)) changes, by bisection."""
+    """(times, levels) at which ceil(n s(t)) changes, one entry per level
+    crossed, in time order.
+
+    An interval of a 20001-point probe whose level moves by d holds d
+    crossings; all crossings are located together by 60 halvings on the
+    predicate "the level has reached its target".
+    """
     probe = np.linspace(0.0, horizon, 20001)
     lv = staffing_level(n, np.asarray(spec.staffing(probe), dtype=float)).astype(int)
-    times, levels = [], []
-    for i in np.flatnonzero(np.diff(lv)):
-        lo, hi = probe[i], probe[i + 1]
-        target = lv[i + 1]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            here = int(staffing_level(n, float(spec.staffing(mid))))
-            if here == lv[i]:
-                lo = mid
-            else:
-                hi = mid
-        times.append(hi)
-        levels.append(target)
-    return np.asarray(times), np.asarray(levels, dtype=int)
+    d = np.diff(lv)
+    counts = np.abs(d)
+    idx = np.repeat(np.arange(len(d)), counts)
+    step = np.sign(d)[idx]
+    rank = np.arange(1, len(idx) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    target = lv[idx] + step * rank
+    lo, hi = probe[idx], probe[idx + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        here = staffing_level(n, np.asarray(spec.staffing(mid), dtype=float))
+        reached = step * (here - target) >= 0
+        lo = np.where(reached, lo, mid)
+        hi = np.where(reached, mid, hi)
+    order = np.argsort(hi, kind="stable")
+    return hi[order], target[order]
 
 
 @dataclass
@@ -143,176 +148,109 @@ def run_replication(config: SimConfig, seed: int) -> SimPath:
 
     arrivals = gen_arrivals(spec, n, rng_arr, T)
     patience = spec.patience.sample(rng_pat, len(arrivals)) if len(arrivals) else np.empty(0)
-    srv_buf = rng_srv.exponential(1.0 / mu, max(len(arrivals) + 64, 128))
-    srv_i = 0
-
-    def srv_draw():
-        nonlocal srv_buf, srv_i
-        if srv_i >= len(srv_buf):
-            srv_buf = rng_srv.exponential(1.0 / mu, len(srv_buf))
-            srv_i = 0
-        srv_i += 1
-        return srv_buf[srv_i - 1]
-
-    heap = [(t, _ARRIVAL, i, i) for i, t in enumerate(arrivals)]
+    # per arrival: epoch, abandonment deadline and queue exit epoch (entry
+    # or abandonment; None while waiting); inf marks "no more arrivals"
+    arr = arrivals.tolist() + [inf]
+    deadline = (arrivals + patience).tolist()
+    left = [None] * len(arrivals)
     st_times, st_levels = staffing_epochs(spec, n, T)
-    for j, (t, lvl) in enumerate(zip(st_times, st_levels)):
-        heap.append((t, _STAFF, j, lvl))
-    heapq.heapify(heap)
-    seq = len(heap)
+    st_times = st_times.tolist() + [inf]
+    st_levels = st_levels.tolist()
 
     s_now = int(staffing_level(n, float(spec.staffing(0.0))))
-    x0 = min(int(round(n * spec.x0)), s_now)
-    state = {}
-    arr_time = {}
-    next_id = 0
-    for _ in range(x0):
-        state[next_id] = _SERVING
-        heapq.heappush(heap, (srv_draw(), _DEPART, seq, next_id))
-        seq += 1
-        next_id += 1
-    B = x0
-    Qlen = 0
-    queue = []          # FCFS: (arrival index ids in order); lazy head cleanup
-    qhead = 0
-    service_order = []  # entry order, for forced removal
+    x0 = B = min(int(round(n * spec.x0)), s_now)
+    Qlen = head = ai = si = 0   # head: no one before it is still waiting
     cN = cD = cA = cE = cF = 0
-    entry_times = []
-    free_times = []     # epochs where a server idled with an empty queue
-    leave_time = {}     # queue exit epoch per customer (entry or abandonment)
+    aban = []    # lazy heap of (deadline, arrival index)
+    # in time order: service entries, and epochs where a server idled
+    # with an empty queue
+    slots = []
+    rows, waits = [], []
 
-    grid = config.obs_grid()
-    m = len(grid)
-    oX = np.zeros(m, dtype=int)
-    oQ = np.zeros(m, dtype=int)
-    oB = np.zeros(m, dtype=int)
-    oW = np.zeros(m)
-    oS = np.zeros(m, dtype=int)
-    oN = np.zeros(m, dtype=int)
-    oD = np.zeros(m, dtype=int)
-    oA = np.zeros(m, dtype=int)
-    oE = np.zeros(m, dtype=int)
-    oF = np.zeros(m, dtype=int)
-    obs_i = 0
+    def clock(now, busy):
+        return now + rng_srv.standard_exponential() / (mu * busy) if busy else inf
 
-    def admit(cid, now):
-        nonlocal B, cE
-        state[cid] = _SERVING
+    def admit_head(now):
+        nonlocal head, Qlen, B, cE
+        while left[head] is not None:
+            head += 1
+        left[head] = now
+        head += 1
+        Qlen -= 1
         B += 1
         cE += 1
-        entry_times.append(now)
-        leave_time[cid] = now
-        service_order.append(cid)
-        nonlocal seq
-        heapq.heappush(heap, (now + srv_draw(), _DEPART, seq, cid))
-        seq += 1
+        slots.append(now)
 
-    def pop_queue_head():
-        """Next still-waiting customer, or None."""
-        nonlocal qhead, Qlen
-        while qhead < len(queue):
-            cid = queue[qhead]
-            if state[cid] == _QUEUED:
-                qhead += 1
-                Qlen -= 1
-                return cid
-            qhead += 1
-        return None
-
-    ahead = [None] * m     # waiting customers at each observation epoch
-
-    def observe(t_obs, k):
-        nonlocal qhead
-        while qhead < len(queue) and state[queue[qhead]] != _QUEUED:
-            qhead += 1
-        oQ[k] = Qlen
-        oB[k] = B
-        oX[k] = B + Qlen
-        oW[k] = t_obs - arr_time[queue[qhead]] if Qlen > 0 else 0.0
-        oS[k] = s_now
-        oN[k], oD[k], oA[k], oE[k], oF[k] = cN, cD, cA, cE, cF
-        ahead[k] = [c for c in queue[qhead:] if state[c] == _QUEUED]
-
-    while obs_i < m:
-        if not heap or heap[0][0] > grid[obs_i]:
-            observe(grid[obs_i], obs_i)
-            obs_i += 1
-            continue
-        now, kind, _, ident = heapq.heappop(heap)
-        if kind == _ARRIVAL:
-            cid = next_id
-            next_id += 1
-            arr_time[cid] = now
+    t_dep = clock(0.0, B)
+    grid = config.obs_grid()
+    obs = iter(grid.tolist())
+    t_obs = next(obs)
+    while True:
+        now = min(st_times[si], arr[ai], t_dep, aban[0][0] if aban else inf)
+        if now > t_obs:
+            # events at an observation epoch are processed before observing it
+            if Qlen:
+                while left[head] is not None:
+                    head += 1
+            waits.append(t_obs - arr[head] if Qlen else 0.0)
+            rows.append((Qlen, B, s_now, cN, cD, cA, cE, cF, head, ai))
+            t_obs = next(obs, None)
+            if t_obs is None:
+                break
+        # ties resolve staffing first, then arrival, departure, abandonment
+        elif now == st_times[si]:
+            s_now = st_levels[si]
+            si += 1
+            b0 = B
+            while B < s_now and Qlen:
+                admit_head(now)
+            if B < s_now:
+                slots.append(now)
+            elif B > s_now:
+                cF += B - s_now     # forced out of service
+                B = s_now
+            if B != b0:
+                t_dep = clock(now, B)
+        elif now == arr[ai]:
+            i = ai
+            ai += 1
             cN += 1
-            if B < s_now and Qlen == 0:
-                admit(cid, now)
+            if B < s_now:   # then nobody waits
+                left[i] = now
+                slots.append(now)
+                B += 1
+                cE += 1
+                t_dep = clock(now, B)
             else:
-                state[cid] = _QUEUED
-                queue.append(cid)
                 Qlen += 1
-                heapq.heappush(heap, (now + patience[ident], _ABANDON, seq, cid))
-                seq += 1
-        elif kind == _DEPART:
-            if state.get(ident) != _SERVING:
-                continue
-            state[ident] = _DEPARTED
+                heapq.heappush(aban, (deadline[i], i))
+        elif now == t_dep:
             cD += 1
             B -= 1
-            if B < s_now:
-                cid = pop_queue_head()
-                if cid is not None:
-                    admit(cid, now)
-                else:
-                    free_times.append(now)
-        elif kind == _ABANDON:
-            if state.get(ident) != _QUEUED:
-                continue
-            state[ident] = _ABANDONED
-            leave_time[ident] = now
-            cA += 1
-            Qlen -= 1
-        else:  # staffing change
-            s_now = ident
-            while B < s_now:
-                cid = pop_queue_head()
-                if cid is None:
-                    if B < s_now:
-                        free_times.append(now)
-                    break
-                admit(cid, now)
-            while B > s_now:
-                # force out the most recent entrant still in service
-                while service_order and state[service_order[-1]] != _SERVING:
-                    service_order.pop()
-                if service_order:
-                    state[service_order.pop()] = _REMOVED
-                else:
-                    # only initial-content customers remain in service
-                    victim = max(c for c in range(x0) if state[c] == _SERVING)
-                    state[victim] = _REMOVED
-                B -= 1
-                cF += 1
+            if Qlen:
+                admit_head(now)
+            else:
+                slots.append(now)
+            t_dep = clock(now, B)
+        else:
+            i = heapq.heappop(aban)[1]
+            if left[i] is None:     # not yet in service
+                left[i] = now
+                cA += 1
+                Qlen -= 1
 
+    Q, B, S, N, D, A, E, F, H, I = np.array(rows, dtype=int).T
     # potential waiting time of a virtual arrival that never abandons: the
     # first service slot strictly after every customer ahead of it has
-    # left the queue (by entry or abandonment); slots are service-entry
-    # epochs plus epochs where a server idled with nobody to take it
-    slots = np.sort(np.concatenate([np.asarray(entry_times), np.asarray(free_times)]))
-    oV = np.full(m, np.nan)
-    for k in range(m):
-        if oQ[k] == 0 and oB[k] < oS[k]:
-            oV[k] = 0.0
-            continue
-        lts = [leave_time.get(c) for c in ahead[k]]
-        if any(lt is None for lt in lts):
-            continue    # still unresolved at the horizon
-        tau = max(lts, default=grid[k])
-        j = np.searchsorted(slots, tau, side="right")
-        if j < len(slots):
-            oV[k] = slots[j] - grid[k]
-
-    return SimPath(t=grid, X=oX, Q=oQ, B=oB, W=oW, V=oV, s=oS,
-                   N=oN, D=oD, A=oA, E=oE, forced=oF, x0=x0)
+    # left the queue; NaN if one of them still waits at the horizon or no
+    # slot follows
+    exit_t = np.array(left, dtype=float)
+    tau = np.array([exit_t[h:e].max(initial=t) for t, h, e in zip(grid, H, I)])
+    slot = np.array(slots + [np.nan])
+    V = slot[np.searchsorted(slot[:-1], tau, side="right")] - grid
+    V[(Q == 0) & (B < S)] = 0.0
+    return SimPath(t=grid, X=Q + B, Q=Q, B=B, W=np.array(waits), V=V, s=S,
+                   N=N, D=D, A=A, E=E, forced=F, x0=x0)
 
 
 class Moments:

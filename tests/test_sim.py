@@ -2,6 +2,7 @@ import filecmp
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from tvqueue.functions import ConstantFn, LinearFn, SinusoidFn
 from tvqueue.model import ModelSpec
@@ -57,6 +58,14 @@ def test_staffing_epochs_linear():
     # ceil(20 (1 - 0.05 t)) drops by one each unit time
     assert np.allclose(times, [1.0, 2.0, 3.0, 4.0, 5.0], atol=1e-9)
     assert list(levels) == [19, 18, 17, 16, 15]
+    # a ramp rising 50000 levels on [0, 1] crosses 2.5 levels per probe
+    # interval: every level still gets its own epoch, level n + k at
+    # (k - 1) / n (just after, by the ceiling)
+    ramp = ModelSpec(ConstantFn(1.0), LinearFn(1.0, 1.0), 1.0,
+                     ExponentialPatience(1.0), 1.0)
+    times, levels = staffing_epochs(ramp, 50000, 1.0)
+    assert list(levels) == list(range(50001, 100001))
+    assert np.allclose(times, np.arange(50000) / 50000.0, atol=1e-9)
 
 
 def test_conservation_across_seeds():
@@ -96,6 +105,31 @@ def test_patience_equal_service_is_poisson():
         assert est.var("X")[i] / m == pytest.approx(1.0, abs=0.15)
 
 
+def test_erlang_a_transient_matches_generator():
+    # M/M/s+M with theta != mu: the exact law of X(t) is the birth-death
+    # chain (births n lambda, deaths mu min(x, ns) + theta (x - ns)^+),
+    # truncated at 80 states and solved by the matrix exponential
+    n, lam, theta, T = 10, 1.2, 0.5, 4.0
+    spec = ModelSpec(ConstantFn(lam), ConstantFn(1.0), 1.0,
+                     ExponentialPatience(theta), T, x0=1.0)
+    est = estimate(SimConfig(spec, n=n, reps=2000, base_seed=3))
+    x = np.arange(80)
+    death = 1.0 * np.minimum(x, n) + theta * np.maximum(x - n, 0)
+    G = np.diag(np.full(79, n * lam), 1) + np.diag(death[1:], -1)
+    G -= np.diag(G.sum(axis=1))
+    p0 = np.zeros(80)
+    p0[n] = 1.0
+    for tt in (0.5, 1.0, 2.0, 4.0):
+        p = p0 @ expm(G * tt)
+        mean_X = p @ x
+        mean_Q = p @ np.maximum(x - n, 0)
+        var_X = p @ x ** 2 - mean_X ** 2
+        i = np.searchsorted(est.t, tt)
+        assert abs(est.mean("X")[i] - mean_X) < 3 * est.se("X")[i]
+        assert abs(est.mean("Q")[i] - mean_Q) < 3 * est.se("Q")[i]
+        assert est.var("X")[i] / var_X == pytest.approx(1.0, abs=0.15)
+
+
 def test_stable_system_carries_offered_load():
     # lightly loaded many-server system with patient customers:
     # essentially no queue, E[B] near the offered load n lambda / mu
@@ -107,16 +141,17 @@ def test_stable_system_carries_offered_load():
     assert est.mean("Q")[i] < 0.5
 
 
-def test_shrinking_staffing_forces_removals():
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+def test_shrinking_staffing_forces_removals(x0):
+    # with x0 = 1 all servers start busy, so the first removals take
+    # initial-content customers
     spec = ModelSpec(ConstantFn(2.0), LinearFn(1.0, -0.05), 1.0,
-                     ExponentialPatience(0.5), 5.0)
-    forced = 0
+                     ExponentialPatience(0.5), 5.0, x0=x0)
     for seed in range(5):
         path = run_replication(SimConfig(spec, n=40, reps=1), seed)
         assert np.all(path.B <= path.s)
         assert np.all(path.conservation_residual() == 0)
-        forced += path.forced[-1]
-    assert forced > 0
+        assert path.forced[-1] > 0
 
 
 def test_moments_streaming_matches_numpy():
