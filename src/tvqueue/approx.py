@@ -76,7 +76,6 @@ class PerformanceReport:
     var_W: np.ndarray
     mean_V: np.ndarray
     var_V: np.ndarray
-    ul_interior: np.ndarray     # True where waiting refinement is absent
 
 
 def report(n, fluid: FluidSolution, gaussian: GaussianSolution) -> PerformanceReport:
@@ -92,7 +91,6 @@ def report(n, fluid: FluidSolution, gaussian: GaussianSolution) -> PerformanceRe
         mean_Q=mean_Q, var_Q=var_Q, mean_B=mean_B, var_B=var_B,
         mean_W=fluid.w.copy(), var_W=gaussian.var_W / n,
         mean_V=fluid.v.copy(), var_V=gaussian.var_V / n,
-        ul_interior=~fluid.ol,
     )
 
 

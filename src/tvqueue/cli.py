@@ -126,6 +126,17 @@ def cmd_compare(args):
     return EXIT_OK if result.ok else EXIT_ACCEPTANCE
 
 
+def _positive(kind):
+    """argparse type: a finite number of the given kind that is > 0."""
+    def parse(text):
+        value = kind(text)
+        if not 0 < value < float("inf"):      # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
+        return value
+    parse.__name__ = kind.__name__     # argparse names the type in its errors
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tvqueue",
@@ -137,13 +148,15 @@ def build_parser():
     def common(p, with_scale=False, with_sim=False):
         p.add_argument("--config", required=True, help="JSON model config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--grid-step", type=float, default=1e-3, dest="grid_step")
+        p.add_argument("--grid-step", type=_positive(float), default=1e-3,
+                       dest="grid_step")
         if with_scale:
-            p.add_argument("--n", type=int, required=True, help="system scale")
+            p.add_argument("--n", type=_positive(int), required=True, help="system scale")
         if with_sim:
-            p.add_argument("--reps", type=int, default=100)
+            p.add_argument("--reps", type=_positive(int), default=100)
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--obs-step", type=float, default=0.05, dest="obs_step")
+            p.add_argument("--obs-step", type=_positive(float), default=0.05,
+                           dest="obs_step")
             p.add_argument("--parallel", type=int, default=1)
 
     common(sub.add_parser("fluid", help="deterministic fluid solution"))

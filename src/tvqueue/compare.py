@@ -51,8 +51,7 @@ class CompareResult:
         return lines
 
 
-def compare_metrics(fluid, gaussian, est, switch_window=SWITCH_WINDOW,
-                    wait_window=WAIT_WINDOW):
+def compare_metrics(fluid, gaussian, est):
     """Error metrics between predictions and a simulation estimate.
 
     Returns (metrics dict, masks dict); masks index the observation grid.
@@ -65,10 +64,10 @@ def compare_metrics(fluid, gaussian, est, switch_window=SWITCH_WINDOW,
     cut_points = np.concatenate([[0.0], fluid.switch_times])
     base = np.ones(len(tg), dtype=bool)
     for tau in cut_points:
-        base &= np.abs(tg - tau) > switch_window
+        base &= np.abs(tg - tau) > SWITCH_WINDOW
     wait = np.ones(len(tg), dtype=bool)
     for tau in cut_points:
-        wait &= np.abs(tg - tau) > wait_window
+        wait &= np.abs(tg - tau) > WAIT_WINDOW
     ol = np.interp(tg, fluid.grid, fluid.ol.astype(float)) > 0.99
     wait &= ol & (wf > 1e-9)
     resolved = est.moments["V"].count >= est.config.reps
@@ -95,9 +94,7 @@ def compare_metrics(fluid, gaussian, est, switch_window=SWITCH_WINDOW,
 def compare(spec: ModelSpec, n: int, reps: int, seed: int = 0,
             grid_step: float = 1e-3, obs_step: float = 0.05,
             parallel: int = 1, tol_mean: float = 0.05,
-            tol_var: float = 1.25, tol_wait: float = 0.07,
-            switch_window: float = SWITCH_WINDOW,
-            wait_window: float = WAIT_WINDOW) -> CompareResult:
+            tol_var: float = 1.25, tol_wait: float = 0.07) -> CompareResult:
     """Full pipeline: fluid + variance solve, simulation, error metrics.
 
     tol_var bounds the variance ratio to [1/tol_var, tol_var].
@@ -106,8 +103,7 @@ def compare(spec: ModelSpec, n: int, reps: int, seed: int = 0,
     gaussian = propagate(spec, fluid)
     est = estimate(SimConfig(spec, n=n, reps=reps, base_seed=seed,
                              obs_step=obs_step, parallel=parallel))
-    metrics, masks = compare_metrics(fluid, gaussian, est,
-                                     switch_window, wait_window)
+    metrics, masks = compare_metrics(fluid, gaussian, est)
     passed = {
         "mean_X_rel_sup": metrics["mean_X_rel_sup"] <= tol_mean,
         "var_X_ratio_min": metrics["var_X_ratio_min"] >= 1.0 / tol_var,

@@ -29,8 +29,6 @@ __all__ = [
     "BoundaryDensityError",
     "solve_fluid",
     "ul_content",
-    "queue_density",
-    "service_density",
     "write_fluid_csv",
 ]
 
@@ -102,15 +100,6 @@ class FluidSolution:
 
     def ol_intervals(self):
         return [iv for iv in self.intervals if iv.kind == OL]
-
-    def interval_at(self, t):
-        for iv in self.intervals:
-            if iv.start - 1e-12 <= t <= iv.end + 1e-12:
-                return iv
-        raise ValueError(f"time {t} outside the solved horizon")
-
-    def w_at(self, t):
-        return np.interp(t, self.grid, self.w)
 
 
 def _rk4_step(f, t, y, h):
@@ -420,47 +409,6 @@ def swept_integral(ws, integrand):
     xi = np.linspace(0.0, 1.0, _QUAD_NODES)
     x = ws[:, None] * xi[None, :]
     return simpson(integrand(x), x=xi, axis=1) * ws
-
-
-def queue_density(solution: FluidSolution, t: float, x) -> np.ndarray:
-    """q(t, x) = lambda(t-x) Fc(x) for x <= w(t), else 0."""
-    x = np.asarray(x, dtype=float)
-    wt = solution.w_at(t)
-    spec = solution.spec
-    dens = np.asarray(spec.arrival_rate(t - x), dtype=float) * np.asarray(
-        spec.patience.survival(x), dtype=float
-    )
-    return np.where(x <= wt, dens, 0.0)
-
-
-def service_density(solution: FluidSolution, t: float, x, b0_density=None) -> np.ndarray:
-    """Service content age density b(t, x) inside an OL interval.
-
-    Times are absolute; ages pre-dating the interval start are carried by
-    the initial density, which defaults to the exponential profile
-    B(start) * mu * exp(-mu * x).
-    """
-    iv = solution.interval_at(t)
-    if iv.kind != OL:
-        raise ValueError("t is not inside an OL interval")
-    spec = solution.spec
-    mu = spec.mu
-    tl = t - iv.start
-    x = np.asarray(x, dtype=float)
-    if b0_density is None:
-        s_start = spec.staffing.scalar(iv.start)
-
-        def b0_density(y):
-            return s_start * mu * np.exp(-mu * np.asarray(y, dtype=float))
-
-    recent = x <= tl
-    tb = t - x
-    boundary = (
-        np.asarray(spec.staffing(tb), dtype=float) * mu
-        + np.asarray(spec.staffing.deriv(tb), dtype=float)
-    ) * np.exp(-mu * x)
-    aged = b0_density(np.maximum(x - tl, 0.0)) * np.exp(-mu * tl)
-    return np.where(recent, boundary, aged)
 
 
 def write_fluid_csv(solution: FluidSolution, path):

@@ -1,10 +1,10 @@
 """Piecewise-smooth time functions: arrival rates, staffing levels.
 
 Closed-form families (constant, linear, sinusoid) plus piecewise
-polynomials.  Every function exposes vectorized value / derivative /
-second-derivative evaluation on [0, horizon]; sinusoids and polynomials
-extend naturally beyond the horizon, which the fluid solver uses when a
-waiting-time profile has to be continued past the end of the grid.
+polynomials.  Every function exposes vectorized value and derivative
+evaluation on [0, horizon]; sinusoids and polynomials extend naturally
+beyond the horizon, which the fluid solver uses when a waiting-time
+profile has to be continued past the end of the grid.
 The fluid solver's RK4 sweep evaluates one time at a time through
 `scalar` / `scalar_deriv`, which every family computes with plain
 `math` instead of a one-element numpy array.
@@ -37,9 +37,6 @@ class SmoothFn:
     def deriv(self, t):
         raise NotImplementedError
 
-    def deriv2(self, t):
-        raise NotImplementedError
-
     def scalar(self, t: float) -> float:
         """Value at a single time as a float (override for speed)."""
         return float(self(t))
@@ -63,8 +60,6 @@ class ConstantFn(SmoothFn):
     def deriv(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    deriv2 = deriv
-
     def scalar(self, t):
         return float(self.value)
 
@@ -82,9 +77,6 @@ class LinearFn(SmoothFn):
 
     def deriv(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.slope)
-
-    def deriv2(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
     def scalar(self, t):
         return self.intercept + self.slope * t
@@ -109,10 +101,6 @@ class SinusoidFn(SmoothFn):
     def deriv(self, t):
         t = np.asarray(t, dtype=float)
         return self.b * self.c * np.cos(self.c * t + self.d)
-
-    def deriv2(self, t):
-        t = np.asarray(t, dtype=float)
-        return -self.b * self.c ** 2 * np.sin(self.c * t + self.d)
 
     def scalar(self, t):
         return self.a + self.b * math.sin(self.c * t + self.d)
@@ -163,9 +151,6 @@ class PiecewisePolyFn(SmoothFn):
 
     def deriv(self, t):
         return self._eval(t, 1)
-
-    def deriv2(self, t):
-        return self._eval(t, 2)
 
     def _scalar_eval(self, t, coeffs):
         """Horner on the piece holding t, clipped as in `_piece`."""

@@ -364,7 +364,6 @@ class GaussianSolution:
     var_X_s: np.ndarray
     var_X_a: np.ndarray
     interval_var0: list         # (kind, start, Var(X deviation) at start)
-    kernels: list               # IntervalKernels of each OL interval, in order
 
 
 def propagate(spec: ModelSpec, fluid: FluidSolution) -> GaussianSolution:
@@ -381,7 +380,6 @@ def propagate(spec: ModelSpec, fluid: FluidSolution) -> GaussianSolution:
     var_V, var_Vstar, cov, fwc = nans(), nans(), nans(), nans()
     comp_l, comp_s, comp_a = nans(), nans(), nans()
 
-    kern_list = []
     interval_var0 = []
     varX0 = spec.var_x0
 
@@ -398,7 +396,6 @@ def propagate(spec: ModelSpec, fluid: FluidSolution) -> GaussianSolution:
             varX0 = float(ulv.var_X[-1])
         else:
             k = IntervalKernels.build(iv, spec)
-            kern_list.append(k)
             w_parts = _var_w_star_parts(k)
             x_parts = _var_x_star_parts(k, w_parts)
             vxs = x_parts[0] + x_parts[1] + x_parts[2]
@@ -426,7 +423,7 @@ def propagate(spec: ModelSpec, fluid: FluidSolution) -> GaussianSolution:
         fluid=fluid, grid=fluid.grid, var_X=var_X, var_Xstar=var_Xstar,
         var_W=var_W, var_Wstar=var_Wstar, var_V=var_V, var_Vstar=var_Vstar,
         cov_XW=cov, Fwc=fwc, var_X_lambda=comp_l, var_X_s=comp_s,
-        var_X_a=comp_a, interval_var0=interval_var0, kernels=kern_list,
+        var_X_a=comp_a, interval_var0=interval_var0,
     )
 
 

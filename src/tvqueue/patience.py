@@ -24,11 +24,9 @@ __all__ = [
     "patience_from_config",
 ]
 
-_SURVIVAL_FLOOR = 1e-300
-
 
 class PatienceDist:
-    """Interface: cdf F, survival Fc, density f, hazard, sampler."""
+    """Interface: cdf F, survival Fc, density f, sampler."""
 
     def cdf(self, x):
         raise NotImplementedError
@@ -42,14 +40,6 @@ class PatienceDist:
 
     def pdf(self, x):
         raise NotImplementedError
-
-    def hazard(self, x):
-        """f(x) / Fc(x); raises if the survival function has underflowed."""
-        x = np.asarray(x, dtype=float)
-        fc = self.survival(x)
-        if np.any(fc <= _SURVIVAL_FLOOR):
-            raise ValueError("patience support exhausted: survival underflows to 0")
-        return self.pdf(x) / fc
 
     def sample(self, rng, size):
         raise NotImplementedError
@@ -110,14 +100,6 @@ class H2Patience(PatienceDist):
             self.p * self.rate1 * np.exp(-self.rate1 * x)
             + (1.0 - self.p) * self.rate2 * np.exp(-self.rate2 * x)
         )
-
-    def mean(self):
-        return self.p / self.rate1 + (1.0 - self.p) / self.rate2
-
-    def scv(self):
-        m1 = self.mean()
-        m2 = 2.0 * (self.p / self.rate1 ** 2 + (1.0 - self.p) / self.rate2 ** 2)
-        return m2 / m1 ** 2 - 1.0
 
     def sample(self, rng, size):
         phase = rng.random(size) < self.p

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import inf
+from math import floor, inf
 
 import numpy as np
 
@@ -45,19 +45,16 @@ class SimConfig:
     reps: int
     base_seed: int = 0
     obs_step: float = 0.05
-    horizon: float = None
     parallel: int = 1
 
     def __post_init__(self):
         if self.n < 1 or self.reps < 1:
             raise ValueError("need n >= 1 and reps >= 1")
-        if self.horizon is None:
-            self.horizon = self.spec.horizon
-        if self.horizon > self.spec.horizon + 1e-12:
-            raise ValueError("observation horizon exceeds the model horizon")
 
     def obs_grid(self):
-        m = int(round(self.horizon / self.obs_step))
+        """Multiples of obs_step up to the model horizon; the tolerance
+        keeps the last one when the step divides the horizon."""
+        m = floor(self.spec.horizon / self.obs_step + 1e-9)
         return np.linspace(0.0, m * self.obs_step, m + 1)
 
 
@@ -142,7 +139,7 @@ def run_replication(config: SimConfig, seed: int) -> SimPath:
     spec = config.spec
     n = config.n
     mu = spec.mu
-    T = config.horizon
+    T = spec.horizon
     ss = np.random.SeedSequence(seed)
     rng_arr, rng_srv, rng_pat = [np.random.default_rng(s) for s in ss.spawn(3)]
 

@@ -110,7 +110,7 @@ def test_report_consistency(sine_h2_fluid, sine_h2_gaussian):
     assert np.all(rep.var_Q >= 0.0)
     # waits are zero with no uncertainty deep inside underloaded stretches
     i = np.searchsorted(rep.grid, 0.5)
-    assert rep.ul_interior[i]
+    assert not sine_h2_fluid.ol[i]
     assert rep.mean_W[i] == 0.0 and rep.var_W[i] == 0.0
 
 

@@ -121,3 +121,22 @@ def test_compare_pass_and_fail(tmp_path, capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "5", "--obs-step", "0"],
+    ["simulate", "--n", "5", "--obs-step", "-0.05"],
+    ["simulate", "--n", "5", "--obs-step", "inf"],
+    ["simulate", "--n", "0"],
+    ["simulate", "--n", "5", "--reps", "0"],
+    ["fluid", "--grid-step", "0"],
+    ["approx", "--n", "0"],
+])
+def test_nonpositive_numeric_flag_is_config_error(tmp_path, capsys, argv):
+    cfg = _write_config(tmp_path, horizon=1.0)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", cfg, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be positive" in err
+    assert "Traceback" not in err

@@ -6,8 +6,6 @@ from tvqueue.fluid import (
     StaffingInfeasibleError,
     _Ctx,
     _rk4_step,
-    queue_density,
-    service_density,
     solve_fluid,
     solve_v_arrays,
     ul_content,
@@ -123,27 +121,6 @@ def test_step_w_matches_solver(sine_h2_fluid):
     assert step == pytest.approx(fl.w[i + 1], abs=1e-10)
 
 
-def test_queue_density_truncation(sine_h2_fluid):
-    fl = sine_h2_fluid
-    t = 2.5
-    w = fl.w_at(t)
-    x = np.array([0.0, 0.5 * w, 0.99 * w, 1.01 * w, 2.0 * w])
-    q = queue_density(fl, t, x)
-    assert np.all(q[:3] > 0.0)
-    assert np.all(q[3:] == 0.0)
-
-
-def test_service_density_boundary(sine_h2_fluid):
-    fl = sine_h2_fluid
-    spec = fl.spec
-    t = 2.5
-    b = service_density(fl, t, np.array([0.0]))
-    b0 = float(spec.staffing(t)) * spec.mu + float(spec.staffing.deriv(t))
-    assert b[0] == pytest.approx(b0, abs=1e-12)
-    with pytest.raises(ValueError, match="not inside an OL interval"):
-        service_density(fl, 0.5, np.array([0.0]))
-
-
 def test_l_inverse_roundtrip(sine_h2_fluid):
     iv = sine_h2_fluid.ol_intervals()[0]
     t, L = iv.l_grid()
@@ -197,9 +174,6 @@ class _VectorOnlyFn(SmoothFn):
 
     def deriv(self, t):
         return self.f.deriv(t)
-
-    def deriv2(self, t):
-        return self.f.deriv2(t)
 
 
 class _VectorOnlyPatience(PatienceDist):

@@ -20,14 +20,12 @@ def test_constant():
     t = np.array([0.0, 1.0, 7.3])
     assert np.all(f(t) == 2.5)
     assert np.all(f.deriv(t) == 0.0)
-    assert np.all(f.deriv2(t) == 0.0)
 
 
 def test_linear():
     f = LinearFn(1.0, -0.5)
     assert f(4.0) == pytest.approx(-1.0)
     assert np.all(f.deriv(np.array([0.0, 9.0])) == -0.5)
-    assert f.deriv2(3.0) == 0.0
 
 
 def test_sinusoid_derivatives_match_finite_differences():
@@ -35,9 +33,7 @@ def test_sinusoid_derivatives_match_finite_differences():
     t = np.linspace(0.0, 5.0, 50)
     h = 1e-6
     fd1 = (f(t + h) - f(t - h)) / (2 * h)
-    fd2 = (f(t + h) - 2 * f(t) + f(t - h)) / h**2
     assert np.max(np.abs(f.deriv(t) - fd1)) < 1e-8
-    assert np.max(np.abs(f.deriv2(t) - fd2)) < 1e-3
 
 
 def test_piecewise_poly_eval_and_breakpoints():

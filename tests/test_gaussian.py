@@ -44,8 +44,8 @@ def test_stationary_variance_limits(stationary_ol_gaussian):
         gs.var_Wstar[-2000], abs=1e-3)   # wdot -> 0 in the limit
 
 
-def test_propagator_semigroup(sine_h2_gaussian):
-    k = sine_h2_gaussian.kernels[0]
+def test_propagator_semigroup(sine_h2_fluid):
+    k = build_kernels(sine_h2_fluid)[0]
     t0, t1 = k.start, k.t[-1]
     r = 0.5 * (t0 + t1)
     for tt in np.linspace(t0, t1, 7):
@@ -101,7 +101,7 @@ def test_initial_condition_terms():
     assert gs.var_W[0] == pytest.approx(0.5 / 1.5 ** 2, abs=1e-9)
     # on the OL grid the content variance is the zero-start variance plus
     # the initial variance thinned by the initial-content survival
-    k = gs.kernels[0]
+    k = build_kernels(fl)[0]
     iv = k.interval
     ts = fl.grid[iv.i0 : iv.i1 + 1]
     shifted = np.interp(ts, k.t, var_X_star(k) + 0.5 * k.Fwc ** 2)
@@ -174,7 +174,7 @@ def test_cauchy_schwarz(sine_h2_gaussian):
 
 def test_cov_is_boundary_density_times_var(sine_h2_gaussian):
     gs = sine_h2_gaussian
-    k = gs.kernels[0]
+    k = build_kernels(gs.fluid)[0]
     iv = k.interval
     ts = gs.grid[iv.i0 : iv.i1 + 1]
     expect = np.interp(ts, k.t, k.qw * var_W_star(k))

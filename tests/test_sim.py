@@ -221,9 +221,21 @@ def test_scaled_views():
 def test_config_validation():
     with pytest.raises(ValueError, match="reps >= 1"):
         SimConfig(_mmn_spec(1.0, 1.0), n=10, reps=0)
-    with pytest.raises(ValueError, match="exceeds the model horizon"):
-        SimConfig(_mmn_spec(1.0, 1.0, horizon=2.0), n=10, reps=1, horizon=3.0)
     with pytest.raises(ValueError, match="invalid model"):
         estimate(SimConfig(ModelSpec(ConstantFn(0.0), ConstantFn(1.0), 1.0,
                                      ExponentialPatience(1.0), 2.0),
                            n=5, reps=2))
+
+
+def test_obs_grid_stays_within_horizon():
+    # a step that does not divide the horizon stops short of it
+    grid = SimConfig(_mmn_spec(1.0, 1.0, horizon=1.0), n=5, reps=1,
+                     obs_step=0.6).obs_grid()
+    assert np.array_equal(grid, [0.0, 0.6])
+    # a step that divides it ends on it, also where T / step falls just
+    # below the integer (0.3 / 0.1 = 2.9999999999999996)
+    grid = SimConfig(_mmn_spec(1.0, 1.0, horizon=16.0), n=5, reps=1).obs_grid()
+    assert len(grid) == 321 and grid[-1] == 16.0
+    grid = SimConfig(_mmn_spec(1.0, 1.0, horizon=0.3), n=5, reps=1,
+                     obs_step=0.1).obs_grid()
+    assert len(grid) == 4
