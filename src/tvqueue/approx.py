@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .fluid import FluidSolution
 from .gaussian import GaussianSolution
 from .model import staffing_level, write_columns
 
@@ -78,7 +77,8 @@ class PerformanceReport:
     var_V: np.ndarray
 
 
-def report(n, fluid: FluidSolution, gaussian: GaussianSolution) -> PerformanceReport:
+def report(n, gaussian: GaussianSolution) -> PerformanceReport:
+    fluid = gaussian.fluid
     spec = fluid.spec
     grid = fluid.grid
     mean_X = n * fluid.X

@@ -56,7 +56,9 @@ def _fluid_errors():
         raise _CliError(EXIT_INVALID, str(exc))
 
 
-def _solve_fluid(spec, args):
+def _solve_fluid(args):
+    """Load the config and solve its fluid model."""
+    spec = _load(args)
     with _fluid_errors():
         return fluid.solve_fluid(spec, args.grid_step)
 
@@ -68,8 +70,7 @@ def _outdir(args):
 
 
 def cmd_fluid(args):
-    spec = _load(args)
-    sol = _solve_fluid(spec, args)
+    sol = _solve_fluid(args)
     path = _outdir(args) / "fluid.csv"
     fluid.write_fluid_csv(sol, path)
     print(f"wrote {path}")
@@ -77,9 +78,8 @@ def cmd_fluid(args):
 
 
 def cmd_variance(args):
-    spec = _load(args)
-    sol = _solve_fluid(spec, args)
-    gs = gaussian.propagate(spec, sol)
+    sol = _solve_fluid(args)
+    gs = gaussian.propagate(sol)
     path = _outdir(args) / "variance.csv"
     gaussian.write_gaussian_csv(gs, path)
     print(f"wrote {path}")
@@ -87,10 +87,9 @@ def cmd_variance(args):
 
 
 def cmd_approx(args):
-    spec = _load(args)
-    sol = _solve_fluid(spec, args)
-    gs = gaussian.propagate(spec, sol)
-    rep = approx.report(args.n, sol, gs)
+    sol = _solve_fluid(args)
+    gs = gaussian.propagate(sol)
+    rep = approx.report(args.n, gs)
     path = _outdir(args) / "approx.csv"
     approx.write_report_csv(rep, path)
     print(f"wrote {path}")
@@ -157,7 +156,7 @@ def build_parser():
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--obs-step", type=_positive(float), default=0.05,
                            dest="obs_step")
-            p.add_argument("--parallel", type=int, default=1)
+            p.add_argument("--parallel", type=_positive(int), default=1)
 
     common(sub.add_parser("fluid", help="deterministic fluid solution"))
     common(sub.add_parser("variance", help="Gaussian variance grids"))
@@ -168,10 +167,10 @@ def build_parser():
     p = sub.add_parser("compare", help="predictions vs simulation with "
                                        "pass/fail error metrics")
     common(p, with_scale=True, with_sim=True)
-    p.add_argument("--tol-mean", type=float, default=0.05, dest="tol_mean")
-    p.add_argument("--tol-var", type=float, default=1.25, dest="tol_var",
+    p.add_argument("--tol-mean", type=_positive(float), default=0.05, dest="tol_mean")
+    p.add_argument("--tol-var", type=_positive(float), default=1.25, dest="tol_var",
                    help="variance ratio must lie in [1/tol, tol]")
-    p.add_argument("--tol-wait", type=float, default=0.07, dest="tol_wait")
+    p.add_argument("--tol-wait", type=_positive(float), default=0.07, dest="tol_wait")
     return parser
 
 

@@ -100,7 +100,7 @@ def compare(spec: ModelSpec, n: int, reps: int, seed: int = 0,
     tol_var bounds the variance ratio to [1/tol_var, tol_var].
     """
     fluid = solve_fluid(spec, grid_step)
-    gaussian = propagate(spec, fluid)
+    gaussian = propagate(fluid)
     est = estimate(SimConfig(spec, n=n, reps=reps, base_seed=seed,
                              obs_step=obs_step, parallel=parallel))
     metrics, masks = compare_metrics(fluid, gaussian, est)

@@ -10,6 +10,11 @@ with a classical fixed-step RK4 scheme, locating every regime switch by
 bisection.  Queue content, abandonment and the potential waiting time are
 reconstructed from w by quadrature and monotone inversion of
 L(t) = t - w(t).
+
+Each interval also carries its local grid: its start, the global grid
+points inside it and its end, with near-duplicate times dropped.  The
+Gaussian layer builds every interval's variances on that grid and reads
+them back onto the global grid through the interval's index map.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ UL, OL = "UL", "OL"
 _SWITCH_TOL = 1e-10       # bisection tolerance for switching times
 _QTILDE_FLOOR = 1e-12     # minimum admissible boundary density
 _QUAD_NODES = 129         # Simpson nodes for the swept age integrals (odd)
+_DEDUPE_TOL = 1e-9        # local-grid times closer than this are merged
+_XI = np.linspace(0.0, 1.0, _QUAD_NODES)
 
 
 class StaffingInfeasibleError(RuntimeError):
@@ -58,8 +65,11 @@ class FluidInterval:
     end: float
     i0: int                     # first global grid index with t >= start
     i1: int                     # last global grid index with t <= end
-    # OL only: local times (start anchor, interior grid points, end anchor)
+    # local grid: start anchor, interior grid points, end anchor, no two
+    # times within _DEDUPE_TOL; idx: positions of grid points i0..i1 in it
     t_loc: np.ndarray | None = None
+    idx: np.ndarray | None = None
+    # OL only: w and wdot on the local grid
     w_loc: np.ndarray | None = None
     wdot_loc: np.ndarray | None = None
     # OL only: continuation past the horizon, used for the inverse of L
@@ -225,6 +235,7 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     b0 = np.full(n + 1, np.nan)
     Q = np.zeros(n + 1)
     alpha = np.zeros(n + 1)
+    v = np.zeros(n + 1)          # potential wait L^{-1}(t) - t, zero in UL
     B = X.copy()
 
     lam_grid = np.asarray(spec.arrival_rate(grid), dtype=float)
@@ -240,19 +251,15 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
         svals = np.asarray(spec.staffing(ts), dtype=float)
         b0[sl] = svals * spec.mu + np.asarray(spec.staffing.deriv(ts), dtype=float)
 
-        def arrived(x):
-            return np.asarray(spec.arrival_rate(ts[:, None] - x), dtype=float)
-
         # queue content and abandonment rate: arrivals of age x in [0, w(t)]
         # weighted by Fc(x), and by the density f(x)
-        Q[sl] = swept_integral(ws, lambda x: arrived(x) * np.asarray(
-            spec.patience.survival(x), dtype=float))
-        alpha[sl] = swept_integral(ws, lambda x: arrived(x) * np.asarray(
-            spec.patience.pdf(x), dtype=float))
+        x = ages(ws)
+        arrived = np.asarray(spec.arrival_rate(ts[:, None] - x), dtype=float)
+        Q[sl] = swept_integral(ws, arrived * np.asarray(spec.patience.survival(x), dtype=float))
+        alpha[sl] = swept_integral(ws, arrived * np.asarray(spec.patience.pdf(x), dtype=float))
         X[sl] = svals + Q[sl]
         B[sl] = svals
-
-    v = solve_v_arrays(intervals, grid)
+        v[sl] = iv.l_inverse(ts) - ts
 
     Lam = np.concatenate([[0.0], cumulative_trapezoid(lam_grid, grid)])
     D = np.concatenate([[0.0], cumulative_trapezoid(spec.mu * B, grid)])
@@ -301,11 +308,13 @@ def _sweep_ul(ctx, grid, X, start, k, x_start):
                 raise CriticalLoadingError(
                     f"non-isolated critical loading near t={tau:.6f}"
                 )
-            return tau, k, ctx.s(tau), FluidInterval(UL, start, tau, i0, k - 1)
+            iv = FluidInterval(UL, start, tau, i0, k - 1)
+            return tau, k, ctx.s(tau), _attach_local(iv, grid, [start, *grid[i0:k], tau])
         X[k] = x_new
         t_prev, x_prev = grid[k], x_new
         k += 1
-    return grid[n], n + 1, x_prev, FluidInterval(UL, start, grid[n], i0, n)
+    iv = FluidInterval(UL, start, grid[n], i0, n)
+    return grid[n], n + 1, x_prev, _attach_local(iv, grid, [start, *grid[i0:], grid[n]])
 
 
 def _sweep_ol(ctx, grid, w, wdot, start, k):
@@ -344,8 +353,7 @@ def _sweep_ol(ctx, grid, w, wdot, start, k):
             loc_w.append(0.0)
             loc_wd.append(ctx.ol_rhs(tau, 0.0))
             iv = FluidInterval(OL, start, tau, i0, k - 1)
-            _attach_local(iv, loc_t, loc_w, loc_wd)
-            return tau, k, ctx.s(tau), iv
+            return tau, k, ctx.s(tau), _attach_local(iv, grid, loc_t, loc_w, loc_wd)
         w[k] = w_new
         wdot[k] = ctx.ol_rhs(grid[k], w_new)
         loc_t.append(grid[k])
@@ -353,16 +361,25 @@ def _sweep_ol(ctx, grid, w, wdot, start, k):
         loc_wd.append(wdot[k])
         t_prev, w_prev = grid[k], w_new
         k += 1
-    iv = FluidInterval(OL, start, grid[n], i0, n)
-    _attach_local(iv, loc_t, loc_w, loc_wd)
+    iv = _attach_local(FluidInterval(OL, start, grid[n], i0, n), grid, loc_t, loc_w, loc_wd)
     _extend_ol(ctx, iv, grid[n], w_prev)
     return grid[n], n + 1, np.nan, iv
 
 
-def _attach_local(iv, loc_t, loc_w, loc_wd):
-    iv.t_loc = np.asarray(loc_t)
-    iv.w_loc = np.asarray(loc_w)
-    iv.wdot_loc = np.asarray(loc_wd)
+def _attach_local(iv, grid, loc_t, loc_w=None, loc_wd=None):
+    """Give iv its local grid and index map; returns iv.
+
+    A time within _DEDUPE_TOL of the one before it is dropped, with its
+    w and wdot.
+    """
+    t = np.asarray(loc_t, dtype=float)
+    keep = np.concatenate([[True], np.diff(t) > _DEDUPE_TOL])
+    iv.t_loc = t[keep]
+    if loc_w is not None:
+        iv.w_loc = np.asarray(loc_w)[keep]
+        iv.wdot_loc = np.asarray(loc_wd)[keep]
+    iv.idx = np.searchsorted(iv.t_loc, np.asarray(grid[iv.i0 : iv.i1 + 1]) - 1e-9)
+    return iv
 
 
 def _check_feasible(ctx, t, start):
@@ -389,26 +406,16 @@ def _extend_ol(ctx, iv, t_end, w_end):
     iv.ext_w = np.asarray(ext_w)
 
 
-def solve_v_arrays(intervals, grid):
-    """Potential waiting time on the grid: v(t) = L^{-1}(t) - t in OL, 0 in UL."""
-    v = np.zeros(len(grid))
-    for iv in intervals:
-        if iv.kind != OL or iv.i1 < iv.i0:
-            continue
-        sl = slice(iv.i0, iv.i1 + 1)
-        v[sl] = iv.l_inverse(grid[sl]) - grid[sl]
-    return v
+def ages(ws):
+    """The (len(ws), nodes) Simpson age matrix: row i spans [0, ws[i]]."""
+    return ws[:, None] * _XI[None, :]
 
 
-def swept_integral(ws, integrand):
-    """For each i, the integral over x in [0, ws[i]] of integrand(x)[i].
-
-    integrand receives the full (len(ws), nodes) age matrix; Simpson on a
-    scaled unit grid keeps the node count fixed as w varies.
-    """
-    xi = np.linspace(0.0, 1.0, _QUAD_NODES)
-    x = ws[:, None] * xi[None, :]
-    return simpson(integrand(x), x=xi, axis=1) * ws
+def swept_integral(ws, values):
+    """For each i, the integral over x in [0, ws[i]] of an integrand whose
+    values on ages(ws) are given; Simpson on a scaled unit grid keeps the
+    node count fixed as w varies."""
+    return simpson(values, x=_XI, axis=1) * ws
 
 
 def write_fluid_csv(solution: FluidSolution, path):

@@ -4,9 +4,11 @@ Overloaded intervals carry the full kernel machinery: the relaxation
 exponent h, the propagator H(t,u) = Hc(t)/Hc(u), the three noise
 intensities (arrival, service, abandonment) and the cumulative
 quadratures built from them.  Underloaded intervals use the closed-form
-infinite-server variances.  propagate() walks the interval partition and
-hands the content variance at each switching point to the next interval
-as its initial-condition variance.
+infinite-server variances.  Every interval is solved on the local grid
+the fluid solution gives it (FluidInterval.t_loc) and read back onto the
+global grid through its index map (FluidInterval.idx).  propagate() walks
+the interval partition and hands the content variance at each switching
+point to the next interval as its initial-condition variance.
 
 Queue-length and in-service variances are deliberately not emitted as
 limit quantities: the limits are discontinuous at switching points.
@@ -27,6 +29,7 @@ from .fluid import (
     BoundaryDensityError,
     FluidInterval,
     FluidSolution,
+    ages,
     swept_integral,
 )
 from .model import ModelSpec, write_columns
@@ -34,7 +37,6 @@ from .model import ModelSpec, write_columns
 __all__ = [
     "IntervalKernels",
     "GaussianSolution",
-    "ULVariances",
     "MeanShift",
     "build_kernels",
     "var_W_star",
@@ -48,7 +50,6 @@ __all__ = [
 ]
 
 _KERNEL_NODES = 801     # Simpson nodes for the kernel cross-check integrals
-_DEDUPE_TOL = 1e-9
 
 
 def _cumquad(y, x):
@@ -58,17 +59,12 @@ def _cumquad(y, x):
     return cumulative_simpson(y, x=x, initial=0.0)
 
 
-def _dedupe(t, *arrays):
-    keep = np.concatenate([[True], np.diff(t) > _DEDUPE_TOL])
-    return (t[keep],) + tuple(a[keep] for a in arrays)
-
-
 @dataclass
 class IntervalKernels:
     """Kernel grids for one overloaded interval.
 
     Local times t are absolute; tau = t - start.  All arrays share the
-    interval's anchor grid (start, interior grid points, end).
+    interval's local grid (start, interior grid points, end).
     """
 
     interval: FluidInterval
@@ -147,7 +143,7 @@ class IntervalKernels:
 
     @staticmethod
     def build(interval: FluidInterval, spec: ModelSpec):
-        t, w, wdot = _dedupe(interval.t_loc, interval.w_loc, interval.wdot_loc)
+        t, w, wdot = interval.t_loc, interval.w_loc, interval.wdot_loc
         tau = t - interval.start
         lam_tw = np.asarray(spec.arrival_rate(t - w), dtype=float)
         lamd_tw = np.asarray(spec.arrival_rate.deriv(t - w), dtype=float)
@@ -204,23 +200,13 @@ def _var_x_star_parts(k: IntervalKernels, w_parts):
     feedback, w_parts = _var_w_star_parts(k)) evaluated by the direct
     formula."""
     spec = k.spec
-    ts = k.t[:, None]
-    c2 = spec.c_lambda ** 2
-
-    def arrivals(x):
-        lam = np.asarray(spec.arrival_rate(ts - x), dtype=float)
-        fc = np.asarray(spec.patience.survival(x), dtype=float)
-        return c2 * lam * fc ** 2
-
-    def abandons(x):
-        lam = np.asarray(spec.arrival_rate(ts - x), dtype=float)
-        fc = np.asarray(spec.patience.survival(x), dtype=float)
-        return lam * fc * (1.0 - fc)
-
+    x = ages(k.w)
+    lam = np.asarray(spec.arrival_rate(k.t[:, None] - x), dtype=float)
+    fc = np.asarray(spec.patience.survival(x), dtype=float)
     q2 = k.qw ** 2
-    part_lam = swept_integral(k.w, arrivals) + q2 * w_parts[0]
+    part_lam = swept_integral(k.w, spec.c_lambda ** 2 * lam * fc ** 2) + q2 * w_parts[0]
     part_s = q2 * w_parts[1]
-    part_a = swept_integral(k.w, abandons) + q2 * w_parts[2]
+    part_a = swept_integral(k.w, lam * fc * (1.0 - fc)) + q2 * w_parts[2]
     return part_lam, part_s, part_a
 
 
@@ -284,26 +270,6 @@ def var_W_V(kernels: IntervalKernels, vws: np.ndarray, varX0: float):
     return var_W, var_V, var_Vstar
 
 
-def _interval_times(fluid: FluidSolution, iv: FluidInterval):
-    """Local anchor times for a UL interval (start, grid interior, end)."""
-    times = np.concatenate([[iv.start], fluid.grid[iv.i0 : iv.i1 + 1], [iv.end]])
-    return _dedupe(times)[0]
-
-
-def _grid_index_map(t_loc, fluid, iv):
-    """Positions of the global grid points inside the local anchor array."""
-    if iv.i1 < iv.i0:
-        return np.empty(0, dtype=int)
-    return np.searchsorted(t_loc, fluid.grid[iv.i0 : iv.i1 + 1] - 1e-9)
-
-
-@dataclass
-class ULVariances:
-    t: np.ndarray
-    tau: np.ndarray
-    var_X: np.ndarray
-
-
 def _exp_filter(rate, tau, y):
     """Cumulative int_0^tau exp(-rate (tau - s)) y(s) ds, overflow-safe.
 
@@ -325,19 +291,14 @@ def _exp_filter(rate, tau, y):
     return out
 
 
-def var_UL(
-    spec: ModelSpec,
-    fluid: FluidSolution,
-    X0: float,
-    varX0: float,
-    interval: FluidInterval,
-) -> ULVariances:
-    """Content-deviation variance in an underloaded interval.
+def var_UL(spec: ModelSpec, interval: FluidInterval, X0: float, varX0: float) -> np.ndarray:
+    """Content-deviation variance in an underloaded interval, on its local
+    grid interval.t_loc.
 
     Infinite-server form: net-input noise plus the exponentially thinned
     initial-condition variance.
     """
-    t = _interval_times(fluid, interval)
+    t = interval.t_loc
     tau = t - interval.start
     mu = spec.mu
     lam = np.asarray(spec.arrival_rate(t), dtype=float)
@@ -345,7 +306,7 @@ def var_UL(
     var_arr = (c2 - 1.0) * _exp_filter(2.0 * mu, tau, lam) + _exp_filter(mu, tau, lam)
     decay = np.exp(-mu * tau)
     var_init = X0 * (1.0 - decay) * decay + varX0 * decay ** 2
-    return ULVariances(t=t, tau=tau, var_X=var_arr + var_init)
+    return var_arr + var_init
 
 
 @dataclass
@@ -366,7 +327,7 @@ class GaussianSolution:
     interval_var0: list         # (kind, start, Var(X deviation) at start)
 
 
-def propagate(spec: ModelSpec, fluid: FluidSolution) -> GaussianSolution:
+def propagate(fluid: FluidSolution) -> GaussianSolution:
     """Assemble all variance grids over the full horizon.
 
     Walks the interval partition in order, handing each interval the
@@ -380,20 +341,21 @@ def propagate(spec: ModelSpec, fluid: FluidSolution) -> GaussianSolution:
     var_V, var_Vstar, cov, fwc = nans(), nans(), nans(), nans()
     comp_l, comp_s, comp_a = nans(), nans(), nans()
 
+    spec = fluid.spec
     interval_var0 = []
     varX0 = spec.var_x0
 
     for iv in fluid.intervals:
         interval_var0.append((iv.kind, iv.start, varX0))
+        idx = iv.idx
+        gsl = slice(iv.i0, iv.i1 + 1)
         if iv.kind == UL:
             X0 = spec.x0 if iv.start == 0.0 else spec.staffing.scalar(iv.start)
-            ulv = var_UL(spec, fluid, X0, varX0, iv)
-            idx = _grid_index_map(ulv.t, fluid, iv)
-            gsl = slice(iv.i0, iv.i1 + 1)
-            var_X[gsl] = ulv.var_X[idx]
+            vx = var_UL(spec, iv, X0, varX0)
+            var_X[gsl] = vx[idx]
             var_W[gsl] = 0.0
             var_V[gsl] = 0.0
-            varX0 = float(ulv.var_X[-1])
+            varX0 = float(vx[-1])
         else:
             k = IntervalKernels.build(iv, spec)
             w_parts = _var_w_star_parts(k)
@@ -402,8 +364,6 @@ def propagate(spec: ModelSpec, fluid: FluidSolution) -> GaussianSolution:
             vx = vxs + varX0 * k.Fwc ** 2
             vws = w_parts[0] + w_parts[1] + w_parts[2]
             vw, vv, vvs = var_W_V(k, vws, varX0)
-            idx = _grid_index_map(k.t, fluid, iv)
-            gsl = slice(iv.i0, iv.i1 + 1)
             var_X[gsl] = vx[idx]
             var_Xstar[gsl] = vxs[idx]
             var_W[gsl] = vw[idx]
@@ -434,14 +394,15 @@ class MeanShift:
     mean_W: np.ndarray
 
 
-def mean_shift_refined(spec: ModelSpec, fluid: FluidSolution) -> MeanShift:
+def mean_shift_refined(fluid: FluidSolution) -> MeanShift:
     """Order-sqrt(n) deterministic mean corrections from the refined
-    arrival-rate and staffing scaling.
+    arrival-rate and staffing scaling of fluid.spec.
 
     Each interval restarts the correction from zero: switching points pin
     the content to the staffing level, and underloaded onsets start with
     the corrected content absorbed into the service pool.
     """
+    spec = fluid.spec
     if spec.arrival_rate_g is None or spec.staffing_g is None:
         raise ValueError("refined terms not specified")
 
@@ -453,11 +414,8 @@ def mean_shift_refined(spec: ModelSpec, fluid: FluidSolution) -> MeanShift:
     for iv in fluid.intervals:
         gsl = slice(iv.i0, iv.i1 + 1)
         if iv.kind == UL:
-            t = _interval_times(fluid, iv)
-            tau = t - iv.start
-            lam_g = np.asarray(spec.arrival_rate_g(t), dtype=float)
-            m = _exp_filter(mu, tau, lam_g)
-            mean_X[gsl] = m[_grid_index_map(t, fluid, iv)]
+            lam_g = np.asarray(spec.arrival_rate_g(iv.t_loc), dtype=float)
+            mean_X[gsl] = _exp_filter(mu, iv.t_loc - iv.start, lam_g)[iv.idx]
         else:
             k = IntervalKernels.build(iv, spec)
             lam_g_tw = np.asarray(spec.arrival_rate_g(k.t - k.w), dtype=float)
@@ -465,16 +423,12 @@ def mean_shift_refined(spec: ModelSpec, fluid: FluidSolution) -> MeanShift:
             sdot_g = np.asarray(spec.staffing_g.deriv(k.t), dtype=float)
             z = (s_g * mu + lam_g_tw + sdot_g) / k.qw
             W_g = -k.Hc * _cumquad(z / k.Hc, k.tau)
-            ts = k.t[:, None]
-
-            def queued(x):
-                lam = np.asarray(spec.arrival_rate_g(ts - x), dtype=float)
-                return lam * np.asarray(spec.patience.survival(x), dtype=float)
-
-            Q1g = swept_integral(k.w, queued)
-            idx = _grid_index_map(k.t, fluid, iv)
-            mean_X[gsl] = (Q1g + k.qw * W_g)[idx]
-            mean_W[gsl] = W_g[idx]
+            # queued arrivals of age x in [0, w(t)] from the refined rate
+            x = ages(k.w)
+            lam_g = np.asarray(spec.arrival_rate_g(k.t[:, None] - x), dtype=float)
+            Q1g = swept_integral(k.w, lam_g * np.asarray(spec.patience.survival(x), dtype=float))
+            mean_X[gsl] = (Q1g + k.qw * W_g)[iv.idx]
+            mean_W[gsl] = W_g[iv.idx]
     return MeanShift(grid=fluid.grid, mean_X=mean_X, mean_W=mean_W)
 
 

@@ -50,6 +50,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1 or self.reps < 1:
             raise ValueError("need n >= 1 and reps >= 1")
+        if not 0 < self.obs_step < inf:      # also rejects nan
+            raise ValueError(f"obs_step must be positive and finite, got {self.obs_step}")
+        if self.parallel < 1:
+            raise ValueError(f"need parallel >= 1, got {self.parallel}")
 
     def obs_grid(self):
         """Multiples of obs_step up to the model horizon; the tolerance
@@ -334,13 +338,14 @@ def estimate(config: SimConfig) -> SimEstimate:
     if not report.ok:
         raise ValueError(f"invalid model: {report}")
     seeds = [config.base_seed + i for i in range(config.reps)]
-    workers = max(1, config.parallel)
+    workers = config.parallel
     if workers == 1:
         merged = _replicate_batch((config, seeds))
     else:
         chunks = [seeds[i::workers] for i in range(workers)]
         chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        # one process per chunk: the pool starts all its workers at once
+        with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
             results = list(ex.map(_replicate_batch, [(config, c) for c in chunks]))
         # deterministic merge order regardless of completion order
         merged = results[0]

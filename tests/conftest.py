@@ -26,8 +26,8 @@ def sine_h2_fluid(sine_h2_spec):
 
 
 @pytest.fixture(scope="session")
-def sine_h2_gaussian(sine_h2_spec, sine_h2_fluid):
-    return propagate(sine_h2_spec, sine_h2_fluid)
+def sine_h2_gaussian(sine_h2_fluid):
+    return propagate(sine_h2_fluid)
 
 
 @pytest.fixture(scope="session")
@@ -49,5 +49,5 @@ def stationary_ol_fluid(stationary_ol_spec):
 
 
 @pytest.fixture(scope="session")
-def stationary_ol_gaussian(stationary_ol_spec, stationary_ol_fluid):
-    return propagate(stationary_ol_spec, stationary_ol_fluid)
+def stationary_ol_gaussian(stationary_ol_fluid):
+    return propagate(stationary_ol_fluid)

@@ -53,7 +53,7 @@ def test_criterion_1_infinite_server_reduction(capsys):
     spec = ModelSpec(SinusoidFn(1.0, 0.6), ConstantFn(1.0), 1.0,
                      ExponentialPatience(1.0), 16.0)
     fl = solve_fluid(spec)
-    gs = propagate(spec, fl)
+    gs = propagate(fl)
     err = float(np.max(np.abs(gs.var_X - fl.X)))
     elapsed = time.perf_counter() - t0
     ok = err < 1e-4 and elapsed < 5.0
@@ -68,7 +68,7 @@ def test_criterion_2_stationary_closed_forms(capsys):
     # w -> 2 ln 1.5, Q -> 1, var_Wstar -> 2, var_Xstar -> 3
     t0 = time.perf_counter()
     fl = solve_fluid(_stationary_spec())
-    gs = propagate(fl.spec, fl)
+    gs = propagate(fl)
     errs = {
         "w": abs(fl.w[-1] - 2.0 * np.log(1.5)),
         "Q": abs(fl.Q[-1] - 1.0),
@@ -192,7 +192,7 @@ def test_criterion_7_grid_self_convergence(capsys):
     sols = []
     for h in steps:
         fl = solve_fluid(spec, h)
-        sols.append((fl, propagate(spec, fl)))
+        sols.append((fl, propagate(fl)))
     g0 = sols[0][0].grid
     sw = np.asarray(sols[-1][0].switch_times)
     keep = np.all(np.abs(g0[:, None] - sw[None, :]) > 0.2, axis=1)
@@ -222,12 +222,12 @@ def test_criterion_8_refined_scaling(capsys):
     spec0 = replace(_stationary_spec(), arrival_rate_g=ConstantFn(0.0),
                     staffing_g=ConstantFn(0.0))
     fl = solve_fluid(spec0)
-    ms0 = mean_shift_refined(spec0, fl)
+    ms0 = mean_shift_refined(fl)
     zero = float(max(np.max(np.abs(ms0.mean_X)), np.max(np.abs(ms0.mean_W))))
 
     spec1 = replace(spec0, staffing_g=ConstantFn(1.0))
     fl1 = solve_fluid(spec1)
-    ms1 = mean_shift_refined(spec1, fl1)
+    ms1 = mean_shift_refined(fl1)
     werr = abs(float(ms1.mean_W[-1]) + 2.0)
     ok = zero == 0.0 and werr < 1e-3
     _report(capsys, "criterion 8, refined-scaling corrections", ok,

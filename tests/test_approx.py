@@ -95,14 +95,14 @@ def test_staffing_level_ceiling():
 
 
 def test_gaussian_X_scaling(sine_h2_fluid, sine_h2_gaussian):
-    rep = report(100, sine_h2_fluid, sine_h2_gaussian)
+    rep = report(100, sine_h2_gaussian)
     i = np.searchsorted(sine_h2_fluid.grid, 2.5)
     assert rep.mean_X[i] == pytest.approx(100 * sine_h2_fluid.X[i], rel=1e-9)
     assert rep.var_X[i] == pytest.approx(100 * sine_h2_gaussian.var_X[i], rel=1e-9)
 
 
 def test_report_consistency(sine_h2_fluid, sine_h2_gaussian):
-    rep = report(200, sine_h2_fluid, sine_h2_gaussian)
+    rep = report(200, sine_h2_gaussian)
     # the queue/in-service split reassembles the content mean exactly
     assert np.max(np.abs(rep.mean_Q + rep.mean_B - rep.mean_X)) < 1e-9
     assert np.all(rep.mean_Q >= 0.0)
@@ -114,17 +114,17 @@ def test_report_consistency(sine_h2_fluid, sine_h2_gaussian):
     assert rep.mean_W[i] == 0.0 and rep.var_W[i] == 0.0
 
 
-def test_report_scales_with_n(sine_h2_fluid, sine_h2_gaussian):
-    r1 = report(100, sine_h2_fluid, sine_h2_gaussian)
-    r2 = report(400, sine_h2_fluid, sine_h2_gaussian)
+def test_report_scales_with_n(sine_h2_gaussian):
+    r1 = report(100, sine_h2_gaussian)
+    r2 = report(400, sine_h2_gaussian)
     assert np.allclose(r2.mean_X, 4.0 * r1.mean_X)
     assert np.allclose(r2.var_X, 4.0 * r1.var_X)
     ok = ~np.isnan(r1.var_W)
     assert np.allclose(r2.var_W[ok], 0.25 * r1.var_W[ok])
 
 
-def test_report_csv(tmp_path, sine_h2_fluid, sine_h2_gaussian):
-    rep = report(50, sine_h2_fluid, sine_h2_gaussian)
+def test_report_csv(tmp_path, sine_h2_gaussian):
+    rep = report(50, sine_h2_gaussian)
     path = tmp_path / "approx.csv"
     write_report_csv(rep, path)
     lines = path.read_text().splitlines()

@@ -131,6 +131,13 @@ def test_unknown_command_rejected():
     ["simulate", "--n", "5", "--reps", "0"],
     ["fluid", "--grid-step", "0"],
     ["approx", "--n", "0"],
+    ["simulate", "--n", "5", "--parallel", "0"],
+    ["simulate", "--n", "5", "--parallel", "-4"],
+    ["compare", "--n", "5", "--tol-var", "0"],
+    ["compare", "--n", "5", "--tol-var", "-1"],
+    ["compare", "--n", "5", "--tol-var", "nan"],
+    ["compare", "--n", "5", "--tol-mean", "0"],
+    ["compare", "--n", "5", "--tol-wait", "inf"],
 ])
 def test_nonpositive_numeric_flag_is_config_error(tmp_path, capsys, argv):
     cfg = _write_config(tmp_path, horizon=1.0)

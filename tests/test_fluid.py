@@ -7,7 +7,6 @@ from tvqueue.fluid import (
     _Ctx,
     _rk4_step,
     solve_fluid,
-    solve_v_arrays,
     ul_content,
     write_fluid_csv,
 )
@@ -68,9 +67,24 @@ def test_pwt_fixed_point(sine_h2_fluid):
         assert np.max(np.abs(resid[keep])) < 1e-4
 
 
-def test_solve_v_wrapper(sine_h2_fluid):
-    fl = sine_h2_fluid
-    assert np.allclose(solve_v_arrays(fl.intervals, fl.grid), fl.v)
+@pytest.mark.parametrize("name", ["sine_h2_fluid", "stationary_ol_fluid"])
+def test_local_grid_invariants(request, name):
+    # every interval's local grid runs from its start to its end without
+    # near-duplicate times and holds the global grid points it covers
+    fl = request.getfixturevalue(name)
+    for iv in fl.intervals:
+        t = iv.t_loc
+        assert t[0] == iv.start and abs(t[-1] - iv.end) <= 1e-9
+        assert np.all(np.diff(t) > 1e-9)
+        assert np.max(np.abs(t[iv.idx] - fl.grid[iv.i0 : iv.i1 + 1]), initial=0.0) <= 1e-9
+        if iv.kind == "OL":
+            assert len(iv.w_loc) == len(iv.wdot_loc) == len(t)
+    # the first sine/H2 interval starts on grid point 0, which is merged
+    # into the start anchor
+    if name == "sine_h2_fluid":
+        first = fl.intervals[0]
+        assert first.kind == "UL" and first.idx[0] == 0
+        assert len(first.t_loc) == first.i1 - first.i0 + 2
 
 
 def test_flow_conservation(sine_h2_fluid):

@@ -95,7 +95,7 @@ def test_initial_condition_terms():
     spec = ModelSpec(ConstantFn(1.5), ConstantFn(1.0), 1.0,
                      ExponentialPatience(0.5), 4.0, x0=1.0, var_x0=0.5)
     fl = solve_fluid(spec)
-    gs = propagate(spec, fl)
+    gs = propagate(fl)
     assert gs.var_X[0] == pytest.approx(0.5, abs=1e-9)
     # at time zero the waiting deviation is varX0 / qw(0)^2, qw(0) = 1.5
     assert gs.var_W[0] == pytest.approx(0.5 / 1.5 ** 2, abs=1e-9)
@@ -111,13 +111,13 @@ def test_initial_condition_terms():
 def test_ul_variance_against_quadrature(sine_h2_spec, sine_h2_fluid):
     # independent fine-grid quadrature of the infinite-server variance
     iv = sine_h2_fluid.intervals[0]
-    ulv = var_UL(sine_h2_spec, sine_h2_fluid, 0.0, 0.0, iv)
+    var_X = var_UL(sine_h2_spec, iv, 0.0, 0.0)
     lam = sine_h2_spec.arrival_rate
     mu = sine_h2_spec.mu
     for tt in (0.4, 0.9, 1.2):
         s = np.linspace(0.0, tt, 40001)
         oracle = np.trapezoid(np.exp(-mu * (tt - s)) * np.asarray(lam(s)), s)
-        got = np.interp(tt, ulv.t, ulv.var_X)
+        got = np.interp(tt, iv.t_loc, var_X)
         assert got == pytest.approx(oracle, abs=1e-8)
 
 
@@ -127,13 +127,13 @@ def test_ul_variance_constant_closed_form():
     fl = solve_fluid(spec)
     iv = fl.intervals[0]
     assert iv.kind == "UL"
-    ulv = var_UL(spec, fl, 0.0, 0.25, iv)
+    var_X = var_UL(spec, iv, 0.0, 0.25)
     lam, mu, c2 = 0.5, 1.0, 4.0
-    tau = ulv.tau
+    tau = iv.t_loc - iv.start
     expect = ((c2 - 1.0) * lam / (2 * mu) * (1 - np.exp(-2 * mu * tau))
               + lam / mu * (1 - np.exp(-mu * tau))
               + 0.25 * np.exp(-2 * mu * tau))
-    assert np.max(np.abs(ulv.var_X - expect)) < 1e-8
+    assert np.max(np.abs(var_X - expect)) < 1e-8
 
 
 def test_waiting_sde_monte_carlo(sine_h2_fluid):
@@ -191,10 +191,9 @@ def test_variance_continuity_at_switches(sine_h2_gaussian):
         assert v0 == pytest.approx(left, rel=1e-3, abs=1e-4)
 
 
-def test_mean_shift_requires_refined_terms(stationary_ol_spec,
-                                           stationary_ol_fluid):
+def test_mean_shift_requires_refined_terms(stationary_ol_fluid):
     with pytest.raises(ValueError, match="refined terms not specified"):
-        mean_shift_refined(stationary_ol_spec, stationary_ol_fluid)
+        mean_shift_refined(stationary_ol_fluid)
 
 
 def test_mean_shift_zero_terms():
@@ -203,7 +202,7 @@ def test_mean_shift_zero_terms():
                      arrival_rate_g=ConstantFn(0.0),
                      staffing_g=ConstantFn(0.0))
     fl = solve_fluid(spec)
-    ms = mean_shift_refined(spec, fl)
+    ms = mean_shift_refined(fl)
     assert np.max(np.abs(ms.mean_X)) == 0.0
     assert np.max(np.abs(ms.mean_W)) == 0.0
 
@@ -215,7 +214,7 @@ def test_mean_shift_ul_constant():
                      arrival_rate_g=ConstantFn(1.0),
                      staffing_g=ConstantFn(0.0))
     fl = solve_fluid(spec)
-    ms = mean_shift_refined(spec, fl)
+    ms = mean_shift_refined(fl)
     expect = 1.0 - np.exp(-fl.grid)
     assert np.max(np.abs(ms.mean_X - expect)) < 1e-8
 
@@ -227,7 +226,7 @@ def test_mean_shift_stationary_staffing():
                      arrival_rate_g=ConstantFn(0.0),
                      staffing_g=ConstantFn(1.0))
     fl = solve_fluid(spec)
-    ms = mean_shift_refined(spec, fl)
+    ms = mean_shift_refined(fl)
     assert ms.mean_W[-1] == pytest.approx(-2.0, abs=1e-4)
     assert ms.mean_X[-1] == pytest.approx(-2.0, abs=1e-4)
 

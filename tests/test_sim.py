@@ -211,6 +211,31 @@ def test_parallel_matches_serial(tmp_path):
         assert np.allclose(serial.var(name), para.var(name), equal_nan=True)
 
 
+def test_pool_sized_by_chunks(monkeypatch):
+    # 2 replications need 2 workers, not 64; a fake pool records its size
+    # and maps in this process, so no worker process is ever started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("tvqueue.sim.ProcessPoolExecutor", SerialPool)
+    spec = _mmn_spec(1.5, 0.5, horizon=0.5)
+    est = estimate(SimConfig(spec, n=5, reps=2, parallel=64))
+    assert sizes == [2]
+    assert np.all(est.moments["X"].count == 2)
+
+
 def test_scaled_views():
     est = estimate(SimConfig(_mmn_spec(1.5, 0.5, horizon=2.0), n=10, reps=8))
     assert np.allclose(est.scaled_mean("X"), est.mean("X") / 10.0)
@@ -221,6 +246,12 @@ def test_scaled_views():
 def test_config_validation():
     with pytest.raises(ValueError, match="reps >= 1"):
         SimConfig(_mmn_spec(1.0, 1.0), n=10, reps=0)
+    for step in (0.0, -0.05, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="obs_step"):
+            SimConfig(_mmn_spec(1.0, 1.0), n=10, reps=2, obs_step=step)
+    for parallel in (0, -3):
+        with pytest.raises(ValueError, match="parallel >= 1"):
+            SimConfig(_mmn_spec(1.0, 1.0), n=10, reps=2, parallel=parallel)
     with pytest.raises(ValueError, match="invalid model"):
         estimate(SimConfig(ModelSpec(ConstantFn(0.0), ConstantFn(1.0), 1.0,
                                      ExponentialPatience(1.0), 2.0),
