@@ -12,14 +12,15 @@ reconstructed from w by quadrature and monotone inversion of
 L(t) = t - w(t).
 
 Each interval also carries its local grid: its start, the global grid
-points inside it and its end, with near-duplicate times dropped.  The
-Gaussian layer builds every interval's variances on that grid and reads
-them back onto the global grid through the interval's index map.
+points inside it and its end, with near-duplicate times dropped; an OL
+grid that reaches the horizon runs on until L(t) covers the interval.
+The Gaussian layer builds every interval's variances on that grid and
+reads them back onto the global grid through the interval's index map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
@@ -65,27 +66,28 @@ class FluidInterval:
     end: float
     i0: int                     # first global grid index with t >= start
     i1: int                     # last global grid index with t <= end
-    # local grid: start anchor, interior grid points, end anchor, no two
-    # times within _DEDUPE_TOL; idx: positions of grid points i0..i1 in it
+    # local grid: start anchor, interior grid points, end anchor, then (OL
+    # at the horizon) the continuation past it; no two times within
+    # _DEDUPE_TOL; idx: positions of grid points i0..i1 in it
     t_loc: np.ndarray | None = None
     idx: np.ndarray | None = None
     # OL only: w and wdot on the local grid
     w_loc: np.ndarray | None = None
     wdot_loc: np.ndarray | None = None
-    # OL only: continuation past the horizon, used for the inverse of L
-    ext_t: np.ndarray = field(default_factory=lambda: np.empty(0))
-    ext_w: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    def l_grid(self):
-        """(times, L(times)) over the interval plus any extension."""
-        t = np.concatenate([self.t_loc, self.ext_t])
-        w = np.concatenate([self.w_loc, self.ext_w])
-        return t, t - w
+    @property
+    def n_in(self):
+        """Number of local times up to end."""
+        return int(np.searchsorted(self.t_loc, self.end, side="right"))
+
+    @property
+    def ext_t(self):
+        """Local times past end: the continuation beyond the horizon."""
+        return self.t_loc[self.n_in:]
 
     def l_inverse(self, u):
         """Monotone inverse of L(t) = t - w(t) by linear interpolation."""
-        t, L = self.l_grid()
-        return np.interp(u, L, t)
+        return np.interp(u, self.t_loc - self.w_loc, self.t_loc)
 
 
 @dataclass
@@ -162,12 +164,19 @@ class _Ctx:
         return self.lam(t) - self.mu * x
 
     def ol_rhs(self, t, w):
+        """wdot in overload; the one check of the OL state: the boundary
+        density stays above its floor and b(t,0) = s mu + sdot above 0."""
         q = self.lam(t - w) * self.fc(w)
         if q < _QTILDE_FLOOR:
             raise BoundaryDensityError(
                 f"queue boundary density vanished at t={t:.6f}"
             )
-        return 1.0 - self.b0(t) / q
+        b = self.b0(t)
+        if b <= 0.0:
+            raise StaffingInfeasibleError(
+                f"staffing infeasible in overload: b(t,0) <= 0 at t={t:.6f}"
+            )
+        return 1.0 - b / q
 
 
 def ul_content(spec: ModelSpec, t: float, x0: float, interval_start: float = 0.0) -> float:
@@ -324,7 +333,6 @@ def _sweep_ol(ctx, grid, w, wdot, start, k):
     loc_t = [start]
     loc_w = [0.0]
     loc_wd = [ctx.ol_rhs(start, 0.0)]
-    _check_feasible(ctx, start, start)
     t_prev, w_prev = start, 0.0
     if k <= n and abs(grid[k] - start) < 1e-14:
         w[k] = 0.0
@@ -332,7 +340,6 @@ def _sweep_ol(ctx, grid, w, wdot, start, k):
         t_prev = grid[k]
         k += 1
     while k <= n:
-        _check_feasible(ctx, grid[k], start)
         w_new = _rk4_step(ctx.ol_rhs, t_prev, w_prev, grid[k] - t_prev)
         if w_new <= 0.0:
             if w_prev <= 0.0:
@@ -361,9 +368,9 @@ def _sweep_ol(ctx, grid, w, wdot, start, k):
         loc_wd.append(wdot[k])
         t_prev, w_prev = grid[k], w_new
         k += 1
-    iv = _attach_local(FluidInterval(OL, start, grid[n], i0, n), grid, loc_t, loc_w, loc_wd)
-    _extend_ol(ctx, iv, grid[n], w_prev)
-    return grid[n], n + 1, np.nan, iv
+    _extend_ol(ctx, grid[n], w_prev, loc_t, loc_w, loc_wd)
+    iv = FluidInterval(OL, start, grid[n], i0, n)
+    return grid[n], n + 1, np.nan, _attach_local(iv, grid, loc_t, loc_w, loc_wd)
 
 
 def _attach_local(iv, grid, loc_t, loc_w=None, loc_wd=None):
@@ -382,28 +389,17 @@ def _attach_local(iv, grid, loc_t, loc_w=None, loc_wd=None):
     return iv
 
 
-def _check_feasible(ctx, t, start):
-    if ctx.b0(t) <= 0.0:
-        raise StaffingInfeasibleError(
-            f"staffing infeasible in OL interval starting at {start:.6f}: "
-            f"b(t,0) <= 0 at t={t:.6f}"
-        )
-
-
-def _extend_ol(ctx, iv, t_end, w_end):
-    """Continue w past the horizon until L(t) covers the whole interval."""
+def _extend_ol(ctx, t_end, w_end, loc_t, loc_w, loc_wd):
+    """Continue the local grid lists past the horizon until L(t) covers
+    the whole interval."""
     h = 1e-3
     t, wv = t_end, w_end
-    ext_t, ext_w = [], []
     while t - wv < t_end and wv > 0.0 and t < t_end + 1000.0:
-        wv = _rk4_step(ctx.ol_rhs, t, wv, h)
+        wv = max(_rk4_step(ctx.ol_rhs, t, wv, h), 0.0)
         t += h
-        if wv <= 0.0:
-            wv = 0.0
-        ext_t.append(t)
-        ext_w.append(wv)
-    iv.ext_t = np.asarray(ext_t)
-    iv.ext_w = np.asarray(ext_w)
+        loc_t.append(t)
+        loc_w.append(wv)
+        loc_wd.append(ctx.ol_rhs(t, wv))
 
 
 def ages(ws):

@@ -6,7 +6,8 @@ intensities (arrival, service, abandonment) and the cumulative
 quadratures built from them.  Underloaded intervals use the closed-form
 infinite-server variances.  Every interval is solved on the local grid
 the fluid solution gives it (FluidInterval.t_loc) and read back onto the
-global grid through its index map (FluidInterval.idx).  propagate() walks
+global grid through its index map (FluidInterval.idx); the 1-D kernels
+also span an OL grid's continuation past the horizon.  propagate() walks
 the interval partition and hands the content variance at each switching
 point to the next interval as its initial-condition variance.
 
@@ -23,15 +24,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline
 
-from .fluid import (
-    _QTILDE_FLOOR,
-    UL,
-    BoundaryDensityError,
-    FluidInterval,
-    FluidSolution,
-    ages,
-    swept_integral,
-)
+from .fluid import UL, FluidInterval, FluidSolution, ages, swept_integral
 from .model import ModelSpec, write_columns
 
 __all__ = [
@@ -64,7 +57,7 @@ class IntervalKernels:
     """Kernel grids for one overloaded interval.
 
     Local times t are absolute; tau = t - start.  All arrays share the
-    interval's local grid (start, interior grid points, end).
+    interval's local grid (start, interior grid points, end, continuation).
     """
 
     interval: FluidInterval
@@ -151,8 +144,6 @@ class IntervalKernels:
         Fw = np.asarray(spec.patience.cdf(w), dtype=float)
         fw = np.asarray(spec.patience.pdf(w), dtype=float)
         qw = lam_tw * Fcw
-        if np.min(qw) < _QTILDE_FLOOR:
-            raise BoundaryDensityError("boundary density vanished")
         hFw = fw / Fcw          # patience hazard at the boundary age
         sv = np.asarray(spec.staffing(t), dtype=float)
         sdot = np.asarray(spec.staffing.deriv(t), dtype=float)
@@ -198,20 +189,22 @@ def var_W_star(kernels: IntervalKernels) -> np.ndarray:
 def _var_x_star_parts(k: IntervalKernels, w_parts):
     """Per-source content-deviation variances (queue noise + waiting-time
     feedback, w_parts = _var_w_star_parts(k)) evaluated by the direct
-    formula."""
+    formula on the local points up to the interval's end."""
     spec = k.spec
-    x = ages(k.w)
-    lam = np.asarray(spec.arrival_rate(k.t[:, None] - x), dtype=float)
+    m = k.interval.n_in
+    w, q2 = k.w[:m], k.qw[:m] ** 2
+    x = ages(w)
+    lam = np.asarray(spec.arrival_rate(k.t[:m, None] - x), dtype=float)
     fc = np.asarray(spec.patience.survival(x), dtype=float)
-    q2 = k.qw ** 2
-    part_lam = swept_integral(k.w, spec.c_lambda ** 2 * lam * fc ** 2) + q2 * w_parts[0]
-    part_s = q2 * w_parts[1]
-    part_a = swept_integral(k.w, lam * fc * (1.0 - fc)) + q2 * w_parts[2]
+    part_lam = swept_integral(w, spec.c_lambda ** 2 * lam * fc ** 2) + q2 * w_parts[0][:m]
+    part_s = q2 * w_parts[1][:m]
+    part_a = swept_integral(w, lam * fc * (1.0 - fc)) + q2 * w_parts[2][:m]
     return part_lam, part_s, part_a
 
 
 def var_X_star(kernels: IntervalKernels) -> np.ndarray:
-    """Variance of the scaled content deviation, zero-start version."""
+    """Variance of the scaled content deviation, zero-start version, on
+    the local points up to the interval's end."""
     pl, ps, pa = _var_x_star_parts(kernels, _var_w_star_parts(kernels))
     return pl + ps + pa
 
@@ -239,35 +232,30 @@ def var_X_star_kernel(kernels: IntervalKernels, times) -> np.ndarray:
 
 
 def var_W_V(kernels: IntervalKernels, vws: np.ndarray, varX0: float):
-    """(var_W, var_V, var_Vstar) grids on the interval, from the
-    zero-start head-of-line variance vws = var_W_star(kernels).
+    """(var_W, var_V, var_Vstar) on the local points up to the interval's
+    end, from the zero-start head-of-line variance vws = var_W_star(kernels).
 
     The potential-waiting variance reads the head-of-line variance at the
-    virtual exit time t + v(t) = L^{-1}(t); points whose exit time falls
-    beyond the solved horizon are marked nan rather than extrapolated.
+    virtual exit time t + v(t) = L^{-1}(t), which the continuation past
+    the horizon keeps on the local grid.
     """
     k = kernels
-    var_W = vws + varX0 * k.Fwc ** 2 / k.qw ** 2
-    u = k.interval.l_inverse(k.t)
-    inside = u <= k.t[-1] + 1e-12
-    var_Vstar = np.full_like(vws, np.nan)
-    var_V = np.full_like(vws, np.nan)
-    if np.any(inside):
-        ui = np.minimum(u[inside], k.t[-1])
-        if len(k.t) >= 4:
-            vws_u = CubicSpline(k.t, vws)(ui)
-            wdot_u = CubicSpline(k.t, k.wdot)(ui)
-            fwc_u = CubicSpline(k.t, k.Fwc)(ui)
-        else:
-            vws_u = np.interp(ui, k.t, vws)
-            wdot_u = np.interp(ui, k.t, k.wdot)
-            fwc_u = np.interp(ui, k.t, k.Fwc)
-        b0_u = np.asarray(k.spec.staffing(ui), dtype=float) * k.spec.mu + np.asarray(
-            k.spec.staffing.deriv(ui), dtype=float
-        )
-        var_Vstar[inside] = np.maximum(vws_u, 0.0) / (1.0 - wdot_u) ** 2
-        var_V[inside] = var_Vstar[inside] + varX0 * fwc_u ** 2 / b0_u ** 2
-    return var_W, var_V, var_Vstar
+    m = k.interval.n_in
+    var_W = vws[:m] + varX0 * k.Fwc[:m] ** 2 / k.qw[:m] ** 2
+    u = np.minimum(k.interval.l_inverse(k.t[:m]), k.t[-1])
+    if len(k.t) >= 4:
+        vws_u = CubicSpline(k.t, vws)(u)
+        wdot_u = CubicSpline(k.t, k.wdot)(u)
+        fwc_u = CubicSpline(k.t, k.Fwc)(u)
+    else:
+        vws_u = np.interp(u, k.t, vws)
+        wdot_u = np.interp(u, k.t, k.wdot)
+        fwc_u = np.interp(u, k.t, k.Fwc)
+    b0_u = np.asarray(k.spec.staffing(u), dtype=float) * k.spec.mu + np.asarray(
+        k.spec.staffing.deriv(u), dtype=float
+    )
+    var_Vstar = np.maximum(vws_u, 0.0) / (1.0 - wdot_u) ** 2
+    return var_W, var_Vstar + varX0 * fwc_u ** 2 / b0_u ** 2, var_Vstar
 
 
 def _exp_filter(rate, tau, y):
@@ -361,7 +349,7 @@ def propagate(fluid: FluidSolution) -> GaussianSolution:
             w_parts = _var_w_star_parts(k)
             x_parts = _var_x_star_parts(k, w_parts)
             vxs = x_parts[0] + x_parts[1] + x_parts[2]
-            vx = vxs + varX0 * k.Fwc ** 2
+            vx = vxs + varX0 * k.Fwc[: iv.n_in] ** 2
             vws = w_parts[0] + w_parts[1] + w_parts[2]
             vw, vv, vvs = var_W_V(k, vws, varX0)
             var_X[gsl] = vx[idx]
@@ -424,10 +412,11 @@ def mean_shift_refined(fluid: FluidSolution) -> MeanShift:
             z = (s_g * mu + lam_g_tw + sdot_g) / k.qw
             W_g = -k.Hc * _cumquad(z / k.Hc, k.tau)
             # queued arrivals of age x in [0, w(t)] from the refined rate
-            x = ages(k.w)
-            lam_g = np.asarray(spec.arrival_rate_g(k.t[:, None] - x), dtype=float)
-            Q1g = swept_integral(k.w, lam_g * np.asarray(spec.patience.survival(x), dtype=float))
-            mean_X[gsl] = (Q1g + k.qw * W_g)[iv.idx]
+            ws = k.w[iv.idx]
+            x = ages(ws)
+            lam_g = np.asarray(spec.arrival_rate_g(k.t[iv.idx, None] - x), dtype=float)
+            Q1g = swept_integral(ws, lam_g * np.asarray(spec.patience.survival(x), dtype=float))
+            mean_X[gsl] = Q1g + (k.qw * W_g)[iv.idx]
             mean_W[gsl] = W_g[iv.idx]
     return MeanShift(grid=fluid.grid, mean_X=mean_X, mean_W=mean_W)
 

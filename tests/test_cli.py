@@ -87,6 +87,18 @@ def test_infeasible_staffing(tmp_path, capsys):
     assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 4
 
 
+def test_infeasible_staffing_past_the_horizon(tmp_path, capsys):
+    # b(t,0) = 0.945 - 0.055 t turns negative at t = 17.18, inside the
+    # continuation of w past the horizon T = 16
+    cfg = _write_config(
+        tmp_path,
+        **{"staffing": {"kind": "linear",
+                        "params": {"intercept": 1.0, "slope": -0.055}},
+           "horizon": 16.0})
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert "b(t,0) <= 0 at t=17.182" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["fluid", "compare"])
 def test_critical_loading_exits_invalid(tmp_path, capsys, command):
     # lambda = s = mu = 1 starting full: the fluid stays on the boundary

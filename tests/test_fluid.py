@@ -70,11 +70,14 @@ def test_pwt_fixed_point(sine_h2_fluid):
 @pytest.mark.parametrize("name", ["sine_h2_fluid", "stationary_ol_fluid"])
 def test_local_grid_invariants(request, name):
     # every interval's local grid runs from its start to its end without
-    # near-duplicate times and holds the global grid points it covers
+    # near-duplicate times and holds the global grid points it covers; an
+    # OL grid at the horizon then runs on through its continuation
     fl = request.getfixturevalue(name)
     for iv in fl.intervals:
         t = iv.t_loc
-        assert t[0] == iv.start and abs(t[-1] - iv.end) <= 1e-9
+        inside = t[t <= iv.end]
+        assert t[0] == iv.start and abs(inside[-1] - iv.end) <= 1e-9
+        assert np.array_equal(t[len(inside):], iv.ext_t)
         assert np.all(np.diff(t) > 1e-9)
         assert np.max(np.abs(t[iv.idx] - fl.grid[iv.i0 : iv.i1 + 1]), initial=0.0) <= 1e-9
         if iv.kind == "OL":
@@ -137,11 +140,31 @@ def test_step_w_matches_solver(sine_h2_fluid):
 
 def test_l_inverse_roundtrip(sine_h2_fluid):
     iv = sine_h2_fluid.ol_intervals()[0]
-    t, L = iv.l_grid()
+    t, L = iv.t_loc, iv.t_loc - iv.w_loc
     u = np.linspace(L[0], L[-1], 57)
     back = iv.l_inverse(u)
     assert np.all(np.diff(back) > 0.0)
     assert np.max(np.abs(np.interp(back, t, L) - u)) < 1e-9
+
+
+def test_continuation_reaches_the_horizon(request):
+    # the last OL interval's local grid runs on until L(t) = t - w(t)
+    # covers the interval, so L^{-1} is defined up to the horizon
+    for name in ("sine_h2_fluid", "stationary_ol_fluid"):
+        iv = request.getfixturevalue(name).ol_intervals()[-1]
+        assert len(iv.ext_t) > 0
+        assert iv.t_loc[-1] - iv.w_loc[-1] >= iv.end
+        assert np.all(np.diff(iv.t_loc - iv.w_loc) > 0.0)
+
+
+def test_continuation_checks_staffing():
+    # b(t,0) = 0.945 - 0.055 t stays positive on [0, 16] and vanishes at
+    # t = 17.18, inside the continuation, which is checked like the rest
+    # of the interval
+    spec = ModelSpec(ConstantFn(1.5), LinearFn(1.0, -0.055), 1.0,
+                     ExponentialPatience(0.5), 16.0, x0=1.0)
+    with pytest.raises(StaffingInfeasibleError, match=r"t=17\.182"):
+        solve_fluid(spec)
 
 
 def test_infeasible_staffing_raises():

@@ -44,6 +44,20 @@ def test_stationary_variance_limits(stationary_ol_gaussian):
         gs.var_Wstar[-2000], abs=1e-3)   # wdot -> 0 in the limit
 
 
+@pytest.mark.parametrize("name", ["sine_h2_gaussian", "stationary_ol_gaussian"])
+def test_potential_wait_variance_up_to_horizon(request, name):
+    # the exit time L^{-1}(t) of the last stretch lies past the horizon;
+    # the continuation keeps var_V defined there
+    gs = request.getfixturevalue(name)
+    assert np.all(np.isfinite(gs.var_V))
+    assert np.all(np.isfinite(gs.var_Vstar[gs.fluid.ol]))
+
+
+def test_stationary_potential_wait_limit(stationary_ol_gaussian):
+    # wdot -> 0 and the initial content is gone: var_V -> var_Wstar -> 2
+    assert stationary_ol_gaussian.var_V[-1] == pytest.approx(2.0, abs=1e-4)
+
+
 def test_propagator_semigroup(sine_h2_fluid):
     k = build_kernels(sine_h2_fluid)[0]
     t0, t1 = k.start, k.t[-1]
@@ -104,7 +118,8 @@ def test_initial_condition_terms():
     k = build_kernels(fl)[0]
     iv = k.interval
     ts = fl.grid[iv.i0 : iv.i1 + 1]
-    shifted = np.interp(ts, k.t, var_X_star(k) + 0.5 * k.Fwc ** 2)
+    m = iv.n_in             # var_X_star covers the local points up to end
+    shifted = np.interp(ts, k.t[:m], var_X_star(k) + 0.5 * k.Fwc[:m] ** 2)
     assert np.max(np.abs(gs.var_X[iv.i0 : iv.i1 + 1] - shifted)) < 1e-12
 
 
