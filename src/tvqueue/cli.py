@@ -47,9 +47,13 @@ def _load(args):
 
 @contextmanager
 def _fluid_errors():
-    """Map the fluid solver's failures to their exit codes."""
+    """Map the fluid solver's failures to their exit codes; a ValueError
+    (a grid step the solver rejects, no point for compare to compare) is
+    a config error."""
     try:
         yield
+    except ValueError as exc:
+        raise _CliError(EXIT_CONFIG, str(exc))
     except fluid.StaffingInfeasibleError as exc:
         raise _CliError(EXIT_INFEASIBLE, str(exc))
     except (fluid.CriticalLoadingError, fluid.BoundaryDensityError) as exc:

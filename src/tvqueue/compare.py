@@ -51,20 +51,28 @@ class CompareResult:
         return lines
 
 
+def _base_masks(fluid, gaussian, tg):
+    """(Xf, vXf, base, X mask, var_X mask) on the observation grid tg: the
+    predicted mean and variance, the points away from the start and the
+    switches, and those of them where each prediction is positive."""
+    Xf = np.interp(tg, fluid.grid, fluid.X)
+    vXf = np.interp(tg, fluid.grid, gaussian.var_X)
+    base = np.ones(len(tg), dtype=bool)
+    for tau in np.concatenate([[0.0], fluid.switch_times]):
+        base &= np.abs(tg - tau) > SWITCH_WINDOW
+    return Xf, vXf, base, base & (Xf > 1e-9), base & (vXf > 1e-12)
+
+
 def compare_metrics(fluid, gaussian, est):
     """Error metrics between predictions and a simulation estimate.
 
     Returns (metrics dict, masks dict); masks index the observation grid.
     """
     tg = est.t
-    Xf = np.interp(tg, fluid.grid, fluid.X)
-    vXf = np.interp(tg, fluid.grid, gaussian.var_X)
+    Xf, vXf, base, on_X, on_var = _base_masks(fluid, gaussian, tg)
     wf = np.interp(tg, fluid.grid, fluid.w)
     vf = np.interp(tg, fluid.grid, fluid.v)
     cut_points = np.concatenate([[0.0], fluid.switch_times])
-    base = np.ones(len(tg), dtype=bool)
-    for tau in cut_points:
-        base &= np.abs(tg - tau) > SWITCH_WINDOW
     wait = np.ones(len(tg), dtype=bool)
     for tau in cut_points:
         wait &= np.abs(tg - tau) > WAIT_WINDOW
@@ -76,9 +84,9 @@ def compare_metrics(fluid, gaussian, est):
     metrics = {}
     with np.errstate(invalid="ignore", divide="ignore"):
         relX = np.abs(est.scaled_mean("X") - Xf) / Xf
-        metrics["mean_X_rel_sup"] = float(np.max(relX[base & (Xf > 1e-9)]))
+        metrics["mean_X_rel_sup"] = float(np.max(relX[on_X]))
         ratio = est.scaled_var("X") / vXf
-        rb = ratio[base & (vXf > 1e-12)]
+        rb = ratio[on_var]
         metrics["var_X_ratio_min"] = float(np.min(rb))
         metrics["var_X_ratio_max"] = float(np.max(rb))
         if np.any(wait):
@@ -97,12 +105,21 @@ def compare(spec: ModelSpec, n: int, reps: int, seed: int = 0,
             tol_var: float = 1.25, tol_wait: float = 0.07) -> CompareResult:
     """Full pipeline: fluid + variance solve, simulation, error metrics.
 
-    tol_var bounds the variance ratio to [1/tol_var, tol_var].
+    tol_var bounds the variance ratio to [1/tol_var, tol_var].  Raises
+    ValueError before any replication when no observation point is left
+    to compare the mean or the variance on.
     """
     fluid = solve_fluid(spec, grid_step)
     gaussian = propagate(fluid)
-    est = estimate(SimConfig(spec, n=n, reps=reps, base_seed=seed,
-                             obs_step=obs_step, parallel=parallel))
+    config = SimConfig(spec, n=n, reps=reps, base_seed=seed,
+                       obs_step=obs_step, parallel=parallel)
+    *_, on_X, on_var = _base_masks(fluid, gaussian, config.obs_grid())
+    if not (np.any(on_X) and np.any(on_var)):
+        raise ValueError(
+            f"no observation point to compare: every multiple of obs_step "
+            f"{obs_step:g} up to the horizon lies within {SWITCH_WINDOW} of "
+            "the start or a switching time, or has a zero prediction")
+    est = estimate(config)
     metrics, masks = compare_metrics(fluid, gaussian, est)
     passed = {
         "mean_X_rel_sup": metrics["mean_X_rel_sup"] <= tol_mean,

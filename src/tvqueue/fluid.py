@@ -198,12 +198,17 @@ def ul_content(spec: ModelSpec, t: float, x0: float, interval_start: float = 0.0
 
 
 def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
-    """Solve the fluid model on a uniform grid of step `step`."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    """Solve the fluid model on a uniform grid of step `step`.
+
+    The step may not exceed the horizon, nor 1/mu: beyond it RK4 on
+    X' = -mu X amplifies instead of damping.
+    """
     report = validate(spec)
     if not report.ok:
         raise ValueError(f"invalid model: {report}")
+    if not 0 < step <= spec.horizon or spec.mu * step > 1.0:
+        raise ValueError(f"grid step {step} must be positive and at most "
+                         f"min(horizon, 1/mu) = {min(spec.horizon, 1.0 / spec.mu):g}")
 
     ctx = _Ctx(spec)
     T = spec.horizon

@@ -124,6 +124,10 @@ class PiecewisePolyFn(SmoothFn):
     def __post_init__(self):
         if len(self.knots) != len(self.coeffs) + 1:
             raise ValueError("need len(knots) == len(coeffs) + 1")
+        if not np.all(np.diff(self.knots) > 0):
+            raise ValueError(f"piecewise knots must increase: {list(self.knots)}")
+        if any(len(c) == 0 for c in self.coeffs):
+            raise ValueError("every piecewise piece needs at least one coefficient")
         # per-piece derivative coefficients for scalar_deriv
         dcoeffs = tuple(
             tuple(k * c[k] for k in range(1, len(c))) or (0.0,) for c in self.coeffs

@@ -55,16 +55,21 @@ class ValidationReport:
 def validate(spec: ModelSpec) -> ValidationReport:
     """Check positivity and initial-condition assumptions on a dense grid."""
     report = ValidationReport()
+    for name in ("horizon", "mu", "x0", "var_x0", "c_lambda"):
+        if not np.isfinite(getattr(spec, name)):
+            report.violations.append(f"{name} must be finite")
     if spec.horizon <= 0:
         report.violations.append("horizon must be positive")
+    if not 0 < spec.horizon < np.inf:
         return report
     grid = np.linspace(0.0, spec.horizon, int(1.0 / _GRID_FRACTION) + 1)
 
     if spec.mu <= 0:
         report.violations.append("service rate mu > 0 fails")
-    if np.min(spec.arrival_rate(grid)) <= 0:
+    # written as not-all-positive so that nan values fail
+    if not np.all(spec.arrival_rate(grid) > 0):
         report.violations.append("lambda_inf > 0 fails")
-    if np.min(spec.staffing(grid)) <= 0:
+    if not np.all(spec.staffing(grid) > 0):
         report.violations.append("s_inf > 0 fails")
     if spec.c_lambda < 0:
         report.violations.append("c_lambda >= 0 fails")
@@ -76,9 +81,9 @@ def validate(spec: ModelSpec) -> ValidationReport:
     if spec.x0 > s0 + 1e-12:
         report.violations.append("X(0) <= s(0) fails")
     try:
-        if np.min(spec.patience.survival(grid)) <= 0:
+        if not np.all(spec.patience.survival(grid) > 0):
             report.violations.append("Fc(x) > 0 on [0, T] fails")
-        if np.min(spec.patience.pdf(grid)) <= 0:
+        if not np.all(spec.patience.pdf(grid) > 0):
             report.violations.append("f(x) > 0 on [0, T] fails")
         if abs(float(spec.patience.cdf(0.0))) > 1e-12:
             report.violations.append("F(0) = 0 fails")

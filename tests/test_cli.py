@@ -1,5 +1,6 @@
 import filecmp
 import json
+import sys
 
 import pytest
 
@@ -87,18 +88,6 @@ def test_infeasible_staffing(tmp_path, capsys):
     assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 4
 
 
-def test_infeasible_staffing_past_the_horizon(tmp_path, capsys):
-    # b(t,0) = 0.945 - 0.055 t turns negative at t = 17.18, inside the
-    # continuation of w past the horizon T = 16
-    cfg = _write_config(
-        tmp_path,
-        **{"staffing": {"kind": "linear",
-                        "params": {"intercept": 1.0, "slope": -0.055}},
-           "horizon": 16.0})
-    assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 4
-    assert "b(t,0) <= 0 at t=17.182" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command", ["fluid", "compare"])
 def test_critical_loading_exits_invalid(tmp_path, capsys, command):
     # lambda = s = mu = 1 starting full: the fluid stays on the boundary
@@ -128,6 +117,56 @@ def test_compare_pass_and_fail(tmp_path, capsys):
     # impossibly tight tolerances flip the exit code to 5
     assert main(base + ["--tol-mean", "1e-9", "--tol-wait", "1e-9"]) == 5
     assert "[FAIL]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("overrides, violation", [
+    ({"mu": float("nan")}, "mu must be finite"),
+    ({"mu": float("inf")}, "mu must be finite"),
+    ({"x0": float("nan")}, "x0 must be finite"),
+    ({"var_x0": float("nan")}, "var_x0 must be finite"),
+    ({"c_lambda": float("nan")}, "c_lambda must be finite"),
+    ({"horizon": float("nan")}, "horizon must be finite"),
+    ({"horizon": float("inf")}, "horizon must be finite"),
+    ({"lambda": {"kind": "sinusoid", "params": {"a": float("nan"), "b": 0.6}}},
+     "lambda_inf > 0 fails"),
+])
+def test_non_finite_number_is_invalid_model(tmp_path, capsys, overrides, violation):
+    # json reads NaN and Infinity; validate must not let them through
+    cfg = _write_config(tmp_path, **overrides)
+    assert main(["variance", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert violation in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("horizon, obs_step", [(0.25, "0.05"), (16.0, "20")])
+def test_compare_without_comparable_point(tmp_path, capsys, monkeypatch,
+                                          horizon, obs_step):
+    # every observation time lies within the switch window of t = 0
+    def no_replications(config):
+        raise AssertionError("compare ran replications")
+
+    monkeypatch.setattr(sys.modules["tvqueue.compare"], "estimate", no_replications)
+    cfg = _write_config(tmp_path, horizon=horizon)
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path), "--n", "20",
+                 "--reps", "2", "--obs-step", obs_step]) == 2
+    err = capsys.readouterr().err
+    assert "no observation point to compare" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("step", ["7", "100"])
+def test_coarse_grid_step_is_config_error(tmp_path, capsys, step):
+    # RK4 on X' = -mu X amplifies once mu * step > 1 (step 7: by 61 per
+    # step); a step past the horizon would drop it from the grid
+    cfg = _write_config(
+        tmp_path, **{"lambda": {"kind": "sinusoid", "params": {"a": 1.0, "b": 0.6}},
+                     "horizon": 16.0, "x0": 0.0})
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path),
+                 "--grid-step", step]) == 2
+    err = capsys.readouterr().err
+    assert "grid step" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_command_rejected():

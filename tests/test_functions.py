@@ -51,6 +51,10 @@ def test_piecewise_poly_eval_and_breakpoints():
 def test_piecewise_poly_shape_validation():
     with pytest.raises(ValueError):
         PiecewisePolyFn(knots=(0.0, 1.0), coeffs=((1.0,), (2.0,)))
+    with pytest.raises(ValueError, match="knots must increase"):
+        PiecewisePolyFn(knots=(0.0, 10.0, 5.0, 16.0), coeffs=((1.0,), (1.2,), (1.3,)))
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        PiecewisePolyFn(knots=(0.0, 2.0, 5.0), coeffs=((1.0,), ()))
 
 
 def test_config_dispatch():
