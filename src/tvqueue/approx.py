@@ -28,12 +28,23 @@ __all__ = [
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
+def _excess(diff, sd):
+    """(E[Z^+], Var[Z^+]) of a normal Z with mean diff and sd > 0."""
+    d = diff / sd
+    phi = np.exp(-0.5 * d * d) / _SQRT2PI
+    Phi = ndtr(d)
+    e1 = sd * (phi + d * Phi)
+    e2 = sd * sd * ((1.0 + d * d) * Phi + d * phi)
+    return e1, np.maximum(e2 - e1 ** 2, 0.0)
+
+
 def truncated_moments(mean, var, threshold):
     """Moments of the parts of a normal variable Y above and below a.
 
     Returns (E[(Y-a)^+], Var[(Y-a)^+], E[Y ^ a], Var[Y ^ a]) where ^ is
-    minimum.  Vectorized; entries with var <= 0 degenerate to the
-    deterministic split.
+    minimum.  Var[Y ^ a] is taken as Var[(a-Y)^+]: a direct second moment
+    would cancel terms of order m^2.  Vectorized; entries with var <= 0
+    degenerate to the deterministic split.
     """
     m = np.asarray(mean, dtype=float)
     v = np.asarray(var, dtype=float)
@@ -41,15 +52,9 @@ def truncated_moments(mean, var, threshold):
     m, v, a = np.broadcast_arrays(m, v, a)
     pos = v > 0.0
     sd = np.sqrt(np.where(pos, v, 1.0))
-    d = (m - a) / sd
-    phi = np.exp(-0.5 * d * d) / _SQRT2PI
-    Phi = ndtr(d)
-    e1 = sd * (phi + d * Phi)
-    e2 = v * ((1.0 + d * d) * Phi + d * phi)
-    var_hi = np.maximum(e2 - e1 ** 2, 0.0)
+    e1, var_hi = _excess(m - a, sd)
+    var_lo = _excess(a - m, sd)[1]
     e_lo = m - e1
-    e2_lo = m * m + v - e2 - 2.0 * a * e1
-    var_lo = np.maximum(e2_lo - e_lo ** 2, 0.0)
     excess = np.maximum(m - a, 0.0)
     e1 = np.where(pos, e1, excess)
     var_hi = np.where(pos, var_hi, 0.0)

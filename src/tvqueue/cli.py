@@ -148,11 +148,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_scale=False, with_sim=False):
+    def common(p, with_scale=False, with_sim=False, with_fluid=True):
         p.add_argument("--config", required=True, help="JSON model config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--grid-step", type=_positive(float), default=1e-3,
-                       dest="grid_step")
+        if with_fluid:
+            p.add_argument("--grid-step", type=_positive(float), default=1e-3,
+                           dest="grid_step")
         if with_scale:
             p.add_argument("--n", type=_positive(int), required=True, help="system scale")
         if with_sim:
@@ -167,7 +168,7 @@ def build_parser():
     common(sub.add_parser("approx", help="finite-scale performance report"),
            with_scale=True)
     common(sub.add_parser("simulate", help="replicated exact simulation"),
-           with_scale=True, with_sim=True)
+           with_scale=True, with_sim=True, with_fluid=False)
     p = sub.add_parser("compare", help="predictions vs simulation with "
                                        "pass/fail error metrics")
     common(p, with_scale=True, with_sim=True)

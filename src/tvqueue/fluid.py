@@ -7,9 +7,9 @@ stretches it integrates the head-of-line waiting-time ODE
     wdot = 1 - (sdot + s*mu) / (lambda(t - w) * Fc(w))
 
 with a classical fixed-step RK4 scheme, locating every regime switch by
-bisection.  Queue content, abandonment and the potential waiting time are
-reconstructed from w by quadrature and monotone inversion of
-L(t) = t - w(t).
+bisection.  One age-integral pass per OL interval (age_integrals) gives
+the queue content, the abandonment rate and the Fc^2 integral of the
+Gaussian noise terms; the potential wait inverts L(t) = t - w(t).
 
 Each interval also carries its local grid: its start, the global grid
 points inside it and its end, with near-duplicate times dropped; an OL
@@ -42,7 +42,7 @@ UL, OL = "UL", "OL"
 
 _SWITCH_TOL = 1e-10       # bisection tolerance for switching times
 _QTILDE_FLOOR = 1e-12     # minimum admissible boundary density
-_QUAD_NODES = 129         # Simpson nodes for the swept age integrals (odd)
+_QUAD_NODES = 129         # Simpson nodes for the age integrals (odd)
 _DEDUPE_TOL = 1e-9        # local-grid times closer than this are merged
 _XI = np.linspace(0.0, 1.0, _QUAD_NODES)
 
@@ -71,9 +71,11 @@ class FluidInterval:
     # _DEDUPE_TOL; idx: positions of grid points i0..i1 in it
     t_loc: np.ndarray | None = None
     idx: np.ndarray | None = None
-    # OL only: w and wdot on the local grid
+    # OL only: w, wdot on the local grid; age_integrals' Q, Q2 up to end
     w_loc: np.ndarray | None = None
     wdot_loc: np.ndarray | None = None
+    Q_loc: np.ndarray | None = None
+    Q2_loc: np.ndarray | None = None
 
     @property
     def n_in(self):
@@ -253,8 +255,10 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     B = X.copy()
 
     lam_grid = np.asarray(spec.arrival_rate(grid), dtype=float)
-    for iv in intervals:
-        if iv.kind != OL or iv.i1 < iv.i0:
+    for iv in [iv for iv in intervals if iv.kind == OL]:
+        iv.Q_loc, alpha_loc, iv.Q2_loc = age_integrals(
+            spec.arrival_rate, spec.patience, iv.t_loc[: iv.n_in], iv.w_loc[: iv.n_in])
+        if iv.i1 < iv.i0:
             continue
         sl = slice(iv.i0, iv.i1 + 1)
         ol[sl] = True
@@ -264,13 +268,8 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
                         * np.asarray(spec.patience.survival(ws), dtype=float))
         svals = np.asarray(spec.staffing(ts), dtype=float)
         b0[sl] = svals * spec.mu + np.asarray(spec.staffing.deriv(ts), dtype=float)
-
-        # queue content and abandonment rate: arrivals of age x in [0, w(t)]
-        # weighted by Fc(x), and by the density f(x)
-        x = ages(ws)
-        arrived = np.asarray(spec.arrival_rate(ts[:, None] - x), dtype=float)
-        Q[sl] = swept_integral(ws, arrived * np.asarray(spec.patience.survival(x), dtype=float))
-        alpha[sl] = swept_integral(ws, arrived * np.asarray(spec.patience.pdf(x), dtype=float))
+        Q[sl] = iv.Q_loc[iv.idx]
+        alpha[sl] = alpha_loc[iv.idx]
         X[sl] = svals + Q[sl]
         B[sl] = svals
         v[sl] = iv.l_inverse(ts) - ts
@@ -407,16 +406,21 @@ def _extend_ol(ctx, t_end, w_end, loc_t, loc_w, loc_wd):
         loc_wd.append(ctx.ol_rhs(t, wv))
 
 
-def ages(ws):
-    """The (len(ws), nodes) Simpson age matrix: row i spans [0, ws[i]]."""
-    return ws[:, None] * _XI[None, :]
-
-
-def swept_integral(ws, values):
-    """For each i, the integral over x in [0, ws[i]] of an integrand whose
-    values on ages(ws) are given; Simpson on a scaled unit grid keeps the
-    node count fixed as w varies."""
-    return simpson(values, x=_XI, axis=1) * ws
+def age_integrals(rate, patience, t, w):
+    """(Q, alpha, Q2): per i, the integrals over ages x in [0, w[i]] of
+    rate(t[i] - x) times Fc(x), f(x) and Fc(x)^2, by Simpson on a scaled
+    unit grid; the products are formed in place to bound memory."""
+    x = w[:, None] * _XI[None, :]
+    arrived = np.asarray(rate(t[:, None] - x), dtype=float)
+    dens = np.asarray(patience.pdf(x), dtype=float)
+    dens *= arrived
+    alpha = simpson(dens, x=_XI, axis=1) * w
+    del dens
+    fc = np.asarray(patience.survival(x), dtype=float)
+    arrived *= fc
+    Q = simpson(arrived, x=_XI, axis=1) * w
+    arrived *= fc
+    return Q, alpha, simpson(arrived, x=_XI, axis=1) * w
 
 
 def write_fluid_csv(solution: FluidSolution, path):

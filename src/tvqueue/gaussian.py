@@ -7,9 +7,11 @@ quadratures built from them.  Underloaded intervals use the closed-form
 infinite-server variances.  Every interval is solved on the local grid
 the fluid solution gives it (FluidInterval.t_loc) and read back onto the
 global grid through its index map (FluidInterval.idx); the 1-D kernels
-also span an OL grid's continuation past the horizon.  propagate() walks
-the interval partition and hands the content variance at each switching
-point to the next interval as its initial-condition variance.
+also span an OL grid's continuation past the horizon.  The queue-noise
+age integrals are the fluid's (Q_loc, Q2_loc); no age matrix is formed
+here.  propagate() walks the interval partition and hands the content
+variance at each switching point to the next interval as its
+initial-condition variance.
 
 Queue-length and in-service variances are deliberately not emitted as
 limit quantities: the limits are discontinuous at switching points.
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline
 
-from .fluid import UL, FluidInterval, FluidSolution, ages, swept_integral
+from .fluid import UL, FluidInterval, FluidSolution, age_integrals
 from .model import ModelSpec, write_columns
 
 __all__ = [
@@ -187,18 +189,14 @@ def var_W_star(kernels: IntervalKernels) -> np.ndarray:
 
 
 def _var_x_star_parts(k: IntervalKernels, w_parts):
-    """Per-source content-deviation variances (queue noise + waiting-time
-    feedback, w_parts = _var_w_star_parts(k)) evaluated by the direct
-    formula on the local points up to the interval's end."""
-    spec = k.spec
-    m = k.interval.n_in
-    w, q2 = k.w[:m], k.qw[:m] ** 2
-    x = ages(w)
-    lam = np.asarray(spec.arrival_rate(k.t[:m, None] - x), dtype=float)
-    fc = np.asarray(spec.patience.survival(x), dtype=float)
-    part_lam = swept_integral(w, spec.c_lambda ** 2 * lam * fc ** 2) + q2 * w_parts[0][:m]
-    part_s = q2 * w_parts[1][:m]
-    part_a = swept_integral(w, lam * fc * (1.0 - fc)) + q2 * w_parts[2][:m]
+    """Per-source content-deviation variances (queue noise from the age
+    integrals Q_loc, Q2_loc + waiting-time feedback, w_parts =
+    _var_w_star_parts(k)) on the local points up to the interval's end."""
+    iv = k.interval
+    q2 = k.qw[: iv.n_in] ** 2
+    part_lam = k.spec.c_lambda ** 2 * iv.Q2_loc + q2 * w_parts[0][: iv.n_in]
+    part_s = q2 * w_parts[1][: iv.n_in]
+    part_a = (iv.Q_loc - iv.Q2_loc) + q2 * w_parts[2][: iv.n_in]
     return part_lam, part_s, part_a
 
 
@@ -412,10 +410,8 @@ def mean_shift_refined(fluid: FluidSolution) -> MeanShift:
             z = (s_g * mu + lam_g_tw + sdot_g) / k.qw
             W_g = -k.Hc * _cumquad(z / k.Hc, k.tau)
             # queued arrivals of age x in [0, w(t)] from the refined rate
-            ws = k.w[iv.idx]
-            x = ages(ws)
-            lam_g = np.asarray(spec.arrival_rate_g(k.t[iv.idx, None] - x), dtype=float)
-            Q1g = swept_integral(ws, lam_g * np.asarray(spec.patience.survival(x), dtype=float))
+            Q1g = age_integrals(spec.arrival_rate_g, spec.patience,
+                                k.t[iv.idx], k.w[iv.idx])[0]
             mean_X[gsl] = Q1g + (k.qw * W_g)[iv.idx]
             mean_W[gsl] = W_g[iv.idx]
     return MeanShift(grid=fluid.grid, mean_X=mean_X, mean_W=mean_W)

@@ -53,7 +53,7 @@ class ValidationReport:
 
 
 def validate(spec: ModelSpec) -> ValidationReport:
-    """Check positivity and initial-condition assumptions on a dense grid."""
+    """Check positivity, finiteness and initial conditions on a dense grid."""
     report = ValidationReport()
     for name in ("horizon", "mu", "x0", "var_x0", "c_lambda"):
         if not np.isfinite(getattr(spec, name)):
@@ -66,11 +66,13 @@ def validate(spec: ModelSpec) -> ValidationReport:
 
     if spec.mu <= 0:
         report.violations.append("service rate mu > 0 fails")
-    # written as not-all-positive so that nan values fail
-    if not np.all(spec.arrival_rate(grid) > 0):
-        report.violations.append("lambda_inf > 0 fails")
-    if not np.all(spec.staffing(grid) > 0):
-        report.violations.append("s_inf > 0 fails")
+    # written as not-all-inside so that nan values fail
+    for name, fn in (("lambda", spec.arrival_rate), ("s", spec.staffing)):
+        values = np.asarray(fn(grid), dtype=float)
+        if not np.all(values > 0):
+            report.violations.append(f"{name}_inf > 0 fails")
+        if not np.all(values < np.inf):
+            report.violations.append(f"{name}_sup < inf fails")
     if spec.c_lambda < 0:
         report.violations.append("c_lambda >= 0 fails")
     if spec.var_x0 < 0:

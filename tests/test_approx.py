@@ -52,6 +52,17 @@ def test_truncated_against_quadrature():
         assert vl == pytest.approx(lo2_q - lo_q ** 2, abs=1e-9)
 
 
+@pytest.mark.parametrize("m, v, a", [(400.0, 600.0, 200.0), (260.0, 80.0, 200.0)])
+def test_min_part_variance_far_below_the_mean(m, v, a):
+    # scale n = 200: a second moment built from m^2 + v would cancel terms
+    # of order n^2; the reference integrates the deficit z = a - Y directly
+    sd = np.sqrt(v)
+    mom = [quad(lambda z: z ** k * norm.pdf(a - z, m, sd), 0.0, np.inf, epsabs=0.0)[0]
+           for k in (1, 2)]
+    assert truncated_moments(m, v, a)[3] == pytest.approx(mom[1] - mom[0] ** 2,
+                                                    rel=1e-9, abs=0.0)
+
+
 def test_truncated_monte_carlo():
     rng = np.random.default_rng(11)
     y = rng.normal(1.0, 2.0, 10_000_000)

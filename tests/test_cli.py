@@ -129,6 +129,10 @@ def test_compare_pass_and_fail(tmp_path, capsys):
     ({"horizon": float("inf")}, "horizon must be finite"),
     ({"lambda": {"kind": "sinusoid", "params": {"a": float("nan"), "b": 0.6}}},
      "lambda_inf > 0 fails"),
+    ({"lambda": {"kind": "constant", "params": {"value": float("inf")}}},
+     "lambda_sup < inf fails"),
+    ({"staffing": {"kind": "constant", "params": {"value": float("inf")}}},
+     "s_sup < inf fails"),
 ])
 def test_non_finite_number_is_invalid_model(tmp_path, capsys, overrides, violation):
     # json reads NaN and Infinity; validate must not let them through
@@ -167,6 +171,16 @@ def test_coarse_grid_step_is_config_error(tmp_path, capsys, step):
     err = capsys.readouterr().err
     assert "grid step" in err
     assert "Traceback" not in err
+
+
+def test_simulate_takes_no_grid_step(tmp_path, capsys):
+    # the simulator solves no fluid model, so it has no fluid grid
+    cfg = _write_config(tmp_path, horizon=1.0)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--out", str(tmp_path), "--n", "5",
+              "--grid-step", "0.002"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid-step" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():

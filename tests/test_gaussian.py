@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tvqueue.fluid import solve_fluid
-from tvqueue.functions import ConstantFn
+from tvqueue.functions import ConstantFn, SinusoidFn
 from tvqueue.gaussian import (
     build_kernels,
     mean_shift_refined,
@@ -15,7 +17,7 @@ from tvqueue.gaussian import (
     write_gaussian_csv,
 )
 from tvqueue.model import ModelSpec
-from tvqueue.patience import ExponentialPatience
+from tvqueue.patience import ExponentialPatience, H2Patience
 
 
 # ---------------------------------------------------------------- closed forms
@@ -136,19 +138,33 @@ def test_ul_variance_against_quadrature(sine_h2_spec, sine_h2_fluid):
         assert got == pytest.approx(oracle, abs=1e-8)
 
 
-def test_ul_variance_constant_closed_form():
-    spec = ModelSpec(ConstantFn(0.5), ConstantFn(1.0), 1.0,
-                     ExponentialPatience(1.0), 6.0, c_lambda=2.0)
+def _ul_constant_error(lam, mu, horizon):
+    """Largest error of var_UL against its closed form under constant
+    arrivals with c_lambda = 2 and var_x0 = 0.25, and the interval span."""
+    spec = ModelSpec(ConstantFn(lam), ConstantFn(1.0), mu,
+                     ExponentialPatience(1.0), horizon, c_lambda=2.0)
     fl = solve_fluid(spec)
     iv = fl.intervals[0]
     assert iv.kind == "UL"
     var_X = var_UL(spec, iv, 0.0, 0.25)
-    lam, mu, c2 = 0.5, 1.0, 4.0
+    c2 = 4.0
     tau = iv.t_loc - iv.start
     expect = ((c2 - 1.0) * lam / (2 * mu) * (1 - np.exp(-2 * mu * tau))
               + lam / mu * (1 - np.exp(-mu * tau))
               + 0.25 * np.exp(-2 * mu * tau))
-    assert np.max(np.abs(var_X - expect)) < 1e-8
+    return np.max(np.abs(var_X - expect)), tau[-1]
+
+
+def test_ul_variance_constant_closed_form():
+    assert _ul_constant_error(0.5, 1.0, 6.0)[0] < 1e-8
+
+
+def test_ul_variance_overflow_safe_filter():
+    # 2 mu T = 600: exp(2 mu tau) would overflow the one-quadrature filter,
+    # so var_UL takes the exact-decay recursion for the 2 mu term
+    err, span = _ul_constant_error(5.0, 10.0, 30.0)
+    assert 2 * 10.0 * span >= 500.0
+    assert err < 1e-8
 
 
 def test_waiting_sde_monte_carlo(sine_h2_fluid):
@@ -204,6 +220,37 @@ def test_variance_continuity_at_switches(sine_h2_gaussian):
         i = np.searchsorted(fl.grid, start)
         left = gs.var_X[max(i - 1, 0)]
         assert v0 == pytest.approx(left, rel=1e-3, abs=1e-4)
+
+
+def test_propagate_forms_no_age_matrix(sine_h2_spec):
+    # the age integrals are the fluid solution's (fluid.age_integrals):
+    # propagate evaluates lambda, Fc and f on 1-D time grids only
+    ndims = []
+
+    class Rate(SinusoidFn):
+        def __call__(self, t):
+            ndims.append(("lambda", np.ndim(t)))
+            return super().__call__(t)
+
+    class Patience(H2Patience):
+        def survival(self, x):
+            ndims.append(("Fc", np.ndim(x)))
+            return super().survival(x)
+
+        def pdf(self, x):
+            ndims.append(("f", np.ndim(x)))
+            return super().pdf(x)
+
+    spec = dataclasses.replace(
+        sine_h2_spec,
+        arrival_rate=Rate(**dataclasses.asdict(sine_h2_spec.arrival_rate)),
+        patience=Patience(**dataclasses.asdict(sine_h2_spec.patience)))
+    fl = solve_fluid(spec)
+    assert ("lambda", 2) in ndims       # the recording sees the fluid's pass
+    ndims.clear()
+    propagate(fl)
+    assert {name for name, _ in ndims} == {"lambda", "Fc", "f"}
+    assert max(d for _, d in ndims) == 1
 
 
 def test_mean_shift_requires_refined_terms(stationary_ol_fluid):
