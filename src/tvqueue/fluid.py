@@ -9,7 +9,9 @@ stretches it integrates the head-of-line waiting-time ODE
 with a classical fixed-step RK4 scheme, locating every regime switch by
 bisection.  One age-integral pass per OL interval (age_integrals) gives
 the queue content, the abandonment rate and the Fc^2 integral of the
-Gaussian noise terms; the potential wait inverts L(t) = t - w(t).
+Gaussian noise terms; it reduces the (points x ages) products in blocks
+of rows, so memory stays bounded on long intervals.  The potential wait
+inverts L(t) = t - w(t).
 
 Each interval also carries its local grid: its start, the global grid
 points inside it and its end, with near-duplicate times dropped; an OL
@@ -44,6 +46,7 @@ _SWITCH_TOL = 1e-10       # bisection tolerance for switching times
 _QTILDE_FLOOR = 1e-12     # minimum admissible boundary density
 _QUAD_NODES = 129         # Simpson nodes for the age integrals (odd)
 _DEDUPE_TOL = 1e-9        # local-grid times closer than this are merged
+_ROW_BLOCK = 2048         # age_integrals rows reduced at a time
 _XI = np.linspace(0.0, 1.0, _QUAD_NODES)
 
 
@@ -409,18 +412,24 @@ def _extend_ol(ctx, t_end, w_end, loc_t, loc_w, loc_wd):
 def age_integrals(rate, patience, t, w):
     """(Q, alpha, Q2): per i, the integrals over ages x in [0, w[i]] of
     rate(t[i] - x) times Fc(x), f(x) and Fc(x)^2, by Simpson on a scaled
-    unit grid; the products are formed in place to bound memory."""
-    x = w[:, None] * _XI[None, :]
-    arrived = np.asarray(rate(t[:, None] - x), dtype=float)
-    dens = np.asarray(patience.pdf(x), dtype=float)
-    dens *= arrived
-    alpha = simpson(dens, x=_XI, axis=1) * w
-    del dens
-    fc = np.asarray(patience.survival(x), dtype=float)
-    arrived *= fc
-    Q = simpson(arrived, x=_XI, axis=1) * w
-    arrived *= fc
-    return Q, alpha, simpson(arrived, x=_XI, axis=1) * w
+    unit grid.  Rows are independent: they are reduced _ROW_BLOCK at a
+    time, with the products formed in place, to bound memory."""
+    Q, alpha, Q2 = (np.empty(len(t)) for _ in range(3))
+    for lo in range(0, len(t), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        wb = w[rows]
+        x = wb[:, None] * _XI[None, :]
+        arrived = np.asarray(rate(t[rows, None] - x), dtype=float)
+        dens = np.asarray(patience.pdf(x), dtype=float)
+        dens *= arrived
+        alpha[rows] = simpson(dens, x=_XI, axis=1) * wb
+        del dens
+        fc = np.asarray(patience.survival(x), dtype=float)
+        arrived *= fc
+        Q[rows] = simpson(arrived, x=_XI, axis=1) * wb
+        arrived *= fc
+        Q2[rows] = simpson(arrived, x=_XI, axis=1) * wb
+    return Q, alpha, Q2
 
 
 def write_fluid_csv(solution: FluidSolution, path):

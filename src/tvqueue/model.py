@@ -8,7 +8,6 @@ instead of raising, so callers can show all problems at once.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -125,16 +124,12 @@ def write_columns(path, columns):
     """Write a CSV table, one column per entry of the name -> values dict.
 
     Float columns are written as %.10g; integer and string columns are
-    written as they are.
+    written as they are.  Each row is one %-format string with the
+    `\r\n` line ends of `csv.writer`; no cell is quoted, so names and
+    string cells must hold no comma, quote or line break.
     """
-    cells = []
-    for col in columns.values():
-        col = np.asarray(col)
-        if col.dtype.kind == "f":
-            cells.append([f"{v:.10g}" for v in col.tolist()])
-        else:
-            cells.append(col.tolist())
+    cells = [np.asarray(col) for col in columns.values()]
+    row = ",".join("%.10g" if col.dtype.kind == "f" else "%s" for col in cells) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*cells))
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(row % r for r in zip(*(col.tolist() for col in cells)))

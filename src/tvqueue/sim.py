@@ -11,6 +11,11 @@ decrease below B forces busy servers out; which ones does not matter in
 law, for the same reason.  Every replication keeps integer counters, so
 flow conservation holds exactly, and the whole path is a deterministic
 function of the seed.
+
+A batch of replications builds what depends only on (spec, n, horizon)
+once: the thinning envelope and the staffing epochs.  Each replication
+then does only its own random work, and its departure clock reads the
+next value of a buffered block of exponential draws.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "SimPath",
     "SimEstimate",
     "Moments",
+    "arrival_envelope",
     "gen_arrivals",
     "staffing_epochs",
     "run_replication",
@@ -62,32 +68,45 @@ class SimConfig:
         return np.linspace(0.0, m * self.obs_step, m + 1)
 
 
-def gen_arrivals(spec: ModelSpec, n: int, rng: np.random.Generator,
-                 horizon: float) -> np.ndarray:
-    """Arrival epochs of a Poisson process with rate n lambda(t) on
-    [0, horizon], by thinning against a per-chunk constant envelope."""
+def arrival_envelope(spec: ModelSpec, horizon: float):
+    """(edges, env): chunk edges of [0, horizon] and a constant bound on
+    lambda over each chunk, for thinning (Lewis & Shedler 1979).
+
+    The bound is the largest of 257 samples of lambda plus half a sample
+    spacing times the largest sampled |lambda'|.
+    """
     edges = np.linspace(0.0, horizon, 65)
     bps = np.asarray(spec.arrival_rate.breakpoints(), dtype=float)
     bps = bps[(bps > 0.0) & (bps < horizon)]
     if len(bps):
         edges = np.union1d(edges, bps)
-    out = []
-    for a, b in zip(edges[:-1], edges[1:]):
+    env = np.empty(len(edges) - 1)
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         ts = np.linspace(a, b, 257)
         lam = np.asarray(spec.arrival_rate(ts), dtype=float)
         slope = np.max(np.abs(np.asarray(spec.arrival_rate.deriv(ts), dtype=float)))
-        env = np.max(lam) + 0.5 * (b - a) / 256.0 * slope + 1e-12
-        count = rng.poisson(n * env * (b - a))
+        env[k] = np.max(lam) + 0.5 * (b - a) / 256.0 * slope + 1e-12
+    return edges, env
+
+
+def gen_arrivals(spec: ModelSpec, n: int, rng: np.random.Generator,
+                 envelope) -> np.ndarray:
+    """Arrival epochs of a Poisson process with rate n lambda(t) on the
+    span of the envelope's edges, by thinning against its per-chunk
+    constant bound (see `arrival_envelope`)."""
+    edges, env = envelope
+    cands, draws = [], []
+    for a, b, e in zip(edges[:-1].tolist(), edges[1:].tolist(), env.tolist()):
+        count = rng.poisson(n * e * (b - a))
         if count == 0:
             continue
-        cand = np.sort(rng.uniform(a, b, count))
-        accept = rng.uniform(0.0, 1.0, count) * env < np.asarray(
-            spec.arrival_rate(cand), dtype=float
-        )
-        out.append(cand[accept])
-    if not out:
+        cands.append(np.sort(rng.uniform(a, b, count)))
+        draws.append(rng.uniform(0.0, 1.0, count) * e)
+    if not cands:
         return np.empty(0)
-    return np.concatenate(out)
+    cand = np.concatenate(cands)
+    accept = np.concatenate(draws) < np.asarray(spec.arrival_rate(cand), dtype=float)
+    return cand[accept]
 
 
 def staffing_epochs(spec: ModelSpec, n: int, horizon: float):
@@ -138,23 +157,40 @@ class SimPath:
         return self.X - (self.x0 + self.N - self.D - self.A - self.forced)
 
 
-def run_replication(config: SimConfig, seed: int) -> SimPath:
-    """One exact sample path, observed on the configured grid."""
+def _fixed_setup(config: SimConfig):
+    """What every replication of a config shares: the arrival envelope and
+    the staffing epochs, which depend on (spec, n, horizon) alone."""
+    spec, T = config.spec, config.spec.horizon
+    return arrival_envelope(spec, T), staffing_epochs(spec, config.n, T)
+
+
+def _exponentials(rng: np.random.Generator):
+    """Standard exponentials of rng, drawn in blocks of 1024; numpy's
+    block and single draws give the same sequence."""
+    while True:
+        yield from rng.standard_exponential(1024).tolist()
+
+
+def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
+    """One exact sample path, observed on the configured grid.
+
+    `fixed` is `_fixed_setup(config)`, built here when not given; a batch
+    builds it once for all its replications.
+    """
     spec = config.spec
     n = config.n
     mu = spec.mu
-    T = spec.horizon
+    envelope, (st_times, st_levels) = _fixed_setup(config) if fixed is None else fixed
     ss = np.random.SeedSequence(seed)
     rng_arr, rng_srv, rng_pat = [np.random.default_rng(s) for s in ss.spawn(3)]
 
-    arrivals = gen_arrivals(spec, n, rng_arr, T)
+    arrivals = gen_arrivals(spec, n, rng_arr, envelope)
     patience = spec.patience.sample(rng_pat, len(arrivals)) if len(arrivals) else np.empty(0)
     # per arrival: epoch, abandonment deadline and queue exit epoch (entry
     # or abandonment; None while waiting); inf marks "no more arrivals"
     arr = arrivals.tolist() + [inf]
     deadline = (arrivals + patience).tolist()
     left = [None] * len(arrivals)
-    st_times, st_levels = staffing_epochs(spec, n, T)
     st_times = st_times.tolist() + [inf]
     st_levels = st_levels.tolist()
 
@@ -168,8 +204,10 @@ def run_replication(config: SimConfig, seed: int) -> SimPath:
     slots = []
     rows, waits = [], []
 
+    exp_draw = _exponentials(rng_srv).__next__
+
     def clock(now, busy):
-        return now + rng_srv.standard_exponential() / (mu * busy) if busy else inf
+        return now + exp_draw() / (mu * busy) if busy else inf
 
     def admit_head(now):
         nonlocal head, Qlen, B, cE
@@ -325,8 +363,9 @@ class SimEstimate:
 def _replicate_batch(args):
     config, seeds = args
     mm = {name: Moments(len(config.obs_grid())) for name in _TRACKED}
+    fixed = _fixed_setup(config)
     for seed in seeds:
-        path = run_replication(config, seed)
+        path = run_replication(config, seed, fixed)
         for name in _TRACKED:
             mm[name].add(getattr(path, name))
     return mm

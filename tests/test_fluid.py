@@ -6,6 +6,7 @@ from tvqueue.fluid import (
     StaffingInfeasibleError,
     _Ctx,
     _rk4_step,
+    age_integrals,
     solve_fluid,
     ul_content,
     write_fluid_csv,
@@ -244,3 +245,17 @@ def test_scalar_fallback_matches_fast_path():
     np.testing.assert_allclose(b.switch_times, a.switch_times, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b.w, a.w, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b.X, a.X, rtol=0, atol=1e-12)
+
+
+def test_age_integrals_rows_independent_of_blocks(sine_h2_spec):
+    # rows are reduced in blocks: the rows around each block edge, taken
+    # alone, give the values of the whole 5000-point call
+    t = np.linspace(2.0, 16.0, 5000)
+    w = 0.5 + 0.4 * np.sin(t)
+    rate, pat = sine_h2_spec.arrival_rate, sine_h2_spec.patience
+    whole = age_integrals(rate, pat, t, w)
+    for edge in (2048, 4096):
+        rows = slice(edge - 3, edge + 3)
+        alone = age_integrals(rate, pat, t[rows], w[rows])
+        for got, ref in zip(alone, whole):
+            assert np.array_equal(got, ref[rows])

@@ -10,6 +10,7 @@ from tvqueue.patience import ExponentialPatience
 from tvqueue.sim import (
     Moments,
     SimConfig,
+    arrival_envelope,
     estimate,
     gen_arrivals,
     run_replication,
@@ -30,10 +31,11 @@ def test_arrival_counts_match_integrated_rate():
                      ExponentialPatience(0.5), 6.0)
     n, draws = 40, 300
     rng = np.random.default_rng(5)
+    envelope = arrival_envelope(spec, 6.0)
     total = np.empty(draws)
     window = np.empty(draws)
     for i in range(draws):
-        a = gen_arrivals(spec, n, rng, 6.0)
+        a = gen_arrivals(spec, n, rng, envelope)
         total[i] = len(a)
         window[i] = np.sum((a >= 2.0) & (a < 4.0))
     lam_total = n * (6.0 - 0.6 * (np.cos(6.0) - 1.0))
@@ -46,9 +48,65 @@ def test_arrival_counts_match_integrated_rate():
 
 def test_arrivals_sorted_within_chunks_and_positive():
     spec = _mmn_spec(2.0, 1.0)
-    a = gen_arrivals(spec, 100, np.random.default_rng(0), 4.0)
+    a = gen_arrivals(spec, 100, np.random.default_rng(0), arrival_envelope(spec, 4.0))
     assert np.all(a >= 0.0) and np.all(a <= 4.0)
     assert np.all(np.diff(a) >= 0.0)
+
+
+def test_block_and_single_exponential_draws_agree():
+    # the departure clock reads exponentials drawn in blocks of 1024; a
+    # seeded path equals the one drawn a value at a time only while
+    # numpy's block and single draws give the same sequence
+    for seed in (0, 7):
+        single = np.random.default_rng(seed)
+        block = np.random.default_rng(seed)
+        ones = [single.standard_exponential() for _ in range(2500)]
+        blocks = np.concatenate([block.standard_exponential(1024) for _ in range(3)])
+        assert ones == blocks[:2500].tolist()
+
+
+def _staffed_spec():
+    return ModelSpec(SinusoidFn(1.0, 0.6), SinusoidFn(1.0, 0.3, 1.0, -0.5), 1.0,
+                     ExponentialPatience(0.5), 3.0)
+
+
+def test_batch_builds_fixed_setup_once(monkeypatch):
+    # the envelope and the staffing epochs depend on (spec, n, horizon)
+    # alone: a batch of 5 replications builds each once
+    calls = {"envelope": 0, "epochs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr("tvqueue.sim.arrival_envelope",
+                        counted("envelope", arrival_envelope))
+    monkeypatch.setattr("tvqueue.sim.staffing_epochs",
+                        counted("epochs", staffing_epochs))
+    estimate(SimConfig(_staffed_spec(), n=20, reps=5))
+    assert calls == {"envelope": 1, "epochs": 1}
+
+
+def test_batch_paths_equal_single_replications(monkeypatch):
+    # the shared set-up changes no path: each replication of a batch
+    # equals run_replication(config, seed) building its own set-up
+    config = SimConfig(_staffed_spec(), n=20, reps=4, base_seed=11)
+    seen = {}
+
+    def recorded(config, seed, *rest):
+        seen[seed] = path = run_replication(config, seed, *rest)
+        return path
+
+    monkeypatch.setattr("tvqueue.sim.run_replication", recorded)
+    estimate(config)
+    assert sorted(seen) == [11, 12, 13, 14]
+    for seed, path in seen.items():
+        alone = run_replication(config, seed)
+        for name in ("X", "Q", "B", "W", "V", "s", "N", "D", "A", "E", "forced"):
+            assert np.array_equal(getattr(path, name), getattr(alone, name),
+                                  equal_nan=True), (seed, name)
 
 
 def test_staffing_epochs_linear():
