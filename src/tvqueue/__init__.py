@@ -13,7 +13,7 @@ from .fluid import (
     solve_fluid,
 )
 from .functions import ConstantFn, LinearFn, PiecewisePolyFn, SinusoidFn, SmoothFn
-from .gaussian import GaussianSolution, build_kernels, propagate
+from .gaussian import GaussianSolution, propagate
 from .model import ModelSpec, ValidationReport, load_spec, spec_from_dict, validate
 from .patience import (
     ExponentialPatience,

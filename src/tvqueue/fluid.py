@@ -36,7 +36,6 @@ __all__ = [
     "CriticalLoadingError",
     "BoundaryDensityError",
     "solve_fluid",
-    "ul_content",
     "write_fluid_csv",
 ]
 
@@ -182,24 +181,6 @@ class _Ctx:
                 f"staffing infeasible in overload: b(t,0) <= 0 at t={t:.6f}"
             )
         return 1.0 - b / q
-
-
-def ul_content(spec: ModelSpec, t: float, x0: float, interval_start: float = 0.0) -> float:
-    """X(t) in a UL interval by quadrature of the linear-ODE solution.
-
-    Independent of the RK4 sweep: uses Gauss-Legendre on the convolution
-    integral, with time measured from interval_start.
-    """
-    mu = spec.mu
-    tau = t - interval_start
-    if tau < 0:
-        raise ValueError("t precedes the interval start")
-    if tau == 0:
-        return x0
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    u = interval_start + 0.5 * tau * (nodes + 1.0)
-    integrand = np.exp(-mu * (t - u)) * np.asarray(spec.arrival_rate(u), dtype=float)
-    return float(x0 * np.exp(-mu * tau) + 0.5 * tau * np.dot(weights, integrand))
 
 
 def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:

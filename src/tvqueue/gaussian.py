@@ -1,17 +1,17 @@
 """Second-order (Gaussian) approximation: variance and covariance grids.
 
-Overloaded intervals carry the full kernel machinery: the relaxation
-exponent h, the propagator H(t,u) = Hc(t)/Hc(u), the three noise
-intensities (arrival, service, abandonment) and the cumulative
-quadratures built from them.  Underloaded intervals use the closed-form
-infinite-server variances.  Every interval is solved on the local grid
-the fluid solution gives it (FluidInterval.t_loc) and read back onto the
-global grid through its index map (FluidInterval.idx); the 1-D kernels
-also span an OL grid's continuation past the horizon.  The queue-noise
-age integrals are the fluid's (Q_loc, Q2_loc); no age matrix is formed
-here.  propagate() walks the interval partition and hands the content
-variance at each switching point to the next interval as its
-initial-condition variance.
+Overloaded intervals carry the kernel grids: the relaxation exponent h,
+its cumulative integral G with Hc = exp(G), the three noise intensities
+(arrival, service, abandonment) and the cumulative quadratures built
+from them.  Underloaded intervals use the closed-form infinite-server
+variances.  Every interval is solved on the local grid the fluid
+solution gives it (FluidInterval.t_loc) and read back onto the global
+grid through its index map (FluidInterval.idx); the 1-D kernels also
+span an OL grid's continuation past the horizon.  The queue-noise age
+integrals are the fluid's (Q_loc, Q2_loc); no age matrix is formed here.
+propagate() walks the interval partition and hands the content variance
+at each switching point to the next interval as its initial-condition
+variance.
 
 Queue-length and in-service variances are deliberately not emitted as
 limit quantities: the limits are discontinuous at switching points.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, cumulative_simpson, simpson
+from scipy.integrate import cumulative_trapezoid, cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from .fluid import UL, FluidInterval, FluidSolution, age_integrals
@@ -33,18 +33,12 @@ __all__ = [
     "IntervalKernels",
     "GaussianSolution",
     "MeanShift",
-    "build_kernels",
-    "var_W_star",
-    "var_X_star",
-    "var_X_star_kernel",
     "var_W_V",
     "var_UL",
     "propagate",
     "mean_shift_refined",
     "write_gaussian_csv",
 ]
-
-_KERNEL_NODES = 801     # Simpson nodes for the kernel cross-check integrals
 
 
 def _cumquad(y, x):
@@ -78,64 +72,6 @@ class IntervalKernels:
     Isq: np.ndarray         # I1^2 + I2^2 + I3^2
     Fwc: np.ndarray         # exp(-int of the hazard at w): initial-content survival
 
-    @property
-    def start(self):
-        return self.interval.start
-
-    def _G_at(self, t):
-        return np.interp(t, self.t, self.G)
-
-    def _w_at(self, t):
-        return np.interp(t, self.t, self.w)
-
-    def _qw_at(self, t):
-        t = np.asarray(t, dtype=float)
-        wv = self._w_at(t)
-        return np.asarray(self.spec.arrival_rate(t - wv), dtype=float) * np.asarray(
-            self.spec.patience.survival(wv), dtype=float
-        )
-
-    def H(self, t, u):
-        """Propagator of the waiting-time deviation from time u to t."""
-        return np.exp(self._G_at(t) - self._G_at(u))
-
-    def K(self, i, t, u):
-        """Content-deviation kernels K_i(t, u), scalar t, vectorized u.
-
-        For the arrival and abandonment sources the kernel is piecewise:
-        mass that entered after t - w(t) is still in queue and is weighted
-        by its own survival; older mass acts through the waiting-time
-        deviation, routed along u -> L^{-1}(u) and propagated by H.
-        """
-        u = np.asarray(u, dtype=float)
-        spec = self.spec
-        t = float(t)
-        wt = self._w_at(t)
-        qwt = float(self._qw_at(t))
-        lam_u = np.asarray(spec.arrival_rate(u), dtype=float)
-        if i == 2:
-            sv = np.asarray(spec.staffing(u), dtype=float)
-            return -qwt * np.sqrt(spec.mu * sv) / self._qw_at(u) * self.H(t, u)
-        split = t - wt
-        age = t - u
-        Fc_age = np.asarray(spec.patience.survival(age), dtype=float)
-        F_age = np.asarray(spec.patience.cdf(age), dtype=float)
-        if i == 1:
-            upper = spec.c_lambda * np.sqrt(lam_u) * Fc_age
-        else:
-            upper = -np.sqrt(lam_u * Fc_age * F_age)
-        r = self.interval.l_inverse(u)
-        wr = self._w_at(r)
-        Fcwr = np.asarray(spec.patience.survival(wr), dtype=float)
-        qwr = np.asarray(spec.arrival_rate(r - wr), dtype=float) * Fcwr
-        Hr = self.H(t, r)
-        if i == 1:
-            lower = spec.c_lambda * np.sqrt(lam_u) * Fcwr / qwr * qwt * Hr
-        else:
-            Fwr = np.asarray(spec.patience.cdf(wr), dtype=float)
-            lower = -np.sqrt(lam_u * Fcwr * Fwr) / qwr * qwt * Hr
-        return np.where(u > split, upper, lower)
-
     @staticmethod
     def build(interval: FluidInterval, spec: ModelSpec):
         t, w, wdot = interval.t_loc, interval.w_loc, interval.wdot_loc
@@ -164,11 +100,6 @@ class IntervalKernels:
         )
 
 
-def build_kernels(fluid: FluidSolution) -> list:
-    """Kernel grids for all OL intervals of the fluid solution, in order."""
-    return [IntervalKernels.build(iv, fluid.spec) for iv in fluid.ol_intervals()]
-
-
 def _var_w_star_parts(k: IntervalKernels):
     """Per-source waiting-time deviation variances on the interval grid.
 
@@ -180,12 +111,6 @@ def _var_w_star_parts(k: IntervalKernels):
     for Ii in (k.I1, k.I2, k.I3):
         parts.append(scale * _cumquad(Ii ** 2 / k.Hc ** 2, k.tau))
     return parts
-
-
-def var_W_star(kernels: IntervalKernels) -> np.ndarray:
-    """Variance of the scaled head-of-line waiting-time deviation."""
-    p1, p2, p3 = _var_w_star_parts(kernels)
-    return p1 + p2 + p3
 
 
 def _var_x_star_parts(k: IntervalKernels, w_parts):
@@ -200,38 +125,9 @@ def _var_x_star_parts(k: IntervalKernels, w_parts):
     return part_lam, part_s, part_a
 
 
-def var_X_star(kernels: IntervalKernels) -> np.ndarray:
-    """Variance of the scaled content deviation, zero-start version, on
-    the local points up to the interval's end."""
-    pl, ps, pa = _var_x_star_parts(kernels, _var_w_star_parts(kernels))
-    return pl + ps + pa
-
-
-def var_X_star_kernel(kernels: IntervalKernels, times) -> np.ndarray:
-    """Content-deviation variance by direct quadrature of the squared
-    kernels; an independent route used to cross-check var_X_star."""
-    k = kernels
-    out = np.empty(len(np.atleast_1d(times)))
-    for j, tt in enumerate(np.atleast_1d(times)):
-        tt = float(tt)
-        total = 0.0
-        split = tt - float(k._w_at(tt))
-        u_hi = np.linspace(split, tt, _KERNEL_NODES)
-        vals = k.K(1, tt, u_hi) ** 2 + k.K(3, tt, u_hi) ** 2
-        total += simpson(vals, x=u_hi)
-        if split > k.start + 1e-12:
-            u_lo = np.linspace(k.start, split, _KERNEL_NODES)
-            vals = k.K(1, tt, u_lo) ** 2 + k.K(3, tt, u_lo) ** 2
-            total += simpson(vals, x=u_lo)
-        u_all = np.linspace(k.start, tt, _KERNEL_NODES)
-        total += simpson(k.K(2, tt, u_all) ** 2, x=u_all)
-        out[j] = total
-    return out
-
-
 def var_W_V(kernels: IntervalKernels, vws: np.ndarray, varX0: float):
     """(var_W, var_V, var_Vstar) on the local points up to the interval's
-    end, from the zero-start head-of-line variance vws = var_W_star(kernels).
+    end, from vws, the zero-start head-of-line variance on the local grid.
 
     The potential-waiting variance reads the head-of-line variance at the
     virtual exit time t + v(t) = L^{-1}(t), which the continuation past

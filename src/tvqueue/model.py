@@ -95,6 +95,9 @@ def validate(spec: ModelSpec) -> ValidationReport:
 
 def spec_from_dict(cfg: dict) -> ModelSpec:
     """Build a ModelSpec from the documented config mapping."""
+    for name in ("lambda", "staffing", "patience"):
+        if not isinstance(cfg[name], dict):
+            raise ValueError(f"config section {name!r} must be a JSON object")
     return ModelSpec(
         arrival_rate=fn_from_config(cfg["lambda"]),
         staffing=fn_from_config(cfg["staffing"]),

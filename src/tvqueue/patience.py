@@ -117,6 +117,9 @@ class TabulatedPatience(PatienceDist):
     def __init__(self, x, F):
         x = np.asarray(x, dtype=float)
         F = np.asarray(F, dtype=float)
+        if x.ndim != 1 or x.shape != F.shape or len(x) < 2:
+            raise ValueError("tabulated cdf needs x and F as 1-D lists of the "
+                             "same length, at least 2")
         if x[0] != 0.0 or F[0] != 0.0:
             raise ValueError("tabulated cdf must start at F(0) = 0")
         if np.any(np.diff(x) <= 0) or np.any(np.diff(F) < 0):
@@ -172,7 +175,7 @@ class TabulatedPatience(PatienceDist):
     def sample(self, rng, size):
         u = rng.random(size)
         # invert the tabulated part by bisection, the tail analytically
-        out = np.empty(size if np.ndim(size) == 0 else size)
+        out = np.empty(size)
         flat = np.atleast_1d(out)
         uu = np.atleast_1d(u)
         in_table = uu <= self.F[-1]

@@ -16,17 +16,12 @@ import pytest
 from tvqueue.compare import compare
 from tvqueue.fluid import solve_fluid
 from tvqueue.functions import ConstantFn, SinusoidFn
-from tvqueue.gaussian import (
-    build_kernels,
-    mean_shift_refined,
-    propagate,
-    var_W_star,
-    var_X_star,
-    var_X_star_kernel,
-)
+from tvqueue.gaussian import mean_shift_refined, propagate
 from tvqueue.model import ModelSpec
 from tvqueue.patience import ExponentialPatience, h2_from_scv
 from tvqueue.sim import SimConfig, run_replication, write_path_csv
+
+from oracles import first_ol_kernels, var_X_star_kernel
 
 
 def _sine_h2_spec():
@@ -93,9 +88,10 @@ def test_criterion_3_kernel_identity(capsys):
     # the single-quadrature variance equals the squared-kernel integrals
     t0 = time.perf_counter()
     fl = solve_fluid(_sine_h2_spec())
-    k = build_kernels(fl)[0]
-    times = np.linspace(k.start + 0.5, k.t[-1] - 0.1, 9)
-    direct = np.interp(times, k.t, var_X_star(k))
+    gs = propagate(fl)
+    k = first_ol_kernels(fl)
+    times = np.linspace(k.t[0] + 0.5, k.t[-1] - 0.1, 9)
+    direct = np.interp(times, gs.grid, gs.var_Xstar)
     kernel = var_X_star_kernel(k, times)
     rel = float(np.max(np.abs(kernel / direct - 1.0)))
     elapsed = time.perf_counter() - t0
@@ -111,13 +107,14 @@ def test_criterion_4_waiting_sde_oracle(capsys):
     # 1e-3, against the quadrature variance at t = 0.5, 1, 2
     t0 = time.perf_counter()
     fl = solve_fluid(_stationary_spec(horizon=3.0), step=1e-3)
-    k = build_kernels(fl)[0]
-    vws = var_W_star(k)
+    gs = propagate(fl)
+    k = first_ol_kernels(fl)
     sig = np.sqrt(k.Isq)
     paths = 100_000
     rng = np.random.default_rng(2024)
     W = np.zeros(paths)
-    targets = {tt: float(np.interp(tt, k.tau, vws)) for tt in (0.5, 1.0, 2.0)}
+    targets = {tt: float(np.interp(tt, gs.grid, gs.var_Wstar))
+               for tt in (0.5, 1.0, 2.0)}
     got, se = {}, {}
     probes = {int(round(tt / 1e-3)): tt for tt in (0.5, 1.0, 2.0)}
     for i in range(1, len(k.tau)):

@@ -65,10 +65,32 @@ def test_missing_config_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_malformed_config(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["fluid", "--config", str(bad), "--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize("overrides", [
+    pytest.param(None, id="not_json"),
+    pytest.param({"lambda": 1.0}, id="lambda_number"),
+    pytest.param({"patience": None}, id="patience_null"),
+    pytest.param({"patience": ["exponential"]}, id="patience_list"),
+])
+def test_malformed_config(tmp_path, capsys, overrides):
+    if overrides is None:
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        cfg = str(bad)
+    else:
+        cfg = _write_config(tmp_path, **overrides)
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if overrides is not None:
+        section, = overrides
+        assert f"config section {section!r} must be a JSON object" in err
+
+
+def test_bad_tabulated_table_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, patience={
+        "kind": "tabulated", "params": {"x": [], "F": []}})
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "1-D lists of the same length" in capsys.readouterr().err
 
 
 def test_invalid_model(tmp_path, capsys):

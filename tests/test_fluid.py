@@ -8,12 +8,13 @@ from tvqueue.fluid import (
     _rk4_step,
     age_integrals,
     solve_fluid,
-    ul_content,
     write_fluid_csv,
 )
 from tvqueue.functions import ConstantFn, LinearFn, PiecewisePolyFn, SinusoidFn, SmoothFn
 from tvqueue.model import ModelSpec
 from tvqueue.patience import ExponentialPatience, PatienceDist, TabulatedPatience
+
+from oracles import ul_content
 
 # regime switch times of the sinusoidal H2 model, frozen from two runs at
 # step 1e-3 and 5e-4 (agreement < 5e-9)

@@ -6,18 +6,17 @@ import pytest
 from tvqueue.fluid import solve_fluid
 from tvqueue.functions import ConstantFn, SinusoidFn
 from tvqueue.gaussian import (
-    build_kernels,
+    _var_w_star_parts,
     mean_shift_refined,
     propagate,
     var_UL,
-    var_W_star,
     var_W_V,
-    var_X_star,
-    var_X_star_kernel,
     write_gaussian_csv,
 )
 from tvqueue.model import ModelSpec
 from tvqueue.patience import ExponentialPatience, H2Patience
+
+from oracles import H, first_ol_kernels, var_X_star_kernel
 
 
 # ---------------------------------------------------------------- closed forms
@@ -27,7 +26,7 @@ from tvqueue.patience import ExponentialPatience, H2Patience
 
 
 def test_stationary_kernel_ingredients(stationary_ol_fluid):
-    k = build_kernels(stationary_ol_fluid)[0]
+    k = first_ol_kernels(stationary_ol_fluid)
     assert k.h[-1] == pytest.approx(-0.5, abs=1e-6)
     assert k.qw[-1] == pytest.approx(1.0, abs=1e-6)
     assert k.Isq[-1] == pytest.approx(2.0, abs=1e-5)
@@ -61,12 +60,13 @@ def test_stationary_potential_wait_limit(stationary_ol_gaussian):
 
 
 def test_propagator_semigroup(sine_h2_fluid):
-    k = build_kernels(sine_h2_fluid)[0]
-    t0, t1 = k.start, k.t[-1]
+    # the kernel oracle's propagator
+    k = first_ol_kernels(sine_h2_fluid)
+    t0, t1 = k.t[0], k.t[-1]
     r = 0.5 * (t0 + t1)
     for tt in np.linspace(t0, t1, 7):
-        lhs = k.H(tt, t0)
-        rhs = k.H(tt, r) * k.H(r, t0)
+        lhs = H(k, tt, t0)
+        rhs = H(k, tt, r) * H(k, r, t0)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -77,27 +77,29 @@ def test_variance_additivity(sine_h2_gaussian):
     assert np.max(np.abs(total - gs.var_Xstar[ol])) < 1e-12
 
 
-def test_direct_vs_kernel_route(sine_h2_fluid):
+def test_direct_vs_kernel_route(sine_h2_gaussian):
     # two independent evaluations of the content-deviation variance
-    k = build_kernels(sine_h2_fluid)[0]
+    gs = sine_h2_gaussian
     times = np.array([2.0, 2.5, 3.0, 3.5])
-    direct = np.interp(times, k.t, var_X_star(k))
-    kernel = var_X_star_kernel(k, times)
+    direct = np.interp(times, gs.grid, gs.var_Xstar)
+    kernel = var_X_star_kernel(first_ol_kernels(gs.fluid), times)
     assert np.max(np.abs(kernel / direct - 1.0)) < 1e-6
 
 
 def test_initial_content_survival_exponential(stationary_ol_fluid):
     # constant hazard theta: the survival factor is exactly exp(-theta tau)
-    k = build_kernels(stationary_ol_fluid)[0]
+    k = first_ol_kernels(stationary_ol_fluid)
     assert np.max(np.abs(k.Fwc - np.exp(-0.5 * k.tau))) < 1e-10
     # interpolated between grid points, one time unit into the interval
-    assert np.interp(k.start + 1.0, k.t, k.Fwc) == pytest.approx(np.exp(-0.5), abs=1e-9)
+    assert np.interp(k.t[0] + 1.0, k.t, k.Fwc) == pytest.approx(np.exp(-0.5), abs=1e-9)
 
 
 def test_waiting_potential_identity(sine_h2_fluid):
     # var_Vstar(t) (1 - wdot(t+v))^2 equals var_Wstar read at t + v(t)
-    k = build_kernels(sine_h2_fluid)[0]
-    vws = var_W_star(k)
+    # vws is read on the local grid, past the horizon too
+    k = first_ol_kernels(sine_h2_fluid)
+    p1, p2, p3 = _var_w_star_parts(k)
+    vws = p1 + p2 + p3
     vw, vv, vvs = var_W_V(k, vws, 0.0)
     u = k.interval.l_inverse(k.t)
     ok = (u <= k.t[-1]) & (k.tau > 0.1)
@@ -117,12 +119,10 @@ def test_initial_condition_terms():
     assert gs.var_W[0] == pytest.approx(0.5 / 1.5 ** 2, abs=1e-9)
     # on the OL grid the content variance is the zero-start variance plus
     # the initial variance thinned by the initial-content survival
-    k = build_kernels(fl)[0]
-    iv = k.interval
-    ts = fl.grid[iv.i0 : iv.i1 + 1]
-    m = iv.n_in             # var_X_star covers the local points up to end
-    shifted = np.interp(ts, k.t[:m], var_X_star(k) + 0.5 * k.Fwc[:m] ** 2)
-    assert np.max(np.abs(gs.var_X[iv.i0 : iv.i1 + 1] - shifted)) < 1e-12
+    iv = fl.ol_intervals()[0]
+    sl = slice(iv.i0, iv.i1 + 1)
+    shifted = gs.var_Xstar[sl] + 0.5 * gs.Fwc[sl] ** 2
+    assert np.max(np.abs(gs.var_X[sl] - shifted)) < 1e-12
 
 
 def test_ul_variance_against_quadrature(sine_h2_spec, sine_h2_fluid):
@@ -167,23 +167,26 @@ def test_ul_variance_overflow_safe_filter():
     assert err < 1e-8
 
 
-def test_waiting_sde_monte_carlo(sine_h2_fluid):
+def test_waiting_sde_monte_carlo(sine_h2_gaussian):
     # Euler scheme for dW = h W dt + |I| dB reproduces var_Wstar within 3 SE
-    k = build_kernels(sine_h2_fluid)[0]
+    gs = sine_h2_gaussian
+    k = first_ol_kernels(gs.fluid)
+    iv = k.interval
     t, h, sig = k.tau, k.h, np.sqrt(k.Isq)
     rng = np.random.default_rng(42)
     paths = 40000
     W = np.zeros(paths)
     checks = {}
     targets = {}
-    probe = [len(t) // 3, 2 * len(t) // 3, len(t) - 1]
-    vws = var_W_star(k)
+    # probes at global grid points: a third and two thirds in, and the last
+    n = len(iv.idx)
+    probe = {int(iv.idx[j]): iv.i0 + j for j in (n // 3, 2 * n // 3, n - 1)}
     for i in range(1, len(t)):
         dt = t[i] - t[i - 1]
         W += h[i - 1] * W * dt + sig[i - 1] * np.sqrt(dt) * rng.standard_normal(paths)
         if i in probe:
             checks[i] = np.var(W, ddof=1)
-            targets[i] = vws[i]
+            targets[i] = gs.var_Wstar[probe[i]]
     for i in probe:
         se = checks[i] * np.sqrt(2.0 / (paths - 1))
         assert abs(checks[i] - targets[i]) < 3.0 * se
@@ -205,11 +208,10 @@ def test_cauchy_schwarz(sine_h2_gaussian):
 
 def test_cov_is_boundary_density_times_var(sine_h2_gaussian):
     gs = sine_h2_gaussian
-    k = build_kernels(gs.fluid)[0]
-    iv = k.interval
-    ts = gs.grid[iv.i0 : iv.i1 + 1]
-    expect = np.interp(ts, k.t, k.qw * var_W_star(k))
-    assert np.allclose(gs.cov_XW[iv.i0 : iv.i1 + 1], expect)
+    iv = gs.fluid.ol_intervals()[0]
+    sl = slice(iv.i0, iv.i1 + 1)
+    expect = gs.fluid.qtilde_w[sl] * gs.var_Wstar[sl]
+    assert np.allclose(gs.cov_XW[sl], expect)
 
 
 def test_variance_continuity_at_switches(sine_h2_gaussian):

@@ -103,6 +103,9 @@ def test_tabulated_validation():
         TabulatedPatience([0.0, 1.0], [0.1, 0.5])     # F(0) != 0
     with pytest.raises(ValueError):
         TabulatedPatience([0.0, 1.0], [0.0, 1.0])     # Fc hits 0
+    for x, F in ((5.0, 0.0), ([], []), ([0.0, 1.0], [0.0])):
+        with pytest.raises(ValueError, match="1-D lists of the same length"):
+            TabulatedPatience(x, F)
 
 
 def test_config_dispatch():
