@@ -10,10 +10,10 @@ in underloaded interiors, where the refinement offers nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .gaussian import GaussianSolution
 from .model import staffing_level, write_columns
@@ -26,14 +26,22 @@ __all__ = [
 ]
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+_SQRT2 = math.sqrt(2.0)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _ndtr(d):
+    """Standard normal cdf, 0.5 erfc(-d / sqrt 2), elementwise."""
+    return 0.5 * np.asarray(_erfc(-d / _SQRT2), dtype=float)
 
 
 def _excess(diff, sd):
     """(E[Z^+], Var[Z^+]) of a normal Z with mean diff and sd > 0."""
     d = diff / sd
     phi = np.exp(-0.5 * d * d) / _SQRT2PI
-    Phi = ndtr(d)
-    e1 = sd * (phi + d * Phi)
+    Phi = _ndtr(d)
+    # phi + d Phi cancels for d << 0; it is nonnegative in exact arithmetic
+    e1 = sd * np.maximum(phi + d * Phi, 0.0)
     e2 = sd * sd * ((1.0 + d * d) * Phi + d * phi)
     return e1, np.maximum(e2 - e1 ** 2, 0.0)
 

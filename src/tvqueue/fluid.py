@@ -9,9 +9,11 @@ stretches it integrates the head-of-line waiting-time ODE
 with a classical fixed-step RK4 scheme, locating every regime switch by
 bisection.  One age-integral pass per OL interval (age_integrals) gives
 the queue content, the abandonment rate and the Fc^2 integral of the
-Gaussian noise terms; it reduces the (points x ages) products in blocks
-of rows, so memory stays bounded on long intervals.  The potential wait
-inverts L(t) = t - w(t).
+Gaussian noise terms, by composite Simpson weights on a fixed unit age
+grid; it reduces the (points x ages) products in blocks of rows, so
+memory stays bounded on long intervals.  The cumulative flows (arrivals,
+departures, abandonments) are cumulative trapezoids.  The potential
+wait inverts L(t) = t - w(t).
 
 Each interval also carries its local grid: its start, the global grid
 points inside it and its end, with near-duplicate times dropped; an OL
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
 
 from .model import ModelSpec, validate, write_columns
 
@@ -47,6 +48,10 @@ _QUAD_NODES = 129         # Simpson nodes for the age integrals (odd)
 _DEDUPE_TOL = 1e-9        # local-grid times closer than this are merged
 _ROW_BLOCK = 2048         # age_integrals rows reduced at a time
 _XI = np.linspace(0.0, 1.0, _QUAD_NODES)
+# composite Simpson weights on _XI: h/3 * (1, 4, 2, 4, ..., 2, 4, 1)
+_SIMPSON_W = np.where(np.arange(_QUAD_NODES) % 2 == 1, 4.0, 2.0)
+_SIMPSON_W[[0, -1]] = 1.0
+_SIMPSON_W *= (_XI[1] - _XI[0]) / 3.0
 
 
 class StaffingInfeasibleError(RuntimeError):
@@ -118,8 +123,10 @@ class FluidSolution:
         return [iv for iv in self.intervals if iv.kind == OL]
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
+def _rk4_step(f, t, y, h, k1=None):
+    """One RK4 step; k1 = f(t, y) when the caller already has it."""
+    if k1 is None:
+        k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
@@ -258,9 +265,9 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
         B[sl] = svals
         v[sl] = iv.l_inverse(ts) - ts
 
-    Lam = np.concatenate([[0.0], cumulative_trapezoid(lam_grid, grid)])
-    D = np.concatenate([[0.0], cumulative_trapezoid(spec.mu * B, grid)])
-    A = np.concatenate([[0.0], cumulative_trapezoid(alpha, grid)])
+    Lam = cumulative_trapezoid(lam_grid, grid)
+    D = cumulative_trapezoid(spec.mu * B, grid)
+    A = cumulative_trapezoid(alpha, grid)
 
     return FluidSolution(
         spec=spec,
@@ -321,14 +328,15 @@ def _sweep_ol(ctx, grid, w, wdot, start, k):
     loc_t = [start]
     loc_w = [0.0]
     loc_wd = [ctx.ol_rhs(start, 0.0)]
-    t_prev, w_prev = start, 0.0
+    # f_prev = ol_rhs(t_prev, w_prev): the next step's k1
+    t_prev, w_prev, f_prev = start, 0.0, loc_wd[0]
     if k <= n and abs(grid[k] - start) < 1e-14:
         w[k] = 0.0
         wdot[k] = loc_wd[0]
         t_prev = grid[k]
         k += 1
     while k <= n:
-        w_new = _rk4_step(ctx.ol_rhs, t_prev, w_prev, grid[k] - t_prev)
+        w_new = _rk4_step(ctx.ol_rhs, t_prev, w_prev, grid[k] - t_prev, f_prev)
         if w_new <= 0.0:
             if w_prev <= 0.0:
                 raise CriticalLoadingError(
@@ -350,13 +358,13 @@ def _sweep_ol(ctx, grid, w, wdot, start, k):
             iv = FluidInterval(OL, start, tau, i0, k - 1)
             return tau, k, ctx.s(tau), _attach_local(iv, grid, loc_t, loc_w, loc_wd)
         w[k] = w_new
-        wdot[k] = ctx.ol_rhs(grid[k], w_new)
+        wdot[k] = f_prev = ctx.ol_rhs(grid[k], w_new)
         loc_t.append(grid[k])
         loc_w.append(w_new)
-        loc_wd.append(wdot[k])
+        loc_wd.append(f_prev)
         t_prev, w_prev = grid[k], w_new
         k += 1
-    _extend_ol(ctx, grid[n], w_prev, loc_t, loc_w, loc_wd)
+    _extend_ol(ctx, grid[n], w_prev, f_prev, loc_t, loc_w, loc_wd)
     iv = FluidInterval(OL, start, grid[n], i0, n)
     return grid[n], n + 1, np.nan, _attach_local(iv, grid, loc_t, loc_w, loc_wd)
 
@@ -377,17 +385,18 @@ def _attach_local(iv, grid, loc_t, loc_w=None, loc_wd=None):
     return iv
 
 
-def _extend_ol(ctx, t_end, w_end, loc_t, loc_w, loc_wd):
+def _extend_ol(ctx, t_end, w_end, f_end, loc_t, loc_w, loc_wd):
     """Continue the local grid lists past the horizon until L(t) covers
-    the whole interval."""
+    the whole interval; f_end = ol_rhs(t_end, w_end)."""
     h = 1e-3
-    t, wv = t_end, w_end
+    t, wv, fv = t_end, w_end, f_end
     while t - wv < t_end and wv > 0.0 and t < t_end + 1000.0:
-        wv = max(_rk4_step(ctx.ol_rhs, t, wv, h), 0.0)
+        wv = max(_rk4_step(ctx.ol_rhs, t, wv, h, fv), 0.0)
         t += h
+        fv = ctx.ol_rhs(t, wv)
         loc_t.append(t)
         loc_w.append(wv)
-        loc_wd.append(ctx.ol_rhs(t, wv))
+        loc_wd.append(fv)
 
 
 def age_integrals(rate, patience, t, w):
@@ -403,14 +412,25 @@ def age_integrals(rate, patience, t, w):
         arrived = np.asarray(rate(t[rows, None] - x), dtype=float)
         dens = np.asarray(patience.pdf(x), dtype=float)
         dens *= arrived
-        alpha[rows] = simpson(dens, x=_XI, axis=1) * wb
+        alpha[rows] = _simpson(dens) * wb
         del dens
         fc = np.asarray(patience.survival(x), dtype=float)
         arrived *= fc
-        Q[rows] = simpson(arrived, x=_XI, axis=1) * wb
+        Q[rows] = _simpson(arrived) * wb
         arrived *= fc
-        Q2[rows] = simpson(arrived, x=_XI, axis=1) * wb
+        Q2[rows] = _simpson(arrived) * wb
     return Q, alpha, Q2
+
+
+def _simpson(m):
+    """Simpson's rule over _XI along each row of m; a row's sum does not
+    depend on the rows around it."""
+    return (m * _SIMPSON_W).sum(axis=1)
+
+
+def cumulative_trapezoid(y, x):
+    """Cumulative trapezoid integral of samples y over x, from 0 at x[0]."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
 def write_fluid_csv(solution: FluidSolution, path):

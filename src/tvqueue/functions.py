@@ -4,7 +4,9 @@ Closed-form families (constant, linear, sinusoid) plus piecewise
 polynomials.  Every function exposes vectorized value and derivative
 evaluation on [0, horizon]; sinusoids and polynomials extend naturally
 beyond the horizon, which the fluid solver uses when a waiting-time
-profile has to be continued past the end of the grid.
+profile has to be continued past the end of the grid.  CubicHermite,
+the interpolant of tabulated patience cdfs and of the Gaussian layer's
+grid functions, has the same interface.
 The fluid solver's RK4 sweep evaluates one time at a time through
 `scalar` / `scalar_deriv`, which every family computes with plain
 `math` instead of a one-element numpy array.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -173,6 +176,92 @@ class PiecewisePolyFn(SmoothFn):
 
     def breakpoints(self):
         return np.asarray(self.knots[1:-1], dtype=float)
+
+
+class CubicHermite(SmoothFn):
+    """Piecewise cubic through (x[i], y[i]) with slope dydx[i] at each x[i].
+
+    Each piece is stored as power coefficients in the local variable
+    x - x[i], highest power first, and summed from the lowest power up.
+    The end pieces continue past the first and last knot.
+    """
+
+    def __init__(self, x, y, dydx):
+        x, y, dydx = (np.asarray(a, dtype=float) for a in (x, y, dydx))
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+        self._dc = self.c[:-1] * np.array([[3.0], [2.0], [1.0]])
+
+    def _eval(self, t, c):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.x) - 2)
+        u = t - self.x[i]
+        out = c[-1][i]
+        z = u
+        for row in c[-2::-1]:
+            out = out + row[i] * z
+            z = z * u
+        return out
+
+    def __call__(self, t):
+        return self._eval(t, self.c)
+
+    def deriv(self, t):
+        return self._eval(t, self._dc)
+
+    def scalar(self, t):
+        i = min(max(bisect_right(self._knots, t) - 1, 0), len(self._pieces) - 1)
+        u = t - self._knots[i]
+        acc = 0.0
+        z = 1.0
+        for c in reversed(self._pieces[i]):
+            acc = acc + c * z
+            z *= u
+        return acc
+
+    # the knots and pieces as plain floats, for the scalar path
+    @cached_property
+    def _knots(self):
+        return self.x.tolist()
+
+    @cached_property
+    def _pieces(self):
+        return self.c.T.tolist()
+
+
+def monotone_slopes(x, y):
+    """Knot slopes that keep a cubic Hermite interpolant of monotone data
+    monotone (PCHIP, Fritsch & Carlson 1980): zero at a local extremum or
+    next to a flat segment, else the weighted harmonic mean of the
+    adjacent secants; at the ends a one-sided three-point slope, limited
+    to keep the shape; the secant when there are two points."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(x) == 2:
+        return np.array([m[0], m[0]])
+    d = np.zeros_like(y)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+    ma, mb = m[:-1][smooth], m[1:][smooth]
+    d[1:-1][smooth] = 1.0 / ((w1[smooth] / ma + w2[smooth] / mb) / (w1[smooth] + w2[smooth]))
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _end_slope(h0, h1, m0, m1):
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 _KINDS = {

@@ -3,8 +3,11 @@
 Overloaded intervals carry the kernel grids: the relaxation exponent h,
 its cumulative integral G with Hc = exp(G), the three noise intensities
 (arrival, service, abandonment) and the cumulative quadratures built
-from them.  Underloaded intervals use the closed-form infinite-server
-variances.  Every interval is solved on the local grid the fluid
+from them, all by a cumulative Simpson rule on the irregular local
+grid.  The potential-wait variance reads them at exit times through
+cubic Hermite interpolants whose slopes come from the ODEs.
+Underloaded intervals use the closed-form infinite-server variances.
+Every interval is solved on the local grid the fluid
 solution gives it (FluidInterval.t_loc) and read back onto the global
 grid through its index map (FluidInterval.idx); the 1-D kernels also
 span an OL grid's continuation past the horizon.  The queue-noise age
@@ -23,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, cumulative_simpson
-from scipy.interpolate import CubicSpline
 
-from .fluid import UL, FluidInterval, FluidSolution, age_integrals
+from .fluid import UL, FluidInterval, FluidSolution, age_integrals, cumulative_trapezoid
+from .functions import CubicHermite
 from .model import ModelSpec, write_columns
 
 __all__ = [
@@ -42,10 +44,34 @@ __all__ = [
 
 
 def _cumquad(y, x):
-    """Cumulative integral of samples y over x, fourth order when possible."""
+    """Cumulative integral of samples y over x, from 0 at x[0].
+
+    Each step's area is that of the quadratic through three consecutive
+    samples: the step that begins a triple and, for the step after it,
+    the triple read backwards; the last step takes the backward triple
+    (cumulative Simpson on an irregular grid, Cartwright 2017).  Below
+    three samples, trapezoids.
+    """
     if len(x) < 3:
-        return cumulative_trapezoid(y, x, initial=0.0)
-    return cumulative_simpson(y, x=x, initial=0.0)
+        return cumulative_trapezoid(y, x)
+    dx = np.diff(x)
+    fwd = _first_step_areas(y, dx)
+    back = _first_step_areas(y[::-1], dx[::-1])[::-1]
+    steps = np.empty(len(dx))
+    steps[:-1:2] = fwd[::2]
+    steps[1::2] = back[::2]
+    steps[-1] = back[-1]
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def _first_step_areas(y, dx):
+    """Per triple of samples, the area over its first step of the
+    quadratic through all three."""
+    x21, x32 = dx[:-1], dx[1:]
+    r31 = x21 / (x21 + x32)
+    r32 = x21 / x32
+    r = r31 * r32
+    return x21 / 6 * ((3 - r31) * y[:-2] + (3 + r + r31) * y[1:-1] - r * y[2:])
 
 
 @dataclass
@@ -70,7 +96,8 @@ class IntervalKernels:
     I2: np.ndarray          # service noise intensity
     I3: np.ndarray          # abandonment noise intensity
     Isq: np.ndarray         # I1^2 + I2^2 + I3^2
-    Fwc: np.ndarray         # exp(-int of the hazard at w): initial-content survival
+    hFw: np.ndarray         # patience hazard at the boundary age w
+    Fwc: np.ndarray         # exp(-int of hFw): initial-content survival
 
     @staticmethod
     def build(interval: FluidInterval, spec: ModelSpec):
@@ -96,7 +123,7 @@ class IntervalKernels:
         Fwc = np.exp(-_cumquad(hFw, tau))
         return IntervalKernels(
             interval=interval, spec=spec, t=t, tau=tau, w=w, wdot=wdot, qw=qw,
-            h=h, G=G, Hc=Hc, I1=I1, I2=I2, I3=I3, Isq=Isq, Fwc=Fwc,
+            h=h, G=G, Hc=Hc, I1=I1, I2=I2, I3=I3, Isq=Isq, hFw=hFw, Fwc=Fwc,
         )
 
 
@@ -131,20 +158,19 @@ def var_W_V(kernels: IntervalKernels, vws: np.ndarray, varX0: float):
 
     The potential-waiting variance reads the head-of-line variance at the
     virtual exit time t + v(t) = L^{-1}(t), which the continuation past
-    the horizon keeps on the local grid.
+    the horizon keeps on the local grid.  It is read through cubic
+    Hermite interpolants whose knot slopes are the exact ODE derivatives,
+    d vws/dt = 2 h vws + Isq and d Fwc/dt = -hFw Fwc, and for wdot a
+    second-order finite difference.
     """
     k = kernels
     m = k.interval.n_in
     var_W = vws[:m] + varX0 * k.Fwc[:m] ** 2 / k.qw[:m] ** 2
     u = np.minimum(k.interval.l_inverse(k.t[:m]), k.t[-1])
-    if len(k.t) >= 4:
-        vws_u = CubicSpline(k.t, vws)(u)
-        wdot_u = CubicSpline(k.t, k.wdot)(u)
-        fwc_u = CubicSpline(k.t, k.Fwc)(u)
-    else:
-        vws_u = np.interp(u, k.t, vws)
-        wdot_u = np.interp(u, k.t, k.wdot)
-        fwc_u = np.interp(u, k.t, k.Fwc)
+    vws_u = CubicHermite(k.t, vws, 2.0 * k.h * vws + k.Isq)(u)
+    wddot = np.gradient(k.wdot, k.t, edge_order=2 if len(k.t) > 2 else 1)
+    wdot_u = CubicHermite(k.t, k.wdot, wddot)(u)
+    fwc_u = CubicHermite(k.t, k.Fwc, -k.hFw * k.Fwc)(u)
     b0_u = np.asarray(k.spec.staffing(u), dtype=float) * k.spec.mu + np.asarray(
         k.spec.staffing.deriv(u), dtype=float
     )

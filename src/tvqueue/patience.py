@@ -1,7 +1,9 @@
 """Patience (abandonment) distributions.
 
 Families: exponential, two-phase hyperexponential (H2), and tabulated
-cdfs interpolated by a monotone cubic so the hazard stays continuous.
+cdfs interpolated by a monotone cubic (functions.CubicHermite with the
+Fritsch-Carlson slopes of functions.monotone_slopes) so the hazard stays
+continuous.
 All evaluators are vectorized; `survival_scalar` evaluates one point
 with plain `math` for the fluid solver's RK4 sweep.
 """
@@ -9,11 +11,11 @@ with plain `math` for the fluid solver's RK4 sweep.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+
+from .functions import CubicHermite, monotone_slopes
 
 __all__ = [
     "PatienceDist",
@@ -108,7 +110,7 @@ class H2Patience(PatienceDist):
 
 
 class TabulatedPatience(PatienceDist):
-    """User-tabulated cdf, interpolated monotone-cubically.
+    """User-tabulated cdf, interpolated by a monotone cubic Hermite (PCHIP).
 
     The analytic derivative of the interpolant supplies the density, which
     keeps the hazard continuous on the tabulated range.
@@ -128,16 +130,12 @@ class TabulatedPatience(PatienceDist):
             raise ValueError("tabulated cdf must keep Fc > 0 on the table range")
         self.x = x
         self.F = F
-        self._interp = PchipInterpolator(x, F)
-        self._dinterp = self._interp.derivative()
+        self._interp = CubicHermite(x, F, monotone_slopes(x, F))
         # beyond the table: exponential tail matching the terminal hazard
-        self._tail_rate = float(self._dinterp(x[-1]) / (1.0 - F[-1]))
+        self._tail_rate = float(self._interp.deriv(x[-1]) / (1.0 - F[-1]))
         if self._tail_rate <= 0:
             raise ValueError("terminal hazard must be positive for the tail extension")
-        # the interpolant's breakpoints and per-interval power coefficients
-        # (highest power first, in x - breakpoint) as plain floats
-        self._knots = self._interp.x.tolist()
-        self._pieces = self._interp.c.T.tolist()
+        self._x_end = float(x[-1])
         self._F_end = float(F[-1])
 
     def cdf(self, x):
@@ -150,24 +148,16 @@ class TabulatedPatience(PatienceDist):
         return np.where(x <= self.x[-1], inside, tail)
 
     def survival_scalar(self, x):
-        x_end = self._knots[-1]
-        if x > x_end:
-            cdf = 1.0 - (1.0 - self._F_end) * math.exp(-self._tail_rate * (x - x_end))
+        if x > self._x_end:
+            cdf = 1.0 - (1.0 - self._F_end) * math.exp(-self._tail_rate * (x - self._x_end))
         else:
-            # clip to the table and sum the powers in the interpolant's order
-            x = max(x, self._knots[0])
-            i = min(bisect_right(self._knots, x) - 1, len(self._pieces) - 1)
-            u = x - self._knots[i]
-            cdf = 0.0
-            z = 1.0
-            for c in reversed(self._pieces[i]):
-                cdf = cdf + c * z
-                z *= u
+            # clip to the table: the first piece would continue below x = 0
+            cdf = self._interp.scalar(max(x, 0.0))
         return 1.0 - cdf
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        inside = self._dinterp(np.clip(x, self.x[0], self.x[-1]))
+        inside = self._interp.deriv(np.clip(x, self.x[0], self.x[-1]))
         past = np.maximum(x - self.x[-1], 0.0)
         tail = (1.0 - self.F[-1]) * self._tail_rate * np.exp(-self._tail_rate * past)
         return np.where(x <= self.x[-1], inside, tail)

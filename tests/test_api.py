@@ -1,6 +1,12 @@
 import ast
 import importlib
+import json
+import math
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -32,3 +38,44 @@ def test_package_imports_resolve():
         mod = importlib.import_module(f"tvqueue.{module}")
         assert name in mod.__all__, f"tvqueue.{module}.{name}"
         assert getattr(tvqueue, name) is getattr(mod, name)
+
+
+# piecewise-polynomial arrivals with a tabulated patience cdf: an approx
+# run on it reaches every quadrature, interpolant and normal-cdf routine
+_X = [0.5 * i for i in range(21)]
+PIECEWISE_TAB = {
+    "lambda": {"kind": "piecewise_poly",
+               "params": {"knots": [0.0, 3.0, 6.0, 9.0, 12.0],
+                          "coeffs": [[0.5, 0.2, 0.05], [1.55, 0.0, -0.05],
+                                     [1.10, -0.15, 0.0], [0.65, 0.1, 0.03]]}},
+    "staffing": {"kind": "constant", "params": {"value": 1.0}},
+    "mu": 1.0,
+    "patience": {"kind": "tabulated",
+                 "params": {"x": _X, "F": [1.0 - (1.0 + 0.1 * x) * math.exp(-0.5 * x)
+                                           for x in _X]}},
+    "horizon": 12.0,
+}
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # numpy is the only run-time dependency: a full approx run in a fresh
+    # interpreter must not load scipy
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(PIECEWISE_TAB), encoding="utf-8")
+    code = textwrap.dedent(f"""
+        import json, sys
+        from tvqueue.cli import main
+        code = main(["approx", "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r},
+                     "--n", "200"])
+        print(json.dumps([code, sorted(m for m in sys.modules
+                                       if m == "scipy" or m.startswith("scipy."))]))
+    """)
+    src = str(Path(tvqueue.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code in (0, None)
+    assert (tmp_path / "approx.csv").stat().st_size > 0
+    assert scipy_modules == []

@@ -1,10 +1,47 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
-from tvqueue.approx import report, truncated_moments, write_report_csv
+from tvqueue.approx import _excess, _ndtr, report, truncated_moments, write_report_csv
 from tvqueue.model import staffing_level
+
+
+_D = np.linspace(-38.0, 38.0, 20001)
+
+
+def test_normal_cdf_against_reference():
+    # 0.5 erfc(-d / sqrt 2) and the reference differ by the rounding of the
+    # argument, amplified by about d^2 in the tail; below 1e-300 the cdf is
+    # subnormal and only an absolute bound holds
+    got, want = _ndtr(_D), ndtr(_D)
+    normal = want >= 1e-300
+    assert np.all(normal[_D >= -37.0])
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got[~normal], want[~normal], rtol=0.0, atol=1e-300)
+    np.testing.assert_allclose(got[normal], norm.cdf(_D[normal]), rtol=1e-12, atol=0.0)
+    assert isinstance(float(_ndtr(np.float64(0.3))), float)
+    assert _ndtr(np.array(0.0)) == 0.5
+
+
+def test_excess_against_reference():
+    # E[Z^+] and Var[Z^+] of Z ~ N(d sd, sd^2) from the reference cdf: equal
+    # to 1e-12 where phi + d Phi does not cancel; for d << 0 the cancellation
+    # (a factor of about d^2 in E, d^4 in Var) leaves fewer digits
+    sd = 1.7
+    e1, var = _excess(_D * sd, sd)
+    phi, Phi = norm.pdf(_D), ndtr(_D)
+    ref_e1 = sd * np.maximum(phi + _D * Phi, 0.0)
+    ref_e2 = sd * sd * ((1.0 + _D * _D) * Phi + _D * phi)
+    ref_var = np.maximum(ref_e2 - ref_e1 ** 2, 0.0)
+    assert np.all(e1 >= 0.0) and np.all(var >= 0.0)
+    mild = _D >= -5.0
+    np.testing.assert_allclose(e1[mild], ref_e1[mild], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(var[mild], ref_var[mild], rtol=1e-11, atol=0.0)
+    tail = ~mild & (ref_var >= 1e-300)
+    np.testing.assert_allclose(e1[tail], ref_e1[tail], rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(var[tail], ref_var[tail], rtol=1e-6, atol=0.0)
 
 
 def test_truncated_at_mean():

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from tvqueue.functions import (
     ConstantFn,
+    CubicHermite,
     LinearFn,
     PiecewisePolyFn,
     SinusoidFn,
     fn_from_config,
+    monotone_slopes,
 )
 
 
@@ -55,6 +58,49 @@ def test_piecewise_poly_shape_validation():
         PiecewisePolyFn(knots=(0.0, 10.0, 5.0, 16.0), coeffs=((1.0,), (1.2,), (1.3,)))
     with pytest.raises(ValueError, match="at least one coefficient"):
         PiecewisePolyFn(knots=(0.0, 2.0, 5.0), coeffs=((1.0,), ()))
+
+
+# tables of 2, 3 and 21 points: flat and steep segments, a local extremum
+_X21 = np.linspace(0.0, 10.0, 21)
+_F21 = np.concatenate([1.0 - (1.0 + 0.1 * _X21[:6]) * np.exp(-0.5 * _X21[:6]),
+                       np.full(4, 0.3), np.linspace(0.3, 0.95, 11)])
+_F21[10] = 0.9                                   # a jump of 0.6 over one step
+HERMITE_TABLES = [
+    ([0.0, 1.0], [0.0, 0.4]),
+    ([0.0, 0.5, 2.0], [0.0, 0.3, 0.3]),
+    ([0.0, 0.01, 2.0], [0.0, 0.5, 0.55]),
+    ([0.0, 1.0, 1.5], [1.0, -2.0, 0.5]),
+    (_X21, np.maximum.accumulate(_F21)),
+    (_X21, np.sin(_X21) + 0.1 * _X21),
+]
+
+
+@pytest.mark.parametrize("x, y", HERMITE_TABLES)
+def test_monotone_hermite_against_pchip(x, y):
+    # the same slopes and the same piece sums: agreement to rounding
+    x, y = np.asarray(x), np.asarray(y)
+    ref = PchipInterpolator(x, y)
+    f = CubicHermite(x, y, monotone_slopes(x, y))
+    u = np.concatenate([x, np.linspace(x[0], x[-1], 1001)])
+    np.testing.assert_allclose(f(u), ref(u), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(f.deriv(u), ref.derivative()(u), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose([f.scalar(v) for v in u.tolist()], ref(u), rtol=1e-12, atol=0.0)
+
+
+def test_monotone_hermite_stays_monotone():
+    x, y = _X21, np.maximum.accumulate(_F21)
+    f = CubicHermite(x, y, monotone_slopes(x, y))
+    assert np.all(np.diff(f(np.linspace(0.0, 10.0, 20001))) >= 0.0)
+
+
+def test_hermite_reproduces_a_cubic():
+    # knot values and exact slopes of a cubic give the cubic back
+    x = np.array([0.0, 0.3, 1.1, 2.0])
+    p = np.polynomial.Polynomial([0.5, -1.0, 2.0, 0.7])
+    f = CubicHermite(x, p(x), p.deriv()(x))
+    u = np.linspace(-0.5, 2.5, 61)
+    np.testing.assert_allclose(f(u), p(u), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(f.deriv(u), p.deriv()(u), rtol=1e-12, atol=1e-12)
 
 
 def test_config_dispatch():

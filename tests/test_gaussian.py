@@ -2,10 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
+from scipy.interpolate import CubicSpline
 
 from tvqueue.fluid import solve_fluid
 from tvqueue.functions import ConstantFn, SinusoidFn
 from tvqueue.gaussian import (
+    IntervalKernels,
+    _cumquad,
     _var_w_star_parts,
     mean_shift_refined,
     propagate,
@@ -301,3 +305,33 @@ def test_csv_export(tmp_path, sine_h2_gaussian):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("t,var_X,var_Xstar")
     assert len(lines) == len(sine_h2_gaussian.grid) + 1
+
+
+# ------------------------------------------- quadrature and interpolation ports
+
+@pytest.mark.parametrize("n", [2, 3, 4, 1001])
+def test_cumquad_against_cumulative_simpson(n):
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.001, 1.0, n))
+    y = np.sin(x) + rng.normal(size=n)
+    np.testing.assert_allclose(_cumquad(y, x), cumulative_simpson(y, x=x, initial=0.0),
+                               rtol=1e-12, atol=1e-14)
+
+
+def test_potential_wait_hermite_against_spline(sine_h2_spec, sine_h2_fluid):
+    # the exit-time reads of var_V: Hermite with exact ODE slopes against
+    # the not-a-knot cubic spline through the same samples; they differ by
+    # interpolation error, not rounding (wdot's slopes are finite differences)
+    for iv in sine_h2_fluid.ol_intervals():
+        k = IntervalKernels.build(iv, sine_h2_spec)
+        vws = sum(_var_w_star_parts(k))
+        var_W, var_V, var_Vstar = var_W_V(k, vws, 0.7)
+        m = iv.n_in
+        u = np.minimum(iv.l_inverse(k.t[:m]), k.t[-1])
+        b0 = sine_h2_spec.staffing(u) * sine_h2_spec.mu + sine_h2_spec.staffing.deriv(u)
+        ref_star = (np.maximum(CubicSpline(k.t, vws)(u), 0.0)
+                    / (1.0 - CubicSpline(k.t, k.wdot)(u)) ** 2)
+        ref = ref_star + 0.7 * CubicSpline(k.t, k.Fwc)(u) ** 2 / b0 ** 2
+        np.testing.assert_allclose(var_Vstar, ref_star, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(var_V, ref, rtol=1e-8, atol=0.0)
+        np.testing.assert_array_equal(var_W, vws[:m] + 0.7 * k.Fwc[:m] ** 2 / k.qw[:m] ** 2)

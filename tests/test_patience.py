@@ -79,7 +79,7 @@ def test_tabulated_steep_tail_no_overflow():
     assert d._tail_rate > 1e5
     inside = np.array([0.0, 0.5])
     assert np.array_equal(d.cdf(inside), d._interp(inside))
-    assert np.array_equal(d.pdf(inside), d._dinterp(inside))
+    assert np.array_equal(d.pdf(inside), d._interp.deriv(inside))
     beyond = np.array([1.0 + 1e-6, 1.0 + 2e-6])
     rate = d._tail_rate
     tail_mass = 1.0 - F[-1]
