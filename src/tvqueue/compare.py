@@ -51,15 +51,20 @@ class CompareResult:
         return lines
 
 
+def _away_from_switches(fluid, tg, window):
+    """The points of tg farther than `window` from the start and from
+    every switching time."""
+    cuts = np.concatenate([[0.0], fluid.switch_times])
+    return np.all(np.abs(tg[:, None] - cuts) > window, axis=1)
+
+
 def _base_masks(fluid, gaussian, tg):
     """(Xf, vXf, base, X mask, var_X mask) on the observation grid tg: the
     predicted mean and variance, the points away from the start and the
     switches, and those of them where each prediction is positive."""
     Xf = np.interp(tg, fluid.grid, fluid.X)
     vXf = np.interp(tg, fluid.grid, gaussian.var_X)
-    base = np.ones(len(tg), dtype=bool)
-    for tau in np.concatenate([[0.0], fluid.switch_times]):
-        base &= np.abs(tg - tau) > SWITCH_WINDOW
+    base = _away_from_switches(fluid, tg, SWITCH_WINDOW)
     return Xf, vXf, base, base & (Xf > 1e-9), base & (vXf > 1e-12)
 
 
@@ -72,12 +77,8 @@ def compare_metrics(fluid, gaussian, est):
     Xf, vXf, base, on_X, on_var = _base_masks(fluid, gaussian, tg)
     wf = np.interp(tg, fluid.grid, fluid.w)
     vf = np.interp(tg, fluid.grid, fluid.v)
-    cut_points = np.concatenate([[0.0], fluid.switch_times])
-    wait = np.ones(len(tg), dtype=bool)
-    for tau in cut_points:
-        wait &= np.abs(tg - tau) > WAIT_WINDOW
     ol = np.interp(tg, fluid.grid, fluid.ol.astype(float)) > 0.99
-    wait &= ol & (wf > 1e-9)
+    wait = _away_from_switches(fluid, tg, WAIT_WINDOW) & ol & (wf > 1e-9)
     resolved = est.moments["V"].count >= est.config.reps
     vmask = wait & resolved & np.isfinite(est.mean("V")) & (vf > 1e-9)
 

@@ -4,9 +4,10 @@ Closed-form families (constant, linear, sinusoid) plus piecewise
 polynomials.  Every function exposes vectorized value and derivative
 evaluation on [0, horizon]; sinusoids and polynomials extend naturally
 beyond the horizon, which the fluid solver uses when a waiting-time
-profile has to be continued past the end of the grid.  CubicHermite,
-the interpolant of tabulated patience cdfs and of the Gaussian layer's
-grid functions, has the same interface.
+profile has to be continued past the end of the grid.  Piecewise
+polynomials are also the cubic Hermite interpolant
+(`PiecewisePolyFn.hermite`) of tabulated patience cdfs and of the
+Gaussian layer's grid functions.
 The fluid solver's RK4 sweep evaluates one time at a time through
 `scalar` / `scalar_deriv`, which every family computes with plain
 `math` instead of a one-element numpy array.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -112,124 +113,88 @@ class SinusoidFn(SmoothFn):
         return self.b * self.c * math.cos(self.c * t + self.d)
 
 
-@dataclass(frozen=True)
 class PiecewisePolyFn(SmoothFn):
     """Polynomial pieces on consecutive intervals [knots[i], knots[i+1]].
 
     coeffs[i] holds the coefficients of piece i in increasing-power order,
-    evaluated in the local variable (t - knots[i]).  Evaluation beyond the
-    last knot continues the final piece.
+    evaluated in the local variable u = t - knots[i] and summed from the
+    lowest power up; shorter pieces are padded with zeros to one
+    (pieces x terms) array.  Evaluation before the first knot and beyond
+    the last continues the end pieces.
     """
 
-    knots: tuple = field(default=())
-    coeffs: tuple = field(default=())
-
-    def __post_init__(self):
-        if len(self.knots) != len(self.coeffs) + 1:
+    def __init__(self, knots, coeffs):
+        if not isinstance(coeffs, np.ndarray):
+            if any(len(c) == 0 for c in coeffs):
+                raise ValueError("every piecewise piece needs at least one coefficient")
+            padded = np.zeros((len(coeffs), max(map(len, coeffs), default=1)))
+            for row, c in zip(padded, coeffs):
+                row[: len(c)] = c
+            coeffs = padded
+        knots = np.asarray(knots, dtype=float)
+        if len(coeffs) == 0:
+            raise ValueError("a piecewise polynomial needs at least one piece")
+        if len(knots) != len(coeffs) + 1:
             raise ValueError("need len(knots) == len(coeffs) + 1")
-        if not np.all(np.diff(self.knots) > 0):
-            raise ValueError(f"piecewise knots must increase: {list(self.knots)}")
-        if any(len(c) == 0 for c in self.coeffs):
-            raise ValueError("every piecewise piece needs at least one coefficient")
-        # per-piece derivative coefficients for scalar_deriv
-        dcoeffs = tuple(
-            tuple(k * c[k] for k in range(1, len(c))) or (0.0,) for c in self.coeffs
-        )
-        object.__setattr__(self, "_dcoeffs", dcoeffs)
+        if not np.all(np.diff(knots) > 0):
+            raise ValueError(f"piecewise knots must increase: {knots.tolist()}")
+        self.knots = knots
+        self.coeffs = coeffs
+        self._dcoeffs = np.polynomial.polynomial.polyder(coeffs, axis=1)
 
-    def _piece(self, t):
-        idx = np.searchsorted(self.knots, t, side="right") - 1
-        return np.clip(idx, 0, len(self.coeffs) - 1)
-
-    def _eval(self, t, order):
-        t = np.asarray(t, dtype=float)
-        idx = self._piece(t)
-        out = np.zeros_like(t)
-        for i, c in enumerate(self.coeffs):
-            mask = idx == i
-            if not np.any(mask):
-                continue
-            p = np.polynomial.Polynomial(c).deriv(order) if order else np.polynomial.Polynomial(c)
-            out[mask] = p(t[mask] - self.knots[i])
-        return out
-
-    def __call__(self, t):
-        return self._eval(t, 0)
-
-    def deriv(self, t):
-        return self._eval(t, 1)
-
-    def _scalar_eval(self, t, coeffs):
-        """Horner on the piece holding t, clipped as in `_piece`."""
-        i = min(max(bisect_right(self.knots, t) - 1, 0), len(coeffs) - 1)
-        u = t - self.knots[i]
-        acc = 0.0
-        for c in reversed(coeffs[i]):
-            acc = c + acc * u
-        return acc
-
-    def scalar(self, t):
-        return self._scalar_eval(t, self.coeffs)
-
-    def scalar_deriv(self, t):
-        return self._scalar_eval(t, self._dcoeffs)
-
-    def breakpoints(self):
-        return np.asarray(self.knots[1:-1], dtype=float)
-
-
-class CubicHermite(SmoothFn):
-    """Piecewise cubic through (x[i], y[i]) with slope dydx[i] at each x[i].
-
-    Each piece is stored as power coefficients in the local variable
-    x - x[i], highest power first, and summed from the lowest power up.
-    The end pieces continue past the first and last knot.
-    """
-
-    def __init__(self, x, y, dydx):
+    @classmethod
+    def hermite(cls, x, y, dydx):
+        """Piecewise cubic through (x[i], y[i]) with slope dydx[i] at x[i]."""
         x, y, dydx = (np.asarray(a, dtype=float) for a in (x, y, dydx))
         dx = np.diff(x)
         slope = np.diff(y) / dx
         t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-        self.x = x
-        self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
-        self._dc = self.c[:-1] * np.array([[3.0], [2.0], [1.0]])
+        c2 = (slope - dydx[:-1]) / dx - t
+        return cls(x, np.column_stack((y[:-1], dydx[:-1], c2, t / dx)))
 
     def _eval(self, t, c):
         t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.x) - 2)
-        u = t - self.x[i]
-        out = c[-1][i]
+        i = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, len(c) - 1)
+        u = t - self.knots[i]
+        out = c[i, 0]
         z = u
-        for row in c[-2::-1]:
-            out = out + row[i] * z
+        for k in range(1, c.shape[1]):
+            out = out + c[i, k] * z
             z = z * u
         return out
 
     def __call__(self, t):
-        return self._eval(t, self.c)
+        return self._eval(t, self.coeffs)
 
     def deriv(self, t):
-        return self._eval(t, self._dc)
+        return self._eval(t, self._dcoeffs)
 
-    def scalar(self, t):
-        i = min(max(bisect_right(self._knots, t) - 1, 0), len(self._pieces) - 1)
-        u = t - self._knots[i]
+    def _scalar_eval(self, t, order):
+        """`_eval` of the value (order 0) or the derivative (order 1) at
+        one time, with plain floats."""
+        knots, values, slopes = self._floats
+        i = min(max(bisect_right(knots, t) - 1, 0), len(values) - 1)
+        u = t - knots[i]
         acc = 0.0
         z = 1.0
-        for c in reversed(self._pieces[i]):
+        for c in (slopes if order else values)[i]:
             acc = acc + c * z
             z *= u
         return acc
 
-    # the knots and pieces as plain floats, for the scalar path
-    @cached_property
-    def _knots(self):
-        return self.x.tolist()
+    def scalar(self, t):
+        return self._scalar_eval(t, 0)
+
+    def scalar_deriv(self, t):
+        return self._scalar_eval(t, 1)
 
     @cached_property
-    def _pieces(self):
-        return self.c.T.tolist()
+    def _floats(self):
+        """The knots and the value and derivative pieces as float lists."""
+        return self.knots.tolist(), self.coeffs.tolist(), self._dcoeffs.tolist()
+
+    def breakpoints(self):
+        return self.knots[1:-1].copy()
 
 
 def monotone_slopes(x, y):
@@ -271,8 +236,7 @@ _KINDS = {
         float(p["a"]), float(p["b"]), float(p.get("c", 1.0)), float(p.get("d", 0.0))
     ),
     "piecewise_poly": lambda p: PiecewisePolyFn(
-        tuple(float(k) for k in p["knots"]),
-        tuple(tuple(float(c) for c in cs) for cs in p["coeffs"]),
+        [float(k) for k in p["knots"]], [[float(c) for c in cs] for cs in p["coeffs"]]
     ),
 }
 

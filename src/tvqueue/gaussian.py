@@ -5,7 +5,8 @@ its cumulative integral G with Hc = exp(G), the three noise intensities
 (arrival, service, abandonment) and the cumulative quadratures built
 from them, all by a cumulative Simpson rule on the irregular local
 grid.  The potential-wait variance reads them at exit times through
-cubic Hermite interpolants whose slopes come from the ODEs.
+cubic Hermite interpolants (functions.PiecewisePolyFn.hermite) whose
+slopes come from the ODEs.
 Underloaded intervals use the closed-form infinite-server variances.
 Every interval is solved on the local grid the fluid
 solution gives it (FluidInterval.t_loc) and read back onto the global
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluid import UL, FluidInterval, FluidSolution, age_integrals, cumulative_trapezoid
-from .functions import CubicHermite
+from .functions import PiecewisePolyFn
 from .model import ModelSpec, write_columns
 
 __all__ = [
@@ -167,10 +168,10 @@ def var_W_V(kernels: IntervalKernels, vws: np.ndarray, varX0: float):
     m = k.interval.n_in
     var_W = vws[:m] + varX0 * k.Fwc[:m] ** 2 / k.qw[:m] ** 2
     u = np.minimum(k.interval.l_inverse(k.t[:m]), k.t[-1])
-    vws_u = CubicHermite(k.t, vws, 2.0 * k.h * vws + k.Isq)(u)
+    vws_u = PiecewisePolyFn.hermite(k.t, vws, 2.0 * k.h * vws + k.Isq)(u)
     wddot = np.gradient(k.wdot, k.t, edge_order=2 if len(k.t) > 2 else 1)
-    wdot_u = CubicHermite(k.t, k.wdot, wddot)(u)
-    fwc_u = CubicHermite(k.t, k.Fwc, -k.hFw * k.Fwc)(u)
+    wdot_u = PiecewisePolyFn.hermite(k.t, k.wdot, wddot)(u)
+    fwc_u = PiecewisePolyFn.hermite(k.t, k.Fwc, -k.hFw * k.Fwc)(u)
     b0_u = np.asarray(k.spec.staffing(u), dtype=float) * k.spec.mu + np.asarray(
         k.spec.staffing.deriv(u), dtype=float
     )

@@ -1,9 +1,9 @@
 """Patience (abandonment) distributions.
 
 Families: exponential, two-phase hyperexponential (H2), and tabulated
-cdfs interpolated by a monotone cubic (functions.CubicHermite with the
-Fritsch-Carlson slopes of functions.monotone_slopes) so the hazard stays
-continuous.
+cdfs interpolated by a monotone cubic (functions.PiecewisePolyFn.hermite
+with the Fritsch-Carlson slopes of functions.monotone_slopes) so the
+hazard stays continuous.
 All evaluators are vectorized; `survival_scalar` evaluates one point
 with plain `math` for the fluid solver's RK4 sweep.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import CubicHermite, monotone_slopes
+from .functions import PiecewisePolyFn, monotone_slopes
 
 __all__ = [
     "PatienceDist",
@@ -130,7 +130,7 @@ class TabulatedPatience(PatienceDist):
             raise ValueError("tabulated cdf must keep Fc > 0 on the table range")
         self.x = x
         self.F = F
-        self._interp = CubicHermite(x, F, monotone_slopes(x, F))
+        self._interp = PiecewisePolyFn.hermite(x, F, monotone_slopes(x, F))
         # beyond the table: exponential tail matching the terminal hazard
         self._tail_rate = float(self._interp.deriv(x[-1]) / (1.0 - F[-1]))
         if self._tail_rate <= 0:

@@ -93,6 +93,14 @@ def test_bad_tabulated_table_is_config_error(tmp_path, capsys):
     assert "1-D lists of the same length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["lambda", "staffing"])
+def test_piecewise_poly_without_pieces_is_config_error(tmp_path, capsys, section):
+    cfg = _write_config(tmp_path, **{section: {
+        "kind": "piecewise_poly", "params": {"knots": [0.0], "coeffs": []}}})
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "at least one piece" in capsys.readouterr().err
+
+
 def test_invalid_model(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, **{"lambda": {"kind": "constant", "params": {"value": 0.0}}})

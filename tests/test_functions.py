@@ -1,4 +1,5 @@
 import math
+import pickle
 from itertools import accumulate
 
 import numpy as np
@@ -9,13 +10,13 @@ from scipy.interpolate import PchipInterpolator
 
 from tvqueue.functions import (
     ConstantFn,
-    CubicHermite,
     LinearFn,
     PiecewisePolyFn,
     SinusoidFn,
     fn_from_config,
     monotone_slopes,
 )
+from tvqueue.patience import TabulatedPatience
 
 
 def test_constant():
@@ -58,6 +59,8 @@ def test_piecewise_poly_shape_validation():
         PiecewisePolyFn(knots=(0.0, 10.0, 5.0, 16.0), coeffs=((1.0,), (1.2,), (1.3,)))
     with pytest.raises(ValueError, match="at least one coefficient"):
         PiecewisePolyFn(knots=(0.0, 2.0, 5.0), coeffs=((1.0,), ()))
+    with pytest.raises(ValueError, match="at least one piece"):
+        PiecewisePolyFn(knots=(0.0,), coeffs=())
 
 
 # tables of 2, 3 and 21 points: flat and steep segments, a local extremum
@@ -80,7 +83,7 @@ def test_monotone_hermite_against_pchip(x, y):
     # the same slopes and the same piece sums: agreement to rounding
     x, y = np.asarray(x), np.asarray(y)
     ref = PchipInterpolator(x, y)
-    f = CubicHermite(x, y, monotone_slopes(x, y))
+    f = PiecewisePolyFn.hermite(x, y, monotone_slopes(x, y))
     u = np.concatenate([x, np.linspace(x[0], x[-1], 1001)])
     np.testing.assert_allclose(f(u), ref(u), rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(f.deriv(u), ref.derivative()(u), rtol=1e-12, atol=0.0)
@@ -89,7 +92,7 @@ def test_monotone_hermite_against_pchip(x, y):
 
 def test_monotone_hermite_stays_monotone():
     x, y = _X21, np.maximum.accumulate(_F21)
-    f = CubicHermite(x, y, monotone_slopes(x, y))
+    f = PiecewisePolyFn.hermite(x, y, monotone_slopes(x, y))
     assert np.all(np.diff(f(np.linspace(0.0, 10.0, 20001))) >= 0.0)
 
 
@@ -97,10 +100,31 @@ def test_hermite_reproduces_a_cubic():
     # knot values and exact slopes of a cubic give the cubic back
     x = np.array([0.0, 0.3, 1.1, 2.0])
     p = np.polynomial.Polynomial([0.5, -1.0, 2.0, 0.7])
-    f = CubicHermite(x, p(x), p.deriv()(x))
+    f = PiecewisePolyFn.hermite(x, p(x), p.deriv()(x))
     u = np.linspace(-0.5, 2.5, 61)
     np.testing.assert_allclose(f(u), p(u), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(f.deriv(u), p.deriv()(u), rtol=1e-12, atol=1e-12)
+
+
+def test_pickle_round_trip_is_bit_identical():
+    # `simulate --parallel` pickles the spec into its worker processes
+    x, y = _X21, np.maximum.accumulate(_F21)
+    config_built = fn_from_config({"kind": "piecewise_poly", "params": {
+        "knots": [0.0, 1.0, 3.0], "coeffs": [[1.0, 0.5, -0.25], [1.25]]}})
+    hermite_built = PiecewisePolyFn.hermite(x, y, monotone_slopes(x, y))
+    tab = TabulatedPatience(x, 0.9 * y)
+    u = np.linspace(-1.0, 12.0, 263)
+    vs = u.tolist()
+    for f in (config_built, hermite_built):
+        f.scalar(0.5), f.scalar_deriv(0.5)          # fill the scalar caches
+        g = pickle.loads(pickle.dumps(f))
+        assert np.array_equal(g(u), f(u)) and np.array_equal(g.deriv(u), f.deriv(u))
+        assert [g.scalar(v) for v in vs] == [f.scalar(v) for v in vs]
+        assert [g.scalar_deriv(v) for v in vs] == [f.scalar_deriv(v) for v in vs]
+    tab.survival_scalar(0.5)
+    g = pickle.loads(pickle.dumps(tab))
+    assert np.array_equal(g.cdf(u), tab.cdf(u)) and np.array_equal(g.pdf(u), tab.pdf(u))
+    assert [g.survival_scalar(v) for v in vs] == [tab.survival_scalar(v) for v in vs]
 
 
 def test_config_dispatch():
@@ -154,9 +178,13 @@ def piecewise_and_time(draw):
     start = draw(st.floats(-3.0, 3.0))
     steps = draw(st.lists(st.floats(0.1, 4.0), min_size=m, max_size=m))
     knots = tuple(start + s for s in accumulate(steps, initial=0.0))
-    coeffs = tuple(
-        tuple(draw(st.lists(moderate, min_size=1, max_size=4))) for _ in range(m)
-    )
+    if draw(st.booleans()):
+        values = st.lists(moderate, min_size=m + 1, max_size=m + 1)
+        f = PiecewisePolyFn.hermite(knots, draw(values), draw(values))
+    else:
+        f = PiecewisePolyFn(knots, tuple(
+            tuple(draw(st.lists(moderate, min_size=1, max_size=4))) for _ in range(m)
+        ))
     # before the first knot, exactly on a knot, inside, past the last knot
     t = draw(st.one_of(
         st.floats(knots[0] - 5.0, knots[0]),
@@ -164,7 +192,7 @@ def piecewise_and_time(draw):
         st.floats(knots[0], knots[-1]),
         st.floats(knots[-1], knots[-1] + 5.0),
     ))
-    return PiecewisePolyFn(knots, coeffs), t
+    return f, t
 
 
 def _piece_terms(f, t):
