@@ -8,9 +8,15 @@ departures are one exponential clock of that rate, drawn afresh after
 each departure and whenever B changes (the next-reaction scheme of
 Gibson & Bruck 2000, with one clock for all departures).  A staffing
 decrease below B forces busy servers out; which ones does not matter in
-law, for the same reason.  Every replication keeps integer counters, so
-flow conservation holds exactly, and the whole path is a deterministic
-function of the seed.
+law, for the same reason.
+
+Joining the queue and abandoning it change neither B nor the clock, so
+neither is an event.  The queue is the arrived customers not yet served,
+in arrival order; a server looking for one skips those whose deadline
+has passed.  The integer counters, W and V at each observation are read
+from the epochs of the events (staffing changes, arrivals into a free
+server, departures) after the loop, so flow conservation holds exactly
+and the path is a deterministic function of the seed.
 
 A batch of replications builds what depends only on (spec, n, horizon)
 once: the thinning envelope and the staffing epochs.  Each replication
@@ -20,10 +26,10 @@ next value of a buffered block of exponential draws.
 
 from __future__ import annotations
 
-import heapq
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import floor, inf
+from math import floor, inf, nan
 
 import numpy as np
 
@@ -175,120 +181,113 @@ def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
     """One exact sample path, observed on the configured grid.
 
     `fixed` is `_fixed_setup(config)`, built here when not given; a batch
-    builds it once for all its replications.
+    builds it once for all its replications.  The loop runs the events up
+    to the last observation; the counters, W and V there are read from
+    the recorded epochs after it (see the module docstring).
     """
-    spec = config.spec
-    n = config.n
-    mu = spec.mu
-    envelope, (st_times, st_levels) = _fixed_setup(config) if fixed is None else fixed
+    spec, n, mu = config.spec, config.n, config.spec.mu
+    envelope, (st_t, st_lv) = _fixed_setup(config) if fixed is None else fixed
     ss = np.random.SeedSequence(seed)
     rng_arr, rng_srv, rng_pat = [np.random.default_rng(s) for s in ss.spawn(3)]
 
     arrivals = gen_arrivals(spec, n, rng_arr, envelope)
     patience = spec.patience.sample(rng_pat, len(arrivals)) if len(arrivals) else np.empty(0)
-    # per arrival: epoch, abandonment deadline and queue exit epoch (entry
-    # or abandonment; None while waiting); inf marks "no more arrivals"
+    # per arrival: epoch, abandonment deadline and service entry epoch
+    # (nan if none); a final inf in the first two ends the queue
+    deadlines = arrivals + patience
     arr = arrivals.tolist() + [inf]
-    deadline = (arrivals + patience).tolist()
-    left = [None] * len(arrivals)
-    st_times = st_times.tolist() + [inf]
-    st_levels = st_levels.tolist()
+    deadline = deadlines.tolist() + [inf]
+    left = array("d", [nan]) * len(arrivals)
+    st_times = st_t.tolist() + [inf]
+    st_levels = st_lv.tolist()
+    # departures, staffing epochs that left a server idle, and the number
+    # forced out of service at each staffing epoch
+    deps, idle, cut = array("d"), array("d"), array("q", [0]) * len(st_levels)
 
-    s_now = int(staffing_level(n, float(spec.staffing(0.0))))
+    s0 = s_now = int(staffing_level(n, float(spec.staffing(0.0))))
     x0 = B = min(int(round(n * spec.x0)), s_now)
-    Qlen = head = ai = si = 0   # head: no one before it is still waiting
-    cN = cD = cA = cE = cF = 0
-    aban = []    # lazy heap of (deadline, arrival index)
-    # in time order: service entries, and epochs where a server idled
-    # with an empty queue
-    slots = []
-    rows, waits = [], []
-
+    head = si = 0   # head: no one before it still waits or is yet to arrive
     exp_draw = _exponentials(rng_srv).__next__
-
-    def clock(now, busy):
-        return now + exp_draw() / (mu * busy) if busy else inf
-
-    def admit_head(now):
-        nonlocal head, Qlen, B, cE
-        while left[head] is not None:
-            head += 1
-        left[head] = now
-        head += 1
-        Qlen -= 1
-        B += 1
-        cE += 1
-        slots.append(now)
-
-    t_dep = clock(0.0, B)
+    t_dep = exp_draw() / (mu * B) if B else inf
     grid = config.obs_grid()
-    obs = iter(grid.tolist())
-    t_obs = next(obs)
+    t_end = grid[-1]
+    # ties resolve staffing first, then arrival, departure; a customer
+    # whose deadline falls on an epoch can still enter service there
     while True:
-        now = min(st_times[si], arr[ai], t_dep, aban[0][0] if aban else inf)
-        if now > t_obs:
-            # events at an observation epoch are processed before observing it
-            if Qlen:
-                while left[head] is not None:
-                    head += 1
-            waits.append(t_obs - arr[head] if Qlen else 0.0)
-            rows.append((Qlen, B, s_now, cN, cD, cA, cE, cF, head, ai))
-            t_obs = next(obs, None)
-            if t_obs is None:
+        now = st_times[si]
+        if B < s_now and arr[head] < now and arr[head] <= t_dep:
+            now = arr[head]     # nobody waits: the arrival enters service
+            if now > t_end:
                 break
-        # ties resolve staffing first, then arrival, departure, abandonment
-        elif now == st_times[si]:
+            left[head] = now
+            head += 1
+            B += 1
+            t_dep = now + exp_draw() / (mu * B)
+        elif now <= t_dep:
+            if now > t_end:
+                break
             s_now = st_levels[si]
             si += 1
-            b0 = B
-            while B < s_now and Qlen:
-                admit_head(now)
-            if B < s_now:
-                slots.append(now)
-            elif B > s_now:
-                cF += B - s_now     # forced out of service
+            if B > s_now:
+                cut[si - 1] = B - s_now
                 B = s_now
-            if B != b0:
-                t_dep = clock(now, B)
-        elif now == arr[ai]:
-            i = ai
-            ai += 1
-            cN += 1
-            if B < s_now:   # then nobody waits
-                left[i] = now
-                slots.append(now)
-                B += 1
-                cE += 1
-                t_dep = clock(now, B)
-            else:
-                Qlen += 1
-                heapq.heappush(aban, (deadline[i], i))
-        elif now == t_dep:
-            cD += 1
-            B -= 1
-            if Qlen:
-                admit_head(now)
-            else:
-                slots.append(now)
-            t_dep = clock(now, B)
+                t_dep = now + exp_draw() / (mu * B) if B else inf
+            elif B < s_now:
+                b0 = B
+                while B < s_now:
+                    while deadline[head] < now:
+                        head += 1
+                    if arr[head] >= now:    # an arrival at now comes after
+                        idle.append(now)
+                        break
+                    left[head] = now
+                    head += 1
+                    B += 1
+                if B != b0:
+                    t_dep = now + exp_draw() / (mu * B)
         else:
-            i = heapq.heappop(aban)[1]
-            if left[i] is None:     # not yet in service
-                left[i] = now
-                cA += 1
-                Qlen -= 1
+            now = t_dep
+            if now > t_end:
+                break
+            deps.append(now)
+            while deadline[head] < now:
+                head += 1
+            if arr[head] <= now:
+                left[head] = now
+                head += 1
+            else:
+                B -= 1
+            t_dep = now + exp_draw() / (mu * B) if B else inf
 
-    Q, B, S, N, D, A, E, F, H, I = np.array(rows, dtype=int).T
+    del arr, deadline    # the loop's lists; the read-out needs their memory
+    # an event at an observation epoch comes before the observation
+    entry = np.frombuffer(left)
+    waiting = np.isnan(entry)
+    entered = entry[~waiting]       # nondecreasing: service is FCFS
+    N = np.searchsorted(arrivals, grid, side="right")
+    E = np.searchsorted(entered, grid, side="right")
+    A = np.searchsorted(np.sort(deadlines[waiting]), grid, side="right")
+    D = np.searchsorted(np.frombuffer(deps), grid, side="right")
+    k = np.searchsorted(st_t, grid, side="right")
+    S = np.concatenate(([s0], st_lv)).astype(int)[k]
+    F = np.concatenate(([0], np.cumsum(cut)))[k]
+    Q = N - E - A
+    B = x0 + E - D - F
+    # queue exit: entry, else abandonment by the last observation, else
+    # inf; the exits' running maximum to i is <= t iff 0..i have left by t
+    exit_t = np.where(waiting, np.where(deadlines <= t_end, deadlines, inf), entry)
+    gone = np.maximum.accumulate(exit_t)
+    oldest = np.append(arrivals, inf)[np.searchsorted(gone, grid, side="right")]
+    W = np.where(Q > 0, grid - oldest, 0.0)
     # potential waiting time of a virtual arrival that never abandons: the
     # first service slot strictly after every customer ahead of it has
     # left the queue; NaN if one of them still waits at the horizon or no
     # slot follows
-    exit_t = np.array(left, dtype=float)
-    tau = np.array([exit_t[h:e].max(initial=t) for t, h, e in zip(grid, H, I)])
-    slot = np.array(slots + [np.nan])
+    tau = np.maximum(grid, np.concatenate(([-inf], gone))[N])
+    slot = np.append(np.sort(np.concatenate((entered, deps, idle))), np.nan)
     V = slot[np.searchsorted(slot[:-1], tau, side="right")] - grid
     V[(Q == 0) & (B < S)] = 0.0
-    return SimPath(t=grid, X=Q + B, Q=Q, B=B, W=np.array(waits), V=V, s=S,
+    return SimPath(t=grid, X=Q + B, Q=Q, B=B, W=W, V=V, s=S,
                    N=N, D=D, A=A, E=E, forced=F, x0=x0)
 
 

@@ -5,13 +5,20 @@ fluid content by quadrature of the linear ODE, not by the RK4 sweep.
 The kernel route evaluates the content-deviation variance of an
 overloaded interval as squared-kernel integrals, reading only the kernel
 grids (t, w, G) and the spec, against the single cumulative quadrature
-`propagate` uses.
+`propagate` uses.  `heap_replication` simulates a path with every
+arrival, abandonment and observation as an event of its own, against the
+simulator's loop that reads the counters from event epochs.
 """
+
+import heapq
+from math import inf
 
 import numpy as np
 from scipy.integrate import simpson
 
+from tvqueue import sim
 from tvqueue.gaussian import IntervalKernels
+from tvqueue.model import staffing_level
 
 _KERNEL_NODES = 801     # Simpson nodes for the kernel integrals
 
@@ -115,3 +122,128 @@ def var_X_star_kernel(k, times):
         total += simpson(K(k, 2, tt, u_all) ** 2, x=u_all)
         out[j] = total
     return out
+
+
+def heap_replication(config, seed, fixed=None):
+    """One sample path of `config` at `seed`, event by event.
+
+    Arrivals, abandonments (from a lazy heap of deadlines), staffing
+    changes, departures and observations each take a pass through the
+    loop; ties resolve staffing, then arrival, departure, abandonment,
+    and an observation follows every event at its epoch.  It draws what
+    `sim.run_replication` draws, in the same order, so both give the same
+    path for the same seed.  Only `gen_arrivals`, the patience sampler and
+    the batch set-up are shared with the program.
+    """
+    spec = config.spec
+    n = config.n
+    mu = spec.mu
+    envelope, (st_times, st_levels) = sim._fixed_setup(config) if fixed is None else fixed
+    ss = np.random.SeedSequence(seed)
+    rng_arr, rng_srv, rng_pat = [np.random.default_rng(s) for s in ss.spawn(3)]
+
+    arrivals = sim.gen_arrivals(spec, n, rng_arr, envelope)
+    patience = spec.patience.sample(rng_pat, len(arrivals)) if len(arrivals) else np.empty(0)
+    # per arrival: epoch, abandonment deadline and queue exit epoch (entry
+    # or abandonment; None while waiting); inf marks "no more arrivals"
+    arr = arrivals.tolist() + [inf]
+    deadline = (arrivals + patience).tolist()
+    left = [None] * len(arrivals)
+    st_times = st_times.tolist() + [inf]
+    st_levels = st_levels.tolist()
+
+    s_now = int(staffing_level(n, float(spec.staffing(0.0))))
+    x0 = B = min(int(round(n * spec.x0)), s_now)
+    Qlen = head = ai = si = 0   # head: no one before it is still waiting
+    cN = cD = cA = cE = cF = 0
+    aban = []    # lazy heap of (deadline, arrival index)
+    # in time order: service entries, and epochs where a server idled
+    # with an empty queue
+    slots = []
+    rows, waits = [], []
+
+    def clock(now, busy):
+        # numpy's single draws continue the sequence of its block draws
+        return now + rng_srv.standard_exponential() / (mu * busy) if busy else inf
+
+    def admit_head(now):
+        nonlocal head, Qlen, B, cE
+        while left[head] is not None:
+            head += 1
+        left[head] = now
+        head += 1
+        Qlen -= 1
+        B += 1
+        cE += 1
+        slots.append(now)
+
+    t_dep = clock(0.0, B)
+    grid = config.obs_grid()
+    obs = iter(grid.tolist())
+    t_obs = next(obs)
+    while True:
+        now = min(st_times[si], arr[ai], t_dep, aban[0][0] if aban else inf)
+        if now > t_obs:
+            # events at an observation epoch are processed before observing it
+            if Qlen:
+                while left[head] is not None:
+                    head += 1
+            waits.append(t_obs - arr[head] if Qlen else 0.0)
+            rows.append((Qlen, B, s_now, cN, cD, cA, cE, cF, head, ai))
+            t_obs = next(obs, None)
+            if t_obs is None:
+                break
+        # ties resolve staffing first, then arrival, departure, abandonment
+        elif now == st_times[si]:
+            s_now = st_levels[si]
+            si += 1
+            b0 = B
+            while B < s_now and Qlen:
+                admit_head(now)
+            if B < s_now:
+                slots.append(now)
+            elif B > s_now:
+                cF += B - s_now     # forced out of service
+                B = s_now
+            if B != b0:
+                t_dep = clock(now, B)
+        elif now == arr[ai]:
+            i = ai
+            ai += 1
+            cN += 1
+            if B < s_now:   # then nobody waits
+                left[i] = now
+                slots.append(now)
+                B += 1
+                cE += 1
+                t_dep = clock(now, B)
+            else:
+                Qlen += 1
+                heapq.heappush(aban, (deadline[i], i))
+        elif now == t_dep:
+            cD += 1
+            B -= 1
+            if Qlen:
+                admit_head(now)
+            else:
+                slots.append(now)
+            t_dep = clock(now, B)
+        else:
+            i = heapq.heappop(aban)[1]
+            if left[i] is None:     # not yet in service
+                left[i] = now
+                cA += 1
+                Qlen -= 1
+
+    Q, B, S, N, D, A, E, F, H, I = np.array(rows, dtype=int).T
+    # potential waiting time of a virtual arrival that never abandons: the
+    # first service slot strictly after every customer ahead of it has
+    # left the queue; NaN if one of them still waits at the horizon or no
+    # slot follows
+    exit_t = np.array(left, dtype=float)
+    tau = np.array([exit_t[h:e].max(initial=t) for t, h, e in zip(grid, H, I)])
+    slot = np.array(slots + [np.nan])
+    V = slot[np.searchsorted(slot[:-1], tau, side="right")] - grid
+    V[(Q == 0) & (B < S)] = 0.0
+    return sim.SimPath(t=grid, X=Q + B, Q=Q, B=B, W=np.array(waits), V=V, s=S,
+                       N=N, D=D, A=A, E=E, forced=F, x0=x0)

@@ -1,15 +1,20 @@
+import dataclasses
 import filecmp
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from tvqueue.functions import ConstantFn, LinearFn, SinusoidFn
+from oracles import heap_replication
+from tvqueue.functions import ConstantFn, LinearFn, PiecewisePolyFn, SinusoidFn
 from tvqueue.model import ModelSpec
-from tvqueue.patience import ExponentialPatience
+from tvqueue.patience import ExponentialPatience, PatienceDist, TabulatedPatience, h2_from_scv
 from tvqueue.sim import (
     Moments,
     SimConfig,
+    _fixed_setup,
     arrival_envelope,
     estimate,
     gen_arrivals,
@@ -107,6 +112,185 @@ def test_batch_paths_equal_single_replications(monkeypatch):
         for name in ("X", "Q", "B", "W", "V", "s", "N", "D", "A", "E", "forced"):
             assert np.array_equal(getattr(path, name), getattr(alone, name),
                                   equal_nan=True), (seed, name)
+
+
+def _assert_same_path(path, oracle, label=""):
+    for f in dataclasses.fields(path):
+        a, b = getattr(path, f.name), getattr(oracle, f.name)
+        if f.name == "x0":
+            assert type(a) is type(b) and a == b, label
+        else:
+            assert a.dtype == b.dtype, (label, f.name)
+            assert np.array_equal(a, b, equal_nan=True), (label, f.name)
+
+
+def _tabulated():
+    x = np.linspace(0.0, 10.0, 21)
+    return TabulatedPatience(x, 1.0 - (1.0 + 0.1 * x) * np.exp(-0.5 * x))
+
+
+# (label, spec, n, seeds): the event loop against the heap oracle
+ORACLE_CASES = [
+    ("sine_h2", ModelSpec(SinusoidFn(1.0, 0.6), ConstantFn(1.0), 1.0,
+                          h2_from_scv(2.0, 4.0), 16.0), 200, range(3)),
+    ("staffed_x0=0", _staffed_spec(), 40, range(12)),
+    ("staffed_x0=1", dataclasses.replace(_staffed_spec(), x0=1.0), 40, range(12)),
+    ("stationary_x0=1", ModelSpec(ConstantFn(1.5), ConstantFn(1.0), 1.0,
+                                  ExponentialPatience(0.5), 30.0, x0=1.0), 30, range(4)),
+    ("piecewise_tab", ModelSpec(
+        PiecewisePolyFn([0.0, 3.0, 6.0, 9.0, 12.0],
+                        [[0.5, 0.2, 0.05], [1.55, 0.0, -0.05],
+                         [1.10, -0.15, 0.0], [0.65, 0.1, 0.03]]),
+        ConstantFn(1.0), 1.0, _tabulated(), 12.0), 40, range(6)),
+    ("n=1", ModelSpec(SinusoidFn(1.0, 0.6), ConstantFn(1.0), 1.0,
+                      h2_from_scv(2.0, 4.0), 16.0), 1, range(20)),
+    ("no_arrivals", _mmn_spec(0.3, 1.0, horizon=2.0), 1, range(20)),
+]
+
+
+@pytest.mark.parametrize("label, spec, n, seeds", ORACLE_CASES,
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_replication_matches_heap_oracle(label, spec, n, seeds):
+    # the loop without abandonment events reads every field of the path
+    # the event-by-event heap simulation observes, bit for bit
+    config = SimConfig(spec, n=n, reps=1)
+    fixed = _fixed_setup(config)
+    empty = 0
+    for seed in seeds:
+        path = run_replication(config, seed, fixed)
+        _assert_same_path(path, heap_replication(config, seed, fixed), (label, seed))
+        empty += path.N[-1] == 0
+    if label == "no_arrivals":
+        assert 0 < empty < len(seeds)
+
+
+class FixedPatience(PatienceDist):
+    """Hands out a fixed list of patience values, in arrival order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def sample(self, rng, size):
+        assert size == len(self.values)
+        return self.values.copy()
+
+
+def _pinned(monkeypatch, arrivals, patience, spec, n, seed=0, epochs=None):
+    """Path and oracle path of one replication with the given arrival
+    epochs and patience values, and staffing epochs (times, levels) if
+    given."""
+    arrivals = np.asarray(arrivals, dtype=float)
+    assert np.all(np.diff(arrivals) >= 0.0)
+    monkeypatch.setattr("tvqueue.sim.gen_arrivals", lambda *args: arrivals.copy())
+    if epochs is not None:
+        times, levels = np.asarray(epochs[0], dtype=float), np.asarray(epochs[1], dtype=int)
+        monkeypatch.setattr("tvqueue.sim.staffing_epochs", lambda *args: (times, levels))
+    spec = dataclasses.replace(spec, patience=FixedPatience(patience))
+    config = SimConfig(spec, n=n, reps=1)
+    return run_replication(config, seed), heap_replication(config, seed)
+
+
+def test_ties_on_staffing_epochs_and_observations(monkeypatch):
+    # staffing rises by one every 0.25 (n = 4, s = 0.5 + t): arrivals land
+    # on staffing epochs and observation points, some with no patience,
+    # and queued customers' deadlines fall on staffing epochs and
+    # observation points; the staffing change comes first, then the
+    # arrival, and a customer whose deadline is the epoch still enters
+    spec = ModelSpec(ConstantFn(1.0), LinearFn(0.5, 1.0), 1.0,
+                     ExponentialPatience(1.0), 2.0)
+    n = 4
+    epochs = staffing_epochs(spec, n, spec.horizon)[0]
+    grid = SimConfig(spec, n=n, reps=1).obs_grid()
+    on = np.concatenate((epochs[epochs < 2.0], grid[1::3]))
+    # deadlines exactly on a target: a - (a - t) is exact for a in [t/2, 2t]
+    targets = np.concatenate((epochs[2:-1], grid[5::4]))
+    early = 0.75 * targets
+    arr = np.concatenate((on, on, early, early))
+    pat = np.concatenate((np.zeros(len(on)), np.full(len(on), 0.1),
+                          targets - early, np.zeros(len(early))))
+    order = np.argsort(arr, kind="stable")
+    arr, pat = arr[order], pat[order]
+    assert np.all(early + (targets - early) == targets)
+    for seed in range(6):
+        path, oracle = _pinned(monkeypatch, arr, pat, spec, n, seed)
+        _assert_same_path(path, oracle, seed)
+        assert np.all(path.conservation_residual() == 0)
+        assert path.A[-1] > 0 and path.E[-1] > 0
+
+
+def _first_departure(seed, busy):
+    """Epoch of the first departure when `busy` servers (mu = 1) are busy
+    from time 0 on: the first exponential of the service stream / busy."""
+    rng_srv = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
+    return rng_srv.standard_exponential() / busy
+
+
+def test_ties_on_the_first_departure(monkeypatch):
+    # the first departure is at an epoch the test knows, so arrivals,
+    # deadlines and staffing changes can be put on it, and one staffing
+    # decrease on an arrival that finds a free server
+    one = ModelSpec(ConstantFn(1.0), ConstantFn(1.0), 1.0,
+                    ExponentialPatience(1.0), 4.0, x0=1.0)
+    two = dataclasses.replace(one, x0=0.5)      # n = 2: one of two busy
+    for seed in range(8):
+        t1, t2 = _first_departure(seed, 1), _first_departure(seed, 2)
+        if t1 > 3.5:
+            continue
+        a = 0.6 * t1
+        cases = {
+            # a deadline on the departure is served there; an arrival on
+            # it with no patience queues first, then abandons
+            "deadline": (one, 1, [a, t1], [t1 - a, 0.0], None),
+            # an arrival on a departure that finds a free server enters
+            # before the departure
+            "arrival": (two, 2, [t1], [1.0], None),
+            # with every server busy it queues first and is served there
+            "queued": (one, 2, [t2], [1.0], None),
+            # a staffing rise on a departure comes first
+            "staffing": (one, 1, [a], [5.0], ([t1], [2])),
+            # a staffing cut on an arrival that finds a free server comes
+            # first: the arrival waits
+            "cut": (two, 2, [a], [5.0], ([a], [1])),
+        }
+        for label, (spec, n, arr, pat, epochs) in cases.items():
+            path, oracle = _pinned(monkeypatch, arr, pat, spec, n, seed, epochs)
+            _assert_same_path(path, oracle, (label, seed))
+            assert np.all(path.conservation_residual() == 0)
+            if label == "deadline":
+                after = np.searchsorted(path.t, t1)
+                assert path.E[after] == 1 and path.A[after] == 1 and path.D[after] >= 1
+
+
+@st.composite
+def small_models(draw):
+    amp = st.floats(0.0, 0.9)       # relative to the mean, so rates stay positive
+    freq = st.floats(0.2, 3.0)
+    mean = draw(st.floats(0.2, 2.0))
+    lam = SinusoidFn(mean, mean * draw(amp), draw(freq))
+    base = draw(st.floats(0.3, 1.5))
+    s = SinusoidFn(base, base * draw(amp), draw(freq), draw(st.floats(-3.0, 3.0)))
+    kind = draw(st.sampled_from(["exponential", "h2", "tabulated"]))
+    if kind == "exponential":
+        patience = ExponentialPatience(draw(st.floats(0.1, 5.0)))
+    elif kind == "h2":
+        patience = h2_from_scv(draw(st.floats(0.2, 3.0)), draw(st.floats(1.0, 6.0)))
+    else:
+        patience = _tabulated()
+    spec = ModelSpec(lam, s, draw(st.floats(0.3, 3.0)), patience,
+                     draw(st.floats(0.5, 4.0)), x0=draw(st.floats(0.0, 1.5)))
+    config = SimConfig(spec, n=draw(st.integers(1, 60)), reps=1,
+                       obs_step=draw(st.sampled_from([0.05, 0.3, 0.7])))
+    return config, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_models())
+def test_random_models_conserve_and_match_oracle(model):
+    config, seed = model
+    path = run_replication(config, seed)
+    assert np.all(path.conservation_residual() == 0)
+    assert np.all(path.Q >= 0) and np.all(path.B <= path.s)
+    _assert_same_path(path, heap_replication(config, seed))
 
 
 def test_staffing_epochs_linear():
