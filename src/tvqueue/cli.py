@@ -46,24 +46,26 @@ def _load(args):
 
 
 @contextmanager
-def _fluid_errors():
-    """Map the fluid solver's failures to their exit codes; a ValueError
-    (a grid step the solver rejects, no point for compare to compare) is
-    a config error."""
+def _run_errors():
+    """Map the solvers' failures to their exit codes; a ValueError (a grid
+    step the fluid solver rejects, no point for compare to compare) is a
+    config error, an arrival rate above the simulator's thinning bound an
+    invalid model."""
     try:
         yield
     except ValueError as exc:
         raise _CliError(EXIT_CONFIG, str(exc))
     except fluid.StaffingInfeasibleError as exc:
         raise _CliError(EXIT_INFEASIBLE, str(exc))
-    except (fluid.CriticalLoadingError, fluid.BoundaryDensityError) as exc:
+    except (fluid.CriticalLoadingError, fluid.BoundaryDensityError,
+            sim.EnvelopeError) as exc:
         raise _CliError(EXIT_INVALID, str(exc))
 
 
 def _solve_fluid(args):
     """Load the config and solve its fluid model."""
     spec = _load(args)
-    with _fluid_errors():
+    with _run_errors():
         return fluid.solve_fluid(spec, args.grid_step)
 
 
@@ -104,7 +106,8 @@ def cmd_simulate(args):
     spec = _load(args)
     cfg = sim.SimConfig(spec, n=args.n, reps=args.reps, base_seed=args.seed,
                         obs_step=args.obs_step, parallel=args.parallel)
-    est = sim.estimate(cfg)
+    with _run_errors():
+        est = sim.estimate(cfg)
     path = _outdir(args) / "simulate.csv"
     sim.write_estimate_csv(est, path)
     print(f"wrote {path}")
@@ -113,7 +116,7 @@ def cmd_simulate(args):
 
 def cmd_compare(args):
     spec = _load(args)
-    with _fluid_errors():
+    with _run_errors():
         result = run_compare(
             spec, n=args.n, reps=args.reps, seed=args.seed,
             grid_step=args.grid_step, obs_step=args.obs_step,
@@ -140,6 +143,17 @@ def _positive(kind):
     return parse
 
 
+def _nonnegative_int(text):
+    """argparse type: an integer that is >= 0 (a seed)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
+    return value
+
+
+_nonnegative_int.__name__ = "int"      # argparse names the type in its errors
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tvqueue",
@@ -158,7 +172,7 @@ def build_parser():
             p.add_argument("--n", type=_positive(int), required=True, help="system scale")
         if with_sim:
             p.add_argument("--reps", type=_positive(int), default=100)
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_nonnegative_int, default=0)
             p.add_argument("--obs-step", type=_positive(float), default=0.05,
                            dest="obs_step")
             p.add_argument("--parallel", type=_positive(int), default=1)

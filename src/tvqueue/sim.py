@@ -20,8 +20,10 @@ and the path is a deterministic function of the seed.
 
 A batch of replications builds what depends only on (spec, n, horizon)
 once: the thinning envelope and the staffing epochs.  Each replication
-then does only its own random work, and its departure clock reads the
-next value of a buffered block of exponential draws.
+then does only its own random work, in few calls: thinning draws one
+Poisson count and one block of uniforms per chunk of the envelope and
+sorts all candidates once, and the departure clock reads a C-level
+iterator over blocks of exponential draws.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from math import floor, inf, nan
 
 import numpy as np
@@ -66,12 +69,18 @@ class SimConfig:
             raise ValueError(f"obs_step must be positive and finite, got {self.obs_step}")
         if self.parallel < 1:
             raise ValueError(f"need parallel >= 1, got {self.parallel}")
+        if self.base_seed < 0:
+            raise ValueError(f"need base_seed >= 0, got {self.base_seed}")
 
     def obs_grid(self):
         """Multiples of obs_step up to the model horizon; the tolerance
         keeps the last one when the step divides the horizon."""
         m = floor(self.spec.horizon / self.obs_step + 1e-9)
         return np.linspace(0.0, m * self.obs_step, m + 1)
+
+
+class EnvelopeError(RuntimeError):
+    """The arrival rate exceeds the thinning envelope's bound."""
 
 
 def arrival_envelope(spec: ModelSpec, horizon: float):
@@ -99,20 +108,44 @@ def gen_arrivals(spec: ModelSpec, n: int, rng: np.random.Generator,
                  envelope) -> np.ndarray:
     """Arrival epochs of a Poisson process with rate n lambda(t) on the
     span of the envelope's edges, by thinning against its per-chunk
-    constant bound (see `arrival_envelope`)."""
+    constant bound e (see `arrival_envelope`).
+
+    Draw order: per chunk [a, b), in time order, one Poisson count c of
+    mean n e (b - a), then, if c > 0, one block of 2c uniforms u: the
+    first c give the candidates a + (b - a) u, the next c their marks
+    u e.  The candidates of all chunks are then sorted at once; the
+    chunks are disjoint and in order, so this equals sorting each chunk,
+    and the k-th smallest candidate keeps the k-th mark.  A candidate is
+    kept when its mark is below lambda there.  Raises EnvelopeError when
+    lambda exceeds the bound at a candidate, which would bias the
+    thinning.
+    """
     edges, env = envelope
-    cands, draws = [], []
-    for a, b, e in zip(edges[:-1].tolist(), edges[1:].tolist(), env.tolist()):
-        count = rng.poisson(n * e * (b - a))
-        if count == 0:
-            continue
-        cands.append(np.sort(rng.uniform(a, b, count)))
-        draws.append(rng.uniform(0.0, 1.0, count) * e)
-    if not cands:
+    widths = np.diff(edges)
+    counts, pos, marks = [], [], []
+    for mean in (n * env * widths).tolist():
+        c = rng.poisson(mean)
+        counts.append(c)
+        if c:
+            u = rng.random(2 * c)
+            pos.append(u[:c])
+            marks.append(u[c:])
+    if not pos:
         return np.empty(0)
-    cand = np.concatenate(cands)
-    accept = np.concatenate(draws) < np.asarray(spec.arrival_rate(cand), dtype=float)
-    return cand[accept]
+    cand = np.repeat(widths, counts)
+    cand *= np.concatenate(pos)
+    cand += np.repeat(edges[:-1], counts)
+    cand.sort()
+    bound = np.repeat(env, counts)
+    lam = np.asarray(spec.arrival_rate(cand), dtype=float)
+    over = lam > bound
+    if over.any():
+        i = over.argmax()
+        raise EnvelopeError(f"arrival rate {lam[i]} at t = {cand[i]} exceeds "
+                            f"its thinning bound {bound[i]}")
+    mark = np.concatenate(marks)
+    mark *= bound
+    return cand[mark < lam]
 
 
 def staffing_epochs(spec: ModelSpec, n: int, horizon: float):
@@ -171,10 +204,10 @@ def _fixed_setup(config: SimConfig):
 
 
 def _exponentials(rng: np.random.Generator):
-    """Standard exponentials of rng, drawn in blocks of 1024; numpy's
-    block and single draws give the same sequence."""
-    while True:
-        yield from rng.standard_exponential(1024).tolist()
+    """Iterator over standard exponentials of rng, drawn in blocks of
+    1024; numpy's block and single draws give the same sequence.  Its
+    `__next__` is C-level: no generator frame resumes per value."""
+    return chain.from_iterable(iter(lambda: rng.standard_exponential(1024).tolist(), None))
 
 
 def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
@@ -208,26 +241,30 @@ def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
     x0 = B = min(int(round(n * spec.x0)), s_now)
     head = si = 0   # head: no one before it still waits or is yet to arrive
     exp_draw = _exponentials(rng_srv).__next__
+    dep = deps.append
     t_dep = exp_draw() / (mu * B) if B else inf
+    t_st = st_times[0]      # the next staffing epoch
     grid = config.obs_grid()
     t_end = grid[-1]
     # ties resolve staffing first, then arrival, departure; a customer
     # whose deadline falls on an epoch can still enter service there
     while True:
-        now = st_times[si]
-        if B < s_now and arr[head] < now and arr[head] <= t_dep:
-            now = arr[head]     # nobody waits: the arrival enters service
+        t_arr = arr[head]
+        if B < s_now and t_arr < t_st and t_arr <= t_dep:
+            now = t_arr     # nobody waits: the arrival enters service
             if now > t_end:
                 break
             left[head] = now
             head += 1
             B += 1
             t_dep = now + exp_draw() / (mu * B)
-        elif now <= t_dep:
+        elif t_st <= t_dep:
+            now = t_st
             if now > t_end:
                 break
             s_now = st_levels[si]
             si += 1
+            t_st = st_times[si]
             if B > s_now:
                 cut[si - 1] = B - s_now
                 B = s_now
@@ -249,7 +286,7 @@ def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
             now = t_dep
             if now > t_end:
                 break
-            deps.append(now)
+            dep(now)
             while deadline[head] < now:
                 head += 1
             if arr[head] <= now:

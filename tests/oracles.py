@@ -7,7 +7,10 @@ overloaded interval as squared-kernel integrals, reading only the kernel
 grids (t, w, G) and the spec, against the single cumulative quadrature
 `propagate` uses.  `heap_replication` simulates a path with every
 arrival, abandonment and observation as an event of its own, against the
-simulator's loop that reads the counters from event epochs.
+simulator's loop that reads the counters from event epochs; its arrivals
+come from `chunked_arrivals`, which thins chunk by chunk with two uniform
+draws and a sort per chunk, against the program's one block per chunk
+and one sort.
 """
 
 import heapq
@@ -124,6 +127,25 @@ def var_X_star_kernel(k, times):
     return out
 
 
+def chunked_arrivals(spec, n, rng, envelope):
+    """Arrival epochs by thinning against the envelope's per-chunk bound,
+    one chunk at a time: a Poisson count, the sorted candidates and their
+    marks drawn by two uniform calls, then one acceptance test."""
+    edges, env = envelope
+    cands, draws = [], []
+    for a, b, e in zip(edges[:-1].tolist(), edges[1:].tolist(), env.tolist()):
+        count = rng.poisson(n * e * (b - a))
+        if count == 0:
+            continue
+        cands.append(np.sort(rng.uniform(a, b, count)))
+        draws.append(rng.uniform(0.0, 1.0, count) * e)
+    if not cands:
+        return np.empty(0)
+    cand = np.concatenate(cands)
+    accept = np.concatenate(draws) < np.asarray(spec.arrival_rate(cand), dtype=float)
+    return cand[accept]
+
+
 def heap_replication(config, seed, fixed=None):
     """One sample path of `config` at `seed`, event by event.
 
@@ -132,8 +154,8 @@ def heap_replication(config, seed, fixed=None):
     loop; ties resolve staffing, then arrival, departure, abandonment,
     and an observation follows every event at its epoch.  It draws what
     `sim.run_replication` draws, in the same order, so both give the same
-    path for the same seed.  Only `gen_arrivals`, the patience sampler and
-    the batch set-up are shared with the program.
+    path for the same seed.  Only the patience sampler and the batch set-up
+    are shared with the program.
     """
     spec = config.spec
     n = config.n
@@ -142,7 +164,7 @@ def heap_replication(config, seed, fixed=None):
     ss = np.random.SeedSequence(seed)
     rng_arr, rng_srv, rng_pat = [np.random.default_rng(s) for s in ss.spawn(3)]
 
-    arrivals = sim.gen_arrivals(spec, n, rng_arr, envelope)
+    arrivals = chunked_arrivals(spec, n, rng_arr, envelope)
     patience = spec.patience.sample(rng_pat, len(arrivals)) if len(arrivals) else np.empty(0)
     # per arrival: epoch, abandonment deadline and queue exit epoch (entry
     # or abandonment; None while waiting); inf marks "no more arrivals"

@@ -213,6 +213,43 @@ def test_simulate_takes_no_grid_step(tmp_path, capsys):
     assert "unrecognized arguments: --grid-step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, command):
+    # rejected by the parser, before compare solves the fluid model
+    def no_solve(*args):
+        raise AssertionError("the fluid model was solved")
+
+    monkeypatch.setattr(sys.modules["tvqueue.compare"], "solve_fluid", no_solve)
+    cfg = _write_config(tmp_path, horizon=1.0)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path), "--n", "5",
+              "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed: must be non-negative" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_violated_arrival_envelope_exits_invalid(tmp_path, capsys, monkeypatch,
+                                                 command):
+    # an envelope below lambda would bias the thinning: the run stops
+    envelope = sys.modules["tvqueue.sim"].arrival_envelope
+
+    def halved(spec, horizon):
+        edges, env = envelope(spec, horizon)
+        return edges, 0.5 * env
+
+    monkeypatch.setattr("tvqueue.sim.arrival_envelope", halved)
+    cfg = _write_config(tmp_path, horizon=2.0)
+    argv = [command, "--config", cfg, "--out", str(tmp_path), "--n", "20",
+            "--reps", "2"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "exceeds its thinning bound" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -1,5 +1,7 @@
 import dataclasses
 import filecmp
+import itertools
+import types
 
 import numpy as np
 import pytest
@@ -7,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import heap_replication
+from oracles import chunked_arrivals, heap_replication
 from tvqueue.functions import ConstantFn, LinearFn, PiecewisePolyFn, SinusoidFn
 from tvqueue.model import ModelSpec
 from tvqueue.patience import ExponentialPatience, PatienceDist, TabulatedPatience, h2_from_scv
 from tvqueue.sim import (
+    EnvelopeError,
     Moments,
     SimConfig,
+    _exponentials,
     _fixed_setup,
     arrival_envelope,
     estimate,
@@ -68,6 +72,10 @@ def test_block_and_single_exponential_draws_agree():
         ones = [single.standard_exponential() for _ in range(2500)]
         blocks = np.concatenate([block.standard_exponential(1024) for _ in range(3)])
         assert ones == blocks[:2500].tolist()
+        # and so does the clock's C-level iterator over those blocks
+        draws = _exponentials(np.random.default_rng(seed))
+        assert not isinstance(draws, types.GeneratorType)
+        assert list(itertools.islice(draws, 2500)) == ones
 
 
 def _staffed_spec():
@@ -164,6 +172,70 @@ def test_replication_matches_heap_oracle(label, spec, n, seeds):
         assert 0 < empty < len(seeds)
 
 
+_ORACLE_SPECS = {label: spec for label, spec, _, _ in ORACLE_CASES}
+
+# (label, spec, n): thinning against the chunk-by-chunk oracle
+THINNING_CASES = [
+    ("sine_h2", _ORACLE_SPECS["sine_h2"], 200),
+    ("staffed_n=40", _staffed_spec(), 40),
+    ("staffed_n=2000", _staffed_spec(), 2000),
+    ("piecewise_tab", _ORACLE_SPECS["piecewise_tab"], 50),
+    ("stationary", _ORACLE_SPECS["stationary_x0=1"], 30),
+    ("n=1", _ORACLE_SPECS["sine_h2"], 1),
+    ("lambda=0.01", _mmn_spec(0.01, 1.0, horizon=2.0), 1),
+]
+
+
+@pytest.mark.parametrize("label, spec, n", THINNING_CASES,
+                         ids=[c[0] for c in THINNING_CASES])
+def test_gen_arrivals_matches_chunked_oracle(label, spec, n):
+    # one uniform block per chunk and one sort draw and keep what the
+    # chunk-by-chunk thinning does, and leave the generator where it does
+    envelope = arrival_envelope(spec, spec.horizon)
+    empty = 0
+    for seed in range(8):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        a = gen_arrivals(spec, n, rng, envelope)
+        b = chunked_arrivals(spec, n, ref, envelope)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (label, seed)
+        assert rng.random() == ref.random(), (label, seed)
+        empty += len(a) == 0
+    if label == "lambda=0.01":
+        assert empty == 8
+
+
+class _CountingRng:
+    """Forwards to a Generator and counts the calls of each method."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, {}
+
+    def __getattr__(self, name):
+        def call(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return getattr(self.rng, name)(*args)
+        return call
+
+
+def test_gen_arrivals_draws_one_count_and_one_block_per_chunk():
+    # at n = 1 some chunks draw no candidate and so no block
+    spec = _ORACLE_SPECS["sine_h2"]
+    edges, env = arrival_envelope(spec, spec.horizon)
+    rng, ref = _CountingRng(np.random.default_rng(3)), _CountingRng(np.random.default_rng(3))
+    gen_arrivals(spec, 1, rng, (edges, env))
+    chunked_arrivals(spec, 1, ref, (edges, env))    # two uniform calls per filled chunk
+    filled = ref.calls["uniform"] // 2
+    assert 0 < filled < len(env)
+    assert rng.calls == {"poisson": len(env), "random": filled}
+
+
+def test_gen_arrivals_rejects_lambda_above_its_bound():
+    spec = _staffed_spec()
+    edges, env = arrival_envelope(spec, spec.horizon)
+    with pytest.raises(EnvelopeError, match="exceeds its thinning bound"):
+        gen_arrivals(spec, 40, np.random.default_rng(0), (edges, 0.5 * env))
+
+
 class FixedPatience(PatienceDist):
     """Hands out a fixed list of patience values, in arrival order."""
 
@@ -181,7 +253,8 @@ def _pinned(monkeypatch, arrivals, patience, spec, n, seed=0, epochs=None):
     given."""
     arrivals = np.asarray(arrivals, dtype=float)
     assert np.all(np.diff(arrivals) >= 0.0)
-    monkeypatch.setattr("tvqueue.sim.gen_arrivals", lambda *args: arrivals.copy())
+    for thinning in ("tvqueue.sim.gen_arrivals", "oracles.chunked_arrivals"):
+        monkeypatch.setattr(thinning, lambda *args: arrivals.copy())
     if epochs is not None:
         times, levels = np.asarray(epochs[0], dtype=float), np.asarray(epochs[1], dtype=int)
         monkeypatch.setattr("tvqueue.sim.staffing_epochs", lambda *args: (times, levels))
@@ -494,6 +567,8 @@ def test_config_validation():
     for parallel in (0, -3):
         with pytest.raises(ValueError, match="parallel >= 1"):
             SimConfig(_mmn_spec(1.0, 1.0), n=10, reps=2, parallel=parallel)
+    with pytest.raises(ValueError, match="base_seed >= 0"):
+        SimConfig(_mmn_spec(1.0, 1.0), n=10, reps=2, base_seed=-1)
     with pytest.raises(ValueError, match="invalid model"):
         estimate(SimConfig(ModelSpec(ConstantFn(0.0), ConstantFn(1.0), 1.0,
                                      ExponentialPatience(1.0), 2.0),
