@@ -48,9 +48,10 @@ def _load(args):
 @contextmanager
 def _run_errors():
     """Map the solvers' failures to their exit codes; a ValueError (a grid
-    step the fluid solver rejects, no point for compare to compare) is a
-    config error, an arrival rate above the simulator's thinning bound an
-    invalid model."""
+    step the fluid solver rejects, a c_lambda or var_x0 the simulator
+    does not model, no point for compare to compare) is a config error,
+    an arrival rate above the simulator's thinning bound an invalid
+    model."""
     try:
         yield
     except ValueError as exc:
@@ -104,9 +105,9 @@ def cmd_approx(args):
 
 def cmd_simulate(args):
     spec = _load(args)
-    cfg = sim.SimConfig(spec, n=args.n, reps=args.reps, base_seed=args.seed,
-                        obs_step=args.obs_step, parallel=args.parallel)
     with _run_errors():
+        cfg = sim.SimConfig(spec, n=args.n, reps=args.reps, base_seed=args.seed,
+                            obs_step=args.obs_step, parallel=args.parallel)
         est = sim.estimate(cfg)
     path = _outdir(args) / "simulate.csv"
     sim.write_estimate_csv(est, path)

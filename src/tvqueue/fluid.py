@@ -7,13 +7,21 @@ stretches it integrates the head-of-line waiting-time ODE
     wdot = 1 - (sdot + s*mu) / (lambda(t - w) * Fc(w))
 
 with a classical fixed-step RK4 scheme, locating every regime switch by
-bisection.  One age-integral pass per OL interval (age_integrals) gives
-the queue content, the abandonment rate and the Fc^2 integral of the
-Gaussian noise terms, by composite Simpson weights on a fixed unit age
-grid; it reduces the (points x ages) products in blocks of rows, so
-memory stays bounded on long intervals.  The cumulative flows (arrivals,
-departures, abandonments) are cumulative trapezoids.  The potential
-wait inverts L(t) = t - w(t).
+bisection.  The grid sweeps write the RK4 stages inline and evaluate
+each time-only term, lambda(t) in UL and b(t,0) = s(t) mu + sdot(t) in
+OL, once per distinct time: k2 and k3 share the midpoint value, and the
+end value te = t_prev + h serves k4 and, when te == grid[k] bit for bit,
+the next step's k1 (UL) or wdot at grid[k] (OL); otherwise grid[k] is
+evaluated again.  The same scalar call on the same float gives the same
+double, so this is the unfused RK4 step to the bit.  The bisection and
+the continuation past the horizon step through `_Ctx.ul_rhs` / `ol_rhs`.
+One age-integral pass per OL interval (age_integrals) gives the queue
+content, the abandonment rate and the Fc^2 integral of the Gaussian
+noise terms, by composite Simpson weights on a fixed unit age grid; it
+reduces the (points x ages) products in blocks of rows that stay in
+cache, with one patience pass (Fc and f) per block.  The cumulative
+flows (arrivals, departures, abandonments) are cumulative trapezoids.
+The potential wait inverts L(t) = t - w(t).
 
 Each interval also carries its local grid: its start, the global grid
 points inside it and its end, with near-duplicate times dropped; an OL
@@ -46,7 +54,7 @@ _SWITCH_TOL = 1e-10       # bisection tolerance for switching times
 _QTILDE_FLOOR = 1e-12     # minimum admissible boundary density
 _QUAD_NODES = 129         # Simpson nodes for the age integrals (odd)
 _DEDUPE_TOL = 1e-9        # local-grid times closer than this are merged
-_ROW_BLOCK = 2048         # age_integrals rows reduced at a time
+_ROW_BLOCK = 256          # age_integrals rows reduced at a time
 _XI = np.linspace(0.0, 1.0, _QUAD_NODES)
 # composite Simpson weights on _XI: h/3 * (1, 4, 2, 4, ..., 2, 4, 1)
 _SIMPSON_W = np.where(np.arange(_QUAD_NODES) % 2 == 1, 4.0, 2.0)
@@ -174,20 +182,23 @@ class _Ctx:
     def ul_rhs(self, t, x):
         return self.lam(t) - self.mu * x
 
-    def ol_rhs(self, t, w):
-        """wdot in overload; the one check of the OL state: the boundary
-        density stays above its floor and b(t,0) = s mu + sdot above 0."""
+    def ol_stage(self, t, w, b):
+        """wdot in overload given b = b0(t); the one check of the OL state:
+        the boundary density stays above its floor, then b(t,0) above 0."""
         q = self.lam(t - w) * self.fc(w)
         if q < _QTILDE_FLOOR:
             raise BoundaryDensityError(
                 f"queue boundary density vanished at t={t:.6f}"
             )
-        b = self.b0(t)
         if b <= 0.0:
             raise StaffingInfeasibleError(
                 f"staffing infeasible in overload: b(t,0) <= 0 at t={t:.6f}"
             )
         return 1.0 - b / q
+
+    def ol_rhs(self, t, w):
+        """wdot in overload: the bisection's and the continuation's RK4."""
+        return self.ol_stage(t, w, self.b0(t))
 
 
 def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
@@ -294,28 +305,40 @@ def _sweep_ul(ctx, grid, X, start, k, x_start):
     """Integrate the UL content until a switch or the horizon."""
     n = len(grid) - 1
     i0 = k
+    lam, mu, s = ctx.lam, ctx.mu, ctx.s
     t_prev, x_prev = start, x_start
     if k <= n and abs(grid[k] - start) < 1e-14:
         X[k] = x_start
         t_prev = grid[k]
         k += 1
+    l_prev = lam(t_prev)
     while k <= n:
-        x_new = _rk4_step(ctx.ul_rhs, t_prev, x_prev, grid[k] - t_prev)
-        gap = x_new - ctx.s(grid[k])
+        tk = grid[k]
+        h = tk - t_prev
+        te = t_prev + h
+        l_mid = lam(t_prev + 0.5 * h)
+        l_end = lam(te)
+        k1 = l_prev - mu * x_prev
+        k2 = l_mid - mu * (x_prev + 0.5 * h * k1)
+        k3 = l_mid - mu * (x_prev + 0.5 * h * k2)
+        k4 = l_end - mu * (x_prev + h * k3)
+        x_new = x_prev + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        gap = x_new - s(tk)
         if gap >= 0.0:
             # crossed into overload inside (t_prev, grid[k]]
             def excess(tc):
-                return _integrate(ctx.ul_rhs, t_prev, x_prev, tc) - ctx.s(tc)
+                return _integrate(ctx.ul_rhs, t_prev, x_prev, tc) - s(tc)
 
-            tau = _bisect(excess, t_prev, grid[k], x_prev - ctx.s(t_prev), gap)
-            if ctx.lam(tau) - ctx.b0(tau) <= 1e-9:
+            tau = _bisect(excess, t_prev, tk, x_prev - s(t_prev), gap)
+            if lam(tau) - ctx.b0(tau) <= 1e-9:
                 raise CriticalLoadingError(
                     f"non-isolated critical loading near t={tau:.6f}"
                 )
             iv = FluidInterval(UL, start, tau, i0, k - 1)
-            return tau, k, ctx.s(tau), _attach_local(iv, grid, [start, *grid[i0:k], tau])
+            return tau, k, s(tau), _attach_local(iv, grid, [start, *grid[i0:k], tau])
         X[k] = x_new
-        t_prev, x_prev = grid[k], x_new
+        t_prev, x_prev = tk, x_new
+        l_prev = l_end if te == tk else lam(tk)
         k += 1
     iv = FluidInterval(UL, start, grid[n], i0, n)
     return grid[n], n + 1, x_prev, _attach_local(iv, grid, [start, *grid[i0:], grid[n]])
@@ -325,6 +348,7 @@ def _sweep_ol(ctx, grid, w, wdot, start, k):
     """Integrate the HWT ODE until w returns to zero or the horizon."""
     n = len(grid) - 1
     i0 = k
+    stage, b0 = ctx.ol_stage, ctx.b0
     loc_t = [start]
     loc_w = [0.0]
     loc_wd = [ctx.ol_rhs(start, 0.0)]
@@ -336,7 +360,16 @@ def _sweep_ol(ctx, grid, w, wdot, start, k):
         t_prev = grid[k]
         k += 1
     while k <= n:
-        w_new = _rk4_step(ctx.ol_rhs, t_prev, w_prev, grid[k] - t_prev, f_prev)
+        tk = grid[k]
+        h = tk - t_prev
+        tm = t_prev + 0.5 * h
+        te = t_prev + h
+        b_mid = b0(tm)
+        b_end = b0(te)
+        k2 = stage(tm, w_prev + 0.5 * h * f_prev, b_mid)
+        k3 = stage(tm, w_prev + 0.5 * h * k2, b_mid)
+        k4 = stage(te, w_prev + h * k3, b_end)
+        w_new = w_prev + h / 6.0 * (f_prev + 2.0 * k2 + 2.0 * k3 + k4)
         if w_new <= 0.0:
             if w_prev <= 0.0:
                 raise CriticalLoadingError(
@@ -346,8 +379,8 @@ def _sweep_ol(ctx, grid, w, wdot, start, k):
             def wval(tc):
                 return _integrate(ctx.ol_rhs, t_prev, w_prev, tc)
 
-            tau = _bisect(wval, t_prev, grid[k], w_prev, w_new)
-            if ctx.lam(tau) >= ctx.b0(tau) - 1e-9:
+            tau = _bisect(wval, t_prev, tk, w_prev, w_new)
+            if ctx.lam(tau) >= b0(tau) - 1e-9:
                 raise CriticalLoadingError(
                     f"non-isolated critical loading near t={tau:.6f} "
                     "(waiting time grazed zero while still overloaded)"
@@ -358,11 +391,11 @@ def _sweep_ol(ctx, grid, w, wdot, start, k):
             iv = FluidInterval(OL, start, tau, i0, k - 1)
             return tau, k, ctx.s(tau), _attach_local(iv, grid, loc_t, loc_w, loc_wd)
         w[k] = w_new
-        wdot[k] = f_prev = ctx.ol_rhs(grid[k], w_new)
-        loc_t.append(grid[k])
+        wdot[k] = f_prev = stage(tk, w_new, b_end if te == tk else b0(tk))
+        loc_t.append(tk)
         loc_w.append(w_new)
         loc_wd.append(f_prev)
-        t_prev, w_prev = grid[k], w_new
+        t_prev, w_prev = tk, w_new
         k += 1
     _extend_ol(ctx, grid[n], w_prev, f_prev, loc_t, loc_w, loc_wd)
     iv = FluidInterval(OL, start, grid[n], i0, n)
@@ -403,18 +436,17 @@ def age_integrals(rate, patience, t, w):
     """(Q, alpha, Q2): per i, the integrals over ages x in [0, w[i]] of
     rate(t[i] - x) times Fc(x), f(x) and Fc(x)^2, by Simpson on a scaled
     unit grid.  Rows are independent: they are reduced _ROW_BLOCK at a
-    time, with the products formed in place, to bound memory."""
+    time, small enough for a block's arrays to stay in cache, with one
+    `survival_pdf` call per block and the products formed in place."""
     Q, alpha, Q2 = (np.empty(len(t)) for _ in range(3))
     for lo in range(0, len(t), _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
         wb = w[rows]
         x = wb[:, None] * _XI[None, :]
         arrived = np.asarray(rate(t[rows, None] - x), dtype=float)
-        dens = np.asarray(patience.pdf(x), dtype=float)
+        fc, dens = (np.asarray(a, dtype=float) for a in patience.survival_pdf(x))
         dens *= arrived
         alpha[rows] = _simpson(dens) * wb
-        del dens
-        fc = np.asarray(patience.survival(x), dtype=float)
         arrived *= fc
         Q[rows] = _simpson(arrived) * wb
         arrived *= fc

@@ -141,6 +141,8 @@ class PiecewisePolyFn(SmoothFn):
         self.knots = knots
         self.coeffs = coeffs
         self._dcoeffs = np.polynomial.polynomial.polyder(coeffs, axis=1)
+        # per order (value, derivative): one contiguous array per power
+        self._columns = tuple(np.ascontiguousarray(c.T) for c in (coeffs, self._dcoeffs))
 
     @classmethod
     def hermite(cls, x, y, dydx):
@@ -152,32 +154,46 @@ class PiecewisePolyFn(SmoothFn):
         c2 = (slope - dydx[:-1]) / dx - t
         return cls(x, np.column_stack((y[:-1], dydx[:-1], c2, t / dx)))
 
-    def _eval(self, t, c):
+    def _eval(self, t, *orders):
+        """The value (order 0) and/or the derivative (order 1) at t, read
+        at one piece index with shared powers of u: one knot search for
+        both.  The number of interior knots at or below t is the piece
+        index, clipped to the end pieces."""
         t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, len(c) - 1)
-        u = t - self.knots[i]
-        out = c[i, 0]
-        z = u
-        for k in range(1, c.shape[1]):
-            out = out + c[i, k] * z
-            z = z * u
-        return out
+        i = np.searchsorted(self.knots[1:-1], t, side="right")
+        u = t - self.knots.take(i)
+        powers = [u]
+        outs = []
+        for order in orders:
+            cols = self._columns[order]
+            while len(powers) < len(cols) - 1:
+                powers.append(powers[-1] * u)
+            out = cols[0].take(i)
+            for col, z in zip(cols[1:], powers):
+                out = out + col.take(i) * z
+            outs.append(out)
+        return outs
 
     def __call__(self, t):
-        return self._eval(t, self.coeffs)
+        return self._eval(t, 0)[0]
 
     def deriv(self, t):
-        return self._eval(t, self._dcoeffs)
+        return self._eval(t, 1)[0]
+
+    def value_and_deriv(self, t):
+        """(self(t), self.deriv(t)) from one knot search."""
+        return self._eval(t, 0, 1)
 
     def _scalar_eval(self, t, order):
         """`_eval` of the value (order 0) or the derivative (order 1) at
-        one time, with plain floats."""
-        knots, values, slopes = self._floats
-        i = min(max(bisect_right(knots, t) - 1, 0), len(values) - 1)
-        u = t - knots[i]
+        one time, with plain floats.  The number of interior knots at or
+        below t is the clipped piece index of `_eval`."""
+        interior, pieces = self._floats[order]
+        knot, cs = pieces[bisect_right(interior, t)]
+        u = t - knot
         acc = 0.0
         z = 1.0
-        for c in (slopes if order else values)[i]:
+        for c in cs:
             acc = acc + c * z
             z *= u
         return acc
@@ -190,8 +206,12 @@ class PiecewisePolyFn(SmoothFn):
 
     @cached_property
     def _floats(self):
-        """The knots and the value and derivative pieces as float lists."""
-        return self.knots.tolist(), self.coeffs.tolist(), self._dcoeffs.tolist()
+        """Per order (value, derivative): the interior knots and each
+        piece's (knot, coefficients) as plain floats."""
+        interior = self.knots[1:-1].tolist()
+        knots = self.knots[:-1].tolist()
+        return tuple((interior, list(zip(knots, c.tolist())))
+                     for c in (self.coeffs, self._dcoeffs))
 
     def breakpoints(self):
         return self.knots[1:-1].copy()

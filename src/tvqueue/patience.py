@@ -5,7 +5,8 @@ cdfs interpolated by a monotone cubic (functions.PiecewisePolyFn.hermite
 with the Fritsch-Carlson slopes of functions.monotone_slopes) so the
 hazard stays continuous.
 All evaluators are vectorized; `survival_scalar` evaluates one point
-with plain `math` for the fluid solver's RK4 sweep.
+with plain `math` for the fluid solver's RK4 sweep, and `survival_pdf`
+gives Fc and f on one age block from one pass for its age integrals.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ class PatienceDist:
     def pdf(self, x):
         raise NotImplementedError
 
+    def survival_pdf(self, x):
+        """(survival(x), pdf(x)); override to share the work of the two."""
+        return self.survival(x), self.pdf(x)
+
     def sample(self, rng, size):
         raise NotImplementedError
 
@@ -67,6 +72,10 @@ class ExponentialPatience(PatienceDist):
     def pdf(self, x):
         return self.rate * np.exp(-self.rate * np.asarray(x, dtype=float))
 
+    def survival_pdf(self, x):
+        fc = self.survival(x)
+        return fc, self.rate * fc
+
     def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
 
@@ -90,18 +99,21 @@ class H2Patience(PatienceDist):
         return self.p * -np.expm1(-self.rate1 * x) + (1.0 - self.p) * -np.expm1(-self.rate2 * x)
 
     def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.p * np.exp(-self.rate1 * x) + (1.0 - self.p) * np.exp(-self.rate2 * x)
+        return self.survival_pdf(x)[0]
 
     def survival_scalar(self, x):
         return self.p * math.exp(-self.rate1 * x) + (1.0 - self.p) * math.exp(-self.rate2 * x)
 
     def pdf(self, x):
+        return self.survival_pdf(x)[1]
+
+    def survival_pdf(self, x):
         x = np.asarray(x, dtype=float)
-        return (
-            self.p * self.rate1 * np.exp(-self.rate1 * x)
-            + (1.0 - self.p) * self.rate2 * np.exp(-self.rate2 * x)
-        )
+        e1 = np.exp(-self.rate1 * x)
+        e2 = np.exp(-self.rate2 * x)
+        q = 1.0 - self.p
+        return (self.p * e1 + q * e2,
+                self.p * self.rate1 * e1 + q * self.rate2 * e2)
 
     def sample(self, rng, size):
         phase = rng.random(size) < self.p
@@ -138,14 +150,20 @@ class TabulatedPatience(PatienceDist):
         self._x_end = float(x[-1])
         self._F_end = float(F[-1])
 
-    def cdf(self, x):
+    def _cdf_pdf(self, x):
+        """cdf and density from one clip, one knot search and one tail exp."""
         x = np.asarray(x, dtype=float)
-        inside = self._interp(np.clip(x, self.x[0], self.x[-1]))
+        F_in, f_in = self._interp.value_and_deriv(np.clip(x, self.x[0], self.x[-1]))
         # the tail is read only past the table; clamping the distance keeps
         # a steep tail's exp from overflowing at the points inside it
-        past = np.maximum(x - self.x[-1], 0.0)
-        tail = 1.0 - (1.0 - self.F[-1]) * np.exp(-self._tail_rate * past)
-        return np.where(x <= self.x[-1], inside, tail)
+        e = np.exp(-self._tail_rate * np.maximum(x - self.x[-1], 0.0))
+        mass = 1.0 - self.F[-1]
+        inside = x <= self.x[-1]
+        return (np.where(inside, F_in, 1.0 - mass * e),
+                np.where(inside, f_in, mass * self._tail_rate * e))
+
+    def cdf(self, x):
+        return self._cdf_pdf(x)[0]
 
     def survival_scalar(self, x):
         if x > self._x_end:
@@ -156,11 +174,11 @@ class TabulatedPatience(PatienceDist):
         return 1.0 - cdf
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = self._interp.deriv(np.clip(x, self.x[0], self.x[-1]))
-        past = np.maximum(x - self.x[-1], 0.0)
-        tail = (1.0 - self.F[-1]) * self._tail_rate * np.exp(-self._tail_rate * past)
-        return np.where(x <= self.x[-1], inside, tail)
+        return self._cdf_pdf(x)[1]
+
+    def survival_pdf(self, x):
+        F, f = self._cdf_pdf(x)
+        return 1.0 - F, f
 
     def sample(self, rng, size):
         u = rng.random(size)
@@ -170,15 +188,21 @@ class TabulatedPatience(PatienceDist):
         uu = np.atleast_1d(u)
         in_table = uu <= self.F[-1]
         if np.any(in_table):
-            lo = np.zeros(in_table.sum())
-            hi = np.full(in_table.sum(), self.x[-1])
             target = uu[in_table]
+            # the piece holding each target, from F at the knots: F[j] <=
+            # target < F[j + 1], or the last piece; its monotone cubic is
+            # bisected in the local variable alone
+            j = np.minimum(np.searchsorted(self.F, target, side="right") - 1,
+                           len(self.x) - 2)
+            c0, c1, c2, c3 = self._interp.coeffs[j].T
+            lo = np.zeros(len(target))
+            hi = np.diff(self.x)[j]
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                above = self._interp(mid) > target
+                above = c0 + mid * (c1 + mid * (c2 + mid * c3)) > target
                 hi = np.where(above, mid, hi)
                 lo = np.where(above, lo, mid)
-            flat[in_table] = 0.5 * (lo + hi)
+            flat[in_table] = self.x[j] + 0.5 * (lo + hi)
         if np.any(~in_table):
             utail = uu[~in_table]
             flat[~in_table] = self.x[-1] - np.log((1.0 - utail) / (1.0 - self.F[-1])) / self._tail_rate

@@ -71,6 +71,13 @@ class SimConfig:
             raise ValueError(f"need parallel >= 1, got {self.parallel}")
         if self.base_seed < 0:
             raise ValueError(f"need base_seed >= 0, got {self.base_seed}")
+        # the Gaussian layer's keys the simulator has no model for
+        if self.spec.c_lambda != 1.0:
+            raise ValueError("the simulator generates Poisson arrivals: c_lambda "
+                             f"must be 1, got {self.spec.c_lambda:g}")
+        if self.spec.var_x0 != 0.0:
+            raise ValueError("the simulator starts from the fixed content x0: "
+                             f"var_x0 must be 0, got {self.spec.var_x0:g}")
 
     def obs_grid(self):
         """Multiples of obs_step up to the model horizon; the tolerance

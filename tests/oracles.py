@@ -10,7 +10,10 @@ arrival, abandonment and observation as an event of its own, against the
 simulator's loop that reads the counters from event epochs; its arrivals
 come from `chunked_arrivals`, which thins chunk by chunk with two uniform
 draws and a sort per chunk, against the program's one block per chunk
-and one sort.
+and one sort.  `unfused_sweep_ul` and `unfused_sweep_ol` step the fluid
+sweeps through `_rk4_step`, one `_Ctx.ul_rhs` / `ol_rhs` call per RK4
+stage, against the program's inline stages that evaluate lambda(t) and
+b(t,0) once per distinct time.
 """
 
 import heapq
@@ -20,6 +23,17 @@ import numpy as np
 from scipy.integrate import simpson
 
 from tvqueue import sim
+from tvqueue.fluid import (
+    OL,
+    UL,
+    CriticalLoadingError,
+    FluidInterval,
+    _attach_local,
+    _bisect,
+    _extend_ol,
+    _integrate,
+    _rk4_step,
+)
 from tvqueue.gaussian import IntervalKernels
 from tvqueue.model import staffing_level
 
@@ -269,3 +283,81 @@ def heap_replication(config, seed, fixed=None):
     V[(Q == 0) & (B < S)] = 0.0
     return sim.SimPath(t=grid, X=Q + B, Q=Q, B=B, W=np.array(waits), V=V, s=S,
                        N=N, D=D, A=A, E=E, forced=F, x0=x0)
+
+
+def unfused_sweep_ul(ctx, grid, X, start, k, x_start):
+    """`fluid._sweep_ul` with one `ul_rhs` call per RK4 stage."""
+    n = len(grid) - 1
+    i0 = k
+    t_prev, x_prev = start, x_start
+    if k <= n and abs(grid[k] - start) < 1e-14:
+        X[k] = x_start
+        t_prev = grid[k]
+        k += 1
+    while k <= n:
+        x_new = _rk4_step(ctx.ul_rhs, t_prev, x_prev, grid[k] - t_prev)
+        gap = x_new - ctx.s(grid[k])
+        if gap >= 0.0:
+            def excess(tc):
+                return _integrate(ctx.ul_rhs, t_prev, x_prev, tc) - ctx.s(tc)
+
+            tau = _bisect(excess, t_prev, grid[k], x_prev - ctx.s(t_prev), gap)
+            if ctx.lam(tau) - ctx.b0(tau) <= 1e-9:
+                raise CriticalLoadingError(
+                    f"non-isolated critical loading near t={tau:.6f}"
+                )
+            iv = FluidInterval(UL, start, tau, i0, k - 1)
+            return tau, k, ctx.s(tau), _attach_local(iv, grid, [start, *grid[i0:k], tau])
+        X[k] = x_new
+        t_prev, x_prev = grid[k], x_new
+        k += 1
+    iv = FluidInterval(UL, start, grid[n], i0, n)
+    return grid[n], n + 1, x_prev, _attach_local(iv, grid, [start, *grid[i0:], grid[n]])
+
+
+def unfused_sweep_ol(ctx, grid, w, wdot, start, k):
+    """`fluid._sweep_ol` with one `ol_rhs` call per RK4 stage and per
+    grid point, reusing only wdot as the next step's k1."""
+    n = len(grid) - 1
+    i0 = k
+    loc_t = [start]
+    loc_w = [0.0]
+    loc_wd = [ctx.ol_rhs(start, 0.0)]
+    t_prev, w_prev, f_prev = start, 0.0, loc_wd[0]
+    if k <= n and abs(grid[k] - start) < 1e-14:
+        w[k] = 0.0
+        wdot[k] = loc_wd[0]
+        t_prev = grid[k]
+        k += 1
+    while k <= n:
+        w_new = _rk4_step(ctx.ol_rhs, t_prev, w_prev, grid[k] - t_prev, f_prev)
+        if w_new <= 0.0:
+            if w_prev <= 0.0:
+                raise CriticalLoadingError(
+                    f"non-isolated critical loading near t={t_prev:.6f}"
+                )
+
+            def wval(tc):
+                return _integrate(ctx.ol_rhs, t_prev, w_prev, tc)
+
+            tau = _bisect(wval, t_prev, grid[k], w_prev, w_new)
+            if ctx.lam(tau) >= ctx.b0(tau) - 1e-9:
+                raise CriticalLoadingError(
+                    f"non-isolated critical loading near t={tau:.6f} "
+                    "(waiting time grazed zero while still overloaded)"
+                )
+            loc_t.append(tau)
+            loc_w.append(0.0)
+            loc_wd.append(ctx.ol_rhs(tau, 0.0))
+            iv = FluidInterval(OL, start, tau, i0, k - 1)
+            return tau, k, ctx.s(tau), _attach_local(iv, grid, loc_t, loc_w, loc_wd)
+        w[k] = w_new
+        wdot[k] = f_prev = ctx.ol_rhs(grid[k], w_new)
+        loc_t.append(grid[k])
+        loc_w.append(w_new)
+        loc_wd.append(f_prev)
+        t_prev, w_prev = grid[k], w_new
+        k += 1
+    _extend_ol(ctx, grid[n], w_prev, f_prev, loc_t, loc_w, loc_wd)
+    iv = FluidInterval(OL, start, grid[n], i0, n)
+    return grid[n], n + 1, np.nan, _attach_local(iv, grid, loc_t, loc_w, loc_wd)

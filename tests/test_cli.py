@@ -231,6 +231,47 @@ def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("key, value", [("c_lambda", 2.0), ("c_lambda", 0.0),
+                                        ("var_x0", 0.5)])
+def test_simulator_rejects_gaussian_only_keys(tmp_path, capsys, monkeypatch,
+                                              command, key, value):
+    # the simulator has Poisson arrivals and a fixed initial content: a
+    # config asking for anything else stops before the fluid solve
+    def no_solve(*args):
+        raise AssertionError("the fluid model was solved")
+
+    monkeypatch.setattr(sys.modules["tvqueue.compare"], "solve_fluid", no_solve)
+    cfg = _write_config(tmp_path, horizon=1.0, **{key: value})
+    assert main([command, "--config", cfg, "--out", str(tmp_path), "--n", "5",
+                 "--reps", "2"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert f"{key} must be" in err and f"got {value:g}" in err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+def test_gaussian_only_keys_reach_the_analytic_commands(tmp_path):
+    # fluid, variance and approx read c_lambda and var_x0
+    cfg = _write_config(tmp_path, horizon=2.0, c_lambda=2.0, var_x0=0.5)
+    for argv in (["fluid"], ["variance"], ["approx", "--n", "10"]):
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path),
+                            "--grid-step", "0.01"]) == 0
+
+
+def test_vanishing_boundary_density_exits_invalid(tmp_path, capsys):
+    # lambda falls to 1e-13 at t = 3, so lambda(t - w) Fc(w) drops below
+    # the floor in overload once t - w(t) passes 3
+    rate = {"kind": "piecewise_poly",
+            "params": {"knots": [0.0, 3.0, 10.0], "coeffs": [[2.0], [1e-13]]}}
+    cfg = _write_config(tmp_path, horizon=6.0, **{
+        "lambda": rate, "patience": {"kind": "exponential", "params": {"rate": 1.0}}})
+    assert main(["approx", "--config", cfg, "--out", str(tmp_path), "--n", "10"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: queue boundary density vanished at t=3.6")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_violated_arrival_envelope_exits_invalid(tmp_path, capsys, monkeypatch,
                                                  command):
     # an envelope below lambda would bias the thinning: the run stops

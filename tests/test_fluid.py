@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from tvqueue import fluid
 from tvqueue.fluid import (
+    BoundaryDensityError,
     CriticalLoadingError,
     StaffingInfeasibleError,
     _Ctx,
@@ -12,9 +16,14 @@ from tvqueue.fluid import (
 )
 from tvqueue.functions import ConstantFn, LinearFn, PiecewisePolyFn, SinusoidFn, SmoothFn
 from tvqueue.model import ModelSpec
-from tvqueue.patience import ExponentialPatience, PatienceDist, TabulatedPatience
+from tvqueue.patience import (
+    ExponentialPatience,
+    H2Patience,
+    PatienceDist,
+    TabulatedPatience,
+)
 
-from oracles import ul_content
+from oracles import ul_content, unfused_sweep_ol, unfused_sweep_ul
 
 # regime switch times of the sinusoidal H2 model, frozen from two runs at
 # step 1e-3 and 5e-4 (agreement < 5e-9)
@@ -170,9 +179,11 @@ def test_continuation_checks_staffing():
 
 
 def test_infeasible_staffing_raises():
+    # b(t,0) = 0.1 - 0.9 t turns negative at t = 1/9, first seen by the
+    # midpoint stage of the grid sweep's step from 0.111 to 0.112
     spec = ModelSpec(ConstantFn(3.0), LinearFn(1.0, -0.9), 1.0,
                      ExponentialPatience(0.5), 0.5, x0=1.0)
-    with pytest.raises(StaffingInfeasibleError):
+    with pytest.raises(StaffingInfeasibleError, match=r"t=0\.111500"):
         solve_fluid(spec)
 
 
@@ -228,8 +239,9 @@ class _VectorOnlyPatience(PatienceDist):
         return self.d.pdf(x)
 
 
-def test_scalar_fallback_matches_fast_path():
-    # piecewise-quadratic rate into and out of overload, tabulated patience
+def _piecewise_tab_spec():
+    """Piecewise-quadratic rate into and out of overload, tabulated
+    patience Fc(x) = (1 + 0.1 x) exp(-x / 2) on x = 0, 0.5, ..., 10."""
     lam = PiecewisePolyFn(
         knots=(0.0, 3.0, 6.0, 9.0, 12.0),
         coeffs=((0.5, 0.2, 0.05), (1.55, 0.0, -0.05), (1.10, -0.15, 0.0),
@@ -237,7 +249,12 @@ def test_scalar_fallback_matches_fast_path():
     )
     xs = np.linspace(0.0, 10.0, 21)
     patience = TabulatedPatience(xs, 1.0 - (1.0 + 0.1 * xs) * np.exp(-0.5 * xs))
-    fast = ModelSpec(lam, ConstantFn(1.0), 1.0, patience, 12.0)
+    return ModelSpec(lam, ConstantFn(1.0), 1.0, patience, 12.0)
+
+
+def test_scalar_fallback_matches_fast_path():
+    fast = _piecewise_tab_spec()
+    lam, patience = fast.arrival_rate, fast.patience
     slow = ModelSpec(_VectorOnlyFn(lam), _VectorOnlyFn(ConstantFn(1.0)), 1.0,
                      _VectorOnlyPatience(patience), 12.0)
     a = solve_fluid(fast, step=0.01)
@@ -260,3 +277,154 @@ def test_age_integrals_rows_independent_of_blocks(sine_h2_spec):
         alone = age_integrals(rate, pat, t[rows], w[rows])
         for got, ref in zip(alone, whole):
             assert np.array_equal(got, ref[rows])
+
+
+def test_age_integrals_same_at_any_row_block(monkeypatch, sine_h2_spec):
+    # rows are independent, so the block size does not change a bit
+    t = np.linspace(2.0, 16.0, 5000)
+    w = 0.5 + 0.4 * np.sin(t)
+    rate, pat = sine_h2_spec.arrival_rate, sine_h2_spec.patience
+    small = age_integrals(rate, pat, t, w)
+    monkeypatch.setattr(fluid, "_ROW_BLOCK", 2048)
+    for got, ref in zip(small, age_integrals(rate, pat, t, w)):
+        assert np.array_equal(got, ref)
+
+
+# --- the fused sweeps against the unfused oracle -----------------------
+
+def _staffed_spec(sine_h2_spec):
+    # s = 1 + 0.3 sin(t - 0.5): a b(t,0) that moves with t
+    return dataclasses.replace(sine_h2_spec, staffing=SinusoidFn(1.0, 0.3, 1.0, -0.5))
+
+
+@pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed"])
+def test_fused_sweeps_match_unfused_oracle(monkeypatch, request, model):
+    spec = {
+        "stationary": lambda: request.getfixturevalue("stationary_ol_spec"),
+        "sine_h2": lambda: request.getfixturevalue("sine_h2_spec"),
+        "piecewise_tab": _piecewise_tab_spec,
+        "sine_staffed": lambda: _staffed_spec(request.getfixturevalue("sine_h2_spec")),
+    }[model]()
+    fused = solve_fluid(spec)
+    monkeypatch.setattr(fluid, "_sweep_ul", unfused_sweep_ul)
+    monkeypatch.setattr(fluid, "_sweep_ol", unfused_sweep_ol)
+    ref = solve_fluid(spec)
+    for name in ("X", "w", "wdot", "switch_times", "Q", "alpha", "v"):
+        assert np.array_equal(getattr(fused, name), getattr(ref, name)), name
+    assert len(fused.intervals) == len(ref.intervals) >= 1
+    for a, b in zip(fused.intervals, ref.intervals):
+        assert (a.kind, a.start, a.end, a.i0, a.i1) == (b.kind, b.start, b.end, b.i0, b.i1)
+        assert np.array_equal(a.t_loc, b.t_loc) and np.array_equal(a.idx, b.idx)
+        if a.kind == "OL":
+            assert np.array_equal(a.w_loc, b.w_loc)
+            assert np.array_equal(a.wdot_loc, b.wdot_loc)
+    if model == "sine_h2":
+        assert [iv.kind for iv in fused.intervals].count("OL") == 3
+
+
+# --- evaluations per step ----------------------------------------------
+
+class _CountingFn(SmoothFn):
+    """Delegates to f and counts the scalar value and derivative calls."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = {"scalar": 0, "scalar_deriv": 0}
+
+    def __call__(self, t):
+        return self.f(t)
+
+    def deriv(self, t):
+        return self.f.deriv(t)
+
+    def scalar(self, t):
+        self.calls["scalar"] += 1
+        return self.f.scalar(t)
+
+    def scalar_deriv(self, t):
+        self.calls["scalar_deriv"] += 1
+        return self.f.scalar_deriv(t)
+
+
+def test_ul_step_makes_two_rate_calls():
+    # never overloaded: one lambda call at the start, then the midpoint
+    # and the end of each step; the end value is the next step's k1
+    lam = _CountingFn(SinusoidFn(0.5, 0.3))
+    spec = ModelSpec(lam, ConstantFn(1.0), 1.0, ExponentialPatience(1.0), 4.0)
+    fl = solve_fluid(spec)
+    steps = len(fl.grid) - 1
+    assert [iv.kind for iv in fl.intervals] == ["UL"]
+    assert lam.calls["scalar"] == 2 * steps + 1
+
+
+def test_ol_step_makes_two_staffing_calls(monkeypatch):
+    # overloaded throughout, so the sweep ends in the continuation past
+    # the horizon, which steps through ol_rhs; counted at its entry: s(0)
+    # in validate, s(0) and b(0,0) to choose the regime, ol_rhs(0, 0),
+    # then b(t,0) at the midpoint and the end of each step, the end value
+    # shared with wdot at the grid point
+    s = _CountingFn(SinusoidFn(1.0, 0.3, 1.0, -0.5))
+    spec = ModelSpec(ConstantFn(2.0), s, 1.0, ExponentialPatience(0.5), 4.0,
+                     x0=float(s(0.0)))
+    at_entry = {}
+    extend = fluid._extend_ol
+
+    def counted_extend(*args):
+        at_entry.update(s.calls)
+        return extend(*args)
+
+    monkeypatch.setattr(fluid, "_extend_ol", counted_extend)
+    fl = solve_fluid(spec)
+    steps = len(fl.grid) - 1
+    assert [iv.kind for iv in fl.intervals] == ["OL"]
+    assert at_entry == {"scalar": 2 * steps + 4, "scalar_deriv": 2 * steps + 2}
+
+
+def test_age_integrals_make_one_patience_call_per_block(sine_h2_spec):
+    calls = []
+
+    class Patience(H2Patience):
+        def survival(self, x):
+            calls.append("survival")
+            return super().survival(x)
+
+        def pdf(self, x):
+            calls.append("pdf")
+            return super().pdf(x)
+
+        def survival_pdf(self, x):
+            calls.append("survival_pdf")
+            return super().survival_pdf(x)
+
+    pat = Patience(**dataclasses.asdict(sine_h2_spec.patience))
+    t = np.linspace(2.0, 16.0, 1000)
+    w = 0.5 + 0.4 * np.sin(t)
+    got = age_integrals(sine_h2_spec.arrival_rate, pat, t, w)
+    blocks = -(-len(t) // fluid._ROW_BLOCK)
+    assert calls == ["survival_pdf"] * blocks and blocks > 1
+    ref = age_integrals(sine_h2_spec.arrival_rate, sine_h2_spec.patience, t, w)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+# --- the checks of the OL state inside the sweep ------------------------
+
+def _vanishing_rate_spec():
+    # lambda = 2 until t = 3, then 1e-13: once t - w(t) passes 3 the
+    # boundary density lambda(t - w) Fc(w) falls below its floor; w rises
+    # from 0 towards ln 2, where 2 Fc(w) = b(t,0) = 1
+    lam = PiecewisePolyFn(knots=(0.0, 3.0, 10.0), coeffs=((2.0,), (1e-13,)))
+    return ModelSpec(lam, ConstantFn(1.0), 1.0, ExponentialPatience(1.0), 6.0, x0=1.0)
+
+
+def test_vanishing_boundary_density_raises_in_the_sweep(monkeypatch):
+    entered = []
+    extend = fluid._extend_ol
+    monkeypatch.setattr(fluid, "_extend_ol",
+                        lambda *args: entered.append(True) or extend(*args))
+    with pytest.raises(BoundaryDensityError, match=r"t=3\.6") as exc:
+        solve_fluid(_vanishing_rate_spec())
+    # raised by a stage of the grid sweep, not at the interval start
+    assert "_sweep_ol" in [entry.name for entry in exc.traceback]
+    assert not entered
+    t = float(str(exc.value).rsplit("t=", 1)[1])
+    assert 3.6 < t < 3.0 + np.log(2.0)

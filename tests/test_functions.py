@@ -1,5 +1,6 @@
 import math
 import pickle
+from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
@@ -208,3 +209,40 @@ def _piece_terms(f, t):
 def test_piecewise_poly_scalar(case):
     f, t = case
     check_scalar(f, t, *_piece_terms(f, t))
+
+
+@given(piecewise_and_time())
+def test_piecewise_value_and_deriv_share_one_search(case):
+    # against the clipped knot search and the ascending sum, one
+    # coefficient gather per power
+    f, t = case
+    ts = np.array([t, t - 1.0, t + 1.0, f.knots[0], f.knots[-1]])
+    i = np.clip(np.searchsorted(f.knots, ts, side="right") - 1, 0, len(f.coeffs) - 1)
+    u = ts - f.knots[i]
+    refs = []
+    for c in (f.coeffs, f._dcoeffs):
+        out, z = c[i, 0], u
+        for k in range(1, c.shape[1]):
+            out = out + c[i, k] * z
+            z = z * u
+        refs.append(out)
+    value, slope = f.value_and_deriv(ts)
+    assert np.array_equal(value, refs[0]) and np.array_equal(slope, refs[1])
+    assert np.array_equal(value, f(ts)) and np.array_equal(slope, f.deriv(ts))
+
+
+@given(piecewise_and_time())
+def test_scalar_piece_is_the_clipped_knot_search(case):
+    # the piece index of the scalar path, the count of interior knots at
+    # or below t, against min(max(bisect_right(knots, t) - 1, 0), m - 1)
+    # with the same ascending sum
+    f, t = case
+    knots = f.knots.tolist()
+    i = min(max(bisect_right(knots, t) - 1, 0), len(f.coeffs) - 1)
+    for order, c in enumerate((f.coeffs, f._dcoeffs)):
+        u = t - knots[i]
+        acc, z = 0.0, 1.0
+        for ck in c[i].tolist():
+            acc = acc + ck * z
+            z *= u
+        assert f._scalar_eval(t, order) == acc

@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 from tvqueue.patience import (
     ExponentialPatience,
     H2Patience,
+    PatienceDist,
     TabulatedPatience,
     h2_from_scv,
     patience_from_config,
 )
+
+# Fc(x) = (1 + 0.1 x) exp(-x / 2) tabulated on x = 0, 0.5, ..., 10
+_TAB_X = np.linspace(0.0, 10.0, 21)
+_TAB = TabulatedPatience(_TAB_X, 1.0 - (1.0 + 0.1 * _TAB_X) * np.exp(-0.5 * _TAB_X))
 
 
 def test_exponential_basic():
@@ -96,6 +101,80 @@ def test_tabulated_sampling_roundtrip():
     s = d.sample(rng, 200000)
     for q in (0.5, 2.0, 5.0):
         assert np.mean(s <= q) == pytest.approx(float(d.cdf(q)), abs=0.005)
+
+
+def _h2_reference(d, x):
+    # the mixture's survival and density, each summed on its own
+    x = np.asarray(x, dtype=float)
+    return (d.p * np.exp(-d.rate1 * x) + (1.0 - d.p) * np.exp(-d.rate2 * x),
+            d.p * d.rate1 * np.exp(-d.rate1 * x)
+            + (1.0 - d.p) * d.rate2 * np.exp(-d.rate2 * x))
+
+
+def _tabulated_reference(d, x):
+    # the cubic and its derivative on the table, the exponential tail past
+    # it, each evaluated on its own
+    x = np.asarray(x, dtype=float)
+    xc = np.clip(x, d.x[0], d.x[-1])
+    e = np.exp(-d._tail_rate * np.maximum(x - d.x[-1], 0.0))
+    cdf = np.where(x <= d.x[-1], d._interp(xc), 1.0 - (1.0 - d.F[-1]) * e)
+    pdf = np.where(x <= d.x[-1], d._interp.deriv(xc), (1.0 - d.F[-1]) * d._tail_rate * e)
+    return 1.0 - cdf, pdf
+
+
+@pytest.mark.parametrize("d, reference", [
+    (ExponentialPatience(0.5), lambda d, x: (d.survival(x), d.pdf(x))),
+    (h2_from_scv(2.0, 4.0), _h2_reference),
+    (_TAB, _tabulated_reference),
+], ids=["exponential", "h2", "tabulated"])
+def test_survival_pdf_is_survival_and_pdf(d, reference):
+    # an age block as the fluid's age integrals form it, on and past the
+    # table's range (knots, x_end = 10 itself, the tail), and one point;
+    # survival and pdf are survival_pdf's parts
+    x = np.linspace(0.0, 14.0, 57)[:, None] * np.linspace(0.0, 1.0, 129)[None, :]
+    x = np.concatenate([x.ravel(), _TAB_X, [10.0 - 1e-15, 10.0 + 1e-15, 40.0]])
+    for pts in (x, x.reshape(-1, 3), 10.0, 3.25):
+        fc, f = d.survival_pdf(pts)
+        ref_fc, ref_f = reference(d, pts)
+        assert np.array_equal(fc, ref_fc) and np.array_equal(f, ref_f)
+        assert np.array_equal(fc, d.survival(pts)) and np.array_equal(f, d.pdf(pts))
+        assert np.shape(fc) == np.shape(f) == np.shape(pts)
+
+
+def test_survival_pdf_defaults_to_the_vector_methods():
+    class Uniform(PatienceDist):      # a user subclass that names cdf and pdf only
+        def cdf(self, x):
+            return np.clip(np.asarray(x, dtype=float) / 4.0, 0.0, 1.0)
+
+        def pdf(self, x):
+            return np.where(np.asarray(x, dtype=float) < 4.0, 0.25, 0.0)
+
+    x = np.linspace(0.0, 5.0, 11)
+    fc, f = Uniform().survival_pdf(x)
+    assert np.array_equal(fc, 1.0 - x.clip(0.0, 4.0) / 4.0) and np.array_equal(f, Uniform().pdf(x))
+
+
+@pytest.mark.parametrize("x, F", [
+    (_TAB_X, _TAB.F),
+    ([0.0, 1.0, 2.0, 4.0], [0.0, 0.3, 0.5, 0.8]),
+    ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.3, 0.3, 0.3, 0.6]),    # flat pieces
+    ([0.0, 0.01, 2.0], [0.0, 0.5, 0.55]),                     # a steep first piece
+], ids=["bench", "four_points", "flat", "steep"])
+def test_tabulated_sample_inverts_the_cdf(x, F):
+    # each draw u in the table maps to a point whose cdf is u to 1e-12,
+    # and past it to the exponential tail's inverse
+    d = TabulatedPatience(x, F)
+    u = np.random.default_rng(5).random(4000)
+    s = d.sample(np.random.default_rng(5), 4000)
+    inside = u <= d.F[-1]
+    assert inside.any() and (~inside).any()
+    assert np.max(np.abs(d.cdf(s) - u)[inside]) <= 1e-12
+    assert np.all((s[inside] >= 0.0) & (s[inside] <= d.x[-1]))
+    assert np.all(s[~inside] > d.x[-1])
+    np.testing.assert_allclose(d.cdf(s[~inside]), u[~inside], rtol=0.0, atol=1e-12)
+    # a flat piece of F holds no draw
+    for a, b in zip(d.x[:-1][np.diff(d.F) == 0.0], d.x[1:][np.diff(d.F) == 0.0]):
+        assert not np.any((s > a + 1e-9) & (s < b - 1e-9))
 
 
 def test_tabulated_validation():

@@ -569,6 +569,10 @@ def test_config_validation():
             SimConfig(_mmn_spec(1.0, 1.0), n=10, reps=2, parallel=parallel)
     with pytest.raises(ValueError, match="base_seed >= 0"):
         SimConfig(_mmn_spec(1.0, 1.0), n=10, reps=2, base_seed=-1)
+    for key, value in (("c_lambda", 2.0), ("c_lambda", 0.0), ("var_x0", 0.5)):
+        spec = dataclasses.replace(_mmn_spec(1.0, 1.0), **{key: value})
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            SimConfig(spec, n=10, reps=2)
     with pytest.raises(ValueError, match="invalid model"):
         estimate(SimConfig(ModelSpec(ConstantFn(0.0), ConstantFn(1.0), 1.0,
                                      ExponentialPatience(1.0), 2.0),
