@@ -18,21 +18,41 @@ from the epochs of the events (staffing changes, arrivals into a free
 server, departures) after the loop, so flow conservation holds exactly
 and the path is a deterministic function of the seed.
 
-A batch of replications builds what depends only on (spec, n, horizon)
-once: the thinning envelope and the staffing epochs.  Each replication
-then does only its own random work, in few calls: thinning draws one
-Poisson count and one block of uniforms per chunk of the envelope and
-sorts all candidates once, and the departure clock reads a C-level
-iterator over blocks of exponential draws.
+The loop runs in three regimes.  With a free server (B < s) nobody
+waits: an arrival enters service at once and a departure frees a
+server.  With the pool full (B = s) only departures and staffing epochs
+are events, and each departure takes the queue's head until one finds
+the queue empty.  The rate mu B is then constant, so the departure
+epochs are t_k = t_(k-1) + e_k / (mu B): after the first 8 of a stretch
+they come in blocks of 16, 32, ... from one division and one
+`add.accumulate` of the exponential draws, while 8 or more are due
+before the next staffing epoch.  Division is correctly rounded and the
+accumulate is a sequential left fold, so each epoch equals the one the
+clock gives a draw at a time.  Most full stretches at moderate n are
+long (99% of the sine/H2 model's full-pool departures at n = 200 are in
+stretches of 8 or more), while frequent staffing epochs (the staffed
+model at n = 2000) cut stretches to a few departures, where a block
+would cost more than it saves.  Staffing epochs are the third regime.
+
+A batch of replications builds what depends only on the config once:
+the thinning envelope, the staffing epochs, the observation grid and the
+staffing level there.  Each replication then does only its own random
+work, in few calls: thinning draws one Poisson count and one block of
+uniforms per chunk of the envelope and sorts all candidates once, and
+the departure clock reads blocks of 1024 exponential draws, one at a
+time through a C-level iterator or a block at once.  A batch keeps one
+running mean and variance of the six tracked series stacked as rows, one
+update per path.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
-from math import floor, inf, nan
+from math import floor, inf, nan, nextafter
 
 import numpy as np
 
@@ -204,17 +224,65 @@ class SimPath:
 
 
 def _fixed_setup(config: SimConfig):
-    """What every replication of a config shares: the arrival envelope and
-    the staffing epochs, which depend on (spec, n, horizon) alone."""
-    spec, T = config.spec, config.spec.horizon
-    return arrival_envelope(spec, T), staffing_epochs(spec, config.n, T)
+    """What every replication of a config shares, as it depends on (spec,
+    n, horizon, obs_step) alone: the arrival envelope, the staffing epochs
+    (times, levels), and the observation grid with the staffing at time 0,
+    the number of staffing epochs up to each grid point and the staffing
+    level there."""
+    spec, n, T = config.spec, config.n, config.spec.horizon
+    st_t, st_lv = staffing_epochs(spec, n, T)
+    grid = config.obs_grid()
+    s0 = int(staffing_level(n, float(spec.staffing(0.0))))
+    k = np.searchsorted(st_t, grid, side="right")
+    S = np.concatenate(([s0], st_lv)).astype(int)[k]
+    return arrival_envelope(spec, T), (st_t, st_lv), (grid, s0, k, S)
 
 
-def _exponentials(rng: np.random.Generator):
-    """Iterator over standard exponentials of rng, drawn in blocks of
-    1024; numpy's block and single draws give the same sequence.  Its
-    `__next__` is C-level: no generator frame resumes per value."""
-    return chain.from_iterable(iter(lambda: rng.standard_exponential(1024).tolist(), None))
+class _Exponentials:
+    """Standard exponentials of `rng`, drawn in blocks of 1024.
+
+    `draw()` gives the next value; it is the `__next__` of a C-level
+    iterator over the blocks' `tolist()`, so no Python frame runs per
+    value.  `ahead(m)` is a view of up to m next values, all from one
+    block, that it does not consume, and `skip(q)` consumes q of them, so
+    block reads and single draws take turns in one sequence.  numpy's
+    block and single draws give the same sequence.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        # the current block and the iterator over its values; the block
+        # generator refers to this list, not to self, so that no cycle
+        # keeps a replication's blocks alive until the garbage collector
+        # runs
+        self._now = now = [np.empty(0), iter(())]
+
+        def blocks():
+            while True:
+                block = rng.standard_exponential(1024)
+                now[:] = block, iter(block.tolist())
+                yield now[1]
+
+        self.draw = chain.from_iterable(blocks()).__next__
+
+    def ahead(self, m: int) -> np.ndarray:
+        block, it = self._now
+        rest = it.__length_hint__()
+        if not rest:            # start the next block, and put its first value back
+            self.draw()
+            block, it = self._now
+            it.__setstate__(0)
+            rest = len(block)
+        pos = len(block) - rest
+        return block[pos:pos + m]
+
+    def skip(self, q: int):
+        block, it = self._now
+        it.__setstate__(len(block) - it.__length_hint__() + q)
+
+
+def _first_after(x, t):
+    """The first element of the sorted x above each t; inf if none."""
+    return np.append(x, inf)[np.searchsorted(x, t, side="right")]
 
 
 def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
@@ -226,112 +294,176 @@ def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
     the recorded epochs after it (see the module docstring).
     """
     spec, n, mu = config.spec, config.n, config.spec.mu
-    envelope, (st_t, st_lv) = _fixed_setup(config) if fixed is None else fixed
+    envelope, (st_t, st_lv), (grid, s0, k_st, S) = (
+        _fixed_setup(config) if fixed is None else fixed)
+    t_end = float(grid[-1])
+    past = nextafter(t_end, inf)
     ss = np.random.SeedSequence(seed)
     rng_arr, rng_srv, rng_pat = [np.random.default_rng(s) for s in ss.spawn(3)]
 
     arrivals = gen_arrivals(spec, n, rng_arr, envelope)
     patience = spec.patience.sample(rng_pat, len(arrivals)) if len(arrivals) else np.empty(0)
-    # per arrival: epoch, abandonment deadline and service entry epoch
-    # (nan if none); a final inf in the first two ends the queue
+    # per arrival: epoch, abandonment deadline and service entry epoch;
+    # a final inf in the first two ends the queue.  An entry epoch starts
+    # as the arrival epoch, which it stays for an arrival that finds a
+    # free server, and becomes nan for one that abandons or is still
+    # waiting at the end
     deadlines = arrivals + patience
     arr = arrivals.tolist() + [inf]
-    deadline = deadlines.tolist() + [inf]
-    left = array("d", [nan]) * len(arrivals)
-    st_times = st_t.tolist() + [inf]
+    deadline = array("d", np.append(deadlines, inf).tobytes())
+    left = arr[:-1]
+    # the staffing epochs, those after the end clipped to just past it
+    st_times = np.minimum(st_t, past).tolist() + [past]
     st_levels = st_lv.tolist()
     # departures, staffing epochs that left a server idle, and the number
     # forced out of service at each staffing epoch
-    deps, idle, cut = array("d"), array("d"), array("q", [0]) * len(st_levels)
+    deps, idle, cut = [], array("d"), array("q", [0]) * len(st_levels)
 
-    s0 = s_now = int(staffing_level(n, float(spec.staffing(0.0))))
+    s_now = s0
     x0 = B = min(int(round(n * spec.x0)), s_now)
     head = si = 0   # head: no one before it still waits or is yet to arrive
-    exp_draw = _exponentials(rng_srv).__next__
+    exps = _Exponentials(rng_srv)
+    draw = exps.draw
     dep = deps.append
-    t_dep = exp_draw() / (mu * B) if B else inf
-    t_st = st_times[0]      # the next staffing epoch
-    grid = config.obs_grid()
-    t_end = grid[-1]
+    rate = [mu * b for b in range(max([s0] + st_levels) + 1)]     # rate[B] = mu * B
+    t_dep = draw() / rate[B] if B else inf
+    t_st = st_times[0]      # t < t_st: before the next staffing epoch and the end
     # ties resolve staffing first, then arrival, departure; a customer
     # whose deadline falls on an epoch can still enter service there
     while True:
-        t_arr = arr[head]
-        if B < s_now and t_arr < t_st and t_arr <= t_dep:
-            now = t_arr     # nobody waits: the arrival enters service
-            if now > t_end:
-                break
-            left[head] = now
-            head += 1
-            B += 1
-            t_dep = now + exp_draw() / (mu * B)
-        elif t_st <= t_dep:
-            now = t_st
-            if now > t_end:
-                break
-            s_now = st_levels[si]
-            si += 1
-            t_st = st_times[si]
-            if B > s_now:
-                cut[si - 1] = B - s_now
-                B = s_now
-                t_dep = now + exp_draw() / (mu * B) if B else inf
-            elif B < s_now:
-                b0 = B
-                while B < s_now:
-                    while deadline[head] < now:
-                        head += 1
-                    if arr[head] >= now:    # an arrival at now comes after
-                        idle.append(now)
+        if B < s_now:
+            # free servers: nobody waits, so an arrival enters service at
+            # once and a departure frees a server
+            t_arr = arr[head]
+            while True:
+                if t_arr <= t_dep:
+                    if t_arr >= t_st:
                         break
-                    left[head] = now
                     head += 1
                     B += 1
-                if B != b0:
-                    t_dep = now + exp_draw() / (mu * B)
+                    t_dep = t_arr + draw() / rate[B]
+                    if B == s_now:
+                        break
+                    t_arr = arr[head]
+                elif t_dep < t_st:
+                    dep(t_dep)
+                    B -= 1
+                    t_dep = t_dep + draw() / rate[B] if B else inf
+                else:
+                    break
+            if B == s_now:
+                continue
         else:
-            now = t_dep
-            if now > t_end:
-                break
-            dep(now)
-            while deadline[head] < now:
+            # full pool: departures at the constant rate mu B, each taking
+            # the queue's head, until one finds the queue empty.  The first
+            # 8 of a stretch go one at a time, then blocks of 16, 32, ...
+            # epochs from one accumulate, while 8 or more are due before
+            # the next staffing epoch
+            r = rate[B]
+            warm, size = 8, 16
+            while t_dep < t_st:
+                if warm:
+                    warm -= 1
+                elif (t_st - t_dep) * r >= 8:
+                    e = exps.ahead(min(size, int((t_st - t_dep) * r) + 8))
+                    size *= 2
+                    z = np.empty(len(e) + 1)
+                    z[0] = t_dep
+                    np.divide(e, r, out=z[1:])
+                    ds = np.add.accumulate(z, out=z).tolist()
+                    q = min(bisect_left(ds, t_st), len(e))
+                    for j, d in enumerate(ds[:q]):
+                        while deadline[head] < d:
+                            left[head] = nan
+                            head += 1
+                        if arr[head] > d:
+                            break
+                        left[head] = d
+                        head += 1
+                    else:
+                        deps += ds[:q]
+                        exps.skip(q)
+                        t_dep = ds[q]
+                        continue
+                    # the departure at d finds the queue empty: it is
+                    # the next one, taken alone below
+                    deps += ds[:j]
+                    exps.skip(j)
+                    t_dep = d
+                d = t_dep
+                dep(d)
+                while deadline[head] < d:
+                    left[head] = nan
+                    head += 1
+                if arr[head] > d:   # the queue is empty: a server frees
+                    B -= 1
+                    t_dep = d + draw() / rate[B] if B else inf
+                    break
+                left[head] = d
                 head += 1
-            if arr[head] <= now:
+                t_dep = d + draw() / r
+            if B < s_now:
+                continue
+        # the next event is a staffing epoch, or past the end
+        if t_st > t_end:
+            break
+        now = t_st
+        s_now = st_levels[si]
+        si += 1
+        t_st = st_times[si]
+        if B > s_now:
+            cut[si - 1] = B - s_now
+            B = s_now
+            t_dep = now + draw() / rate[B] if B else inf
+        elif B < s_now:
+            b0 = B
+            while B < s_now:
+                while deadline[head] < now:
+                    left[head] = nan
+                    head += 1
+                if arr[head] >= now:    # an arrival at now comes after
+                    idle.append(now)
+                    break
                 left[head] = now
                 head += 1
-            else:
-                B -= 1
-            t_dep = now + exp_draw() / (mu * B) if B else inf
+                B += 1
+            if B != b0:
+                t_dep = now + draw() / rate[B]
 
-    del arr, deadline    # the loop's lists; the read-out needs their memory
+    del arr, deadline    # the loop's sequences; the read-out needs their memory
     # an event at an observation epoch comes before the observation
-    entry = np.frombuffer(left)
+    entry = np.fromiter(left, float, len(left))
+    entry[head:] = nan
     waiting = np.isnan(entry)
     entered = entry[~waiting]       # nondecreasing: service is FCFS
+    dep_t = np.fromiter(deps, float, len(deps))
     N = np.searchsorted(arrivals, grid, side="right")
     E = np.searchsorted(entered, grid, side="right")
     A = np.searchsorted(np.sort(deadlines[waiting]), grid, side="right")
-    D = np.searchsorted(np.frombuffer(deps), grid, side="right")
-    k = np.searchsorted(st_t, grid, side="right")
-    S = np.concatenate(([s0], st_lv)).astype(int)[k]
-    F = np.concatenate(([0], np.cumsum(cut)))[k]
+    D = np.searchsorted(dep_t, grid, side="right")
+    F = np.concatenate(([0], np.cumsum(cut)))[k_st]
     Q = N - E - A
     B = x0 + E - D - F
-    # queue exit: entry, else abandonment by the last observation, else
-    # inf; the exits' running maximum to i is <= t iff 0..i have left by t
-    exit_t = np.where(waiting, np.where(deadlines <= t_end, deadlines, inf), entry)
+    # queue exit: entry (never after the deadline), else abandonment by
+    # the last observation, else inf; the exits' running maximum to i is
+    # <= t iff 0..i have left by t
+    exit_t = np.fmin(entry, deadlines)
+    exit_t[exit_t > t_end] = inf
     gone = np.maximum.accumulate(exit_t)
     oldest = np.append(arrivals, inf)[np.searchsorted(gone, grid, side="right")]
     W = np.where(Q > 0, grid - oldest, 0.0)
     # potential waiting time of a virtual arrival that never abandons: the
-    # first service slot strictly after every customer ahead of it has
-    # left the queue; NaN if one of them still waits at the horizon or no
-    # slot follows
+    # first service slot (entry, departure or idle server; each list is
+    # sorted) strictly after every customer ahead of it has left the
+    # queue; NaN if one of them still waits at the horizon or no slot
+    # follows
     tau = np.maximum(grid, np.concatenate(([-inf], gone))[N])
-    slot = np.append(np.sort(np.concatenate((entered, deps, idle))), np.nan)
-    V = slot[np.searchsorted(slot[:-1], tau, side="right")] - grid
+    slot = np.minimum(_first_after(entered, tau), _first_after(dep_t, tau))
+    slot = np.minimum(slot, _first_after(np.frombuffer(idle), tau))
+    V = slot - grid
+    V[slot == inf] = nan
     V[(Q == 0) & (B < S)] = 0.0
-    return SimPath(t=grid, X=Q + B, Q=Q, B=B, W=W, V=V, s=S,
+    return SimPath(t=grid.copy(), X=Q + B, Q=Q, B=B, W=W, V=V, s=S.copy(),
                    N=N, D=D, A=A, E=E, forced=F, x0=x0)
 
 
@@ -374,7 +506,7 @@ class Moments:
             return np.sqrt(self.variance() / np.maximum(self.count, 1))
 
 
-_TRACKED = ("X", "Q", "B", "W", "V", "A")
+_TRACKED = ("X", "Q", "B", "W", "V", "A")     # the rows of a batch's Moments
 
 
 @dataclass
@@ -404,14 +536,24 @@ class SimEstimate:
 
 
 def _replicate_batch(args):
+    """Moments of shape (len(_TRACKED), grid) over the paths of the seeds:
+    one Welford update per path, on its tracked series stacked as rows."""
     config, seeds = args
-    mm = {name: Moments(len(config.obs_grid())) for name in _TRACKED}
     fixed = _fixed_setup(config)
+    mm = Moments((len(_TRACKED), len(fixed[2][0])))
     for seed in seeds:
         path = run_replication(config, seed, fixed)
-        for name in _TRACKED:
-            mm[name].add(getattr(path, name))
+        mm.add(np.stack([getattr(path, name) for name in _TRACKED]))
     return mm
+
+
+def _by_name(stacked: Moments) -> dict:
+    """{name: Moments of its row} of a stacked Moments."""
+    rows = {}
+    for i, name in enumerate(_TRACKED):
+        rows[name] = mm = Moments(0)
+        mm.count, mm.mean, mm.M2 = stacked.count[i], stacked.mean[i], stacked.M2[i]
+    return rows
 
 
 def estimate(config: SimConfig) -> SimEstimate:
@@ -432,9 +574,8 @@ def estimate(config: SimConfig) -> SimEstimate:
         # deterministic merge order regardless of completion order
         merged = results[0]
         for mm in results[1:]:
-            for name in _TRACKED:
-                merged[name].merge(mm[name])
-    return SimEstimate(config=config, t=config.obs_grid(), moments=merged)
+            merged.merge(mm)
+    return SimEstimate(config=config, t=config.obs_grid(), moments=_by_name(merged))
 
 
 def write_path_csv(path: SimPath, out):

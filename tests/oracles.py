@@ -174,7 +174,7 @@ def heap_replication(config, seed, fixed=None):
     spec = config.spec
     n = config.n
     mu = spec.mu
-    envelope, (st_times, st_levels) = sim._fixed_setup(config) if fixed is None else fixed
+    envelope, (st_times, st_levels) = (sim._fixed_setup(config) if fixed is None else fixed)[:2]
     ss = np.random.SeedSequence(seed)
     rng_arr, rng_srv, rng_pat = [np.random.default_rng(s) for s in ss.spawn(3)]
 

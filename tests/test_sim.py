@@ -1,6 +1,6 @@
 import dataclasses
 import filecmp
-import itertools
+import gc
 import types
 
 import numpy as np
@@ -17,7 +17,9 @@ from tvqueue.sim import (
     EnvelopeError,
     Moments,
     SimConfig,
-    _exponentials,
+    _TRACKED,
+    _Exponentials,
+    _by_name,
     _fixed_setup,
     arrival_envelope,
     estimate,
@@ -72,10 +74,43 @@ def test_block_and_single_exponential_draws_agree():
         ones = [single.standard_exponential() for _ in range(2500)]
         blocks = np.concatenate([block.standard_exponential(1024) for _ in range(3)])
         assert ones == blocks[:2500].tolist()
-        # and so does the clock's C-level iterator over those blocks
-        draws = _exponentials(np.random.default_rng(seed))
-        assert not isinstance(draws, types.GeneratorType)
-        assert list(itertools.islice(draws, 2500)) == ones
+        # and so does the clock's buffer, single draws from its C-level
+        # iterator and block reads taking turns across the blocks' ends
+        exps = _Exponentials(np.random.default_rng(seed))
+        assert isinstance(exps.draw, types.MethodWrapperType)
+        turns = np.random.default_rng(seed + 1)
+        got = []
+        while len(got) < 2500:
+            if turns.random() < 0.5:
+                got.append(exps.draw())
+                continue
+            m = int(turns.integers(1, 400))
+            view = exps.ahead(m)
+            assert 1 <= len(view) <= m
+            assert view.tolist() == exps.ahead(m).tolist()     # not consumed
+            q = int(turns.integers(0, len(view) + 1))
+            got += view[:q].tolist()
+            exps.skip(q)
+        assert got[:2500] == ones
+
+
+def test_accumulated_departure_epochs_equal_the_scalar_clock():
+    # a full pool's departure epochs t_k = t_(k-1) + e_k / r come from one
+    # add.accumulate per block; they equal the scalar clock's left fold
+    # bit for bit, as division is correctly rounded and the accumulate is
+    # a sequential left fold
+    e = np.random.default_rng(3).standard_exponential(10**5)
+    for t0, r in ((0.0, 1.0), (7.3, 200.0), (123.456, 0.7 * 37)):
+        fold, t = [t0], t0
+        for x in e.tolist():
+            t = t + x / r
+            fold.append(t)
+        assert np.add.accumulate([t0, *(e / r)]).tolist() == fold
+        # the simulator's form: in place, the quotients written after t0
+        z = np.empty(len(e) + 1)
+        z[0] = t0
+        np.divide(e, r, out=z[1:])
+        assert np.add.accumulate(z, out=z).tolist() == fold
 
 
 def _staffed_spec():
@@ -153,6 +188,12 @@ ORACLE_CASES = [
     ("n=1", ModelSpec(SinusoidFn(1.0, 0.6), ConstantFn(1.0), 1.0,
                       h2_from_scv(2.0, 4.0), 16.0), 1, range(20)),
     ("no_arrivals", _mmn_spec(0.3, 1.0, horizon=2.0), 1, range(20)),
+    # one full-pool stretch of ~6000 departures, read in blocks across
+    # several 1024-draw buffer ends
+    ("stationary_x0=1_n=200", ModelSpec(ConstantFn(1.5), ConstantFn(1.0), 1.0,
+                                        ExponentialPatience(0.5), 30.0, x0=1.0), 200, range(3)),
+    # many short full-pool stretches cut by staffing epochs
+    ("staffed_n=2000", _staffed_spec(), 2000, range(1)),
 ]
 
 
@@ -173,6 +214,30 @@ def test_replication_matches_heap_oracle(label, spec, n, seeds):
 
 
 _ORACLE_SPECS = {label: spec for label, spec, _, _ in ORACLE_CASES}
+
+
+def test_full_pool_stretch_reads_blocks_across_buffer_ends(monkeypatch):
+    # the oracle's stationary case at n = 200 starts full and stays
+    # overloaded: most of its departures come from blocks of draws, and
+    # some block read stops short at the end of a 1024-draw buffer
+    reads, taken = [], []
+    ahead, skip = _Exponentials.ahead, _Exponentials.skip
+
+    def recorded_ahead(self, m):
+        view = ahead(self, m)
+        reads.append((m, len(view)))
+        return view
+
+    def recorded_skip(self, q):
+        taken.append(q)
+        skip(self, q)
+
+    monkeypatch.setattr(_Exponentials, "ahead", recorded_ahead)
+    monkeypatch.setattr(_Exponentials, "skip", recorded_skip)
+    spec = _ORACLE_SPECS["stationary_x0=1_n=200"]
+    path = run_replication(SimConfig(spec, n=200, reps=1), 0)
+    assert sum(taken) > 4 * 1024 and sum(taken) > 0.9 * path.D[-1]
+    assert any(got < asked for asked, got in reads)
 
 # (label, spec, n): thinning against the chunk-by-chunk oracle
 THINNING_CASES = [
@@ -258,6 +323,8 @@ def _pinned(monkeypatch, arrivals, patience, spec, n, seed=0, epochs=None):
     if epochs is not None:
         times, levels = np.asarray(epochs[0], dtype=float), np.asarray(epochs[1], dtype=int)
         monkeypatch.setattr("tvqueue.sim.staffing_epochs", lambda *args: (times, levels))
+    else:   # undo an earlier call's epochs
+        monkeypatch.setattr("tvqueue.sim.staffing_epochs", staffing_epochs)
     spec = dataclasses.replace(spec, patience=FixedPatience(patience))
     config = SimConfig(spec, n=n, reps=1)
     return run_replication(config, seed), heap_replication(config, seed)
@@ -324,6 +391,9 @@ def test_ties_on_the_first_departure(monkeypatch):
             # a staffing cut on an arrival that finds a free server comes
             # first: the arrival waits
             "cut": (two, 2, [a], [5.0], ([a], [1])),
+            # a staffing cut to 0 on a departure with a server free comes
+            # first: the busy one is forced out and never departs
+            "free_cut": (two, 2, [3.9], [1.0], ([t1], [0])),
         }
         for label, (spec, n, arr, pat, epochs) in cases.items():
             path, oracle = _pinned(monkeypatch, arr, pat, spec, n, seed, epochs)
@@ -332,6 +402,64 @@ def test_ties_on_the_first_departure(monkeypatch):
             if label == "deadline":
                 after = np.searchsorted(path.t, t1)
                 assert path.E[after] == 1 and path.A[after] == 1 and path.D[after] >= 1
+
+
+def test_ties_on_block_departures(monkeypatch):
+    # four servers start busy and queued customers keep them so:
+    # departures at rate 4 come one at a time (the first 8), then in a
+    # block; a staffing epoch put on the 24th departure comes first, and
+    # an arrival on the 13th, when the queue has just emptied, is served
+    # there
+    spec = ModelSpec(ConstantFn(1.0), ConstantFn(1.0), 1.0,
+                     ExponentialPatience(1.0), 16.0, x0=1.0)
+    blocks = []
+    ahead = _Exponentials.ahead
+
+    def recorded(self, m):
+        blocks.append(m)
+        return ahead(self, m)
+
+    monkeypatch.setattr(_Exponentials, "ahead", recorded)
+    for seed in range(4):
+        rng_srv = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
+        t = [rng_srv.standard_exponential() / 4.0]     # the departures' clock
+        for _ in range(23):
+            t.append(t[-1] + rng_srv.standard_exponential() / 4.0)
+        queued = list(np.linspace(0.0, 0.1, 12))
+        cases = {
+            "staffing_up": (np.linspace(0.0, 0.5, 60), ([t[23]], [5])),
+            "staffing_down": (np.linspace(0.0, 0.5, 60), ([t[23]], [3])),
+            "arrival": (np.array(queued + [t[12]]), None),
+        }
+        for label, (arr, epochs) in cases.items():
+            blocks.clear()
+            path, oracle = _pinned(monkeypatch, arr, np.full(len(arr), 100.0), spec, 4,
+                                   seed, epochs)
+            _assert_same_path(path, oracle, (label, seed))
+            assert np.all(path.conservation_residual() == 0)
+            assert path.forced[-1] == (label == "staffing_down")
+            assert blocks, (label, seed)
+
+
+def test_no_event_after_the_last_observation(monkeypatch):
+    # the grid stops 0.01 before the first departure and 0.1 before the
+    # horizon, with a staffing epoch between them: neither it nor the
+    # departure is run, so the full pool with no queue has no slot for V
+    # at the last observation
+    monkeypatch.setattr("tvqueue.sim.gen_arrivals", lambda *args: np.empty(0))
+    monkeypatch.setattr("oracles.chunked_arrivals", lambda *args: np.empty(0))
+    for seed in range(8):
+        t1 = _first_departure(seed, 1)
+        if t1 < 0.2:
+            continue
+        epochs = (np.array([t1 + 0.05]), np.array([2]))
+        monkeypatch.setattr("tvqueue.sim.staffing_epochs", lambda *args: epochs)
+        spec = ModelSpec(ConstantFn(1.0), ConstantFn(1.0), 1.0,
+                         ExponentialPatience(1.0), t1 + 0.1, x0=1.0)
+        config = SimConfig(spec, n=1, reps=1, obs_step=t1 - 0.01)
+        path = run_replication(config, seed)
+        _assert_same_path(path, heap_replication(config, seed), seed)
+        assert len(path.t) == 2 and path.D[-1] == 0 and np.isnan(path.V[-1])
 
 
 @st.composite
@@ -381,6 +509,21 @@ def test_staffing_epochs_linear():
     times, levels = staffing_epochs(ramp, 50000, 1.0)
     assert list(levels) == list(range(50001, 100001))
     assert np.allclose(times, np.arange(50000) / 50000.0, atol=1e-9)
+
+
+def test_replication_leaves_no_reference_cycles():
+    # a batch's peak memory holds only while each replication's buffers
+    # are freed when it returns, not when the garbage collector next runs
+    config = SimConfig(_ORACLE_SPECS["sine_h2"], n=50, reps=1)
+    run_replication(config, 0)
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(3):
+            run_replication(config, seed)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_conservation_across_seeds():
@@ -507,6 +650,39 @@ def test_moments_skip_nan():
     assert mm.mean[0] == pytest.approx(3.0)
     assert mm.mean[1] == pytest.approx(5.0)
     assert np.isnan(mm.variance()[1])
+
+
+def _same_moments(a, b):
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+               for f in ("count", "mean", "M2"))
+
+
+def test_stacked_moments_equal_one_per_name():
+    # a batch keeps one (6, G) Moments, a path's six series stacked as
+    # rows; the updates are elementwise, so each row equals the Moments
+    # of its series alone, NaNs and integer series included, bit for bit
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(40, 6, 9))
+    data[:, :3] = rng.integers(0, 50, size=(40, 3, 9))
+    data[rng.random(data.shape) < 0.2] = np.nan
+    stacked, rows = Moments((6, 9)), [Moments(9) for _ in range(6)]
+    for path in data:
+        stacked.add(path)
+        for i, m in enumerate(rows):
+            m.add(path[i])
+    for name, m in zip(_TRACKED, rows):
+        assert _same_moments(_by_name(stacked)[name], m), name
+    # and merging stacked halves equals merging each name's halves
+    halves = [Moments((6, 9)), Moments((6, 9))]
+    parts = [[Moments(9) for _ in range(6)] for _ in range(2)]
+    for k, path in enumerate(data):
+        halves[k >= 15].add(path)
+        for i in range(6):
+            parts[k >= 15][i].add(path[i])
+    halves[0].merge(halves[1])
+    for i, name in enumerate(_TRACKED):
+        parts[0][i].merge(parts[1][i])
+        assert _same_moments(_by_name(halves[0])[name], parts[0][i]), name
 
 
 def test_single_rep_has_no_variance():
