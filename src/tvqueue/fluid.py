@@ -7,32 +7,34 @@ stretches it integrates the head-of-line waiting-time ODE
     wdot = 1 - (sdot + s*mu) / (lambda(t - w) * Fc(w))
 
 with a classical fixed-step RK4 scheme, locating every regime switch by
-bisection.  The grid sweeps write the RK4 stages inline and evaluate
-each time-only term, lambda(t) in UL and b(t,0) = s(t) mu + sdot(t) in
-OL, once per distinct time: k2 and k3 share the midpoint value, and the
-end value te = t_prev + h serves k4 and, when te == grid[k] bit for bit,
-the next step's k1 (UL) or wdot at grid[k] (OL); otherwise grid[k] is
-evaluated again.  The same scalar call on the same float gives the same
-double, so this is the unfused RK4 step to the bit.  The bisection and
-the continuation past the horizon step through `_Ctx.ul_rhs` / `ol_rhs`.
-One age-integral pass per OL interval (age_integrals) gives the queue
-content, the abandonment rate and the Fc^2 integral of the Gaussian
-noise terms, by composite Simpson weights on a fixed unit age grid; it
-reduces the (points x ages) products in blocks of rows that stay in
-cache, with one patience pass (Fc and f) per block.  The cumulative
-flows (arrivals, departures, abandonments) are cumulative trapezoids.
-The potential wait inverts L(t) = t - w(t).
+bisection.  Both regimes run through one sweep (_sweep) and one RK4 step
+(_rk4), which also serves the switch bisection and the continuation past
+the horizon: each regime's ODE is a time-only term, lambda(t) in UL and
+b(t,0) = s(t) mu + sdot(t) in OL, and a stage that takes the state and
+that term's value.  The term is evaluated once per distinct time: k2 and
+k3 share the midpoint value, and the end value serves k4 and the
+derivative at the step's end, which is the next step's k1.  The same
+scalar call on the same float gives the same double, so this is the
+textbook RK4 step to the bit.  One age-integral pass per OL interval
+(age_integrals) gives the queue content, the abandonment rate and the
+Fc^2 integral of the Gaussian noise terms, by composite Simpson weights
+on a fixed unit age grid; it reduces the (points x ages) products in
+blocks of rows that stay in cache, with one patience pass (Fc and f) per
+block.  The cumulative flows (arrivals, departures, abandonments) are
+cumulative trapezoids.  The potential wait inverts L(t) = t - w(t).
 
 Each interval also carries its local grid: its start, the global grid
 points inside it and its end, with near-duplicate times dropped; an OL
-grid that reaches the horizon runs on until L(t) covers the interval.
-The Gaussian layer builds every interval's variances on that grid and
-reads them back onto the global grid through the interval's index map.
+grid that reaches the horizon runs on until L(t) covers the interval,
+and raises ValueError if that takes longer than _EXT_SPAN.  The Gaussian
+layer builds every interval's variances on that grid and reads them back
+onto the global grid through the interval's index map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -55,6 +57,7 @@ _QTILDE_FLOOR = 1e-12     # minimum admissible boundary density
 _QUAD_NODES = 129         # Simpson nodes for the age integrals (odd)
 _DEDUPE_TOL = 1e-9        # local-grid times closer than this are merged
 _ROW_BLOCK = 256          # age_integrals rows reduced at a time
+_EXT_SPAN = 1000.0        # longest continuation past the horizon
 _XI = np.linspace(0.0, 1.0, _QUAD_NODES)
 # composite Simpson weights on _XI: h/3 * (1, 4, 2, 4, ..., 2, 4, 1)
 _SIMPSON_W = np.where(np.arange(_QUAD_NODES) % 2 == 1, 4.0, 2.0)
@@ -131,43 +134,52 @@ class FluidSolution:
         return [iv for iv in self.intervals if iv.kind == OL]
 
 
-def _rk4_step(f, t, y, h, k1=None):
-    """One RK4 step; k1 = f(t, y) when the caller already has it."""
-    if k1 is None:
-        k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(term, stage, t, y, h, k1):
+    """One RK4 step of y' = stage(t, y, term(t)) from (t, y), whose
+    derivative k1 the caller has; returns y(t + h), t + h and term(t + h).
+    The midpoint term serves k2 and k3."""
+    tm = t + 0.5 * h
+    te = t + h
+    g_mid = term(tm)
+    g_end = term(te)
+    k2 = stage(tm, y + 0.5 * h * k1, g_mid)
+    k3 = stage(tm, y + 0.5 * h * k2, g_mid)
+    k4 = stage(te, y + h * k3, g_end)
+    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), te, g_end
 
 
-def _integrate(f, t0, y0, t1, substeps=8):
-    """RK4 from (t0, y0) to t1 in a fixed number of substeps."""
+def _integrate(term, stage, t0, y0, k1, t1, substeps=8):
+    """RK4 from (t0, y0), where the derivative is k1, to t1 in a fixed
+    number of substeps."""
     if t1 == t0:
         return y0
     h = (t1 - t0) / substeps
-    y = y0
-    t = t0
-    for _ in range(substeps):
-        y = _rk4_step(f, t, y, h)
-        t += h
+    y, t, g = _rk4(term, stage, t0, y0, h, k1)
+    for _ in range(substeps - 1):
+        y, t, g = _rk4(term, stage, t, y, h, stage(t, y, g))
     return y
 
 
-def _bisect(fun, a, b, fa, fb, tol=_SWITCH_TOL):
-    """Root of a continuous sign-changing function on [a, b]."""
+def _bisect(fun, a, b, fa, tol=_SWITCH_TOL):
+    """Root of a continuous sign-changing function on [a, b], fa = fun(a).
+    Stops early once no float lies strictly between a and b (past
+    t = 2^19 their spacing exceeds the default tol)."""
     while b - a > tol:
         m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
         fm = fun(m)
         if (fa < 0.0) == (fm < 0.0):
             a, fa = m, fm
         else:
-            b, fb = m, fm
+            b = m
     return 0.5 * (a + b)
 
 
 class _Ctx:
-    """Scalar evaluators bound to one spec."""
+    """Scalar evaluators bound to one spec.  `ode[kind]` is the regime's
+    state ODE y' = stage(t, y, term(t)) split into its time-only term and
+    its stage: X' = lambda - mu X in UL, the HWT ODE with b(t,0) in OL."""
 
     def __init__(self, spec: ModelSpec):
         self.mu = spec.mu
@@ -175,12 +187,14 @@ class _Ctx:
         self.s = spec.staffing.scalar
         self.s_d = spec.staffing.scalar_deriv
         self.fc = spec.patience.survival_scalar
+        self.ode = {UL: (self.lam, self.ul_stage), OL: (self.b0, self.ol_stage)}
 
     def b0(self, t):
         return self.s(t) * self.mu + self.s_d(t)
 
-    def ul_rhs(self, t, x):
-        return self.lam(t) - self.mu * x
+    def ul_stage(self, t, x, lam):
+        """Xdot in underload given lam = lambda(t)."""
+        return lam - self.mu * x
 
     def ol_stage(self, t, w, b):
         """wdot in overload given b = b0(t); the one check of the OL state:
@@ -195,10 +209,6 @@ class _Ctx:
                 f"staffing infeasible in overload: b(t,0) <= 0 at t={t:.6f}"
             )
         return 1.0 - b / q
-
-    def ol_rhs(self, t, w):
-        """wdot in overload: the bisection's and the continuation's RK4."""
-        return self.ol_stage(t, w, self.b0(t))
 
 
 def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
@@ -219,9 +229,8 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     n = int(round(T / step))
     grid = np.linspace(0.0, T, n + 1)
 
-    X = np.zeros(n + 1)
-    w = np.zeros(n + 1)
-    wdot = np.zeros(n + 1)
+    Y = np.zeros(n + 1)         # the sweeps' state: X in UL, w in OL
+    Ydot = np.zeros(n + 1)
     intervals: list[FluidInterval] = []
     switches: list[float] = []
 
@@ -234,19 +243,16 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
 
     t_cur = 0.0
     k = 0
-    x_cur = spec.x0
+    y = spec.x0 if kind == UL else 0.0
     times = memoryview(grid)    # indexes to plain floats for the scalar sweep
 
     while k <= n:
-        if kind == UL:
-            t_cur, k, x_cur, iv = _sweep_ul(ctx, times, X, t_cur, k, x_cur)
-        else:
-            t_cur, k, x_cur, iv = _sweep_ol(ctx, times, w, wdot, t_cur, k)
+        t_cur, k, iv = _sweep(ctx, kind, times, Y, Ydot, t_cur, k, y)
         intervals.append(iv)
         if k > n:
             break
         switches.append(t_cur)
-        kind = OL if kind == UL else UL
+        kind, y = (OL, 0.0) if kind == UL else (UL, ctx.s(t_cur))
 
     ol = np.zeros(n + 1, dtype=bool)
     qtilde_w = np.full(n + 1, np.nan)
@@ -254,7 +260,8 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     Q = np.zeros(n + 1)
     alpha = np.zeros(n + 1)
     v = np.zeros(n + 1)          # potential wait L^{-1}(t) - t, zero in UL
-    B = X.copy()
+    X = Y.copy()
+    B = Y.copy()
 
     lam_grid = np.asarray(spec.arrival_rate(grid), dtype=float)
     for iv in [iv for iv in intervals if iv.kind == OL]:
@@ -265,7 +272,7 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
         sl = slice(iv.i0, iv.i1 + 1)
         ol[sl] = True
         ts = grid[sl]
-        ws = w[sl]
+        ws = Y[sl]
         qtilde_w[sl] = (np.asarray(spec.arrival_rate(ts - ws), dtype=float)
                         * np.asarray(spec.patience.survival(ws), dtype=float))
         svals = np.asarray(spec.staffing(ts), dtype=float)
@@ -275,6 +282,8 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
         X[sl] = svals + Q[sl]
         B[sl] = svals
         v[sl] = iv.l_inverse(ts) - ts
+    w = np.where(ol, Y, 0.0)
+    wdot = np.where(ol, Ydot, 0.0)
 
     Lam = cumulative_trapezoid(lam_grid, grid)
     D = cumulative_trapezoid(spec.mu * B, grid)
@@ -301,135 +310,91 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     )
 
 
-def _sweep_ul(ctx, grid, X, start, k, x_start):
-    """Integrate the UL content until a switch or the horizon."""
-    n = len(grid) - 1
-    i0 = k
-    lam, mu, s = ctx.lam, ctx.mu, ctx.s
-    t_prev, x_prev = start, x_start
-    if k <= n and abs(grid[k] - start) < 1e-14:
-        X[k] = x_start
-        t_prev = grid[k]
-        k += 1
-    l_prev = lam(t_prev)
-    while k <= n:
-        tk = grid[k]
-        h = tk - t_prev
-        te = t_prev + h
-        l_mid = lam(t_prev + 0.5 * h)
-        l_end = lam(te)
-        k1 = l_prev - mu * x_prev
-        k2 = l_mid - mu * (x_prev + 0.5 * h * k1)
-        k3 = l_mid - mu * (x_prev + 0.5 * h * k2)
-        k4 = l_end - mu * (x_prev + h * k3)
-        x_new = x_prev + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        gap = x_new - s(tk)
-        if gap >= 0.0:
-            # crossed into overload inside (t_prev, grid[k]]
-            def excess(tc):
-                return _integrate(ctx.ul_rhs, t_prev, x_prev, tc) - s(tc)
+def _sweep(ctx, kind, grid, Y, Ydot, start, k, y):
+    """Integrate regime `kind` from state y at `start` over grid[k:] until
+    it ends or the horizon; returns (end, next grid index, interval).
 
-            tau = _bisect(excess, t_prev, tk, x_prev - s(t_prev), gap)
-            if lam(tau) - ctx.b0(tau) <= 1e-9:
-                raise CriticalLoadingError(
-                    f"non-isolated critical loading near t={tau:.6f}"
-                )
-            iv = FluidInterval(UL, start, tau, i0, k - 1)
-            return tau, k, s(tau), _attach_local(iv, grid, [start, *grid[i0:k], tau])
-        X[k] = x_new
-        t_prev, x_prev = tk, x_new
-        l_prev = l_end if te == tk else lam(tk)
-        k += 1
-    iv = FluidInterval(UL, start, grid[n], i0, n)
-    return grid[n], n + 1, x_prev, _attach_local(iv, grid, [start, *grid[i0:], grid[n]])
-
-
-def _sweep_ol(ctx, grid, w, wdot, start, k):
-    """Integrate the HWT ODE until w returns to zero or the horizon."""
-    n = len(grid) - 1
-    i0 = k
-    stage, b0 = ctx.ol_stage, ctx.b0
-    loc_t = [start]
-    loc_w = [0.0]
-    loc_wd = [ctx.ol_rhs(start, 0.0)]
-    # f_prev = ol_rhs(t_prev, w_prev): the next step's k1
-    t_prev, w_prev, f_prev = start, 0.0, loc_wd[0]
-    if k <= n and abs(grid[k] - start) < 1e-14:
-        w[k] = 0.0
-        wdot[k] = loc_wd[0]
-        t_prev = grid[k]
-        k += 1
-    while k <= n:
-        tk = grid[k]
-        h = tk - t_prev
-        tm = t_prev + 0.5 * h
-        te = t_prev + h
-        b_mid = b0(tm)
-        b_end = b0(te)
-        k2 = stage(tm, w_prev + 0.5 * h * f_prev, b_mid)
-        k3 = stage(tm, w_prev + 0.5 * h * k2, b_mid)
-        k4 = stage(te, w_prev + h * k3, b_end)
-        w_new = w_prev + h / 6.0 * (f_prev + 2.0 * k2 + 2.0 * k3 + k4)
-        if w_new <= 0.0:
-            if w_prev <= 0.0:
-                raise CriticalLoadingError(
-                    f"non-isolated critical loading near t={t_prev:.6f}"
-                )
-
-            def wval(tc):
-                return _integrate(ctx.ol_rhs, t_prev, w_prev, tc)
-
-            tau = _bisect(wval, t_prev, tk, w_prev, w_new)
-            if ctx.lam(tau) >= b0(tau) - 1e-9:
-                raise CriticalLoadingError(
-                    f"non-isolated critical loading near t={tau:.6f} "
-                    "(waiting time grazed zero while still overloaded)"
-                )
-            loc_t.append(tau)
-            loc_w.append(0.0)
-            loc_wd.append(ctx.ol_rhs(tau, 0.0))
-            iv = FluidInterval(OL, start, tau, i0, k - 1)
-            return tau, k, ctx.s(tau), _attach_local(iv, grid, loc_t, loc_w, loc_wd)
-        w[k] = w_new
-        wdot[k] = f_prev = stage(tk, w_new, b_end if te == tk else b0(tk))
-        loc_t.append(tk)
-        loc_w.append(w_new)
-        loc_wd.append(f_prev)
-        t_prev, w_prev = tk, w_new
-        k += 1
-    _extend_ol(ctx, grid[n], w_prev, f_prev, loc_t, loc_w, loc_wd)
-    iv = FluidInterval(OL, start, grid[n], i0, n)
-    return grid[n], n + 1, np.nan, _attach_local(iv, grid, loc_t, loc_w, loc_wd)
-
-
-def _attach_local(iv, grid, loc_t, loc_w=None, loc_wd=None):
-    """Give iv its local grid and index map; returns iv.
-
-    A time within _DEDUPE_TOL of the one before it is dropped, with its
-    w and wdot.
+    The state is X in UL, which ends when X reaches s(t), and w in OL,
+    which ends when w returns to zero; grid point k receives it in Y[k]
+    and its derivative in Ydot[k].  A start within 1e-14 of grid[k] snaps
+    to it, and the first k1 is evaluated at the snapped time.  A step's
+    end term serves the next k1 when te == grid[k] bit for bit (always on
+    a uniform grid, by Sterbenz's lemma); otherwise grid[k] is evaluated
+    again.
     """
-    t = np.asarray(loc_t, dtype=float)
+    n = len(grid) - 1
+    i0 = k
+    term, stage = ctx.ode[kind]
+    ul, s = kind == UL, ctx.s
+    snap = k <= n and abs(grid[k] - start) < 1e-14
+    t_prev = grid[k] if snap else start
+    f_prev = stage(t_prev, y, term(t_prev))
+    loc = [(start, y, f_prev)]       # the local grid's (t, y, ydot)
+    if snap:
+        Y[k], Ydot[k] = y, f_prev
+        k += 1
+    while k <= n:
+        tk = grid[k]
+        y_new, te, g_end = _rk4(term, stage, t_prev, y, tk - t_prev, f_prev)
+        if y_new - s(tk) >= 0.0 if ul else y_new <= 0.0:
+            if not ul and y <= 0.0:
+                raise CriticalLoadingError(f"non-isolated critical loading near t={t_prev:.6f}")
+
+            def edge(tc):
+                # crossed inside (t_prev, grid[k]]: UL X - s, OL w
+                yc = _integrate(term, stage, t_prev, y, f_prev, tc)
+                return yc - s(tc) if ul else yc
+
+            tau = _bisect(edge, t_prev, tk, edge(t_prev))
+            lam, b = ctx.lam(tau), ctx.b0(tau)
+            if lam - b <= 1e-9 if ul else lam >= b - 1e-9:
+                raise CriticalLoadingError(
+                    f"non-isolated critical loading near t={tau:.6f}" + ("" if ul else
+                    " (waiting time grazed zero while still overloaded)"))
+            y_tau = s(tau) if ul else 0.0
+            loc.append((tau, y_tau, stage(tau, y_tau, term(tau))))
+            iv = FluidInterval(kind, start, tau, i0, k - 1)
+            return tau, k, _attach_local(iv, grid, loc)
+        f_prev = stage(tk, y_new, g_end if te == tk else term(tk))
+        Y[k], Ydot[k] = y_new, f_prev
+        loc.append((tk, y_new, f_prev))
+        t_prev, y = tk, y_new
+        k += 1
+    if not ul:
+        _extend_ol(ctx, grid[n], y, f_prev, loc)
+    iv = FluidInterval(kind, start, grid[n], i0, n)
+    return grid[n], n + 1, _attach_local(iv, grid, loc)
+
+
+def _attach_local(iv, grid, loc):
+    """Give iv its local grid and index map from loc, a list of (t, y,
+    ydot); an OL interval keeps y and ydot as w_loc and wdot_loc.  A time
+    within _DEDUPE_TOL of the one before it is dropped with its values.
+    Returns iv."""
+    t, y, ydot = np.fromiter(chain.from_iterable(loc), float, 3 * len(loc)).reshape(-1, 3).T
     keep = np.concatenate([[True], np.diff(t) > _DEDUPE_TOL])
     iv.t_loc = t[keep]
-    if loc_w is not None:
-        iv.w_loc = np.asarray(loc_w)[keep]
-        iv.wdot_loc = np.asarray(loc_wd)[keep]
+    if iv.kind == OL:
+        iv.w_loc, iv.wdot_loc = y[keep], ydot[keep]
     iv.idx = np.searchsorted(iv.t_loc, np.asarray(grid[iv.i0 : iv.i1 + 1]) - 1e-9)
     return iv
 
 
-def _extend_ol(ctx, t_end, w_end, f_end, loc_t, loc_w, loc_wd):
-    """Continue the local grid lists past the horizon until L(t) covers
-    the whole interval; f_end = ol_rhs(t_end, w_end)."""
+def _extend_ol(ctx, t_end, w, wdot, loc):
+    """Continue the OL local grid loc past the horizon t_end, in steps of
+    1e-3, until L(t) = t - w(t) covers the whole interval; wdot is w's
+    derivative at (t_end, w).  Raises ValueError if L(t) is still short of
+    t_end after _EXT_SPAN: the potential wait is then undefined there."""
     h = 1e-3
-    t, wv, fv = t_end, w_end, f_end
-    while t - wv < t_end and wv > 0.0 and t < t_end + 1000.0:
-        wv = max(_rk4_step(ctx.ol_rhs, t, wv, h, fv), 0.0)
-        t += h
-        fv = ctx.ol_rhs(t, wv)
-        loc_t.append(t)
-        loc_w.append(wv)
-        loc_wd.append(fv)
+    t = t_end
+    while t - w < t_end and w > 0.0 and t < t_end + _EXT_SPAN:
+        w, t, b = _rk4(ctx.b0, ctx.ol_stage, t, w, h, wdot)
+        w = max(w, 0.0)
+        wdot = ctx.ol_stage(t, w, b)
+        loc.append((t, w, wdot))
+    if t - w < t_end:
+        raise ValueError(f"the potential wait near the horizon T={t_end:g} is "
+                         f"undefined: continued to t={t:.6f}, t - w(t) is still below T")
 
 
 def age_integrals(rate, patience, t, w):

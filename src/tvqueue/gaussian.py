@@ -167,7 +167,7 @@ def var_W_V(kernels: IntervalKernels, vws: np.ndarray, varX0: float):
     k = kernels
     m = k.interval.n_in
     var_W = vws[:m] + varX0 * k.Fwc[:m] ** 2 / k.qw[:m] ** 2
-    u = np.minimum(k.interval.l_inverse(k.t[:m]), k.t[-1])
+    u = k.interval.l_inverse(k.t[:m])
     vws_u = PiecewisePolyFn.hermite(k.t, vws, 2.0 * k.h * vws + k.Isq)(u)
     wddot = np.gradient(k.wdot, k.t, edge_order=2 if len(k.t) > 2 else 1)
     wdot_u = PiecewisePolyFn.hermite(k.t, k.wdot, wddot)(u)

@@ -10,10 +10,11 @@ arrival, abandonment and observation as an event of its own, against the
 simulator's loop that reads the counters from event epochs; its arrivals
 come from `chunked_arrivals`, which thins chunk by chunk with two uniform
 draws and a sort per chunk, against the program's one block per chunk
-and one sort.  `unfused_sweep_ul` and `unfused_sweep_ol` step the fluid
-sweeps through `_rk4_step`, one `_Ctx.ul_rhs` / `ol_rhs` call per RK4
-stage, against the program's inline stages that evaluate lambda(t) and
-b(t,0) once per distinct time.
+and one sort.  `unfused_sweep` steps the fluid sweep, the switch
+bisection and the continuation past the horizon with its own textbook
+RK4 step and right-hand sides X' = lambda - mu X and the HWT ODE, which
+evaluate lambda(t) or b(t,0) at every call, against the program's one
+fused RK4 step that evaluates them once per distinct time.
 """
 
 import heapq
@@ -26,13 +27,9 @@ from tvqueue import sim
 from tvqueue.fluid import (
     OL,
     UL,
-    CriticalLoadingError,
     FluidInterval,
     _attach_local,
     _bisect,
-    _extend_ol,
-    _integrate,
-    _rk4_step,
 )
 from tvqueue.gaussian import IntervalKernels
 from tvqueue.model import staffing_level
@@ -285,79 +282,73 @@ def heap_replication(config, seed, fixed=None):
                        N=N, D=D, A=A, E=E, forced=F, x0=x0)
 
 
-def unfused_sweep_ul(ctx, grid, X, start, k, x_start):
-    """`fluid._sweep_ul` with one `ul_rhs` call per RK4 stage."""
+def _rk4_step(f, t, y, h, k1):
+    """One textbook RK4 step of y' = f(t, y) with k1 = f(t, y) given."""
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _integrate(f, t0, y0, t1, substeps=8):
+    """RK4 from (t0, y0) to t1 in a fixed number of substeps."""
+    if t1 == t0:
+        return y0
+    h = (t1 - t0) / substeps
+    y = y0
+    t = t0
+    for _ in range(substeps):
+        y = _rk4_step(f, t, y, h, f(t, y))
+        t += h
+    return y
+
+
+def unfused_sweep(ctx, kind, grid, Y, Ydot, start, k, y):
+    """`fluid._sweep` with its own right-hand sides, each evaluating its
+    time term at every call, its own RK4 step, bisection integrator and
+    continuation past the horizon."""
+    def ul_rhs(t, x):
+        return ctx.lam(t) - ctx.mu * x
+
+    def ol_rhs(t, w):
+        return 1.0 - ctx.b0(t) / (ctx.lam(t - w) * ctx.fc(w))
+
+    rhs = ul_rhs if kind == UL else ol_rhs
     n = len(grid) - 1
     i0 = k
-    t_prev, x_prev = start, x_start
-    if k <= n and abs(grid[k] - start) < 1e-14:
-        X[k] = x_start
+    t_prev = start
+    snap = k <= n and abs(grid[k] - start) < 1e-14
+    if snap:
         t_prev = grid[k]
+    f_prev = rhs(t_prev, y)
+    loc = [(start, y, f_prev)]
+    if snap:
+        Y[k], Ydot[k] = y, f_prev
         k += 1
     while k <= n:
-        x_new = _rk4_step(ctx.ul_rhs, t_prev, x_prev, grid[k] - t_prev)
-        gap = x_new - ctx.s(grid[k])
-        if gap >= 0.0:
-            def excess(tc):
-                return _integrate(ctx.ul_rhs, t_prev, x_prev, tc) - ctx.s(tc)
+        y_new = _rk4_step(rhs, t_prev, y, grid[k] - t_prev, f_prev)
+        if kind == UL and y_new >= ctx.s(grid[k]) or kind == OL and y_new <= 0.0:
+            def edge(tc):
+                yc = _integrate(rhs, t_prev, y, tc)
+                return yc - ctx.s(tc) if kind == UL else yc
 
-            tau = _bisect(excess, t_prev, grid[k], x_prev - ctx.s(t_prev), gap)
-            if ctx.lam(tau) - ctx.b0(tau) <= 1e-9:
-                raise CriticalLoadingError(
-                    f"non-isolated critical loading near t={tau:.6f}"
-                )
-            iv = FluidInterval(UL, start, tau, i0, k - 1)
-            return tau, k, ctx.s(tau), _attach_local(iv, grid, [start, *grid[i0:k], tau])
-        X[k] = x_new
-        t_prev, x_prev = grid[k], x_new
+            tau = _bisect(edge, t_prev, grid[k], edge(t_prev))
+            y_tau = ctx.s(tau) if kind == UL else 0.0
+            loc.append((tau, y_tau, rhs(tau, y_tau)))
+            iv = FluidInterval(kind, start, tau, i0, k - 1)
+            return tau, k, _attach_local(iv, grid, loc)
+        f_prev = rhs(grid[k], y_new)
+        Y[k], Ydot[k] = y_new, f_prev
+        loc.append((grid[k], y_new, f_prev))
+        t_prev, y = grid[k], y_new
         k += 1
-    iv = FluidInterval(UL, start, grid[n], i0, n)
-    return grid[n], n + 1, x_prev, _attach_local(iv, grid, [start, *grid[i0:], grid[n]])
-
-
-def unfused_sweep_ol(ctx, grid, w, wdot, start, k):
-    """`fluid._sweep_ol` with one `ol_rhs` call per RK4 stage and per
-    grid point, reusing only wdot as the next step's k1."""
-    n = len(grid) - 1
-    i0 = k
-    loc_t = [start]
-    loc_w = [0.0]
-    loc_wd = [ctx.ol_rhs(start, 0.0)]
-    t_prev, w_prev, f_prev = start, 0.0, loc_wd[0]
-    if k <= n and abs(grid[k] - start) < 1e-14:
-        w[k] = 0.0
-        wdot[k] = loc_wd[0]
-        t_prev = grid[k]
-        k += 1
-    while k <= n:
-        w_new = _rk4_step(ctx.ol_rhs, t_prev, w_prev, grid[k] - t_prev, f_prev)
-        if w_new <= 0.0:
-            if w_prev <= 0.0:
-                raise CriticalLoadingError(
-                    f"non-isolated critical loading near t={t_prev:.6f}"
-                )
-
-            def wval(tc):
-                return _integrate(ctx.ol_rhs, t_prev, w_prev, tc)
-
-            tau = _bisect(wval, t_prev, grid[k], w_prev, w_new)
-            if ctx.lam(tau) >= ctx.b0(tau) - 1e-9:
-                raise CriticalLoadingError(
-                    f"non-isolated critical loading near t={tau:.6f} "
-                    "(waiting time grazed zero while still overloaded)"
-                )
-            loc_t.append(tau)
-            loc_w.append(0.0)
-            loc_wd.append(ctx.ol_rhs(tau, 0.0))
-            iv = FluidInterval(OL, start, tau, i0, k - 1)
-            return tau, k, ctx.s(tau), _attach_local(iv, grid, loc_t, loc_w, loc_wd)
-        w[k] = w_new
-        wdot[k] = f_prev = ctx.ol_rhs(grid[k], w_new)
-        loc_t.append(grid[k])
-        loc_w.append(w_new)
-        loc_wd.append(f_prev)
-        t_prev, w_prev = grid[k], w_new
-        k += 1
-    _extend_ol(ctx, grid[n], w_prev, f_prev, loc_t, loc_w, loc_wd)
-    iv = FluidInterval(OL, start, grid[n], i0, n)
-    return grid[n], n + 1, np.nan, _attach_local(iv, grid, loc_t, loc_w, loc_wd)
+    if kind == OL:
+        # continue w past the horizon until L(t) = t - w(t) covers it
+        t, h = grid[n], 1e-3
+        while t - y < grid[n] and y > 0.0 and t < grid[n] + 1000.0:
+            y = max(_rk4_step(ol_rhs, t, y, h, f_prev), 0.0)
+            t += h
+            f_prev = ol_rhs(t, y)
+            loc.append((t, y, f_prev))
+    iv = FluidInterval(kind, start, grid[n], i0, n)
+    return grid[n], n + 1, _attach_local(iv, grid, loc)

@@ -203,6 +203,20 @@ def test_coarse_grid_step_is_config_error(tmp_path, capsys, step):
     assert "Traceback" not in err
 
 
+def test_uncovered_potential_wait_is_config_error(tmp_path, capsys, monkeypatch):
+    # w grows almost as fast as t, so the continuation past the horizon
+    # stops before L(t) = t - w(t) covers it; shortened to run fast
+    monkeypatch.setattr("tvqueue.fluid._EXT_SPAN", 1.0)
+    cfg = _write_config(tmp_path, **{
+        "lambda": {"kind": "constant", "params": {"value": 200.0}},
+        "patience": {"kind": "exponential", "params": {"rate": 1e-3}},
+        "horizon": 2.0})
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "potential wait" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_takes_no_grid_step(tmp_path, capsys):
     # the simulator solves no fluid model, so it has no fluid grid
     cfg = _write_config(tmp_path, horizon=1.0)

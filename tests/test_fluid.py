@@ -8,8 +8,9 @@ from tvqueue.fluid import (
     BoundaryDensityError,
     CriticalLoadingError,
     StaffingInfeasibleError,
+    _bisect,
     _Ctx,
-    _rk4_step,
+    _rk4,
     age_integrals,
     solve_fluid,
     write_fluid_csv,
@@ -23,7 +24,7 @@ from tvqueue.patience import (
     TabulatedPatience,
 )
 
-from oracles import ul_content, unfused_sweep_ol, unfused_sweep_ul
+from oracles import ul_content, unfused_sweep
 
 # regime switch times of the sinusoidal H2 model, frozen from two runs at
 # step 1e-3 and 5e-4 (agreement < 5e-9)
@@ -145,7 +146,8 @@ def test_step_w_matches_solver(sine_h2_fluid):
     i = iv.i0 + 100
     t, w = fl.grid[i], fl.w[i]
     h = fl.grid[i + 1] - t
-    step = _rk4_step(_Ctx(fl.spec).ol_rhs, t, w, h)
+    ctx = _Ctx(fl.spec)
+    step, _, _ = _rk4(ctx.b0, ctx.ol_stage, t, w, h, ctx.ol_stage(t, w, ctx.b0(t)))
     assert step == pytest.approx(fl.w[i + 1], abs=1e-10)
 
 
@@ -306,8 +308,7 @@ def test_fused_sweeps_match_unfused_oracle(monkeypatch, request, model):
         "sine_staffed": lambda: _staffed_spec(request.getfixturevalue("sine_h2_spec")),
     }[model]()
     fused = solve_fluid(spec)
-    monkeypatch.setattr(fluid, "_sweep_ul", unfused_sweep_ul)
-    monkeypatch.setattr(fluid, "_sweep_ol", unfused_sweep_ol)
+    monkeypatch.setattr(fluid, "_sweep", unfused_sweep)
     ref = solve_fluid(spec)
     for name in ("X", "w", "wdot", "switch_times", "Q", "alpha", "v"):
         assert np.array_equal(getattr(fused, name), getattr(ref, name)), name
@@ -318,6 +319,8 @@ def test_fused_sweeps_match_unfused_oracle(monkeypatch, request, model):
         if a.kind == "OL":
             assert np.array_equal(a.w_loc, b.w_loc)
             assert np.array_equal(a.wdot_loc, b.wdot_loc)
+    # the continuation past the horizon is checked too
+    assert fused.intervals[-1].kind == "UL" or len(fused.intervals[-1].ext_t) > 0
     if model == "sine_h2":
         assert [iv.kind for iv in fused.intervals].count("OL") == 3
 
@@ -359,10 +362,10 @@ def test_ul_step_makes_two_rate_calls():
 
 def test_ol_step_makes_two_staffing_calls(monkeypatch):
     # overloaded throughout, so the sweep ends in the continuation past
-    # the horizon, which steps through ol_rhs; counted at its entry: s(0)
-    # in validate, s(0) and b(0,0) to choose the regime, ol_rhs(0, 0),
-    # then b(t,0) at the midpoint and the end of each step, the end value
-    # shared with wdot at the grid point
+    # the horizon; counted at its entry: s(0) in validate, s(0) and b(0,0)
+    # to choose the regime, b(0,0) for the first wdot, then b(t,0) at the
+    # midpoint and the end of each step, the end value shared with wdot at
+    # the grid point; the continuation's steps make the same two calls
     s = _CountingFn(SinusoidFn(1.0, 0.3, 1.0, -0.5))
     spec = ModelSpec(ConstantFn(2.0), s, 1.0, ExponentialPatience(0.5), 4.0,
                      x0=float(s(0.0)))
@@ -378,6 +381,9 @@ def test_ol_step_makes_two_staffing_calls(monkeypatch):
     steps = len(fl.grid) - 1
     assert [iv.kind for iv in fl.intervals] == ["OL"]
     assert at_entry == {"scalar": 2 * steps + 4, "scalar_deriv": 2 * steps + 2}
+    ext = len(fl.intervals[0].ext_t)
+    assert ext > 0
+    assert s.calls == {"scalar": 2 * (steps + ext) + 4, "scalar_deriv": 2 * (steps + ext) + 2}
 
 
 def test_age_integrals_make_one_patience_call_per_block(sine_h2_spec):
@@ -424,7 +430,36 @@ def test_vanishing_boundary_density_raises_in_the_sweep(monkeypatch):
     with pytest.raises(BoundaryDensityError, match=r"t=3\.6") as exc:
         solve_fluid(_vanishing_rate_spec())
     # raised by a stage of the grid sweep, not at the interval start
-    assert "_sweep_ol" in [entry.name for entry in exc.traceback]
+    assert "_sweep" in [entry.name for entry in exc.traceback]
     assert not entered
     t = float(str(exc.value).rsplit("t=", 1)[1])
     assert 3.6 < t < 3.0 + np.log(2.0)
+
+
+# --- the switch bisection and the continuation's reach ------------------
+
+def test_bisection_stops_at_float_resolution():
+    # past t = 2^19 the float spacing (1.16e-10 here) exceeds the switching
+    # tolerance, so halving alone never brings b - a below it
+    root = 550000.3
+    calls = []
+
+    def fun(t):
+        calls.append(t)
+        if len(calls) > 200:
+            raise RuntimeError("the bisection does not stop")
+        return t - root
+
+    tau = _bisect(fun, 550000.0, 550001.0, -0.3)
+    assert abs(tau - root) <= np.spacing(root)
+    assert len(calls) < 40
+
+
+def test_continuation_short_of_the_horizon_raises(monkeypatch):
+    # lambda = 200 against s mu = 1 and patience of mean 1000: w grows
+    # almost as fast as t, so L(t) = t - w(t) covers [0, T] only long
+    # after T; a short continuation span stops before it does
+    monkeypatch.setattr(fluid, "_EXT_SPAN", 1.0)
+    spec = ModelSpec(ConstantFn(200.0), ConstantFn(1.0), 1.0, ExponentialPatience(1e-3), 2.0)
+    with pytest.raises(ValueError, match=r"potential wait .* continued to t=3\.00"):
+        solve_fluid(spec)
