@@ -107,12 +107,15 @@ def compare(spec: ModelSpec, n: int, reps: int, seed: int = 0,
     """Full pipeline: fluid + variance solve, simulation, error metrics.
 
     tol_var bounds the variance ratio to [1/tol_var, tol_var].  Raises
-    ValueError before the fluid solve on a config the simulator rejects,
-    and before any replication when no observation point is left to
-    compare the mean or the variance on.
+    ValueError before the fluid solve on a config the simulator rejects
+    or with fewer than 2 replications, which give no variance, and
+    before any replication when no observation point is left to compare
+    the mean or the variance on.
     """
     config = SimConfig(spec, n=n, reps=reps, base_seed=seed,
                        obs_step=obs_step, parallel=parallel)
+    if reps < 2:
+        raise ValueError(f"compare needs reps >= 2 to estimate a variance, got {reps}")
     fluid = solve_fluid(spec, grid_step)
     gaussian = propagate(fluid)
     *_, on_X, on_var = _base_masks(fluid, gaussian, config.obs_grid())

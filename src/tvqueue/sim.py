@@ -12,43 +12,32 @@ law, for the same reason.
 
 Joining the queue and abandoning it change neither B nor the clock, so
 neither is an event.  The queue is the arrived customers not yet served,
-in arrival order; a server looking for one skips those whose deadline
-has passed.  The integer counters, W and V at each observation are read
-from the epochs of the events (staffing changes, arrivals into a free
-server, departures) after the loop, so flow conservation holds exactly
-and the path is a deterministic function of the seed.
+in arrival order; a server looking for one passes over those whose
+deadline has passed.  The integer counters, W and V at each observation
+are read from the epochs of the events (staffing changes, arrivals into
+a free server, departures) after the loop, so flow conservation holds
+exactly and the path is a deterministic function of the seed.
 
 The loop runs in three regimes.  With a free server (B < s) nobody
 waits: an arrival enters service at once and a departure frees a
 server.  With the pool full (B = s) only departures and staffing epochs
 are events, and each departure takes the queue's head until one finds
-the queue empty.  The rate mu B is then constant, so the departure
-epochs are t_k = t_(k-1) + e_k / (mu B): after the first 8 of a stretch
-they come in blocks of 16, 32, ... from one division and one
-`add.accumulate` of the exponential draws, while 8 or more are due
-before the next staffing epoch.  Division is correctly rounded and the
-accumulate is a sequential left fold, so each epoch equals the one the
-clock gives a draw at a time.  Most full stretches at moderate n are
-long (99% of the sine/H2 model's full-pool departures at n = 200 are in
-stretches of 8 or more), while frequent staffing epochs (the staffed
-model at n = 2000) cut stretches to a few departures, where a block
-would cost more than it saves.  Staffing epochs are the third regime.
+the queue empty.  Staffing epochs are the third regime.
 
 A batch of replications builds what depends only on the config once:
 the thinning envelope, the staffing epochs, the observation grid and the
 staffing level there.  Each replication then does only its own random
 work, in few calls: thinning draws one Poisson count and one block of
 uniforms per chunk of the envelope and sorts all candidates once, and
-the departure clock reads blocks of 1024 exponential draws, one at a
-time through a C-level iterator or a block at once.  A batch keeps one
-running mean and variance of the six tracked series stacked as rows, one
-update per path.
+the departure clock reads one draw at a time from a C-level iterator
+over blocks of 1024 exponentials.  A batch keeps one running mean and
+variance of the six tracked series stacked as rows, one update per path.
 """
 
 from __future__ import annotations
 
+import os
 from array import array
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
@@ -238,46 +227,11 @@ def _fixed_setup(config: SimConfig):
     return arrival_envelope(spec, T), (st_t, st_lv), (grid, s0, k, S)
 
 
-class _Exponentials:
-    """Standard exponentials of `rng`, drawn in blocks of 1024.
-
-    `draw()` gives the next value; it is the `__next__` of a C-level
-    iterator over the blocks' `tolist()`, so no Python frame runs per
-    value.  `ahead(m)` is a view of up to m next values, all from one
-    block, that it does not consume, and `skip(q)` consumes q of them, so
-    block reads and single draws take turns in one sequence.  numpy's
-    block and single draws give the same sequence.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        # the current block and the iterator over its values; the block
-        # generator refers to this list, not to self, so that no cycle
-        # keeps a replication's blocks alive until the garbage collector
-        # runs
-        self._now = now = [np.empty(0), iter(())]
-
-        def blocks():
-            while True:
-                block = rng.standard_exponential(1024)
-                now[:] = block, iter(block.tolist())
-                yield now[1]
-
-        self.draw = chain.from_iterable(blocks()).__next__
-
-    def ahead(self, m: int) -> np.ndarray:
-        block, it = self._now
-        rest = it.__length_hint__()
-        if not rest:            # start the next block, and put its first value back
-            self.draw()
-            block, it = self._now
-            it.__setstate__(0)
-            rest = len(block)
-        pos = len(block) - rest
-        return block[pos:pos + m]
-
-    def skip(self, q: int):
-        block, it = self._now
-        it.__setstate__(len(block) - it.__length_hint__() + q)
+def _exponentials(rng: np.random.Generator):
+    """Iterator over standard exponentials of rng, drawn in blocks of
+    1024; numpy's block and single draws give the same sequence.  Its
+    `__next__` is C-level: no generator frame resumes per value."""
+    return chain.from_iterable(iter(lambda: rng.standard_exponential(1024).tolist(), None))
 
 
 def _first_after(x, t):
@@ -322,8 +276,7 @@ def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
     s_now = s0
     x0 = B = min(int(round(n * spec.x0)), s_now)
     head = si = 0   # head: no one before it still waits or is yet to arrive
-    exps = _Exponentials(rng_srv)
-    draw = exps.draw
+    draw = _exponentials(rng_srv).__next__
     dep = deps.append
     rate = [mu * b for b in range(max([s0] + st_levels) + 1)]     # rate[B] = mu * B
     t_dep = draw() / rate[B] if B else inf
@@ -355,41 +308,9 @@ def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
                 continue
         else:
             # full pool: departures at the constant rate mu B, each taking
-            # the queue's head, until one finds the queue empty.  The first
-            # 8 of a stretch go one at a time, then blocks of 16, 32, ...
-            # epochs from one accumulate, while 8 or more are due before
-            # the next staffing epoch
+            # the queue's head, until one finds the queue empty
             r = rate[B]
-            warm, size = 8, 16
             while t_dep < t_st:
-                if warm:
-                    warm -= 1
-                elif (t_st - t_dep) * r >= 8:
-                    e = exps.ahead(min(size, int((t_st - t_dep) * r) + 8))
-                    size *= 2
-                    z = np.empty(len(e) + 1)
-                    z[0] = t_dep
-                    np.divide(e, r, out=z[1:])
-                    ds = np.add.accumulate(z, out=z).tolist()
-                    q = min(bisect_left(ds, t_st), len(e))
-                    for j, d in enumerate(ds[:q]):
-                        while deadline[head] < d:
-                            left[head] = nan
-                            head += 1
-                        if arr[head] > d:
-                            break
-                        left[head] = d
-                        head += 1
-                    else:
-                        deps += ds[:q]
-                        exps.skip(q)
-                        t_dep = ds[q]
-                        continue
-                    # the departure at d finds the queue empty: it is
-                    # the next one, taken alone below
-                    deps += ds[:j]
-                    exps.skip(j)
-                    t_dep = d
                 d = t_dep
                 dep(d)
                 while deadline[head] < d:
@@ -454,7 +375,7 @@ def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
     W = np.where(Q > 0, grid - oldest, 0.0)
     # potential waiting time of a virtual arrival that never abandons: the
     # first service slot (entry, departure or idle server; each list is
-    # sorted) strictly after every customer ahead of it has left the
+    # sorted) strictly after every customer before it has left the
     # queue; NaN if one of them still waits at the horizon or no slot
     # follows
     tau = np.maximum(grid, np.concatenate(([-inf], gone))[N])
@@ -568,8 +489,9 @@ def estimate(config: SimConfig) -> SimEstimate:
     else:
         chunks = [seeds[i::workers] for i in range(workers)]
         chunks = [c for c in chunks if c]
-        # one process per chunk: the pool starts all its workers at once
-        with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
+        # the pool starts all its workers at once: no more than the CPUs
+        # run the chunks, whose number and order fix the merge
+        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as ex:
             results = list(ex.map(_replicate_batch, [(config, c) for c in chunks]))
         # deterministic merge order regardless of completion order
         merged = results[0]

@@ -189,6 +189,25 @@ def test_compare_without_comparable_point(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
 
 
+def test_compare_with_one_replication(tmp_path, capsys, monkeypatch):
+    # a variance needs 2 replications: compare fails before the fluid
+    # solve and any replication, while simulate still runs one
+    def not_called(*args):
+        raise AssertionError("compare went past its config check")
+
+    for name in ("solve_fluid", "estimate"):
+        monkeypatch.setattr(sys.modules["tvqueue.compare"], name, not_called)
+    cfg = _write_config(tmp_path)
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path), "--n", "50",
+                 "--reps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "reps >= 2" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "summary.txt").exists()
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--n", "5",
+                 "--reps", "1"]) == 0
+
+
 @pytest.mark.parametrize("step", ["7", "100"])
 def test_coarse_grid_step_is_config_error(tmp_path, capsys, step):
     # RK4 on X' = -mu X amplifies once mu * step > 1 (step 7: by 61 per

@@ -18,8 +18,8 @@ from tvqueue.sim import (
     Moments,
     SimConfig,
     _TRACKED,
-    _Exponentials,
     _by_name,
+    _exponentials,
     _fixed_setup,
     arrival_envelope,
     estimate,
@@ -74,43 +74,10 @@ def test_block_and_single_exponential_draws_agree():
         ones = [single.standard_exponential() for _ in range(2500)]
         blocks = np.concatenate([block.standard_exponential(1024) for _ in range(3)])
         assert ones == blocks[:2500].tolist()
-        # and so does the clock's buffer, single draws from its C-level
-        # iterator and block reads taking turns across the blocks' ends
-        exps = _Exponentials(np.random.default_rng(seed))
-        assert isinstance(exps.draw, types.MethodWrapperType)
-        turns = np.random.default_rng(seed + 1)
-        got = []
-        while len(got) < 2500:
-            if turns.random() < 0.5:
-                got.append(exps.draw())
-                continue
-            m = int(turns.integers(1, 400))
-            view = exps.ahead(m)
-            assert 1 <= len(view) <= m
-            assert view.tolist() == exps.ahead(m).tolist()     # not consumed
-            q = int(turns.integers(0, len(view) + 1))
-            got += view[:q].tolist()
-            exps.skip(q)
-        assert got[:2500] == ones
-
-
-def test_accumulated_departure_epochs_equal_the_scalar_clock():
-    # a full pool's departure epochs t_k = t_(k-1) + e_k / r come from one
-    # add.accumulate per block; they equal the scalar clock's left fold
-    # bit for bit, as division is correctly rounded and the accumulate is
-    # a sequential left fold
-    e = np.random.default_rng(3).standard_exponential(10**5)
-    for t0, r in ((0.0, 1.0), (7.3, 200.0), (123.456, 0.7 * 37)):
-        fold, t = [t0], t0
-        for x in e.tolist():
-            t = t + x / r
-            fold.append(t)
-        assert np.add.accumulate([t0, *(e / r)]).tolist() == fold
-        # the simulator's form: in place, the quotients written after t0
-        z = np.empty(len(e) + 1)
-        z[0] = t0
-        np.divide(e, r, out=z[1:])
-        assert np.add.accumulate(z, out=z).tolist() == fold
+        # and so does the clock's C-level iterator over 1024-draw blocks
+        draw = _exponentials(np.random.default_rng(seed)).__next__
+        assert isinstance(draw, types.MethodWrapperType)
+        assert [draw() for _ in range(2500)] == ones
 
 
 def _staffed_spec():
@@ -188,7 +155,7 @@ ORACLE_CASES = [
     ("n=1", ModelSpec(SinusoidFn(1.0, 0.6), ConstantFn(1.0), 1.0,
                       h2_from_scv(2.0, 4.0), 16.0), 1, range(20)),
     ("no_arrivals", _mmn_spec(0.3, 1.0, horizon=2.0), 1, range(20)),
-    # one full-pool stretch of ~6000 departures, read in blocks across
+    # one full-pool stretch of ~6000 departures, a draw each, across
     # several 1024-draw buffer ends
     ("stationary_x0=1_n=200", ModelSpec(ConstantFn(1.5), ConstantFn(1.0), 1.0,
                                         ExponentialPatience(0.5), 30.0, x0=1.0), 200, range(3)),
@@ -209,35 +176,14 @@ def test_replication_matches_heap_oracle(label, spec, n, seeds):
         path = run_replication(config, seed, fixed)
         _assert_same_path(path, heap_replication(config, seed, fixed), (label, seed))
         empty += path.N[-1] == 0
+        if label == "stationary_x0=1_n=200":
+            assert path.D[-1] > 4 * 1024
     if label == "no_arrivals":
         assert 0 < empty < len(seeds)
 
 
 _ORACLE_SPECS = {label: spec for label, spec, _, _ in ORACLE_CASES}
 
-
-def test_full_pool_stretch_reads_blocks_across_buffer_ends(monkeypatch):
-    # the oracle's stationary case at n = 200 starts full and stays
-    # overloaded: most of its departures come from blocks of draws, and
-    # some block read stops short at the end of a 1024-draw buffer
-    reads, taken = [], []
-    ahead, skip = _Exponentials.ahead, _Exponentials.skip
-
-    def recorded_ahead(self, m):
-        view = ahead(self, m)
-        reads.append((m, len(view)))
-        return view
-
-    def recorded_skip(self, q):
-        taken.append(q)
-        skip(self, q)
-
-    monkeypatch.setattr(_Exponentials, "ahead", recorded_ahead)
-    monkeypatch.setattr(_Exponentials, "skip", recorded_skip)
-    spec = _ORACLE_SPECS["stationary_x0=1_n=200"]
-    path = run_replication(SimConfig(spec, n=200, reps=1), 0)
-    assert sum(taken) > 4 * 1024 and sum(taken) > 0.9 * path.D[-1]
-    assert any(got < asked for asked, got in reads)
 
 # (label, spec, n): thinning against the chunk-by-chunk oracle
 THINNING_CASES = [
@@ -404,22 +350,13 @@ def test_ties_on_the_first_departure(monkeypatch):
                 assert path.E[after] == 1 and path.A[after] == 1 and path.D[after] >= 1
 
 
-def test_ties_on_block_departures(monkeypatch):
-    # four servers start busy and queued customers keep them so:
-    # departures at rate 4 come one at a time (the first 8), then in a
-    # block; a staffing epoch put on the 24th departure comes first, and
-    # an arrival on the 13th, when the queue has just emptied, is served
-    # there
+def test_ties_on_full_pool_departures(monkeypatch):
+    # four servers start busy and queued customers keep them so, each
+    # departure at rate 4 taking the queue's head; a staffing epoch put
+    # on the 24th departure comes first, and an arrival on the 13th, when
+    # the queue has just emptied, is served there
     spec = ModelSpec(ConstantFn(1.0), ConstantFn(1.0), 1.0,
                      ExponentialPatience(1.0), 16.0, x0=1.0)
-    blocks = []
-    ahead = _Exponentials.ahead
-
-    def recorded(self, m):
-        blocks.append(m)
-        return ahead(self, m)
-
-    monkeypatch.setattr(_Exponentials, "ahead", recorded)
     for seed in range(4):
         rng_srv = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
         t = [rng_srv.standard_exponential() / 4.0]     # the departures' clock
@@ -432,13 +369,11 @@ def test_ties_on_block_departures(monkeypatch):
             "arrival": (np.array(queued + [t[12]]), None),
         }
         for label, (arr, epochs) in cases.items():
-            blocks.clear()
             path, oracle = _pinned(monkeypatch, arr, np.full(len(arr), 100.0), spec, 4,
                                    seed, epochs)
             _assert_same_path(path, oracle, (label, seed))
             assert np.all(path.conservation_residual() == 0)
             assert path.forced[-1] == (label == "staffing_down")
-            assert blocks, (label, seed)
 
 
 def test_no_event_after_the_last_observation(monkeypatch):
@@ -703,8 +638,9 @@ def test_parallel_matches_serial(tmp_path):
 
 
 def test_pool_sized_by_chunks(monkeypatch):
-    # 2 replications need 2 workers, not 64; a fake pool records its size
-    # and maps in this process, so no worker process is ever started
+    # 2 replications need 2 workers, not 64, and 64 chunks get no more
+    # workers than the CPUs; a fake pool records its size and maps in
+    # this process, so no worker process is ever started
     sizes = []
 
     class SerialPool:
@@ -722,9 +658,12 @@ def test_pool_sized_by_chunks(monkeypatch):
 
     monkeypatch.setattr("tvqueue.sim.ProcessPoolExecutor", SerialPool)
     spec = _mmn_spec(1.5, 0.5, horizon=0.5)
-    est = estimate(SimConfig(spec, n=5, reps=2, parallel=64))
-    assert sizes == [2]
-    assert np.all(est.moments["X"].count == 2)
+    for cpus, reps, size in ((8, 2, 2), (2, 64, 2), (None, 64, 1)):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        est = estimate(SimConfig(spec, n=5, reps=reps, parallel=64))
+        assert sizes[-1] == size, cpus
+        assert np.all(est.moments["X"].count == reps)
+    assert len(sizes) == 3
 
 
 def test_scaled_views():
