@@ -20,8 +20,10 @@ textbook RK4 step to the bit.  One age-integral pass per OL interval
 Fc^2 integral of the Gaussian noise terms, by composite Simpson weights
 on a fixed unit age grid; it reduces the (points x ages) products in
 blocks of rows that stay in cache, with one patience pass (Fc and f) per
-block.  The cumulative flows (arrivals, departures, abandonments) are
-cumulative trapezoids.  The potential wait inverts L(t) = t - w(t).
+block, and sums each row against the weights with einsum, not BLAS,
+whose row sums may depend on a row's place in the block.  The
+cumulative flows (arrivals, departures, abandonments) are cumulative
+trapezoids.  The potential wait inverts L(t) = t - w(t).
 
 Each interval also carries its local grid: its start, the global grid
 points inside it and its end, with near-duplicate times dropped; an OL
@@ -179,36 +181,42 @@ def _bisect(fun, a, b, fa, tol=_SWITCH_TOL):
 class _Ctx:
     """Scalar evaluators bound to one spec.  `ode[kind]` is the regime's
     state ODE y' = stage(t, y, term(t)) split into its time-only term and
-    its stage: X' = lambda - mu X in UL, the HWT ODE with b(t,0) in OL."""
+    its stage: X' = lambda - mu X in UL, the HWT ODE with b(t,0) in OL.
+    b0 and the two stages are built once per solve as closures over mu
+    and the spec's bound scalar methods, so a stage call looks up no
+    attribute and evaluates the model through those methods."""
 
     def __init__(self, spec: ModelSpec):
-        self.mu = spec.mu
-        self.lam = spec.arrival_rate.scalar
-        self.s = spec.staffing.scalar
-        self.s_d = spec.staffing.scalar_deriv
-        self.fc = spec.patience.survival_scalar
-        self.ode = {UL: (self.lam, self.ul_stage), OL: (self.b0, self.ol_stage)}
+        mu = self.mu = spec.mu
+        lam = self.lam = spec.arrival_rate.scalar
+        s = self.s = spec.staffing.scalar
+        s_d = spec.staffing.scalar_deriv
+        fc = self.fc = spec.patience.survival_scalar
 
-    def b0(self, t):
-        return self.s(t) * self.mu + self.s_d(t)
+        def b0(t):
+            return s(t) * mu + s_d(t)
 
-    def ul_stage(self, t, x, lam):
-        """Xdot in underload given lam = lambda(t)."""
-        return lam - self.mu * x
+        def ul_stage(t, x, lam_t):
+            """Xdot in underload given lam_t = lambda(t)."""
+            return lam_t - mu * x
 
-    def ol_stage(self, t, w, b):
-        """wdot in overload given b = b0(t); the one check of the OL state:
-        the boundary density stays above its floor, then b(t,0) above 0."""
-        q = self.lam(t - w) * self.fc(w)
-        if q < _QTILDE_FLOOR:
-            raise BoundaryDensityError(
-                f"queue boundary density vanished at t={t:.6f}"
-            )
-        if b <= 0.0:
-            raise StaffingInfeasibleError(
-                f"staffing infeasible in overload: b(t,0) <= 0 at t={t:.6f}"
-            )
-        return 1.0 - b / q
+        def ol_stage(t, w, b):
+            """wdot in overload given b = b0(t); the one check of the OL
+            state: the boundary density stays above its floor, then b(t,0)
+            above 0."""
+            q = lam(t - w) * fc(w)
+            if q < _QTILDE_FLOOR:
+                raise BoundaryDensityError(
+                    f"queue boundary density vanished at t={t:.6f}"
+                )
+            if b <= 0.0:
+                raise StaffingInfeasibleError(
+                    f"staffing infeasible in overload: b(t,0) <= 0 at t={t:.6f}"
+                )
+            return 1.0 - b / q
+
+        self.b0, self.ul_stage, self.ol_stage = b0, ul_stage, ol_stage
+        self.ode = {UL: (lam, ul_stage), OL: (b0, ol_stage)}
 
 
 def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
@@ -385,12 +393,13 @@ def _extend_ol(ctx, t_end, w, wdot, loc):
     1e-3, until L(t) = t - w(t) covers the whole interval; wdot is w's
     derivative at (t_end, w).  Raises ValueError if L(t) is still short of
     t_end after _EXT_SPAN: the potential wait is then undefined there."""
+    b0, stage = ctx.ode[OL]
     h = 1e-3
     t = t_end
     while t - w < t_end and w > 0.0 and t < t_end + _EXT_SPAN:
-        w, t, b = _rk4(ctx.b0, ctx.ol_stage, t, w, h, wdot)
+        w, t, b = _rk4(b0, stage, t, w, h, wdot)
         w = max(w, 0.0)
-        wdot = ctx.ol_stage(t, w, b)
+        wdot = stage(t, w, b)
         loc.append((t, w, wdot))
     if t - w < t_end:
         raise ValueError(f"the potential wait near the horizon T={t_end:g} is "
@@ -420,9 +429,12 @@ def age_integrals(rate, patience, t, w):
 
 
 def _simpson(m):
-    """Simpson's rule over _XI along each row of m; a row's sum does not
-    depend on the rows around it."""
-    return (m * _SIMPSON_W).sum(axis=1)
+    """Simpson's rule over _XI along each row of m, as one einsum
+    contraction with the weights: no block-sized temporary of products.
+    A row's sum does not depend on the rows around it; `m @ _SIMPSON_W`
+    would be as fast, but BLAS dgemv may sum a row in an order that
+    depends on its position in the block."""
+    return np.einsum("ij,j->i", m, _SIMPSON_W)
 
 
 def cumulative_trapezoid(y, x):

@@ -212,7 +212,10 @@ def var_UL(spec: ModelSpec, interval: FluidInterval, X0: float, varX0: float) ->
     mu = spec.mu
     lam = np.asarray(spec.arrival_rate(t), dtype=float)
     c2 = spec.c_lambda ** 2
-    var_arr = (c2 - 1.0) * _exp_filter(2.0 * mu, tau, lam) + _exp_filter(mu, tau, lam)
+    var_arr = _exp_filter(mu, tau, lam)
+    if c2 != 1.0:
+        # the renewal-arrival excess; Poisson arrivals (c_lambda = 1) have none
+        var_arr = (c2 - 1.0) * _exp_filter(2.0 * mu, tau, lam) + var_arr
     decay = np.exp(-mu * tau)
     var_init = X0 * (1.0 - decay) * decay + varX0 * decay ** 2
     return var_arr + var_init

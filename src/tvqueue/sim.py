@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from math import floor, inf, nan, nextafter
@@ -487,6 +486,9 @@ def estimate(config: SimConfig) -> SimEstimate:
     if workers == 1:
         merged = _replicate_batch((config, seeds))
     else:
+        # imported here: a serial run does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [seeds[i::workers] for i in range(workers)]
         chunks = [c for c in chunks if c]
         # the pool starts all its workers at once: no more than the CPUs

@@ -15,6 +15,9 @@ bisection and the continuation past the horizon with its own textbook
 RK4 step and right-hand sides X' = lambda - mu X and the HWT ODE, which
 evaluate lambda(t) or b(t,0) at every call, against the program's one
 fused RK4 step that evaluates them once per distinct time.
+`simpson_rows` is the age integrals' Simpson reduction as an elementwise
+product and a row sum, with its own weights, against the program's einsum
+contraction.
 """
 
 import heapq
@@ -352,3 +355,14 @@ def unfused_sweep(ctx, kind, grid, Y, Ydot, start, k, y):
             loc.append((t, y, f_prev))
     iv = FluidInterval(kind, start, grid[n], i0, n)
     return grid[n], n + 1, _attach_local(iv, grid, loc)
+
+
+def simpson_rows(m):
+    """Composite Simpson's rule over an even number of equal steps on
+    [0, 1] along each row of m: the product with h/3 (1, 4, 2, ..., 4, 1)
+    summed by numpy's row sum."""
+    nodes = m.shape[1]
+    w = np.ones(nodes)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return (m * (w / (3.0 * (nodes - 1)))).sum(axis=1)

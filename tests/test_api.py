@@ -79,3 +79,20 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert code in (0, None)
     assert (tmp_path / "approx.csv").stat().st_size > 0
     assert scipy_modules == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # the process pool is imported only by a parallel simulation, so
+    # importing the CLI loads neither it nor multiprocessing
+    code = textwrap.dedent("""
+        import json, sys
+        import tvqueue.cli
+        print(json.dumps(sorted(m for m in sys.modules if m == "multiprocessing"
+                                or m.startswith(("multiprocessing.", "concurrent.futures.process")))))
+    """)
+    src = str(Path(tvqueue.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []

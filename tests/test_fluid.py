@@ -24,7 +24,7 @@ from tvqueue.patience import (
     TabulatedPatience,
 )
 
-from oracles import ul_content, unfused_sweep
+from oracles import simpson_rows, ul_content, unfused_sweep
 
 # regime switch times of the sinusoidal H2 model, frozen from two runs at
 # step 1e-3 and 5e-4 (agreement < 5e-9)
@@ -290,6 +290,40 @@ def test_age_integrals_same_at_any_row_block(monkeypatch, sine_h2_spec):
     monkeypatch.setattr(fluid, "_ROW_BLOCK", 2048)
     for got, ref in zip(small, age_integrals(rate, pat, t, w)):
         assert np.array_equal(got, ref)
+
+
+# --- the einsum reduction against the row-sum oracle ------------------
+
+# two orderings of a sum of 129 nonnegative terms differ by at most
+# 2 * 128 * 2^-53 = 2.8e-14 relative, so 1e-13 is fixed by the dtype
+_REDUCTION_RTOL = 1e-13
+
+
+def _bench_spec(request, model):
+    """The spec of one of the four bench models."""
+    return {
+        "stationary": lambda: request.getfixturevalue("stationary_ol_spec"),
+        "sine_h2": lambda: request.getfixturevalue("sine_h2_spec"),
+        "piecewise_tab": _piecewise_tab_spec,
+        "sine_staffed": lambda: _staffed_spec(request.getfixturevalue("sine_h2_spec")),
+    }[model]()
+
+
+@pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed"])
+def test_age_integrals_match_row_sum_oracle(monkeypatch, request, model):
+    # Q, alpha and Q2 on every OL local grid of the bench models, reduced
+    # by einsum and by the elementwise product and row sum
+    spec = _bench_spec(request, model)
+    ols = solve_fluid(spec).ol_intervals()
+    assert ols
+    grids = [(iv.t_loc[: iv.n_in], iv.w_loc[: iv.n_in]) for iv in ols]
+    rate, pat = spec.arrival_rate, spec.patience
+    got = [age_integrals(rate, pat, t, w) for t, w in grids]
+    monkeypatch.setattr(fluid, "_simpson", simpson_rows)
+    for (t, w), mine in zip(grids, got):
+        for name, a, b in zip(("Q", "alpha", "Q2"), mine, age_integrals(rate, pat, t, w)):
+            assert np.all(b >= 0.0) and np.any(b > 0.0), name
+            assert np.all(np.abs(a - b) <= _REDUCTION_RTOL * b), name
 
 
 # --- the fused sweeps against the unfused oracle -----------------------

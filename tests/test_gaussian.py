@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
+from tvqueue import gaussian
 from tvqueue.fluid import solve_fluid
 from tvqueue.functions import ConstantFn, SinusoidFn
 from tvqueue.gaussian import (
@@ -169,6 +170,33 @@ def test_ul_variance_overflow_safe_filter():
     err, span = _ul_constant_error(5.0, 10.0, 30.0)
     assert 2 * 10.0 * span >= 500.0
     assert err < 1e-8
+
+
+@pytest.mark.parametrize("c_lambda", [1.0, 1.5])
+def test_ul_variance_filters_at_2mu_only_for_renewal_excess(monkeypatch, c_lambda):
+    # the (c_lambda^2 - 1) term is zero for Poisson arrivals, so its 2 mu
+    # filter runs only when c_lambda != 1; the value is the full formula's
+    spec = ModelSpec(SinusoidFn(0.5, 0.3), ConstantFn(1.0), 1.0,
+                     ExponentialPatience(1.0), 8.0, c_lambda=c_lambda)
+    iv = solve_fluid(spec).intervals[0]
+    assert iv.kind == "UL"
+    rates = []
+    exp_filter = gaussian._exp_filter
+
+    def recorded(rate, tau, y):
+        rates.append(rate)
+        return exp_filter(rate, tau, y)
+
+    monkeypatch.setattr(gaussian, "_exp_filter", recorded)
+    got = var_UL(spec, iv, 0.3, 0.25)
+    assert sorted(rates) == ([1.0] if c_lambda == 1.0 else [1.0, 2.0])
+    tau = iv.t_loc - iv.start
+    lam = np.asarray(spec.arrival_rate(iv.t_loc), dtype=float)
+    c2 = c_lambda ** 2
+    decay = np.exp(-tau)
+    full = ((c2 - 1.0) * exp_filter(2.0, tau, lam) + exp_filter(1.0, tau, lam)
+            + (0.3 * (1.0 - decay) * decay + 0.25 * decay ** 2))
+    assert np.array_equal(got, full)
 
 
 def test_waiting_sde_monte_carlo(sine_h2_gaussian):

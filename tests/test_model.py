@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from tvqueue import model
 from tvqueue.functions import ConstantFn, SinusoidFn
 from tvqueue.model import ModelSpec, load_spec, spec_from_dict, validate, write_columns
 from tvqueue.patience import ExponentialPatience
@@ -94,3 +97,38 @@ def test_write_columns(tmp_path):
     assert rows[0] == "t,count,kind,v"      # dict order
     assert rows[1] == "0,3,UL,nan"
     assert rows[2] == "0.3333333333,12,OL,1234567.891"
+
+
+def _csv_reference(columns):
+    """The table as csv.writer writes it, each float cell as "%.10g" % v."""
+    buf = io.StringIO(newline="")
+    out = csv.writer(buf)
+    out.writerow(columns)
+    cols = [np.asarray(c) for c in columns.values()]
+    for i in range(len(cols[0])):
+        out.writerow(["%.10g" % c[i] if c.dtype.kind == "f" else c[i].item() for c in cols])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("rows", ["0", "1", "B-1", "B", "B+1", "2B+3"])
+def test_write_columns_blocks_match_csv_writer(tmp_path, rows):
+    # rows are formatted a block at a time: an empty table, a part block,
+    # whole blocks and whole blocks plus a part all read as csv.writer's
+    block = model._CSV_BLOCK
+    n = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1,
+         "2B+3": 2 * block + 3}[rows]
+    specials = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 0.1, -2.5e17, 123456789.123]
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    x[: len(specials)] = specials[:n]
+    columns = {
+        "x": x,
+        "t": np.arange(n) / 3.0,
+        "k": np.arange(n, dtype=np.int64) - 7,
+        "regime": np.where(np.arange(n) % 3 == 0, "OL", "UL"),
+        "y": x[::-1].copy(),
+    }
+    path = tmp_path / "table.csv"
+    write_columns(path, columns)
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert fh.read() == _csv_reference(columns)

@@ -656,7 +656,7 @@ def test_pool_sized_by_chunks(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("tvqueue.sim.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     spec = _mmn_spec(1.5, 0.5, horizon=0.5)
     for cpus, reps, size in ((8, 2, 2), (2, 64, 2), (None, 64, 1)):
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
