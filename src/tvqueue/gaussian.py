@@ -1,12 +1,13 @@
 """Second-order (Gaussian) approximation: variance and covariance grids.
 
 Overloaded intervals carry the kernel grids: the relaxation exponent h,
-its cumulative integral G with Hc = exp(G), the three noise intensities
-(arrival, service, abandonment) and the cumulative quadratures built
-from them, all by a cumulative Simpson rule on the irregular local
-grid.  The potential-wait variance reads them at exit times through
-cubic Hermite interpolants (functions.PiecewisePolyFn.hermite) whose
-slopes come from the ODEs.
+its cumulative integral G and the three noise intensities (arrival,
+service, abandonment).  Each variance and mean shift solves a linear ODE
+x' = G' x + f from its interval's start by one overflow-safe cumulative
+Simpson filter on the irregular local grid (_filter).  The potential-wait
+variance reads its grids at exit times through cubic Hermite
+interpolants (functions.PiecewisePolyFn.hermite) whose slopes come from
+the ODEs.
 Underloaded intervals use the closed-form infinite-server variances.
 Every interval is solved on the local grid the fluid
 solution gives it (FluidInterval.t_loc) and read back onto the global
@@ -32,6 +33,9 @@ from .fluid import UL, FluidInterval, FluidSolution, age_integrals, cumulative_t
 from .functions import PiecewisePolyFn
 from .model import ModelSpec, write_columns
 
+# largest move of a filter's exponent between restarts; exp(300) ~ 1e130
+_SPAN = 300.0
+
 __all__ = [
     "IntervalKernels",
     "GaussianSolution",
@@ -56,23 +60,41 @@ def _cumquad(y, x):
     if len(x) < 3:
         return cumulative_trapezoid(y, x)
     dx = np.diff(x)
-    fwd = _first_step_areas(y, dx)
-    back = _first_step_areas(y[::-1], dx[::-1])[::-1]
+    y0, y1, y2, d0, d1 = y[:-2:2], y[1:-1:2], y[2::2], dx[:-1:2], dx[1::2]
     steps = np.empty(len(dx))
-    steps[:-1:2] = fwd[::2]
-    steps[1::2] = back[::2]
-    steps[-1] = back[-1]
+    steps[:-1:2] = _first_step_areas(y0, y1, y2, d0, d1)
+    steps[1::2] = _first_step_areas(y2, y1, y0, d1, d0)
+    steps[-1] = _first_step_areas(y[-1], y[-2], y[-3], dx[-1], dx[-2])
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def _first_step_areas(y, dx):
-    """Per triple of samples, the area over its first step of the
-    quadratic through all three."""
-    x21, x32 = dx[:-1], dx[1:]
+def _first_step_areas(y0, y1, y2, x21, x32):
+    """Area over the first step, of width x21, of the quadratic through
+    y0, y1, y2 at steps x21, x32."""
     r31 = x21 / (x21 + x32)
     r32 = x21 / x32
     r = r31 * r32
-    return x21 / 6 * ((3 - r31) * y[:-2] + (3 + r + r31) * y[1:-1] - r * y[2:])
+    return x21 / 6 * ((3 - r31) * y0 + (3 + r + r31) * y1 - r * y2)
+
+
+def _filter(G, f, tau, x0=0.0):
+    """x = exp(G) (x0 + int exp(-G) f) on the grid tau by _cumquad: the
+    solution of x' = G' x + f from x0, for a cumulative exponent G[0] = 0.
+
+    The quadrature restarts from the previous point, carrying x, wherever
+    G has moved more than _SPAN since the last restart, so neither
+    exponential overflows.  A block holds at least one step; a single
+    step that moves G further has its exponent clipped to _SPAN.
+    """
+    x = np.full(len(tau), float(x0))
+    s, last = 0, len(tau) - 1
+    while s < last:
+        far = np.flatnonzero(np.abs(G[s:] - G[s]) > _SPAN)
+        e = last if far.size == 0 else s + max(int(far[0]) - 1, 1)
+        d = np.clip(G[s : e + 1] - G[s], -_SPAN, _SPAN)
+        x[s : e + 1] = np.exp(d) * (x[s] + _cumquad(np.exp(-d) * f[s : e + 1], tau[s : e + 1]))
+        s = e
+    return x
 
 
 @dataclass
@@ -92,7 +114,6 @@ class IntervalKernels:
     qw: np.ndarray          # boundary queue density lambda(t-w) Fc(w)
     h: np.ndarray           # waiting-time relaxation exponent
     G: np.ndarray           # cumulative integral of h
-    Hc: np.ndarray          # exp(G)
     I1: np.ndarray          # arrival noise intensity
     I2: np.ndarray          # service noise intensity
     I3: np.ndarray          # abandonment noise intensity
@@ -116,7 +137,6 @@ class IntervalKernels:
         b0 = sv * spec.mu + sdot
         h = (1.0 - wdot) * (-lamd_tw / lam_tw - hFw)
         G = _cumquad(h, tau)
-        Hc = np.exp(G)
         I1 = spec.c_lambda * np.sqrt(Fcw * b0) / qw
         I2 = -np.sqrt(np.maximum(b0 - sdot, 0.0)) / qw
         I3 = -np.sqrt(Fw * b0) / qw
@@ -124,21 +144,14 @@ class IntervalKernels:
         Fwc = np.exp(-_cumquad(hFw, tau))
         return IntervalKernels(
             interval=interval, spec=spec, t=t, tau=tau, w=w, wdot=wdot, qw=qw,
-            h=h, G=G, Hc=Hc, I1=I1, I2=I2, I3=I3, Isq=Isq, hFw=hFw, Fwc=Fwc,
+            h=h, G=G, I1=I1, I2=I2, I3=I3, Isq=Isq, hFw=hFw, Fwc=Fwc,
         )
 
 
 def _var_w_star_parts(k: IntervalKernels):
-    """Per-source waiting-time deviation variances on the interval grid.
-
-    The propagator factorizes, so each variance is a single cumulative
-    quadrature: Hc(t)^2 * int_0^t I_i(u)^2 / Hc(u)^2 du.
-    """
-    scale = k.Hc ** 2
-    parts = []
-    for Ii in (k.I1, k.I2, k.I3):
-        parts.append(scale * _cumquad(Ii ** 2 / k.Hc ** 2, k.tau))
-    return parts
+    """Per-source waiting-time deviation variances on the interval grid,
+    each the solution of v' = 2 h v + I_i^2 from v = 0."""
+    return [_filter(2.0 * k.G, Ii ** 2, k.tau) for Ii in (k.I1, k.I2, k.I3)]
 
 
 def _var_x_star_parts(k: IntervalKernels, w_parts):
@@ -179,27 +192,6 @@ def var_W_V(kernels: IntervalKernels, vws: np.ndarray, varX0: float):
     return var_W, var_Vstar + varX0 * fwc_u ** 2 / b0_u ** 2, var_Vstar
 
 
-def _exp_filter(rate, tau, y):
-    """Cumulative int_0^tau exp(-rate (tau - s)) y(s) ds, overflow-safe.
-
-    Fast path: one cumulative quadrature when the exponent stays small.
-    Otherwise an exact-decay recursion with a linear interpolant of y on
-    each segment.
-    """
-    if rate * (tau[-1] - tau[0]) < 500.0:
-        grow = np.exp(rate * tau)
-        return np.exp(-rate * tau) * _cumquad(grow * y, tau)
-    out = np.zeros_like(tau)
-    for i in range(1, len(tau)):
-        d = tau[i] - tau[i - 1]
-        E = np.exp(-rate * d)
-        seg = y[i - 1] * (1.0 - E) / rate + (y[i] - y[i - 1]) / d * (
-            d / rate - (1.0 - E) / rate ** 2
-        )
-        out[i] = E * out[i - 1] + seg
-    return out
-
-
 def var_UL(spec: ModelSpec, interval: FluidInterval, X0: float, varX0: float) -> np.ndarray:
     """Content-deviation variance in an underloaded interval, on its local
     grid interval.t_loc.
@@ -212,10 +204,10 @@ def var_UL(spec: ModelSpec, interval: FluidInterval, X0: float, varX0: float) ->
     mu = spec.mu
     lam = np.asarray(spec.arrival_rate(t), dtype=float)
     c2 = spec.c_lambda ** 2
-    var_arr = _exp_filter(mu, tau, lam)
+    var_arr = _filter(-mu * tau, lam, tau)
     if c2 != 1.0:
         # the renewal-arrival excess; Poisson arrivals (c_lambda = 1) have none
-        var_arr = (c2 - 1.0) * _exp_filter(2.0 * mu, tau, lam) + var_arr
+        var_arr = (c2 - 1.0) * _filter(-2.0 * mu * tau, lam, tau) + var_arr
     decay = np.exp(-mu * tau)
     var_init = X0 * (1.0 - decay) * decay + varX0 * decay ** 2
     return var_arr + var_init
@@ -327,14 +319,15 @@ def mean_shift_refined(fluid: FluidSolution) -> MeanShift:
         gsl = slice(iv.i0, iv.i1 + 1)
         if iv.kind == UL:
             lam_g = np.asarray(spec.arrival_rate_g(iv.t_loc), dtype=float)
-            mean_X[gsl] = _exp_filter(mu, iv.t_loc - iv.start, lam_g)[iv.idx]
+            tau = iv.t_loc - iv.start
+            mean_X[gsl] = _filter(-mu * tau, lam_g, tau)[iv.idx]
         else:
             k = IntervalKernels.build(iv, spec)
             lam_g_tw = np.asarray(spec.arrival_rate_g(k.t - k.w), dtype=float)
             s_g = np.asarray(spec.staffing_g(k.t), dtype=float)
             sdot_g = np.asarray(spec.staffing_g.deriv(k.t), dtype=float)
             z = (s_g * mu + lam_g_tw + sdot_g) / k.qw
-            W_g = -k.Hc * _cumquad(z / k.Hc, k.tau)
+            W_g = -_filter(k.G, z, k.tau)
             # queued arrivals of age x in [0, w(t)] from the refined rate
             Q1g = age_integrals(spec.arrival_rate_g, spec.patience,
                                 k.t[iv.idx], k.w[iv.idx])[0]

@@ -84,9 +84,13 @@ def validate(spec: ModelSpec) -> ValidationReport:
     if spec.x0 > s0 + 1e-12:
         report.violations.append("X(0) <= s(0) fails")
     try:
-        if not np.all(spec.patience.survival(grid) > 0):
+        # positive up to the first age where Fc underflows; at an older age
+        # the queue reaches, the fluid sweep's boundary-density floor fails
+        Fc = np.asarray(spec.patience.survival(grid), dtype=float)
+        m = max(int(np.argmax(np.append(Fc < np.finfo(float).tiny, True))), 1)
+        if not np.all(Fc[:m] > 0):
             report.violations.append("Fc(x) > 0 on [0, T] fails")
-        if not np.all(spec.patience.pdf(grid) > 0):
+        if not np.all(spec.patience.pdf(grid[:m]) > 0):
             report.violations.append("f(x) > 0 on [0, T] fails")
         if abs(float(spec.patience.cdf(0.0))) > 1e-12:
             report.violations.append("F(0) = 0 fails")

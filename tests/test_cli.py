@@ -2,9 +2,13 @@ import filecmp
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from tvqueue.cli import main
+from tvqueue.functions import ConstantFn
+from tvqueue.model import ModelSpec
+from tvqueue.patience import PatienceDist
 
 
 def _write_config(tmp_path, **overrides):
@@ -301,6 +305,66 @@ def test_vanishing_boundary_density_exits_invalid(tmp_path, capsys):
     assert main(["approx", "--config", cfg, "--out", str(tmp_path), "--n", "10"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: queue boundary density vanished at t=3.6")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+_FAST_PATIENCE = {"kind": "exponential", "params": {"rate": 30.0}}
+
+
+@pytest.mark.parametrize("command", ["approx", "variance"])
+def test_fast_patience_variances_stay_finite(tmp_path, capsys, command):
+    # lambda = 1.5, s = mu = 1, patience rate theta = 30: G = -30 t, so
+    # exp(2G) leaves the float range from t = 11.8 and one quadrature over
+    # the interval would write NaN.  The relaxation time 1/(2 theta) leaves
+    # no transient at t = 16; the tolerance is the discretization error of
+    # rate 60 at step 1e-3.  Limits: var_Wstar = Isq / (2 theta) with
+    # Isq = 2, var_Xstar = Q + qw^2 var_Wstar with Q = 0.5 / theta, qw = 1
+    cfg = _write_config(tmp_path, horizon=16.0, patience=_FAST_PATIENCE)
+    argv = [command, "--config", cfg, "--out", str(tmp_path)]
+    assert main(argv + (["--n", "200"] if command == "approx" else [])) == 0
+    assert capsys.readouterr().err == ""
+    out = np.genfromtxt(tmp_path / f"{command}.csv", delimiter=",", names=True)
+    for name in ("var_X", "var_W", "var_V"):
+        assert np.all(np.isfinite(out[name])), name
+    if command == "variance":
+        assert out["var_Wstar"][-1] == pytest.approx(1.0 / 30.0, rel=1e-5)
+        assert out["var_Xstar"][-1] == pytest.approx(1.5 / 30.0, rel=1e-5)
+
+
+def test_underflowing_patience_survival_solves(tmp_path, capsys):
+    # Fc = exp(-30 x) underflows from age 23.6 < T = 30, an age the queue
+    # (w -> ln 1.5 / 30) never reaches
+    cfg = _write_config(tmp_path, horizon=30.0, patience=_FAST_PATIENCE)
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+class _CutPatience(PatienceDist):
+    """Exponential patience of rate 30 whose survival drops to exactly 0
+    at age 0.005, below the stationary wait ln 1.5 / 30."""
+
+    def survival(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.005, np.exp(-30.0 * x), 0.0)
+
+    def cdf(self, x):
+        return 1.0 - self.survival(x)
+
+    def pdf(self, x):
+        return 30.0 * self.survival(x)
+
+
+def test_vanishing_patience_survival_at_reached_age_exits_invalid(
+        tmp_path, capsys, monkeypatch):
+    # the model check stops at Fc's first zero; the sweep's boundary-density
+    # floor fails once the wait passes it
+    spec = ModelSpec(ConstantFn(1.5), ConstantFn(1.0), 1.0, _CutPatience(), 1.0,
+                     x0=1.0)
+    monkeypatch.setattr("tvqueue.cli.load_spec", lambda path: spec)
+    cfg = _write_config(tmp_path)
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: queue boundary density vanished")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 

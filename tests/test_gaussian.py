@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
@@ -160,13 +162,37 @@ def _ul_constant_error(lam, mu, horizon):
     return np.max(np.abs(var_X - expect)), tau[-1]
 
 
+@pytest.mark.parametrize("r, n", [(-2000.0, 160001), (-0.5, 16001), (10.0, 16001)])
+def test_filter_closed_form(r, n):
+    # x' = r x + a + b sin t from x(0) = x0 on [0, 16]; at r = -2000 the
+    # exponent reaches -32000, so the filter restarts every 300 of it.
+    # The quadrature is exact on quadratics: on exp(-r u) its relative
+    # error is O((|r| step)^4), and rounding below that
+    a, b, x0 = 1.0, 0.5, 0.7
+    tau = np.linspace(0.0, 16.0, n)
+    x = gaussian._filter(r * tau, a + b * np.sin(tau), tau, x0)
+    e = np.exp(r * tau)
+    exact = (x0 * e + a * np.expm1(r * tau) / r
+             + b * (e - r * np.sin(tau) - np.cos(tau)) / (1.0 + r * r))
+    rtol = max((abs(r) * (tau[1] - tau[0])) ** 4 / 6.0, 1e-12)
+    np.testing.assert_allclose(x, exact, rtol=rtol, atol=0.0)
+
+
+def test_filter_step_beyond_restart_span():
+    # each step moves G by 1000, more than the restart span: every block
+    # is one step long, and the filter still ends with finite values
+    tau = np.linspace(0.0, 16.0, 33)
+    x = gaussian._filter(-2000.0 * tau, 1.0 + 0.5 * np.sin(tau), tau)
+    assert np.all(np.isfinite(x))
+
+
 def test_ul_variance_constant_closed_form():
     assert _ul_constant_error(0.5, 1.0, 6.0)[0] < 1e-8
 
 
 def test_ul_variance_overflow_safe_filter():
-    # 2 mu T = 600: exp(2 mu tau) would overflow the one-quadrature filter,
-    # so var_UL takes the exact-decay recursion for the 2 mu term
+    # 2 mu T = 600: exp(2 mu tau) would overflow one quadrature over the
+    # interval, so the filter restarts as its exponent passes -300
     err, span = _ul_constant_error(5.0, 10.0, 30.0)
     assert 2 * 10.0 * span >= 500.0
     assert err < 1e-8
@@ -180,21 +206,21 @@ def test_ul_variance_filters_at_2mu_only_for_renewal_excess(monkeypatch, c_lambd
                      ExponentialPatience(1.0), 8.0, c_lambda=c_lambda)
     iv = solve_fluid(spec).intervals[0]
     assert iv.kind == "UL"
-    rates = []
-    exp_filter = gaussian._exp_filter
+    slopes = []
+    filt = gaussian._filter
 
-    def recorded(rate, tau, y):
-        rates.append(rate)
-        return exp_filter(rate, tau, y)
+    def recorded(G, f, tau):
+        slopes.append(G[-1] / tau[-1])
+        return filt(G, f, tau)
 
-    monkeypatch.setattr(gaussian, "_exp_filter", recorded)
+    monkeypatch.setattr(gaussian, "_filter", recorded)
     got = var_UL(spec, iv, 0.3, 0.25)
-    assert sorted(rates) == ([1.0] if c_lambda == 1.0 else [1.0, 2.0])
+    assert sorted(slopes) == ([-1.0] if c_lambda == 1.0 else [-2.0, -1.0])
     tau = iv.t_loc - iv.start
     lam = np.asarray(spec.arrival_rate(iv.t_loc), dtype=float)
     c2 = c_lambda ** 2
     decay = np.exp(-tau)
-    full = ((c2 - 1.0) * exp_filter(2.0, tau, lam) + exp_filter(1.0, tau, lam)
+    full = ((c2 - 1.0) * filt(-2.0 * tau, lam, tau) + filt(-1.0 * tau, lam, tau)
             + (0.3 * (1.0 - decay) * decay + 0.25 * decay ** 2))
     assert np.array_equal(got, full)
 
@@ -254,6 +280,40 @@ def test_variance_continuity_at_switches(sine_h2_gaussian):
         i = np.searchsorted(fl.grid, start)
         left = gs.var_X[max(i - 1, 0)]
         assert v0 == pytest.approx(left, rel=1e-3, abs=1e-4)
+
+
+@st.composite
+def _gaussian_models(draw):
+    mean = draw(st.floats(0.3, 2.5))
+    if draw(st.booleans()):
+        lam = ConstantFn(mean)
+    else:
+        lam = SinusoidFn(mean, mean * draw(st.floats(0.0, 0.9)), draw(st.floats(0.2, 3.0)))
+    rate = st.floats(0.1, 100.0)
+    if draw(st.booleans()):
+        patience = ExponentialPatience(draw(rate))
+        fastest = patience.rate
+    else:
+        patience = H2Patience(draw(st.floats(0.05, 0.95)), draw(rate), draw(rate))
+        fastest = max(patience.rate1, patience.rate2)
+    horizon = draw(st.floats(1.0, min(50.0, 700.0 / fastest)))
+    return ModelSpec(lam, ConstantFn(1.0), 1.0, patience, horizon,
+                     x0=draw(st.floats(0.0, 0.9)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gaussian_models())
+def test_propagate_properties(spec):
+    # finite on overloaded points, non-negative, and the content-wait
+    # covariance within the Cauchy-Schwarz bound
+    gs = propagate(solve_fluid(spec, 1e-2))
+    ol = gs.fluid.ol
+    grids = (gs.var_X, gs.var_Xstar, gs.var_W, gs.var_Wstar, gs.var_V, gs.var_Vstar)
+    for arr in grids + (gs.cov_XW,):
+        assert np.all(np.isfinite(arr[ol]))
+    for arr in grids:
+        assert np.all(arr[~np.isnan(arr)] >= 0.0)
+    assert np.all(gs.cov_XW[ol] ** 2 <= gs.var_Xstar[ol] * gs.var_Wstar[ol] * (1.0 + 1e-12))
 
 
 def test_propagate_forms_no_age_matrix(sine_h2_spec):
@@ -325,6 +385,20 @@ def test_mean_shift_stationary_staffing():
     ms = mean_shift_refined(fl)
     assert ms.mean_W[-1] == pytest.approx(-2.0, abs=1e-4)
     assert ms.mean_X[-1] == pytest.approx(-2.0, abs=1e-4)
+
+
+def test_mean_shift_fast_patience_staffing():
+    # s_g = 1 in constant overload with patience rate 30: W_g' = h W_g - z
+    # with h = -30 and z = s_g mu / qw = 1 relaxes to -1/30; the relaxation
+    # time 1/30 leaves no transient at t = 30, only the discretization error
+    # of rate 30 at step 1e-3.  Fc underflows from age 23.6, before the
+    # horizon, which the model check accepts
+    spec = ModelSpec(ConstantFn(1.5), ConstantFn(1.0), 1.0,
+                     ExponentialPatience(30.0), 30.0, x0=1.0,
+                     arrival_rate_g=ConstantFn(0.0),
+                     staffing_g=ConstantFn(1.0))
+    ms = mean_shift_refined(solve_fluid(spec))
+    assert ms.mean_W[-1] == pytest.approx(-1.0 / 30.0, rel=1e-5)
 
 
 def test_csv_export(tmp_path, sine_h2_gaussian):

@@ -49,6 +49,26 @@ def test_initial_content_above_staffing():
     assert "X(0) <= s(0) fails" in report.violations
 
 
+@pytest.mark.parametrize("rate, horizon", [(30.0, 30.0), (0.5, 1500.0)])
+def test_underflowing_patience_survival_is_valid(rate, horizon):
+    # Fc = exp(-rate x) underflows before the horizon; positivity is
+    # checked only on the ages before it does
+    assert validate(_spec(patience=ExponentialPatience(rate), horizon=horizon)).ok
+
+
+class _LatePatience(ExponentialPatience):
+    """Exponential survival with a density that vanishes on [1, 2)."""
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= 1.0) & (x < 2.0), 0.0, super().pdf(x))
+
+
+def test_density_zero_before_underflow_fails():
+    report = validate(_spec(patience=_LatePatience(1.0)))
+    assert report.violations == ["f(x) > 0 on [0, T] fails"]
+
+
 def test_multiple_violations_reported_together():
     report = validate(_spec(arrival_rate=ConstantFn(-1.0), mu=-2.0, x0=-1.0))
     assert len(report.violations) >= 3
