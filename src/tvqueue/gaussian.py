@@ -254,8 +254,7 @@ def propagate(fluid: FluidSolution) -> GaussianSolution:
         idx = iv.idx
         gsl = slice(iv.i0, iv.i1 + 1)
         if iv.kind == UL:
-            X0 = spec.x0 if iv.start == 0.0 else spec.staffing.scalar(iv.start)
-            vx = var_UL(spec, iv, X0, varX0)
+            vx = var_UL(spec, iv, iv.y0, varX0)
             var_X[gsl] = vx[idx]
             var_W[gsl] = 0.0
             var_V[gsl] = 0.0

@@ -227,7 +227,10 @@ def patience_from_config(cfg: dict) -> PatienceDist:
     if kind == "exponential":
         if "rate" in params:
             return ExponentialPatience(float(params["rate"]))
-        return ExponentialPatience(1.0 / float(params["mean"]))
+        mean = float(params["mean"])
+        if not mean > 0:
+            raise ValueError("mean must be positive")
+        return ExponentialPatience(1.0 / mean)
     if kind == "h2":
         if "mean" in params and "scv" in params:
             return h2_from_scv(float(params["mean"]), float(params["scv"]))

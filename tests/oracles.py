@@ -12,9 +12,13 @@ come from `chunked_arrivals`, which thins chunk by chunk with two uniform
 draws and a sort per chunk, against the program's one block per chunk
 and one sort.  `unfused_sweep` steps the fluid sweep, the switch
 bisection and the continuation past the horizon with its own textbook
-RK4 step and right-hand sides X' = lambda - mu X and the HWT ODE, which
-evaluate lambda(t) or b(t,0) at every call, against the program's one
-fused RK4 step that evaluates them once per distinct time.
+RK4 step, its own float-resolution bisection and right-hand sides
+X' = lambda - mu X and the HWT ODE, which evaluate lambda(t) or b(t,0)
+at every call, against the program's one fused RK4 step that evaluates
+them once per distinct time.
+`dop853_switch_times` re-locates every switch with scipy's adaptive
+DOP853 solver and brentq, against the program's fixed-step RK4 sweep and
+bisection.
 `simpson_rows` is the age integrals' Simpson reduction as an elementwise
 product and a row sum, with its own weights, against the program's einsum
 contraction.
@@ -24,7 +28,8 @@ import heapq
 from math import inf
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import simpson, solve_ivp
+from scipy.optimize import brentq
 
 from tvqueue import sim
 from tvqueue.fluid import (
@@ -32,7 +37,6 @@ from tvqueue.fluid import (
     UL,
     FluidInterval,
     _attach_local,
-    _bisect,
 )
 from tvqueue.gaussian import IntervalKernels
 from tvqueue.model import staffing_level
@@ -293,23 +297,24 @@ def _rk4_step(f, t, y, h, k1):
     return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate(f, t0, y0, t1, substeps=8):
-    """RK4 from (t0, y0) to t1 in a fixed number of substeps."""
-    if t1 == t0:
-        return y0
-    h = (t1 - t0) / substeps
-    y = y0
-    t = t0
-    for _ in range(substeps):
-        y = _rk4_step(f, t, y, h, f(t, y))
-        t += h
-    return y
+def _bisect_crossing(crossed, lo, hi):
+    """The crossing time in (lo, hi] to float resolution: the midpoint
+    replaces hi where the regime has ended by then and lo otherwise,
+    until no float lies strictly between them."""
+    while True:
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            return mid
+        if crossed(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 def unfused_sweep(ctx, kind, grid, Y, Ydot, start, k, y):
     """`fluid._sweep` with its own right-hand sides, each evaluating its
-    time term at every call, its own RK4 step, bisection integrator and
-    continuation past the horizon."""
+    time term at every call, its own RK4 step, switch bisection with a
+    one-step probe, and continuation past the horizon."""
     def ul_rhs(t, x):
         return ctx.lam(t) - ctx.mu * x
 
@@ -331,11 +336,13 @@ def unfused_sweep(ctx, kind, grid, Y, Ydot, start, k, y):
     while k <= n:
         y_new = _rk4_step(rhs, t_prev, y, grid[k] - t_prev, f_prev)
         if kind == UL and y_new >= ctx.s(grid[k]) or kind == OL and y_new <= 0.0:
-            def edge(tc):
-                yc = _integrate(rhs, t_prev, y, tc)
-                return yc - ctx.s(tc) if kind == UL else yc
+            def crossed(tc):
+                # one textbook step from the last grid point: X has
+                # reached s(tc), or w has fallen below zero
+                yc = _rk4_step(rhs, t_prev, y, tc - t_prev, f_prev)
+                return yc >= ctx.s(tc) if kind == UL else yc < 0.0
 
-            tau = _bisect(edge, t_prev, grid[k], edge(t_prev))
+            tau = _bisect_crossing(crossed, t_prev, grid[k])
             y_tau = ctx.s(tau) if kind == UL else 0.0
             loc.append((tau, y_tau, rhs(tau, y_tau)))
             iv = FluidInterval(kind, start, tau, i0, k - 1)
@@ -366,3 +373,32 @@ def simpson_rows(m):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return (m * (w / (3.0 * (nodes - 1)))).sum(axis=1)
+
+
+def dop853_switch_times(fluid, reach=1e-2):
+    """Each switch time of `fluid` re-located independently: the interval
+    that ends in it is solved by DOP853 (rtol 1e-13, atol 1e-16) from the
+    program's interval start, X = x0 at t = 0 or s(start) in UL and w = 0
+    in OL, and its end found by brentq on the dense output within `reach`
+    of the program's switch: X = s(t) in UL, w = 0 in OL."""
+    spec = fluid.spec
+    lam, s, mu = spec.arrival_rate.scalar, spec.staffing.scalar, spec.mu
+
+    def ul(t, x):
+        return [lam(t) - mu * x[0]]
+
+    def ol(t, w):
+        b = s(t) * mu + spec.staffing.scalar_deriv(t)
+        return [1.0 - b / (lam(t - w[0]) * float(spec.patience.survival(w[0])))]
+
+    out = []
+    for iv, tau in zip(fluid.intervals, fluid.switch_times):
+        if iv.kind == UL:
+            rhs, y0, edge = ul, spec.x0 if iv.start == 0.0 else s(iv.start), s
+        else:
+            rhs, y0, edge = ol, 0.0, lambda t: 0.0
+        sol = solve_ivp(rhs, (iv.start, tau + reach), [y0], method="DOP853",
+                        rtol=1e-13, atol=1e-16, dense_output=True)
+        out.append(brentq(lambda t: sol.sol(t)[0] - edge(t), tau - reach, tau + reach,
+                          xtol=1e-15, rtol=4 * np.finfo(float).eps))
+    return np.array(out)

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import re
 import sys
 
 import numpy as np
@@ -97,6 +98,32 @@ def test_bad_tabulated_table_is_config_error(tmp_path, capsys):
     assert "1-D lists of the same length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, message", [
+    pytest.param({"kind": "exponential", "params": {"rate": 0.0}},
+                 "exponential rate must be positive", id="exponential_rate"),
+    pytest.param({"kind": "exponential", "params": {"mean": 0.0}},
+                 "mean must be positive", id="exponential_mean"),
+    pytest.param({"kind": "h2", "params": {"p": 1.5, "rate1": 1.0, "rate2": 2.0}},
+                 r"mixing probability must lie in \[0, 1\]", id="h2_p_above_1"),
+    pytest.param({"kind": "h2", "params": {"p": -0.1, "rate1": 1.0, "rate2": 2.0}},
+                 r"mixing probability must lie in \[0, 1\]", id="h2_p_below_0"),
+    pytest.param({"kind": "h2", "params": {"p": 0.5, "rate1": 0.0, "rate2": 2.0}},
+                 "H2 rates must be positive", id="h2_rate1"),
+    pytest.param({"kind": "h2", "params": {"p": 0.5, "rate1": 1.0, "rate2": -2.0}},
+                 "H2 rates must be positive", id="h2_rate2"),
+    pytest.param({"kind": "h2", "params": {"mean": 0.0, "scv": 4.0}},
+                 "mean must be positive", id="h2_mean"),
+    pytest.param({"kind": "tabulated", "params": {"x": [0.0, 1.0, 2.0], "F": [0.0, 0.5, 0.4]}},
+                 "tabulated cdf must be nondecreasing", id="tabulated_decreasing"),
+])
+def test_bad_patience_parameters_are_config_errors(tmp_path, capsys, params, message):
+    cfg = _write_config(tmp_path, patience=params)
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(f"config error: {message}", err)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("section", ["lambda", "staffing"])
 def test_piecewise_poly_without_pieces_is_config_error(tmp_path, capsys, section):
     cfg = _write_config(tmp_path, **{section: {
@@ -167,9 +194,12 @@ def test_compare_pass_and_fail(tmp_path, capsys):
      "lambda_sup < inf fails"),
     ({"staffing": {"kind": "constant", "params": {"value": float("inf")}}},
      "s_sup < inf fails"),
+    ({"c_lambda": -1.0}, "c_lambda >= 0 fails"),
+    ({"var_x0": -1.0}, "Var(X(0)) >= 0 fails"),
 ])
 def test_non_finite_number_is_invalid_model(tmp_path, capsys, overrides, violation):
-    # json reads NaN and Infinity; validate must not let them through
+    # json reads NaN and Infinity; validate must not let them through, nor
+    # a negative c_lambda or var_x0
     cfg = _write_config(tmp_path, **overrides)
     assert main(["variance", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
@@ -214,8 +244,9 @@ def test_compare_with_one_replication(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("step", ["7", "100"])
 def test_coarse_grid_step_is_config_error(tmp_path, capsys, step):
-    # RK4 on X' = -mu X amplifies once mu * step > 1 (step 7: by 61 per
-    # step); a step past the horizon would drop it from the grid
+    # past mu * step = 1 RK4 loses the decay of X' = -mu X (at step 7 it
+    # amplifies by 61 per step); a step past the horizon would drop it
+    # from the grid
     cfg = _write_config(
         tmp_path, **{"lambda": {"kind": "sinusoid", "params": {"a": 1.0, "b": 0.6}},
                      "horizon": 16.0, "x0": 0.0})

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from tvqueue import fluid
 from tvqueue.fluid import (
@@ -24,7 +25,7 @@ from tvqueue.patience import (
     TabulatedPatience,
 )
 
-from oracles import simpson_rows, ul_content, unfused_sweep
+from oracles import dop853_switch_times, simpson_rows, ul_content, unfused_sweep
 
 # regime switch times of the sinusoidal H2 model, frozen from two runs at
 # step 1e-3 and 5e-4 (agreement < 5e-9)
@@ -52,7 +53,17 @@ def test_ol_onset_time_analytic():
     spec = ModelSpec(ConstantFn(1.5), ConstantFn(1.0), 1.0,
                      ExponentialPatience(0.5), 5.0)
     fl = solve_fluid(spec)
-    assert fl.switch_times[0] == pytest.approx(np.log(3.0), abs=1e-9)
+    assert fl.switch_times[0] == pytest.approx(np.log(3.0), abs=1e-13)
+
+
+def test_sine_onset_time_closed_form(sine_h2_fluid):
+    # lambda = 1 + 0.6 sin t, mu = 1 from empty:
+    # X(t) = 1 - e^{-t} + 0.3 (sin t - cos t + e^{-t}) first reaches s = 1
+    def gap(t):
+        return 0.3 * (np.sin(t) - np.cos(t) + np.exp(-t)) - np.exp(-t)
+
+    onset = brentq(gap, 1.0, 1.5, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    assert sine_h2_fluid.switch_times[0] == pytest.approx(onset, abs=1e-13)
 
 
 def test_hwt_ode_residual(sine_h2_fluid):
@@ -335,12 +346,7 @@ def _staffed_spec(sine_h2_spec):
 
 @pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed"])
 def test_fused_sweeps_match_unfused_oracle(monkeypatch, request, model):
-    spec = {
-        "stationary": lambda: request.getfixturevalue("stationary_ol_spec"),
-        "sine_h2": lambda: request.getfixturevalue("sine_h2_spec"),
-        "piecewise_tab": _piecewise_tab_spec,
-        "sine_staffed": lambda: _staffed_spec(request.getfixturevalue("sine_h2_spec")),
-    }[model]()
+    spec = _bench_spec(request, model)
     fused = solve_fluid(spec)
     monkeypatch.setattr(fluid, "_sweep", unfused_sweep)
     ref = solve_fluid(spec)
@@ -349,6 +355,7 @@ def test_fused_sweeps_match_unfused_oracle(monkeypatch, request, model):
     assert len(fused.intervals) == len(ref.intervals) >= 1
     for a, b in zip(fused.intervals, ref.intervals):
         assert (a.kind, a.start, a.end, a.i0, a.i1) == (b.kind, b.start, b.end, b.i0, b.i1)
+        assert a.y0 == b.y0
         assert np.array_equal(a.t_loc, b.t_loc) and np.array_equal(a.idx, b.idx)
         if a.kind == "OL":
             assert np.array_equal(a.w_loc, b.w_loc)
@@ -357,6 +364,17 @@ def test_fused_sweeps_match_unfused_oracle(monkeypatch, request, model):
     assert fused.intervals[-1].kind == "UL" or len(fused.intervals[-1].ext_t) > 0
     if model == "sine_h2":
         assert [iv.kind for iv in fused.intervals].count("OL") == 3
+
+
+@pytest.mark.parametrize("model", ["sine_h2", "sine_staffed"])
+def test_switch_times_match_dop853_reference(request, model):
+    # every switch against scipy's DOP853 and brentq from the program's
+    # interval start; the piecewise/tabulated model is left out: the sweep
+    # steps over lambda's kinks, which holds its OL ends to about 1e-8
+    fl = solve_fluid(_bench_spec(request, model))
+    ref = dop853_switch_times(fl)
+    assert len(ref) == 5
+    assert np.max(np.abs(fl.switch_times - ref)) <= 1e-12
 
 
 # --- evaluations per step ----------------------------------------------
@@ -470,11 +488,29 @@ def test_vanishing_boundary_density_raises_in_the_sweep(monkeypatch):
     assert 3.6 < t < 3.0 + np.log(2.0)
 
 
+def test_short_overload_at_coarse_step_holds_a_grid_point():
+    # lambda = 0.65 + 0.5 sin t overloads on about [2.05, 2.60]; at step
+    # 0.5 its OL interval holds the one grid point t = 2.5.  With patience
+    # of rate 50, w would return to zero before t = 2.5, within the OL
+    # interval's first step, and the sweep raises rather than leave an OL
+    # interval without a grid point
+    spec = ModelSpec(SinusoidFn(0.65, 0.5), ConstantFn(1.0), 1.0,
+                     ExponentialPatience(1.0), 8.0, x0=0.5)
+    fl = solve_fluid(spec, step=0.5)
+    iv, = fl.ol_intervals()
+    assert iv.i0 == iv.i1 == 5 and np.flatnonzero(fl.ol).tolist() == [5]
+    assert fl.X[5] == 1.0 + fl.Q[5] and fl.Q[5] > 0.0
+    assert np.allclose(fl.switch_times, solve_fluid(spec).switch_times, atol=1e-2)
+    fast = dataclasses.replace(spec, patience=ExponentialPatience(50.0))
+    with pytest.raises(CriticalLoadingError, match=r"near t=2\.05"):
+        solve_fluid(fast, step=0.5)
+
+
 # --- the switch bisection and the continuation's reach ------------------
 
 def test_bisection_stops_at_float_resolution():
-    # past t = 2^19 the float spacing (1.16e-10 here) exceeds the switching
-    # tolerance, so halving alone never brings b - a below it
+    # halving [550000, 550001] reaches the float spacing (1.16e-10 here)
+    # after 33 probes
     root = 550000.3
     calls = []
 

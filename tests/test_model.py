@@ -8,7 +8,7 @@ import pytest
 from tvqueue import model
 from tvqueue.functions import ConstantFn, SinusoidFn
 from tvqueue.model import ModelSpec, load_spec, spec_from_dict, validate, write_columns
-from tvqueue.patience import ExponentialPatience
+from tvqueue.patience import ExponentialPatience, H2Patience
 
 
 def _spec(**kw):
@@ -102,6 +102,14 @@ def test_load_spec_roundtrip(tmp_path):
     spec = load_spec(path)
     assert spec.horizon == 16.0
     assert float(spec.arrival_rate(0.0)) == pytest.approx(1.0)
+    assert validate(spec).ok
+    # h2's other form: the mixing probability p of Exp(rate1) and the rates
+    cfg["patience"] = {"kind": "h2", "params": {"p": 0.25, "rate1": 2.0, "rate2": 0.5}}
+    path.write_text(json.dumps(cfg))
+    spec = load_spec(path)
+    assert spec.patience == H2Patience(p=0.25, rate1=2.0, rate2=0.5)
+    assert float(spec.patience.survival(1.0)) == pytest.approx(
+        0.25 * np.exp(-2.0) + 0.75 * np.exp(-0.5))
     assert validate(spec).ok
 
 
