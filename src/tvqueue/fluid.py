@@ -20,13 +20,17 @@ this is the textbook RK4 step to the bit.
 
 One age-integral pass per OL interval (age_integrals) gives the queue
 content, the abandonment rate and the Fc^2 integral of the Gaussian
-noise terms, by composite Simpson weights on a fixed unit age grid; it
-reduces the (points x ages) products in blocks of rows that stay in
-cache, with one patience pass (Fc and f) per block, and sums each row
-against the weights with einsum, not BLAS, whose row sums may depend on
-a row's place in the block.  The cumulative flows (arrivals, departures,
-abandonments) are cumulative trapezoids.  The potential wait inverts
-L(t) = t - w(t).
+noise terms, by 16-node Gauss-Legendre panels over each point's ages
+[0, w], edged at the ages t - b of the arrival rate's breakpoints b and
+at the patience breakpoints, so that every panel holds a smooth piece of
+the integrand, and at most _PANEL_AGE long, so that a long wait does not
+put many periods of a fast-varying rate on one panel.  It reduces the
+(points x nodes) products in blocks of at most _BLOCK_NODES nodes that
+stay in cache, with one patience pass (Fc and f) per block, and sums
+each row against its weights with einsum, not BLAS, whose row sums may
+depend on a row's place in the block.  The cumulative flows (arrivals,
+departures, abandonments) are cumulative trapezoids.  The potential wait
+inverts L(t) = t - w(t).
 
 Each interval also carries its local grid: its start, the global grid
 points inside it and its end, with near-duplicate times dropped; an OL
@@ -58,15 +62,20 @@ __all__ = [
 UL, OL = "UL", "OL"
 
 _QTILDE_FLOOR = 1e-12     # minimum admissible boundary density
-_QUAD_NODES = 129         # Simpson nodes for the age integrals (odd)
 _DEDUPE_TOL = 1e-9        # local-grid times closer than this are merged
-_ROW_BLOCK = 256          # age_integrals rows reduced at a time
+_BLOCK_NODES = 256 * 129  # age_integrals (rows x nodes) reduced at a time
+_PANEL_AGE = 1.0          # longest age panel: GL-16 resolves sin(c x) to c ~ 15
 _EXT_SPAN = 1000.0        # longest continuation past the horizon
-_XI = np.linspace(0.0, 1.0, _QUAD_NODES)
-# composite Simpson weights on _XI: h/3 * (1, 4, 2, 4, ..., 2, 4, 1)
-_SIMPSON_W = np.where(np.arange(_QUAD_NODES) % 2 == 1, 4.0, 2.0)
-_SIMPSON_W[[0, -1]] = 1.0
-_SIMPSON_W *= (_XI[1] - _XI[0]) / 3.0
+# 16-node Gauss-Legendre rule on [0, 1]: the positive nodes of
+# numpy.polynomial.legendre.leggauss(16) and their weights, mirrored
+_GL_POS = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_GL_POS_W = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
+_GL_X = 0.5 + 0.5 * np.concatenate([-_GL_POS[::-1], _GL_POS])
+_GL_W = 0.5 * np.concatenate([_GL_POS_W[::-1], _GL_POS_W])
 
 
 class StaffingInfeasibleError(RuntimeError):
@@ -247,7 +256,13 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     times = memoryview(grid)    # indexes to plain floats for the scalar sweep
 
     while k <= n:
-        t_cur, k, iv = _sweep(ctx, kind, times, Y, Ydot, t_cur, k, y)
+        try:
+            t_cur, k, iv = _sweep(ctx, kind, times, Y, Ydot, t_cur, k, y)
+        except OverflowError as exc:
+            # a stiff OL step (patience hazard * step >> 1) can throw w far
+            # negative, where Fc(w) overflows
+            raise ValueError(f"grid step {step:g} too coarse: the {kind} sweep from "
+                             f"t={t_cur:.6f} overflowed ({exc})") from exc
         intervals.append(iv)
         if k > n:
             break
@@ -402,33 +417,54 @@ def _extend_ol(ctx, t_end, w, wdot, loc):
 
 def age_integrals(rate, patience, t, w):
     """(Q, alpha, Q2): per i, the integrals over ages x in [0, w[i]] of
-    rate(t[i] - x) times Fc(x), f(x) and Fc(x)^2, by Simpson on a scaled
-    unit grid.  Rows are independent: they are reduced _ROW_BLOCK at a
-    time, small enough for a block's arrays to stay in cache, with one
-    `survival_pdf` call per block and the products formed in place."""
+    rate(t[i] - x) times Fc(x), f(x) and Fc(x)^2, by 16-node Gauss-Legendre
+    on panels edged at 0, w[i], the ages t[i] - b of rate breakpoints b,
+    the patience breakpoints and the multiples of _PANEL_AGE.  Rows are
+    reduced in blocks of at most _BLOCK_NODES nodes (one row at least),
+    with one `survival_pdf` call per block and the products formed in
+    place.  A block's rows share its candidate edges, clipped to each
+    row's [0, w]: an edge outside a row's ages makes an empty panel, which
+    adds exactly zero."""
+    rate_bps = np.asarray(rate.breakpoints(), dtype=float)
+    pat_bps = np.asarray(patience.breakpoints(), dtype=float)
     Q, alpha, Q2 = (np.empty(len(t)) for _ in range(3))
-    for lo in range(0, len(t), _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        wb = w[rows]
-        x = wb[:, None] * _XI[None, :]
-        arrived = np.asarray(rate(t[rows, None] - x), dtype=float)
+    lo, gl = 0, len(_GL_X)
+    while lo < len(t):
+        hi = min(len(t), lo + _BLOCK_NODES // gl)
+        inner = _block_edges(rate_bps, pat_bps, t[lo:hi], w[lo:hi])
+        fit = lo + max(1, _BLOCK_NODES // (gl * (len(inner) + 1)))
+        if fit < hi:
+            # a shorter block has no more edges, so it fits the budget
+            hi = fit
+            inner = _block_edges(rate_bps, pat_bps, t[lo:hi], w[lo:hi])
+        rows = slice(lo, hi)
+        tb, wb = t[rows], w[rows]
+        edges = np.sort(np.column_stack([np.zeros(len(tb)), inner.T, wb]), axis=1)
+        h = np.diff(edges, axis=1)[:, :, None]
+        x = (edges[:, :-1, None] + h * _GL_X).reshape(len(tb), -1)
+        weights = (h * _GL_W).reshape(len(tb), -1)
+        arrived = np.asarray(rate(tb[:, None] - x), dtype=float)
         fc, dens = (np.asarray(a, dtype=float) for a in patience.survival_pdf(x))
         dens *= arrived
-        alpha[rows] = _simpson(dens) * wb
+        alpha[rows] = np.einsum("ij,ij->i", dens, weights)
         arrived *= fc
-        Q[rows] = _simpson(arrived) * wb
+        Q[rows] = np.einsum("ij,ij->i", arrived, weights)
         arrived *= fc
-        Q2[rows] = _simpson(arrived) * wb
+        Q2[rows] = np.einsum("ij,ij->i", arrived, weights)
+        lo = hi
     return Q, alpha, Q2
 
 
-def _simpson(m):
-    """Simpson's rule over _XI along each row of m, as one einsum
-    contraction with the weights: no block-sized temporary of products.
-    A row's sum does not depend on the rows around it; `m @ _SIMPSON_W`
-    would be as fast, but BLAS dgemv may sum a row in an order that
-    depends on its position in the block."""
-    return np.einsum("ij,j->i", m, _SIMPSON_W)
+def _block_edges(rate_bps, pat_bps, t, w):
+    """Interior panel edges of a block of rows (t, w), as (edges x rows)
+    ages clipped to each row's [0, w]: t - b for the rate breakpoints b in
+    (min(t - w), max(t)), and the patience breakpoints and the multiples
+    of _PANEL_AGE in (0, max(w))."""
+    b = rate_bps[(rate_bps > np.min(t - w)) & (rate_bps < np.max(t))]
+    p = np.concatenate([pat_bps[(pat_bps > 0.0) & (pat_bps < np.max(w))],
+                        np.arange(_PANEL_AGE, np.max(w), _PANEL_AGE)])
+    ages = np.concatenate([t - b[:, None], np.broadcast_to(p[:, None], (len(p), len(t)))])
+    return np.clip(ages, 0.0, w)
 
 
 def cumulative_trapezoid(y, x):

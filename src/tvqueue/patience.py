@@ -48,6 +48,10 @@ class PatienceDist:
         """(survival(x), pdf(x)); override to share the work of the two."""
         return self.survival(x), self.pdf(x)
 
+    def breakpoints(self):
+        """Ages where the density may kink (empty for closed forms)."""
+        return np.empty(0)
+
     def sample(self, rng, size):
         raise NotImplementedError
 
@@ -179,6 +183,11 @@ class TabulatedPatience(PatienceDist):
     def survival_pdf(self, x):
         F, f = self._cdf_pdf(x)
         return 1.0 - F, f
+
+    def breakpoints(self):
+        """The knots past 0: the cubic pieces' ends, the last one where the
+        exponential tail starts."""
+        return self.x[1:].copy()
 
     def sample(self, rng, size):
         u = rng.random(size)

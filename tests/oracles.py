@@ -19,16 +19,17 @@ them once per distinct time.
 `dop853_switch_times` re-locates every switch with scipy's adaptive
 DOP853 solver and brentq, against the program's fixed-step RK4 sweep and
 bisection.
-`simpson_rows` is the age integrals' Simpson reduction as an elementwise
-product and a row sum, with its own weights, against the program's einsum
-contraction.
+`age_integrals_reference` evaluates the queue content, abandonment rate
+and Fc^2 integral of an OL point by scipy's adaptive quadrature on the
+scalar evaluators, with the kinks of the integrand as its break points,
+against the program's Gauss-Legendre panels.
 """
 
 import heapq
 from math import inf
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import quad, simpson, solve_ivp
 from scipy.optimize import brentq
 
 from tvqueue import sim
@@ -364,15 +365,31 @@ def unfused_sweep(ctx, kind, grid, Y, Ydot, start, k, y):
     return grid[n], n + 1, _attach_local(iv, grid, loc)
 
 
-def simpson_rows(m):
-    """Composite Simpson's rule over an even number of equal steps on
-    [0, 1] along each row of m: the product with h/3 (1, 4, 2, ..., 4, 1)
-    summed by numpy's row sum."""
-    nodes = m.shape[1]
-    w = np.ones(nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return (m * (w / (3.0 * (nodes - 1)))).sum(axis=1)
+def age_integrals_reference(rate, patience, t, w):
+    """(Q, alpha, Q2) at the points (t[i], w[i]): the integrals over ages
+    x in [0, w[i]] of rate(t[i] - x) times Fc(x), f(x) and Fc(x)^2, each by
+    scipy's quad (epsrel 1e-13, no absolute floor) on the scalar
+    evaluators, with the ages t[i] - b of the rate's breakpoints b and the
+    patience breakpoints inside (0, w[i]) as its break points."""
+    rate_bps = np.asarray(rate.breakpoints(), dtype=float)
+    pat_bps = np.asarray(patience.breakpoints(), dtype=float)
+    fc = patience.survival_scalar
+    out = np.zeros((3, len(t)))
+    for i, (ti, wi) in enumerate(zip(t, w)):
+        if wi <= 0.0:
+            continue
+        kinks = np.concatenate([ti - rate_bps, pat_bps])
+        kinks = np.sort(kinks[(kinks > 0.0) & (kinks < wi)])
+
+        def lam(x):
+            return rate.scalar(ti - x)
+
+        for k, g in enumerate((lambda x: lam(x) * fc(x),
+                               lambda x: lam(x) * float(patience.pdf(x)),
+                               lambda x: lam(x) * fc(x) ** 2)):
+            out[k, i] = quad(g, 0.0, wi, points=kinks if len(kinks) else None,
+                             epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return out
 
 
 def dop853_switch_times(fluid, reach=1e-2):

@@ -81,18 +81,31 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert scipy_modules == []
 
 
-def test_cli_import_loads_no_process_pool():
-    # the process pool is imported only by a parallel simulation, so
-    # importing the CLI loads neither it nor multiprocessing
-    code = textwrap.dedent("""
+def _modules_after_cli_import(prefixes):
+    """The modules named in `prefixes`, or under them, that `import
+    tvqueue.cli` loads in a fresh interpreter."""
+    code = textwrap.dedent(f"""
         import json, sys
         import tvqueue.cli
-        print(json.dumps(sorted(m for m in sys.modules if m == "multiprocessing"
-                                or m.startswith(("multiprocessing.", "concurrent.futures.process")))))
+        prefixes = {tuple(prefixes)!r}
+        under = tuple(p + "." for p in prefixes)
+        print(json.dumps(sorted(m for m in sys.modules if m in prefixes or m.startswith(under))))
     """)
     src = str(Path(tvqueue.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_process_pool():
+    # the process pool is imported only by a parallel simulation, so
+    # importing the CLI loads neither it nor multiprocessing
+    assert _modules_after_cli_import(["multiprocessing", "concurrent.futures.process"]) == []
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # the age integrals' Gauss-Legendre nodes are hard-coded, so importing
+    # the CLI does not load numpy.polynomial (3-6 ms)
+    assert _modules_after_cli_import(["numpy.polynomial"]) == []

@@ -257,6 +257,19 @@ def test_coarse_grid_step_is_config_error(tmp_path, capsys, step):
     assert "Traceback" not in err
 
 
+def test_overflow_at_coarse_step_is_config_error(tmp_path, capsys):
+    # the OL ODE is stiff at patience rate 50: one RK4 step of 1.0 throws
+    # w far negative, where Fc(w) = exp(-50 w) overflows
+    cfg = _write_config(tmp_path, **{
+        "lambda": {"kind": "sinusoid", "params": {"a": 0.7, "b": 0.5, "c": 1.0, "d": 1.0}},
+        "patience": {"kind": "exponential", "params": {"rate": 50.0}},
+        "horizon": 8.0, "x0": 0.5})
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path), "--grid-step", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert "grid step 1 too coarse" in err
+    assert "Traceback" not in err
+
+
 def test_uncovered_potential_wait_is_config_error(tmp_path, capsys, monkeypatch):
     # w grows almost as fast as t, so the continuation past the horizon
     # stops before L(t) = t - w(t) covers it; shortened to run fast

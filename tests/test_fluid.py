@@ -25,7 +25,7 @@ from tvqueue.patience import (
     TabulatedPatience,
 )
 
-from oracles import dop853_switch_times, simpson_rows, ul_content, unfused_sweep
+from oracles import age_integrals_reference, dop853_switch_times, ul_content, unfused_sweep
 
 # regime switch times of the sinusoidal H2 model, frozen from two runs at
 # step 1e-3 and 5e-4 (agreement < 5e-9)
@@ -238,6 +238,9 @@ class _VectorOnlyFn(SmoothFn):
     def deriv(self, t):
         return self.f.deriv(t)
 
+    def breakpoints(self):
+        return self.f.breakpoints()
+
 
 class _VectorOnlyPatience(PatienceDist):
     """A user-style PatienceDist with vector methods only."""
@@ -250,6 +253,9 @@ class _VectorOnlyPatience(PatienceDist):
 
     def pdf(self, x):
         return self.d.pdf(x)
+
+    def breakpoints(self):
+        return self.d.breakpoints()
 
 
 def _piecewise_tab_spec():
@@ -279,13 +285,15 @@ def test_scalar_fallback_matches_fast_path():
 
 
 def test_age_integrals_rows_independent_of_blocks(sine_h2_spec):
-    # rows are reduced in blocks: the rows around each block edge, taken
-    # alone, give the values of the whole 5000-point call
+    # rows are reduced in blocks of one 16-node panel each: the rows around
+    # each block edge, taken alone, give the values of the whole
+    # 5000-point call
     t = np.linspace(2.0, 16.0, 5000)
     w = 0.5 + 0.4 * np.sin(t)
     rate, pat = sine_h2_spec.arrival_rate, sine_h2_spec.patience
     whole = age_integrals(rate, pat, t, w)
-    for edge in (2048, 4096):
+    rows_per_block = fluid._BLOCK_NODES // 16
+    for edge in (rows_per_block, 2 * rows_per_block):
         rows = slice(edge - 3, edge + 3)
         alone = age_integrals(rate, pat, t[rows], w[rows])
         for got, ref in zip(alone, whole):
@@ -293,21 +301,29 @@ def test_age_integrals_rows_independent_of_blocks(sine_h2_spec):
 
 
 def test_age_integrals_same_at_any_row_block(monkeypatch, sine_h2_spec):
-    # rows are independent, so the block size does not change a bit
+    # rows are independent, so the block size does not change a bit:
+    # 3 blocks of 2064 rows against 17 of 300
     t = np.linspace(2.0, 16.0, 5000)
     w = 0.5 + 0.4 * np.sin(t)
     rate, pat = sine_h2_spec.arrival_rate, sine_h2_spec.patience
-    small = age_integrals(rate, pat, t, w)
-    monkeypatch.setattr(fluid, "_ROW_BLOCK", 2048)
-    for got, ref in zip(small, age_integrals(rate, pat, t, w)):
+    large = age_integrals(rate, pat, t, w)
+    monkeypatch.setattr(fluid, "_BLOCK_NODES", 16 * 300)
+    for got, ref in zip(age_integrals(rate, pat, t, w), large):
         assert np.array_equal(got, ref)
 
 
-# --- the einsum reduction against the row-sum oracle ------------------
+def test_gauss_legendre_nodes_are_leggauss_16():
+    x, wts = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(fluid._GL_POS, x[8:]) and np.array_equal(fluid._GL_POS_W, wts[8:])
+    np.testing.assert_allclose(fluid._GL_X, 0.5 + 0.5 * x, rtol=0, atol=1e-16)
+    np.testing.assert_allclose(fluid._GL_W, 0.5 * wts, rtol=0, atol=1e-17)
 
-# two orderings of a sum of 129 nonnegative terms differ by at most
-# 2 * 128 * 2^-53 = 2.8e-14 relative, so 1e-13 is fixed by the dtype
-_REDUCTION_RTOL = 1e-13
+
+# --- the Gauss-Legendre panels against adaptive quadrature ---------------
+
+# quad converges to epsrel 1e-13 at the kinks it is given; the panels are
+# exact there to a few ulp
+_AGE_RTOL = 1e-13
 
 
 def _bench_spec(request, model):
@@ -320,21 +336,39 @@ def _bench_spec(request, model):
     }[model]()
 
 
-@pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed"])
-def test_age_integrals_match_row_sum_oracle(monkeypatch, request, model):
-    # Q, alpha and Q2 on every OL local grid of the bench models, reduced
-    # by einsum and by the elementwise product and row sum
-    spec = _bench_spec(request, model)
+def _long_wait_spec():
+    """lambda = 1.5 + 0.3 sin 3t, exponential patience rate 0.1, from s:
+    the waiting time climbs to 3.88 by T = 30, over 1.8 periods of lambda."""
+    return ModelSpec(SinusoidFn(1.5, 0.3, 3.0), ConstantFn(1.0), 1.0,
+                     ExponentialPatience(0.1), 30.0, x0=1.0)
+
+
+@pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed",
+                                   "long_wait"])
+def test_age_integrals_match_quad_reference(request, model):
+    # Q, alpha and Q2 on every OL local grid (every 11th point and the
+    # last), against scipy quad with the kinks as break points
+    spec = _long_wait_spec() if model == "long_wait" else _bench_spec(request, model)
     ols = solve_fluid(spec).ol_intervals()
     assert ols
-    grids = [(iv.t_loc[: iv.n_in], iv.w_loc[: iv.n_in]) for iv in ols]
-    rate, pat = spec.arrival_rate, spec.patience
-    got = [age_integrals(rate, pat, t, w) for t, w in grids]
-    monkeypatch.setattr(fluid, "_simpson", simpson_rows)
-    for (t, w), mine in zip(grids, got):
-        for name, a, b in zip(("Q", "alpha", "Q2"), mine, age_integrals(rate, pat, t, w)):
+    for iv in ols:
+        t, w = (np.append(a[: iv.n_in - 1 : 11], a[iv.n_in - 1]) for a in (iv.t_loc, iv.w_loc))
+        got = age_integrals(spec.arrival_rate, spec.patience, t, w)
+        ref = age_integrals_reference(spec.arrival_rate, spec.patience, t, w)
+        for name, a, b in zip(("Q", "alpha", "Q2"), got, ref):
             assert np.all(b >= 0.0) and np.any(b > 0.0), name
-            assert np.all(np.abs(a - b) <= _REDUCTION_RTOL * b), name
+            assert np.all(np.abs(a - b) <= _AGE_RTOL * b), name
+
+
+def test_age_integrals_of_long_waits_match_quad_reference():
+    # waits of 4 to 20 time units span up to 10 periods of lambda: one
+    # 16-node panel over [0, 16] is off by 4e-4, Simpson-129 by 8e-7
+    rate, pat = SinusoidFn(1.5, 0.3, 3.0), ExponentialPatience(0.02)
+    t = np.linspace(40.0, 41.0, 9)
+    w = np.linspace(4.0, 20.0, 9)
+    got = age_integrals(rate, pat, t, w)
+    for name, a, b in zip(("Q", "alpha", "Q2"), got, age_integrals_reference(rate, pat, t, w)):
+        assert np.all(np.abs(a - b) <= _AGE_RTOL * b), name
 
 
 # --- the fused sweeps against the unfused oracle -----------------------
@@ -455,12 +489,34 @@ def test_age_integrals_make_one_patience_call_per_block(sine_h2_spec):
             return super().survival_pdf(x)
 
     pat = Patience(**dataclasses.asdict(sine_h2_spec.patience))
-    t = np.linspace(2.0, 16.0, 1000)
+    t = np.linspace(2.0, 16.0, 5000)
     w = 0.5 + 0.4 * np.sin(t)
     got = age_integrals(sine_h2_spec.arrival_rate, pat, t, w)
-    blocks = -(-len(t) // fluid._ROW_BLOCK)
+    # no breakpoints: one 16-node panel per row
+    blocks = -(-len(t) // (fluid._BLOCK_NODES // 16))
     assert calls == ["survival_pdf"] * blocks and blocks > 1
     ref = age_integrals(sine_h2_spec.arrival_rate, sine_h2_spec.patience, t, w)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_age_integral_blocks_stay_within_the_node_budget():
+    # rows with kinks in their ages take more panels, so their blocks
+    # hold fewer rows: no patience call sees more than _BLOCK_NODES ages
+    spec = _piecewise_tab_spec()
+    shapes = []
+
+    class Recording(_VectorOnlyPatience):
+        def survival_pdf(self, x):
+            shapes.append(x.shape)
+            return self.d.survival_pdf(x)
+
+    iv = solve_fluid(spec).ol_intervals()[0]
+    t, w = iv.t_loc[: iv.n_in], iv.w_loc[: iv.n_in]
+    got = age_integrals(spec.arrival_rate, Recording(spec.patience), t, w)
+    assert sum(rows for rows, _ in shapes) == len(t)
+    assert all(rows * nodes <= fluid._BLOCK_NODES for rows, nodes in shapes)
+    assert max(nodes for _, nodes in shapes) > 16
+    ref = age_integrals(spec.arrival_rate, spec.patience, t, w)
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
