@@ -6,17 +6,20 @@ stretches it integrates the head-of-line waiting-time ODE
 
     wdot = 1 - (sdot + s*mu) / (lambda(t - w) * Fc(w))
 
-with a classical fixed-step RK4 scheme, locating every regime switch by
-bisection to float resolution.  Both regimes run through one sweep
-(_sweep) and one RK4 step (_rk4), which also serves the continuation past
-the horizon and each bisection probe, a single step from the last grid
-point before the crossing.  Each regime's ODE is a time-only term,
-lambda(t) in UL and b(t,0) = s(t) mu + sdot(t) in OL, and a stage that
-takes the state and that term's value.  The term is evaluated once per
-distinct time: k2 and k3 share the midpoint value, and the end value
-serves k4 and the derivative at the step's end, which is the next step's
-k1.  The same scalar call on the same float gives the same double, so
-this is the textbook RK4 step to the bit.
+with adaptive Dormand-Prince 5(4) steps (_dp5, _march): error control
+on the embedded fourth-order solution, the last stage of a step serving
+as the first of the next (FSAL), and the free quartic interpolant.  The
+local error tolerance is tied to the grid step, 1e-2 step^4 within
+[1e-14, 1e-6] (_step_tolerance), so that the solution converges with the
+grid step.  One sweep (_sweep) serves both regimes, the switch bisection
+and the continuation past the horizon.  Each regime's ODE is a
+time-only term, lambda(t) in UL and b(t,0) = s(t) mu + sdot(t) in OL,
+and a scalar stage that takes the state and that term's value; the term
+is evaluated once per node of a step.  A stage whose state fails the OL
+check, or overflows, rejects its step.  The interpolant gives the state
+at the grid points in one array pass per interval, where the same stage
+on arrays gives its derivative, and the regime is tested at every step
+end and grid point; each switch is bisected to float resolution.
 
 One age-integral pass per OL interval (age_integrals) gives the queue
 content, the abandonment rate and the Fc^2 integral of the Gaussian
@@ -34,16 +37,16 @@ inverts L(t) = t - w(t).
 
 Each interval also carries its local grid: its start, the global grid
 points inside it and its end, with near-duplicate times dropped; an OL
-grid that reaches the horizon runs on until L(t) covers the interval,
-and raises ValueError if that takes longer than _EXT_SPAN.  The Gaussian
-layer builds every interval's variances on that grid and reads them back
-onto the global grid through the interval's index map.
+grid that reaches the horizon runs on, every grid step, until L(t)
+covers the interval, and raises ValueError if that takes longer than
+_EXT_SPAN.  The Gaussian layer builds every interval's variances on
+that grid and reads them back onto the global grid through the
+interval's index map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -66,6 +69,34 @@ _DEDUPE_TOL = 1e-9        # local-grid times closer than this are merged
 _BLOCK_NODES = 256 * 129  # age_integrals (rows x nodes) reduced at a time
 _PANEL_AGE = 1.0          # longest age panel: GL-16 resolves sin(c x) to c ~ 15
 _EXT_SPAN = 1000.0        # longest continuation past the horizon
+_TOL_FLOOR = 1e-14        # step tolerance floor, above round-off
+_TOL_CAP = 1e-6           # and cap: steps short enough at a coarse grid step
+                          # to end inside an overload between grid points
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner I, Table II.5.2): nodes,
+# stage coefficients, the fifth-order weights (also the row of the FSAL
+# stage k7, the next step's k1), the error weights (fifth minus embedded
+# fourth order) and the free quartic interpolant (Shampine's, scipy's RK45
+# P matrix) over theta = (t - t0) / h, rows k1, k3..k7; k2 has weight zero
+# in the solution, the error and the interpolant
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200,
+                                -22 / 525, 1 / 40)
+_DENSE = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 # 16-node Gauss-Legendre rule on [0, 1]: the positive nodes of
 # numpy.polynomial.legendre.leggauss(16) and their weights, mirrored
 _GL_POS = np.array([
@@ -108,6 +139,8 @@ class FluidInterval:
     wdot_loc: np.ndarray | None = None
     Q_loc: np.ndarray | None = None
     Q2_loc: np.ndarray | None = None
+    steps: int = 0              # accepted adaptive steps, continuation included
+    rejected: int = 0           # rejected trial steps
 
     @property
     def n_in(self):
@@ -148,20 +181,6 @@ class FluidSolution:
         return [iv for iv in self.intervals if iv.kind == OL]
 
 
-def _rk4(term, stage, t, y, h, k1):
-    """One RK4 step of y' = stage(t, y, term(t)) from (t, y), whose
-    derivative k1 the caller has; returns y(t + h), t + h and term(t + h).
-    The midpoint term serves k2 and k3."""
-    tm = t + 0.5 * h
-    te = t + h
-    g_mid = term(tm)
-    g_end = term(te)
-    k2 = stage(tm, y + 0.5 * h * k1, g_mid)
-    k3 = stage(tm, y + 0.5 * h * k2, g_mid)
-    k4 = stage(te, y + h * k3, g_end)
-    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), te, g_end
-
-
 def _bisect(fun, a, b, fa):
     """Root of a continuous sign-changing function on [a, b], fa = fun(a),
     to float resolution: halves until no float lies strictly between a
@@ -178,19 +197,22 @@ def _bisect(fun, a, b, fa):
 
 
 class _Ctx:
-    """Scalar evaluators bound to one spec.  `ode[kind]` is the regime's
-    state ODE y' = stage(t, y, term(t)) split into its time-only term and
-    its stage: X' = lambda - mu X in UL, the HWT ODE with b(t,0) in OL.
-    b0 and the two stages are built once per solve as closures over mu
-    and the spec's bound scalar methods, so a stage call looks up no
-    attribute and evaluates the model through those methods."""
+    """Evaluators bound to one spec and grid step.  `ode[kind]` is the
+    regime's state ODE y' = stage(t, y, term(t)) split into its time-only
+    term and its scalar stage, X' = lambda - mu X in UL and the HWT ODE
+    with b(t,0) in OL, plus `rates`, the same stage on arrays.  b0 and the
+    scalar stages are built once per solve as closures over mu and the
+    spec's bound scalar methods, so a stage call looks up no attribute and
+    evaluates the model through those methods.  `tol` is the step
+    tolerance _step_tolerance(step)."""
 
-    def __init__(self, spec: ModelSpec):
-        mu = self.mu = spec.mu
+    def __init__(self, spec: ModelSpec, step: float):
+        self.spec, self.step, self.tol = spec, step, _step_tolerance(step)
+        mu = spec.mu
         lam = self.lam = spec.arrival_rate.scalar
         s = self.s = spec.staffing.scalar
         s_d = spec.staffing.scalar_deriv
-        fc = self.fc = spec.patience.survival_scalar
+        fc = spec.patience.survival_scalar
 
         def b0(t):
             return s(t) * mu + s_d(t)
@@ -200,31 +222,56 @@ class _Ctx:
             return lam_t - mu * x
 
         def ol_stage(t, w, b):
-            """wdot in overload given b = b0(t); the one check of the OL
-            state: the boundary density stays above its floor, then b(t,0)
-            above 0."""
+            """wdot in overload given b = b0(t), after the one check of the
+            OL state (_ol_check)."""
             q = lam(t - w) * fc(w)
-            if q < _QTILDE_FLOOR:
-                raise BoundaryDensityError(
-                    f"queue boundary density vanished at t={t:.6f}"
-                )
-            if b <= 0.0:
-                raise StaffingInfeasibleError(
-                    f"staffing infeasible in overload: b(t,0) <= 0 at t={t:.6f}"
-                )
+            if q < _QTILDE_FLOOR or b <= 0.0:
+                _ol_check(t, q, b)
             return 1.0 - b / q
 
-        self.b0, self.ul_stage, self.ol_stage = b0, ul_stage, ol_stage
-        self.ode = {UL: (lam, ul_stage), OL: (b0, ol_stage)}
+        def ul_rates(t, x):
+            return np.asarray(spec.arrival_rate(t), dtype=float) - mu * x
+
+        def ol_rates(t, w):
+            b = (np.asarray(spec.staffing(t), dtype=float) * mu
+                 + np.asarray(spec.staffing.deriv(t), dtype=float))
+            q = (np.asarray(spec.arrival_rate(t - w), dtype=float)
+                 * np.asarray(spec.patience.survival(w), dtype=float))
+            bad = (q < _QTILDE_FLOOR) | (b <= 0.0)
+            if bad.any():
+                i = int(np.argmax(bad))
+                _ol_check(float(t[i]), q[i], b[i])
+            return 1.0 - b / q
+
+        self.b0, self.ol_stage = b0, ol_stage
+        self.ode = {UL: (lam, ul_stage, ul_rates), OL: (b0, ol_stage, ol_rates)}
+
+
+def _ol_check(t, q, b):
+    """The one check of the OL state at time t: the boundary density q
+    stays above its floor, then b = b(t,0) above 0."""
+    if q < _QTILDE_FLOOR:
+        raise BoundaryDensityError(f"queue boundary density vanished at t={t:.6f}")
+    if b <= 0.0:
+        raise StaffingInfeasibleError(
+            f"staffing infeasible in overload: b(t,0) <= 0 at t={t:.6f}")
+
+
+def _step_tolerance(step):
+    """Local error tolerance of the adaptive steps for grid step `step`:
+    1e-2 step^4, so that the solution's error shrinks with the grid step
+    as a fourth-order method's would, within [_TOL_FLOOR, _TOL_CAP]."""
+    return min(max(1e-2 * step ** 4, _TOL_FLOOR), _TOL_CAP)
 
 
 def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     """Solve the fluid model on a uniform grid of step `step`.
 
-    The step may not exceed the horizon, nor 1/mu, an accuracy bound:
-    RK4 damps X' = -mu X up to mu*step = 2.785, but its decay factor per
-    step is 0.375 against e^-1 = 0.368 at mu*step = 1 and 0.648 against
-    e^-2.5 = 0.082 at 2.5.
+    Adaptive Dormand-Prince 5(4) steps integrate each regime to the local
+    error tolerance _step_tolerance(step) (1e-14 at the default step) and
+    their quartic interpolant gives the state at the grid points.  The
+    step may not exceed the horizon, nor 1/mu: the Gaussian layer's
+    quadratures on the grid lose the decay of X' = -mu X beyond it.
     """
     report = validate(spec)
     if not report.ok:
@@ -233,7 +280,7 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
         raise ValueError(f"grid step {step} must be positive and at most "
                          f"min(horizon, 1/mu) = {min(spec.horizon, 1.0 / spec.mu):g}")
 
-    ctx = _Ctx(spec)
+    ctx = _Ctx(spec, step)
     T = spec.horizon
     n = int(round(T / step))
     grid = np.linspace(0.0, T, n + 1)
@@ -253,16 +300,14 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     t_cur = 0.0
     k = 0
     y = spec.x0 if kind == UL else 0.0
-    times = memoryview(grid)    # indexes to plain floats for the scalar sweep
 
     while k <= n:
         try:
-            t_cur, k, iv = _sweep(ctx, kind, times, Y, Ydot, t_cur, k, y)
+            t_cur, k, iv = _sweep(ctx, kind, grid, Y, Ydot, t_cur, k, y)
         except OverflowError as exc:
-            # a stiff OL step (patience hazard * step >> 1) can throw w far
-            # negative, where Fc(w) overflows
-            raise ValueError(f"grid step {step:g} too coarse: the {kind} sweep from "
-                             f"t={t_cur:.6f} overflowed ({exc})") from exc
+            # a model function that overflows where the solution goes, not
+            # only in a rejected trial step
+            raise ValueError(f"the {kind} sweep from t={t_cur:.6f} overflowed ({exc})") from exc
         intervals.append(iv)
         if k > n:
             break
@@ -323,96 +368,200 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     )
 
 
+def _dp5(term, stage, t, te, y, k1):
+    """One Dormand-Prince 5(4) step of y' = stage(t, y, term(t)) from
+    (t, y), whose derivative k1 the caller has, to te; returns y(te),
+    term(te) and the stages k3..k6.  The term is evaluated once per node:
+    k6 and the FSAL stage k7 = stage(te, y(te), term(te)) share its end
+    value."""
+    h = te - t
+    t2, t3, t4, t5 = t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h
+    k2 = stage(t2, y + h * _A21 * k1, term(t2))
+    k3 = stage(t3, y + h * (_A31 * k1 + _A32 * k2), term(t3))
+    k4 = stage(t4, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), term(t4))
+    k5 = stage(t5, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), term(t5))
+    g_end = term(te)
+    k6 = stage(te, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5), g_end)
+    return y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6), g_end, k3, k4, k5, k6
+
+
+def _march(ctx, kind, t, y, f, h, t_stop, done, steps):
+    """Adaptive Dormand-Prince steps of regime `kind` from (t, y), whose
+    derivative is f, with trial step h, until a step ends at t_stop or in
+    a state with done(t, y).  Appends each accepted step's
+    (t, h, y, k1, k3, k4, k5, k6, k7) to steps; returns the last time,
+    state and derivative, whether done, the next trial step and the
+    number of rejected steps.
+
+    A step is accepted when its error estimate is at most
+    ctx.tol * (1 + |y|); the next trial step is 0.9 err^(-1/5) times it,
+    within [0.2, 10], and no longer right after a rejection.  A stage
+    that fails the OL check or overflows rejects the step and halves it,
+    so the steps close in on the time where the solution itself fails;
+    that failure is raised once no float lies inside the failed step."""
+    term, stage = ctx.ode[kind][:2]
+    tol = ctx.tol
+    rejected = 0
+    retry = False
+    while True:
+        te = min(t + h, t_stop)
+        try:
+            y1, g_end, k3, k4, k5, k6 = _dp5(term, stage, t, te, y, f)
+            k7 = stage(te, y1, g_end)
+        except (BoundaryDensityError, StaffingInfeasibleError, OverflowError):
+            h = 0.5 * (te - t)
+            if not t < t + h < te:
+                raise
+            rejected, retry = rejected + 1, True
+            continue
+        h = te - t
+        err = abs(h * (_E1 * f + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)) / (
+            tol * (1.0 + max(abs(y), abs(y1))))
+        if not err <= 1.0:
+            h *= max(0.2, 0.9 * err ** -0.2)
+            if t + h == t:
+                raise ValueError(f"the {kind} sweep cannot meet its step tolerance at t={t:.6f}")
+            rejected, retry = rejected + 1, True
+            continue
+        steps.append((t, h, y, f, k3, k4, k5, k6, k7))
+        grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+        h *= min(grow, 1.0) if retry else grow
+        retry = False
+        t, y, f = te, y1, k7
+        hit = done(t, y)
+        if hit or t == t_stop:
+            return t, y, f, hit, h, rejected
+
+
+def _dense(steps, t):
+    """The accepted steps' quartic interpolant at the sorted times t, each
+    in the span of a step: per step, the coefficients of theta..theta^4,
+    theta = (t - t0) / h, gathered one column at a time."""
+    if not len(t):
+        return np.empty(0)
+    a = np.array(steps)
+    coef = (a[:, 3:] @ _DENSE) * a[:, 1:2]
+    j = np.searchsorted(a[:, 0], t, side="right") - 1
+    theta = (t - a[j, 0]) / a[j, 1]
+    acc = coef[j, 3]
+    for c in (2, 1, 0):
+        acc = acc * theta + coef[j, c]
+    return a[j, 2] + theta * acc
+
+
 def _sweep(ctx, kind, grid, Y, Ydot, start, k, y):
     """Integrate regime `kind` from state y at `start` over grid[k:] until
     it ends or the horizon; returns (end, next grid index, interval).
 
     The state is X in UL, which ends when X reaches s(t), and w in OL,
-    which ends when w returns to zero; grid point k receives it in Y[k]
-    and its derivative in Ydot[k].  A start within 1e-14 of grid[k] snaps
-    to it, and the first k1 is evaluated at the snapped time.  A step's
-    end term serves the next k1 when te == grid[k] bit for bit (always on
-    a uniform grid, by Sterbenz's lemma); otherwise grid[k] is evaluated
-    again.
+    which ends when w returns to zero.  Adaptive steps (_march) run from
+    start, or from grid[k] if start lies within 1e-14 of it, until a step
+    ends past the regime or at the horizon.  Their interpolant gives the
+    state at the grid points they cover in one array pass, where the
+    regime is tested too, so a crossing that only a grid point sees is
+    found.  The first crossing among step ends and grid points is
+    bisected to float resolution, each probe one step from the start of
+    the step that holds it.  An OL interval must hold a grid point after
+    its start; the grid step is too coarse otherwise.  Grid point i of the
+    interval gets the state in Y[i] and its derivative, from the stage on
+    arrays, in Ydot[i].
     """
     n = len(grid) - 1
-    i0 = k
-    term, stage = ctx.ode[kind]
-    ul, s = kind == UL, ctx.s
-    snap = k <= n and abs(grid[k] - start) < 1e-14
-    t_prev = grid[k] if snap else start
-    f_prev = stage(t_prev, y, term(t_prev))
-    loc = [(start, y, f_prev)]       # the local grid's (t, y, ydot)
-    if snap:
-        Y[k], Ydot[k] = y, f_prev
-        k += 1
-    while k <= n:
-        tk = grid[k]
-        y_new, te, g_end = _rk4(term, stage, t_prev, y, tk - t_prev, f_prev)
-        if y_new - s(tk) >= 0.0 if ul else y_new <= 0.0:
-            if not ul and y <= 0.0:
-                # w back to zero within the interval's first step; so no
-                # OL interval is without a grid point
-                raise CriticalLoadingError(f"non-isolated critical loading near t={t_prev:.6f}")
+    T = float(grid[n])
+    ul = kind == UL
+    term, stage, rates = ctx.ode[kind]
+    s = ctx.s
+    snap = k <= n and abs(float(grid[k]) - start) < 1e-14
+    t = float(grid[k]) if snap else start
+    f = stage(t, y, term(t))
+    steps = []
+    hit, t_end, y_end, f_end, h, rejected = False, t, y, f, ctx.step, 0
+    if t < T:
+        done = (lambda te, x: x - s(te) >= 0.0) if ul else (lambda te, w: w <= 0.0)
+        t_end, y_end, f_end, hit, h, rejected = _march(ctx, kind, t, y, f, h, T, done, steps)
+    k_first = k + snap
+    k_last = int(np.searchsorted(grid, t_end, side="right")) - 1
+    tg = grid[k_first : k_last + 1]
+    yg = _dense(steps, tg)
+    crossed = np.flatnonzero(yg - np.asarray(ctx.spec.staffing(tg), dtype=float) >= 0.0
+                             if ul else yg <= 0.0)
+    if len(crossed) or hit:
+        kc = k_first + int(crossed[0]) if len(crossed) else k_last + 1
+        c = float(grid[kc]) if len(crossed) else t_end
+        j = len(steps) - 1
+        while steps[j][0] >= c:
+            j -= 1
+        t0, _, y0, f0 = steps[j][:4]
 
-            def edge(tc):
-                # crossed inside (t_prev, grid[k]]: UL X - s, OL w, after
-                # one RK4 step from the last grid point
-                yc = _rk4(term, stage, t_prev, y, tc - t_prev, f_prev)[0]
-                return yc - s(tc) if ul else yc
+        def edge(tc):
+            # UL X - s, OL w, after one step from the start of step j
+            yc = _dp5(term, stage, t0, tc, y0, f0)[0]
+            return yc - s(tc) if ul else yc
 
-            tau = _bisect(edge, t_prev, tk, edge(t_prev))
-            lam, b = ctx.lam(tau), ctx.b0(tau)
-            if lam - b <= 1e-9 if ul else lam >= b - 1e-9:
-                raise CriticalLoadingError(
-                    f"non-isolated critical loading near t={tau:.6f}" + ("" if ul else
-                    " (waiting time grazed zero while still overloaded)"))
-            y_tau = s(tau) if ul else 0.0
-            loc.append((tau, y_tau, stage(tau, y_tau, term(tau))))
-            iv = FluidInterval(kind, start, tau, i0, k - 1)
-            return tau, k, _attach_local(iv, grid, loc)
-        f_prev = stage(tk, y_new, g_end if te == tk else term(tk))
-        Y[k], Ydot[k] = y_new, f_prev
-        loc.append((tk, y_new, f_prev))
-        t_prev, y = tk, y_new
-        k += 1
-    if not ul:
-        _extend_ol(ctx, grid[n], y, f_prev, loc)
-    iv = FluidInterval(kind, start, grid[n], i0, n)
-    return grid[n], n + 1, _attach_local(iv, grid, loc)
+        a = max(float(grid[kc - 1]), t0) if kc > k_first else t0
+        tau = _bisect(edge, a, c, edge(a))
+        lam, b = ctx.lam(tau), ctx.b0(tau)
+        if lam - b <= 1e-9 if ul else lam >= b - 1e-9:
+            raise CriticalLoadingError(
+                f"non-isolated critical loading near t={tau:.6f}" + ("" if ul else
+                " (waiting time grazed zero while still overloaded)"))
+        if not ul and kc == k_first:
+            raise ValueError(f"grid step {ctx.step:g} too coarse: the overload on "
+                             f"[{start:.6f}, {tau:.6f}] holds no grid point")
+        m = kc - k_first
+        t_loc = np.concatenate([[start], tg[:m], [tau]])
+        y_loc = np.concatenate([[y], yg[:m], [s(tau) if ul else 0.0]])
+        iv = FluidInterval(kind, start, tau, k, kc - 1)
+    else:
+        t_loc, y_loc = np.concatenate([[start], tg]), np.concatenate([[y], yg])
+        iv = FluidInterval(kind, start, T, k, n)
+        if not ul:
+            ext_t, ext_w, ext_rejected = _extend_ol(ctx, T, y_end, f_end, h, steps)
+            t_loc, y_loc = np.concatenate([t_loc, ext_t]), np.concatenate([y_loc, ext_w])
+            rejected += ext_rejected
+    iv.steps, iv.rejected = len(steps), rejected
+    _attach_local(iv, grid, t_loc, y_loc, rates, Y, Ydot)
+    return iv.end, iv.i1 + 1, iv
 
 
-def _attach_local(iv, grid, loc):
-    """Give iv its start state, local grid and index map from loc, a list
-    of (t, y, ydot) from the start; an OL interval keeps y and ydot as
-    w_loc and wdot_loc.  A time within _DEDUPE_TOL of the one before it is
-    dropped with its values.  Returns iv."""
-    t, y, ydot = np.fromiter(chain.from_iterable(loc), float, 3 * len(loc)).reshape(-1, 3).T
+def _attach_local(iv, grid, t, y, rates, Y, Ydot):
+    """Give iv its start state, local grid and index map from the local
+    times t and states y, dropping a time within _DEDUPE_TOL of the one
+    before it with its state; the derivative is rates(t, y).  An OL
+    interval keeps y and the derivative as w_loc and wdot_loc.  Grid
+    points i0..i1 get theirs in Y and Ydot."""
     keep = np.concatenate([[True], np.diff(t) > _DEDUPE_TOL])
-    iv.y0 = loc[0][1]
-    iv.t_loc = t[keep]
+    t, y = t[keep], y[keep]
+    ydot = rates(t, y)
+    iv.y0 = float(y[0])
+    iv.t_loc = t
     if iv.kind == OL:
-        iv.w_loc, iv.wdot_loc = y[keep], ydot[keep]
-    iv.idx = np.searchsorted(iv.t_loc, np.asarray(grid[iv.i0 : iv.i1 + 1]) - 1e-9)
-    return iv
+        iv.w_loc, iv.wdot_loc = y, ydot
+    iv.idx = np.searchsorted(t, grid[iv.i0 : iv.i1 + 1] - 1e-9)
+    Y[iv.i0 : iv.i1 + 1], Ydot[iv.i0 : iv.i1 + 1] = y[iv.idx], ydot[iv.idx]
 
 
-def _extend_ol(ctx, t_end, w, wdot, loc):
-    """Continue the OL local grid loc past the horizon t_end, in steps of
-    1e-3, until L(t) = t - w(t) covers the whole interval; wdot is w's
-    derivative at (t_end, w).  Raises ValueError if L(t) is still short of
-    t_end after _EXT_SPAN: the potential wait is then undefined there."""
-    b0, stage = ctx.ode[OL]
-    h = 1e-3
-    t = t_end
-    while t - w < t_end and w > 0.0 and t < t_end + _EXT_SPAN:
-        w, t, b = _rk4(b0, stage, t, w, h, wdot)
-        w = max(w, 0.0)
-        wdot = stage(t, w, b)
-        loc.append((t, w, wdot))
-    if t - w < t_end:
-        raise ValueError(f"the potential wait near the horizon T={t_end:g} is "
+def _extend_ol(ctx, T, w, wdot, h, steps):
+    """Continue w past the horizon T, from w and its derivative wdot there
+    and trial step h, until L(t) = t - w(t) covers the interval; appends
+    the steps to `steps`.  Returns the continuation's local times, every
+    ctx.step past T up to the first where L >= T (or the last step's end
+    if none before it gets there), w there, clipped at 0, and the number
+    of rejected steps.  Raises ValueError if L(t) is still short of T
+    after _EXT_SPAN: the potential wait is then undefined there."""
+    first = len(steps)
+    t, w, _, hit, _, rejected = _march(ctx, OL, T, w, wdot, h, T + _EXT_SPAN,
+                                       lambda te, we: te - we >= T, steps)
+    if not hit:
+        raise ValueError(f"the potential wait near the horizon T={T:g} is "
                          f"undefined: continued to t={t:.6f}, t - w(t) is still below T")
+    ts = T + ctx.step * np.arange(1, int((t - T) / ctx.step) + 1)
+    ts = ts[ts < t]
+    ws = np.maximum(_dense(steps[first:], ts), 0.0)
+    covered = np.flatnonzero(ts - ws >= T)
+    if len(covered):
+        return ts[: covered[0] + 1], ws[: covered[0] + 1], rejected
+    return np.append(ts, t), np.append(ws, max(w, 0.0)), rejected
 
 
 def age_integrals(rate, patience, t, w):

@@ -8,7 +8,7 @@ profile has to be continued past the end of the grid.  Piecewise
 polynomials are also the cubic Hermite interpolant
 (`PiecewisePolyFn.hermite`) of tabulated patience cdfs and of the
 Gaussian layer's grid functions.
-The fluid solver's RK4 sweep evaluates one time at a time through
+The fluid solver's adaptive steps evaluate one time at a time through
 `scalar` / `scalar_deriv`, which every family computes with plain
 `math` instead of a one-element numpy array.
 """

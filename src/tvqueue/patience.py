@@ -5,7 +5,7 @@ cdfs interpolated by a monotone cubic (functions.PiecewisePolyFn.hermite
 with the Fritsch-Carlson slopes of functions.monotone_slopes) so the
 hazard stays continuous.
 All evaluators are vectorized; `survival_scalar` evaluates one point
-with plain `math` for the fluid solver's RK4 sweep, and `survival_pdf`
+with plain `math` for the fluid solver's adaptive steps, and `survival_pdf`
 gives Fc and f on one age block from one pass for its age integrals.
 """
 

@@ -1,7 +1,7 @@
 """Independent evaluation routes the tests check the program against.
 
 Nothing in the program calls these.  `ul_content` solves the underloaded
-fluid content by quadrature of the linear ODE, not by the RK4 sweep.
+fluid content by quadrature of the linear ODE, not by the fluid sweep.
 The kernel route evaluates the content-deviation variance of an
 overloaded interval as squared-kernel integrals, reading only the kernel
 grids (t, w, G) and the spec, against the single cumulative quadrature
@@ -10,15 +10,12 @@ arrival, abandonment and observation as an event of its own, against the
 simulator's loop that reads the counters from event epochs; its arrivals
 come from `chunked_arrivals`, which thins chunk by chunk with two uniform
 draws and a sort per chunk, against the program's one block per chunk
-and one sort.  `unfused_sweep` steps the fluid sweep, the switch
-bisection and the continuation past the horizon with its own textbook
-RK4 step, its own float-resolution bisection and right-hand sides
-X' = lambda - mu X and the HWT ODE, which evaluate lambda(t) or b(t,0)
-at every call, against the program's one fused RK4 step that evaluates
-them once per distinct time.
-`dop853_switch_times` re-locates every switch with scipy's adaptive
-DOP853 solver and brentq, against the program's fixed-step RK4 sweep and
-bisection.
+and one sort.
+`dop853_switch_times` re-locates every switch with scipy's DOP853
+solver and brentq, and `fluid_reference` re-solves w, X, Q and v at the
+grid points with DOP853, quad and Newton's method on L(t) = t - w(t),
+against the program's Dormand-Prince 5(4) sweep, its interpolant, its
+bisection and its interpolated inverse of L.
 `age_integrals_reference` evaluates the queue content, abandonment rate
 and Fc^2 integral of an OL point by scipy's adaptive quadrature on the
 scalar evaluators, with the kinks of the integrand as its break points,
@@ -33,12 +30,6 @@ from scipy.integrate import quad, simpson, solve_ivp
 from scipy.optimize import brentq
 
 from tvqueue import sim
-from tvqueue.fluid import (
-    OL,
-    UL,
-    FluidInterval,
-    _attach_local,
-)
 from tvqueue.gaussian import IntervalKernels
 from tvqueue.model import staffing_level
 
@@ -290,91 +281,17 @@ def heap_replication(config, seed, fixed=None):
                        N=N, D=D, A=A, E=E, forced=F, x0=x0)
 
 
-def _rk4_step(f, t, y, h, k1):
-    """One textbook RK4 step of y' = f(t, y) with k1 = f(t, y) given."""
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _bisect_crossing(crossed, lo, hi):
-    """The crossing time in (lo, hi] to float resolution: the midpoint
-    replaces hi where the regime has ended by then and lo otherwise,
-    until no float lies strictly between them."""
-    while True:
-        mid = (lo + hi) / 2.0
-        if mid in (lo, hi):
-            return mid
-        if crossed(mid):
-            hi = mid
-        else:
-            lo = mid
-
-
-def unfused_sweep(ctx, kind, grid, Y, Ydot, start, k, y):
-    """`fluid._sweep` with its own right-hand sides, each evaluating its
-    time term at every call, its own RK4 step, switch bisection with a
-    one-step probe, and continuation past the horizon."""
-    def ul_rhs(t, x):
-        return ctx.lam(t) - ctx.mu * x
-
-    def ol_rhs(t, w):
-        return 1.0 - ctx.b0(t) / (ctx.lam(t - w) * ctx.fc(w))
-
-    rhs = ul_rhs if kind == UL else ol_rhs
-    n = len(grid) - 1
-    i0 = k
-    t_prev = start
-    snap = k <= n and abs(grid[k] - start) < 1e-14
-    if snap:
-        t_prev = grid[k]
-    f_prev = rhs(t_prev, y)
-    loc = [(start, y, f_prev)]
-    if snap:
-        Y[k], Ydot[k] = y, f_prev
-        k += 1
-    while k <= n:
-        y_new = _rk4_step(rhs, t_prev, y, grid[k] - t_prev, f_prev)
-        if kind == UL and y_new >= ctx.s(grid[k]) or kind == OL and y_new <= 0.0:
-            def crossed(tc):
-                # one textbook step from the last grid point: X has
-                # reached s(tc), or w has fallen below zero
-                yc = _rk4_step(rhs, t_prev, y, tc - t_prev, f_prev)
-                return yc >= ctx.s(tc) if kind == UL else yc < 0.0
-
-            tau = _bisect_crossing(crossed, t_prev, grid[k])
-            y_tau = ctx.s(tau) if kind == UL else 0.0
-            loc.append((tau, y_tau, rhs(tau, y_tau)))
-            iv = FluidInterval(kind, start, tau, i0, k - 1)
-            return tau, k, _attach_local(iv, grid, loc)
-        f_prev = rhs(grid[k], y_new)
-        Y[k], Ydot[k] = y_new, f_prev
-        loc.append((grid[k], y_new, f_prev))
-        t_prev, y = grid[k], y_new
-        k += 1
-    if kind == OL:
-        # continue w past the horizon until L(t) = t - w(t) covers it
-        t, h = grid[n], 1e-3
-        while t - y < grid[n] and y > 0.0 and t < grid[n] + 1000.0:
-            y = max(_rk4_step(ol_rhs, t, y, h, f_prev), 0.0)
-            t += h
-            f_prev = ol_rhs(t, y)
-            loc.append((t, y, f_prev))
-    iv = FluidInterval(kind, start, grid[n], i0, n)
-    return grid[n], n + 1, _attach_local(iv, grid, loc)
-
-
-def age_integrals_reference(rate, patience, t, w):
+def age_integrals_reference(rate, patience, t, w, n=3):
     """(Q, alpha, Q2) at the points (t[i], w[i]): the integrals over ages
     x in [0, w[i]] of rate(t[i] - x) times Fc(x), f(x) and Fc(x)^2, each by
     scipy's quad (epsrel 1e-13, no absolute floor) on the scalar
     evaluators, with the ages t[i] - b of the rate's breakpoints b and the
-    patience breakpoints inside (0, w[i]) as its break points."""
+    patience breakpoints inside (0, w[i]) as its break points; only the
+    first n of the three."""
     rate_bps = np.asarray(rate.breakpoints(), dtype=float)
     pat_bps = np.asarray(patience.breakpoints(), dtype=float)
     fc = patience.survival_scalar
-    out = np.zeros((3, len(t)))
+    out = np.zeros((n, len(t)))
     for i, (ti, wi) in enumerate(zip(t, w)):
         if wi <= 0.0:
             continue
@@ -386,19 +303,25 @@ def age_integrals_reference(rate, patience, t, w):
 
         for k, g in enumerate((lambda x: lam(x) * fc(x),
                                lambda x: lam(x) * float(patience.pdf(x)),
-                               lambda x: lam(x) * fc(x) ** 2)):
+                               lambda x: lam(x) * fc(x) ** 2)[:n]):
             out[k, i] = quad(g, 0.0, wi, points=kinks if len(kinks) else None,
                              epsabs=0.0, epsrel=1e-13, limit=200)[0]
     return out
 
 
-def dop853_switch_times(fluid, reach=1e-2):
-    """Each switch time of `fluid` re-located independently: the interval
-    that ends in it is solved by DOP853 (rtol 1e-13, atol 1e-16) from the
-    program's interval start, X = x0 at t = 0 or s(start) in UL and w = 0
-    in OL, and its end found by brentq on the dense output within `reach`
-    of the program's switch: X = s(t) in UL, w = 0 in OL."""
-    spec = fluid.spec
+def _dop853(rhs, t0, y0, t1, **kw):
+    """scipy's DOP853 from (t0, y0) to t1 at rtol 1e-13, atol 1e-16, with
+    dense output.  Steps of at most 0.1 keep the 7th-order interpolant's
+    error below the step tolerance: unbounded steps on the smooth UL
+    stretch of the piecewise/tabulated model left it 7.7e-12 off the
+    closed form at t = 11.281, against 1.3e-14 for the solution."""
+    return solve_ivp(rhs, (t0, t1), [y0], method="DOP853", rtol=1e-13, atol=1e-16,
+                     dense_output=True, max_step=0.1, **kw)
+
+
+def _rhs(spec):
+    """The right-hand sides X' = lambda - mu X (UL) and the HWT ODE (OL)
+    for solve_ivp."""
     lam, s, mu = spec.arrival_rate.scalar, spec.staffing.scalar, spec.mu
 
     def ul(t, x):
@@ -408,14 +331,71 @@ def dop853_switch_times(fluid, reach=1e-2):
         b = s(t) * mu + spec.staffing.scalar_deriv(t)
         return [1.0 - b / (lam(t - w[0]) * float(spec.patience.survival(w[0])))]
 
+    return ul, ol
+
+
+def dop853_switch_times(fluid, reach=1e-2):
+    """Each switch time of `fluid` re-located independently: the interval
+    that ends in it is solved by DOP853 (_dop853) from the
+    program's interval start, X = x0 at t = 0 or s(start) in UL and w = 0
+    in OL, and its end found by brentq on the dense output within `reach`
+    of the program's switch: X = s(t) in UL, w = 0 in OL."""
+    spec = fluid.spec
+    s = spec.staffing.scalar
+    ul, ol = _rhs(spec)
     out = []
     for iv, tau in zip(fluid.intervals, fluid.switch_times):
-        if iv.kind == UL:
+        if iv.kind == "UL":
             rhs, y0, edge = ul, spec.x0 if iv.start == 0.0 else s(iv.start), s
         else:
             rhs, y0, edge = ol, 0.0, lambda t: 0.0
-        sol = solve_ivp(rhs, (iv.start, tau + reach), [y0], method="DOP853",
-                        rtol=1e-13, atol=1e-16, dense_output=True)
+        sol = _dop853(rhs, iv.start, y0, tau + reach)
         out.append(brentq(lambda t: sol.sol(t)[0] - edge(t), tau - reach, tau + reach,
                           xtol=1e-15, rtol=4 * np.finfo(float).eps))
     return np.array(out)
+
+
+def fluid_reference(fluid, stride=29):
+    """(idx, w, X, Q, v): the grid indices 0, stride, 2 stride, ... and the
+    fluid solution there, re-solved independently.  Each interval of
+    `fluid` is solved by DOP853 (rtol 1e-13, atol 1e-16, dense output)
+    from the program's interval start and start state, X = x0 at t = 0 or
+    s(start) in UL and w = 0 in OL; an OL interval that reaches the
+    horizon T runs on until t - w(t) = T.  In OL, Q is `quad` of
+    lambda(t - x) Fc(x) over [0, w] with the kinks as break points,
+    X = s + Q, and v = L^{-1}(t) - t, L(t) = t - w(t), by Newton's method
+    on the dense w; w, Q and v are 0 in UL."""
+    spec = fluid.spec
+    s = spec.staffing.scalar
+    ul, ol = _rhs(spec)
+    T = fluid.grid[-1]
+
+    def covers(t, w):
+        return t - w[0] - T
+    covers.terminal, covers.direction = True, 1.0
+
+    idx = np.arange(0, len(fluid.grid), stride)
+    w, X, Q, v = (np.zeros(len(idx)) for _ in range(4))
+    for iv in fluid.intervals:
+        sel = (idx >= iv.i0) & (idx <= iv.i1)
+        t = fluid.grid[idx[sel]]
+        if iv.kind == "UL":
+            y0 = spec.x0 if iv.start == 0.0 else s(iv.start)
+            X[sel] = _dop853(ul, iv.start, y0, iv.end).sol(t)[0]
+            continue
+        if iv.end < T:
+            sol = _dop853(ol, iv.start, 0.0, iv.end)
+        else:
+            sol = _dop853(ol, iv.start, 0.0, T + 1000.0, events=covers)
+        dense = sol.sol
+        w[sel] = ws = dense(t)[0]
+        Q[sel] = age_integrals_reference(spec.arrival_rate, spec.patience, t, ws, n=1)[0]
+        X[sel] = np.asarray(spec.staffing(t), dtype=float) + Q[sel]
+        # Newton on L(r) = t from r = t + w(t), the slope 1 - w' by a
+        # central difference of the dense w
+        r = t + ws
+        for _ in range(8):
+            slope = 1.0 - (dense(r + 1e-6)[0] - dense(r - 1e-6)[0]) / 2e-6
+            r = r - (r - dense(r)[0] - t) / slope
+        v[sel] = r - t
+    return idx, w, X, Q, v

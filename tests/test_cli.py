@@ -9,7 +9,7 @@ import pytest
 from tvqueue.cli import main
 from tvqueue.functions import ConstantFn
 from tvqueue.model import ModelSpec
-from tvqueue.patience import PatienceDist
+from tvqueue.patience import ExponentialPatience, PatienceDist
 
 
 def _write_config(tmp_path, **overrides):
@@ -244,9 +244,9 @@ def test_compare_with_one_replication(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("step", ["7", "100"])
 def test_coarse_grid_step_is_config_error(tmp_path, capsys, step):
-    # past mu * step = 1 RK4 loses the decay of X' = -mu X (at step 7 it
-    # amplifies by 61 per step); a step past the horizon would drop it
-    # from the grid
+    # past mu * step = 1 the Gaussian layer's quadratures on the grid lose
+    # the decay of X' = -mu X; a step past the horizon would drop it from
+    # the grid
     cfg = _write_config(
         tmp_path, **{"lambda": {"kind": "sinusoid", "params": {"a": 1.0, "b": 0.6}},
                      "horizon": 16.0, "x0": 0.0})
@@ -258,8 +258,9 @@ def test_coarse_grid_step_is_config_error(tmp_path, capsys, step):
 
 
 def test_overflow_at_coarse_step_is_config_error(tmp_path, capsys):
-    # the OL ODE is stiff at patience rate 50: one RK4 step of 1.0 throws
-    # w far negative, where Fc(w) = exp(-50 w) overflows
+    # the OL ODE is stiff at patience rate 50: a trial step that throws w
+    # far negative, where Fc(w) = exp(-50 w) overflows, is rejected, and
+    # the overload found on [7.08, 7.80] holds no grid point of step 1
     cfg = _write_config(tmp_path, **{
         "lambda": {"kind": "sinusoid", "params": {"a": 0.7, "b": 0.5, "c": 1.0, "d": 1.0}},
         "patience": {"kind": "exponential", "params": {"rate": 50.0}},
@@ -282,6 +283,40 @@ def test_uncovered_potential_wait_is_config_error(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert "potential wait" in err
     assert "Traceback" not in err
+
+
+def test_uncovered_potential_wait_exits_in_few_steps(tmp_path, capsys, monkeypatch):
+    # the same model over its full continuation span: w grows almost as
+    # fast as t, so L(t) = t - w(t) is short of T = 16 after the 1000 time
+    # units; adaptive steps get there in a few hundred stage calls, where
+    # fixed steps of 1e-3 took 10^6 steps
+    calls = []
+    survival = ExponentialPatience.survival_scalar
+    monkeypatch.setattr(ExponentialPatience, "survival_scalar",
+                        lambda self, x: calls.append(x) or survival(self, x))
+    cfg = _write_config(tmp_path, **{
+        "lambda": {"kind": "constant", "params": {"value": 200.0}},
+        "patience": {"kind": "exponential", "params": {"rate": 1e-3}},
+        "horizon": 16.0})
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "potential wait" in err and "continued to t=1016.000000" in err
+    assert "Traceback" not in err
+    assert 0 < len(calls) < 2000
+
+
+def test_overload_between_grid_points_is_config_error(tmp_path, capsys):
+    # lambda = 0.65 + 0.5 sin t overloads on [2.050, 2.606], between the
+    # grid points 2 and 3 of step 1: found at a step end, and refused
+    cfg = _write_config(tmp_path, **{
+        "lambda": {"kind": "sinusoid", "params": {"a": 0.65, "b": 0.5}},
+        "patience": {"kind": "exponential", "params": {"rate": 1.0}},
+        "horizon": 8.0, "x0": 0.5})
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path), "--grid-step", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert "grid step 1 too coarse: the overload on [2.05" in err
+    assert "Traceback" not in err
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 def test_simulate_takes_no_grid_step(tmp_path, capsys):

@@ -11,7 +11,8 @@ from tvqueue.fluid import (
     StaffingInfeasibleError,
     _bisect,
     _Ctx,
-    _rk4,
+    _dp5,
+    _step_tolerance,
     age_integrals,
     solve_fluid,
     write_fluid_csv,
@@ -25,7 +26,7 @@ from tvqueue.patience import (
     TabulatedPatience,
 )
 
-from oracles import age_integrals_reference, dop853_switch_times, ul_content, unfused_sweep
+from oracles import age_integrals_reference, dop853_switch_times, fluid_reference, ul_content
 
 # regime switch times of the sinusoidal H2 model, frozen from two runs at
 # step 1e-3 and 5e-4 (agreement < 5e-9)
@@ -152,13 +153,14 @@ def test_stationary_limits(stationary_ol_fluid):
 
 
 def test_step_w_matches_solver(sine_h2_fluid):
+    # one Dormand-Prince step from a grid point to the next lands on the
+    # interpolated solution there
     fl = sine_h2_fluid
     iv = fl.ol_intervals()[0]
     i = iv.i0 + 100
     t, w = fl.grid[i], fl.w[i]
-    h = fl.grid[i + 1] - t
-    ctx = _Ctx(fl.spec)
-    step, _, _ = _rk4(ctx.b0, ctx.ol_stage, t, w, h, ctx.ol_stage(t, w, ctx.b0(t)))
+    ctx = _Ctx(fl.spec, 1e-3)
+    step = _dp5(ctx.b0, ctx.ol_stage, t, fl.grid[i + 1], w, ctx.ol_stage(t, w, ctx.b0(t)))[0]
     assert step == pytest.approx(fl.w[i + 1], abs=1e-10)
 
 
@@ -183,20 +185,20 @@ def test_continuation_reaches_the_horizon(request):
 
 def test_continuation_checks_staffing():
     # b(t,0) = 0.945 - 0.055 t stays positive on [0, 16] and vanishes at
-    # t = 17.18, inside the continuation, which is checked like the rest
-    # of the interval
+    # t = 0.945 / 0.055 = 17.1818..., inside the continuation, which is
+    # checked like the rest of the interval
     spec = ModelSpec(ConstantFn(1.5), LinearFn(1.0, -0.055), 1.0,
                      ExponentialPatience(0.5), 16.0, x0=1.0)
-    with pytest.raises(StaffingInfeasibleError, match=r"t=17\.182"):
+    with pytest.raises(StaffingInfeasibleError, match=r"t=17\.181818$"):
         solve_fluid(spec)
 
 
 def test_infeasible_staffing_raises():
-    # b(t,0) = 0.1 - 0.9 t turns negative at t = 1/9, first seen by the
-    # midpoint stage of the grid sweep's step from 0.111 to 0.112
+    # b(t,0) = 0.1 - 0.9 t turns negative at t = 1/9: the steps whose
+    # stages reach it are rejected and halved until they stop there
     spec = ModelSpec(ConstantFn(3.0), LinearFn(1.0, -0.9), 1.0,
                      ExponentialPatience(0.5), 0.5, x0=1.0)
-    with pytest.raises(StaffingInfeasibleError, match=r"t=0\.111500"):
+    with pytest.raises(StaffingInfeasibleError, match=r"t=0\.111111$"):
         solve_fluid(spec)
 
 
@@ -256,6 +258,25 @@ class _VectorOnlyPatience(PatienceDist):
 
     def breakpoints(self):
         return self.d.breakpoints()
+
+
+def test_rate_that_cannot_be_stepped_raises():
+    # a user rate whose scalar method returns NaN on (1.2, 1.3): every
+    # step into it is rejected, down to float resolution, and the sweep
+    # raises rather than loop or write NaN
+    class Holed(SmoothFn):
+        def __call__(self, t):
+            return SinusoidFn(0.5, 0.3)(t)
+
+        def deriv(self, t):
+            return SinusoidFn(0.5, 0.3).deriv(t)
+
+        def scalar(self, t):
+            return float("nan") if 1.2 < t < 1.3 else SinusoidFn(0.5, 0.3).scalar(t)
+
+    spec = ModelSpec(Holed(), ConstantFn(1.0), 1.0, ExponentialPatience(1.0), 4.0)
+    with pytest.raises(ValueError, match=r"UL sweep cannot meet its step tolerance at t=1\.200000"):
+        solve_fluid(spec)
 
 
 def _piecewise_tab_spec():
@@ -371,44 +392,71 @@ def test_age_integrals_of_long_waits_match_quad_reference():
         assert np.all(np.abs(a - b) <= _AGE_RTOL * b), name
 
 
-# --- the fused sweeps against the unfused oracle -----------------------
+# --- the sweep against an independent DOP853 reference -----------------
 
 def _staffed_spec(sine_h2_spec):
     # s = 1 + 0.3 sin(t - 0.5): a b(t,0) that moves with t
     return dataclasses.replace(sine_h2_spec, staffing=SinusoidFn(1.0, 0.3, 1.0, -0.5))
 
 
+# w, X and Q against DOP853 at rtol 1e-13: both solutions carry a global
+# error of a few times their local tolerance (1e-13 and 1e-14) over the
+# horizon, so 1e-11 leaves room for both and catches an error like the
+# 6.7e-9 of fixed RK4 steps over the piecewise/tabulated model's kinks
+_REF_ATOL = 1e-11
+
+
 @pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed"])
-def test_fused_sweeps_match_unfused_oracle(monkeypatch, request, model):
-    spec = _bench_spec(request, model)
-    fused = solve_fluid(spec)
-    monkeypatch.setattr(fluid, "_sweep", unfused_sweep)
-    ref = solve_fluid(spec)
-    for name in ("X", "w", "wdot", "switch_times", "Q", "alpha", "v"):
-        assert np.array_equal(getattr(fused, name), getattr(ref, name)), name
-    assert len(fused.intervals) == len(ref.intervals) >= 1
-    for a, b in zip(fused.intervals, ref.intervals):
-        assert (a.kind, a.start, a.end, a.i0, a.i1) == (b.kind, b.start, b.end, b.i0, b.i1)
-        assert a.y0 == b.y0
-        assert np.array_equal(a.t_loc, b.t_loc) and np.array_equal(a.idx, b.idx)
-        if a.kind == "OL":
-            assert np.array_equal(a.w_loc, b.w_loc)
-            assert np.array_equal(a.wdot_loc, b.wdot_loc)
+def test_fluid_matches_dop853_reference(request, model):
+    fl = solve_fluid(_bench_spec(request, model))
+    idx, w, X, Q, v = fluid_reference(fl)
+    for name, ref in (("w", w), ("X", X), ("Q", Q)):
+        assert np.max(np.abs(getattr(fl, name)[idx] - ref)) <= _REF_ATOL, name
+    # v inverts L(t) = t - w(t) by linear interpolation on the local grid,
+    # whose error is at most h^2/8 max|w''| / min L' (twice that for the
+    # sampled max)
+    h = fl.grid[1] - fl.grid[0]
+    for iv in fl.ol_intervals():
+        wddot = np.gradient(iv.wdot_loc, iv.t_loc)
+        bound = h ** 2 / 4 * np.max(np.abs(wddot)) / np.min(1.0 - iv.wdot_loc)
+        sel = (idx >= iv.i0) & (idx <= iv.i1)
+        assert np.max(np.abs(fl.v[idx[sel]] - v[sel])) <= _REF_ATOL + bound
     # the continuation past the horizon is checked too
-    assert fused.intervals[-1].kind == "UL" or len(fused.intervals[-1].ext_t) > 0
+    assert fl.intervals[-1].kind == "UL" or len(fl.intervals[-1].ext_t) > 0
     if model == "sine_h2":
-        assert [iv.kind for iv in fused.intervals].count("OL") == 3
+        assert [iv.kind for iv in fl.intervals].count("OL") == 3
 
 
-@pytest.mark.parametrize("model", ["sine_h2", "sine_staffed"])
+def test_w_error_falls_with_the_grid_step(sine_h2_spec):
+    # the step tolerance 1e-2 step^4 makes w converge with the grid step:
+    # each halving cuts its error against the reference at least as fast
+    # as second order (criterion 7's bar), which a fixed tolerance does not
+    errs = []
+    for step in (6.4e-2, 3.2e-2, 1.6e-2):
+        fl = solve_fluid(sine_h2_spec, step)
+        idx, w, *_ = fluid_reference(fl, stride=1)
+        errs.append(np.max(np.abs(fl.w[idx] - w)))
+    assert errs[0] / errs[1] >= 2 ** 1.9 and errs[1] / errs[2] >= 2 ** 1.9
+
+
+def test_step_tolerance_follows_the_grid_step():
+    assert _step_tolerance(1e-3) == pytest.approx(1e-14, rel=1e-12)
+    assert _step_tolerance(3.2e-2) == pytest.approx(1e-2 * 3.2e-2 ** 4, rel=1e-12)
+    assert _step_tolerance(1e-4) == fluid._TOL_FLOOR
+    assert _step_tolerance(0.5) == fluid._TOL_CAP
+
+
+@pytest.mark.parametrize("model", ["sine_h2", "sine_staffed", "piecewise_tab"])
 def test_switch_times_match_dop853_reference(request, model):
     # every switch against scipy's DOP853 and brentq from the program's
-    # interval start; the piecewise/tabulated model is left out: the sweep
-    # steps over lambda's kinks, which holds its OL ends to about 1e-8
+    # interval start; the piecewise/tabulated reference steps over the
+    # kinks of lambda(t - w) and of the tabulated Fc in OL, which its
+    # step control meets less tightly: bound 1e-11 there, 1e-12 elsewhere
+    count, bound = {"piecewise_tab": (3, 1e-11)}.get(model, (5, 1e-12))
     fl = solve_fluid(_bench_spec(request, model))
     ref = dop853_switch_times(fl)
-    assert len(ref) == 5
-    assert np.max(np.abs(fl.switch_times - ref)) <= 1e-12
+    assert len(ref) == count
+    assert np.max(np.abs(fl.switch_times - ref)) <= bound
 
 
 # --- evaluations per step ----------------------------------------------
@@ -435,41 +483,40 @@ class _CountingFn(SmoothFn):
         return self.f.scalar_deriv(t)
 
 
-def test_ul_step_makes_two_rate_calls():
-    # never overloaded: one lambda call at the start, then the midpoint
-    # and the end of each step; the end value is the next step's k1
+def test_ul_step_makes_five_rate_calls():
+    # never overloaded: one lambda call for the first derivative, then
+    # one at each of a step's five nodes past its start, rejected steps
+    # included; the end value serves k6 and the next step's k1
     lam = _CountingFn(SinusoidFn(0.5, 0.3))
     spec = ModelSpec(lam, ConstantFn(1.0), 1.0, ExponentialPatience(1.0), 4.0)
     fl = solve_fluid(spec)
-    steps = len(fl.grid) - 1
-    assert [iv.kind for iv in fl.intervals] == ["UL"]
-    assert lam.calls["scalar"] == 2 * steps + 1
+    iv, = fl.intervals
+    assert iv.kind == "UL"
+    assert lam.calls["scalar"] == 5 * (iv.steps + iv.rejected) + 1
+    assert iv.steps < (len(fl.grid) - 1) / 5
 
 
-def test_ol_step_makes_two_staffing_calls(monkeypatch):
+def test_ol_step_makes_five_staffing_calls():
     # overloaded throughout, so the sweep ends in the continuation past
-    # the horizon; counted at its entry: s(0) in validate, s(0) and b(0,0)
-    # to choose the regime, b(0,0) for the first wdot, then b(t,0) at the
-    # midpoint and the end of each step, the end value shared with wdot at
-    # the grid point; the continuation's steps make the same two calls
+    # the horizon: s(0) in validate, s(0) and b(0,0) to choose the regime,
+    # b(0,0) for the first wdot, then b(t,0) at each of a step's five
+    # nodes past its start, in the grid sweep and the continuation alike
     s = _CountingFn(SinusoidFn(1.0, 0.3, 1.0, -0.5))
     spec = ModelSpec(ConstantFn(2.0), s, 1.0, ExponentialPatience(0.5), 4.0,
                      x0=float(s(0.0)))
-    at_entry = {}
-    extend = fluid._extend_ol
-
-    def counted_extend(*args):
-        at_entry.update(s.calls)
-        return extend(*args)
-
-    monkeypatch.setattr(fluid, "_extend_ol", counted_extend)
     fl = solve_fluid(spec)
-    steps = len(fl.grid) - 1
-    assert [iv.kind for iv in fl.intervals] == ["OL"]
-    assert at_entry == {"scalar": 2 * steps + 4, "scalar_deriv": 2 * steps + 2}
-    ext = len(fl.intervals[0].ext_t)
-    assert ext > 0
-    assert s.calls == {"scalar": 2 * (steps + ext) + 4, "scalar_deriv": 2 * (steps + ext) + 2}
+    iv, = fl.intervals
+    assert iv.kind == "OL" and len(iv.ext_t) > 0
+    tried = iv.steps + iv.rejected
+    assert s.calls == {"scalar": 5 * tried + 4, "scalar_deriv": 5 * tried + 2}
+
+
+def test_stationary_overload_takes_few_steps(stationary_ol_fluid):
+    # constant overload on [0, 30]: the adaptive steps grow as w settles,
+    # far fewer than the 30000 steps of the grid
+    iv, = stationary_ol_fluid.intervals
+    assert iv.steps < 1000
+    assert iv.rejected < iv.steps
 
 
 def test_age_integrals_make_one_patience_call_per_block(sine_h2_spec):
@@ -537,19 +584,24 @@ def test_vanishing_boundary_density_raises_in_the_sweep(monkeypatch):
                         lambda *args: entered.append(True) or extend(*args))
     with pytest.raises(BoundaryDensityError, match=r"t=3\.6") as exc:
         solve_fluid(_vanishing_rate_spec())
-    # raised by a stage of the grid sweep, not at the interval start
-    assert "_sweep" in [entry.name for entry in exc.traceback]
+    # raised by a stage of the steps over the horizon, not at the
+    # interval start nor in the continuation
+    assert "_march" in [entry.name for entry in exc.traceback]
     assert not entered
     t = float(str(exc.value).rsplit("t=", 1)[1])
     assert 3.6 < t < 3.0 + np.log(2.0)
+    # w = ln 2 - ln(1 + e^-t) from w(0) = 0: rejected steps close in on
+    # the time where t - w(t) passes 3
+    exit_time = brentq(lambda u: u - np.log(2.0) + np.log1p(np.exp(-u)) - 3.0, 3.0, 4.0,
+                       xtol=1e-14)
+    assert abs(t - exit_time) <= 1e-6
 
 
 def test_short_overload_at_coarse_step_holds_a_grid_point():
     # lambda = 0.65 + 0.5 sin t overloads on about [2.05, 2.60]; at step
     # 0.5 its OL interval holds the one grid point t = 2.5.  With patience
-    # of rate 50, w would return to zero before t = 2.5, within the OL
-    # interval's first step, and the sweep raises rather than leave an OL
-    # interval without a grid point
+    # of rate 50, w returns to zero at t = 2.39, before t = 2.5, and the
+    # sweep raises rather than leave an OL interval without a grid point
     spec = ModelSpec(SinusoidFn(0.65, 0.5), ConstantFn(1.0), 1.0,
                      ExponentialPatience(1.0), 8.0, x0=0.5)
     fl = solve_fluid(spec, step=0.5)
@@ -558,8 +610,21 @@ def test_short_overload_at_coarse_step_holds_a_grid_point():
     assert fl.X[5] == 1.0 + fl.Q[5] and fl.Q[5] > 0.0
     assert np.allclose(fl.switch_times, solve_fluid(spec).switch_times, atol=1e-2)
     fast = dataclasses.replace(spec, patience=ExponentialPatience(50.0))
-    with pytest.raises(CriticalLoadingError, match=r"near t=2\.05"):
+    with pytest.raises(ValueError, match=r"grid step 0\.5 too coarse: the overload on \[2\.05"):
         solve_fluid(fast, step=0.5)
+
+
+def test_overload_between_grid_points_is_not_dropped():
+    # at step 1 the overload on [2.050, 2.606] holds no grid point; the
+    # steps end inside it, so it is found, and the sweep raises naming
+    # the grid step instead of returning no OL interval
+    spec = ModelSpec(SinusoidFn(0.65, 0.5), ConstantFn(1.0), 1.0,
+                     ExponentialPatience(1.0), 8.0, x0=0.5)
+    fine = solve_fluid(spec).switch_times
+    assert len(fine) == 2 and 2.05 < fine[0] < fine[1] < 2.61
+    with pytest.raises(ValueError, match=r"grid step 1 too coarse: the overload on "
+                                         r"\[2\.0501\d\d, 2\.6056\d\d\] holds no grid point"):
+        solve_fluid(spec, step=1.0)
 
 
 # --- the switch bisection and the continuation's reach ------------------
