@@ -39,9 +39,10 @@ Each interval also carries its local grid: its start, the global grid
 points inside it and its end, with near-duplicate times dropped; an OL
 grid that reaches the horizon runs on, every grid step, until L(t)
 covers the interval, and raises ValueError if that takes longer than
-_EXT_SPAN.  The Gaussian layer builds every interval's variances on
-that grid and reads them back onto the global grid through the
-interval's index map.
+_EXT_SPAN.  There it holds the state, its derivative and, in OL, the
+boundary density lambda(t - w) Fc(w) and b(t,0) from one checked array
+pass; the grid columns and the Gaussian layer read them from it, and the
+latter reads its variances back through the interval's index map.
 """
 
 from __future__ import annotations
@@ -128,15 +129,18 @@ class FluidInterval:
     end: float
     i0: int                     # first global grid index with t >= start
     i1: int                     # last global grid index with t <= end
-    y0: float | None = None     # state at start: X in UL, w in OL
     # local grid: start anchor, interior grid points, end anchor, then (OL
     # at the horizon) the continuation past it; no two times within
     # _DEDUPE_TOL; idx: positions of grid points i0..i1 in it
     t_loc: np.ndarray | None = None
     idx: np.ndarray | None = None
-    # OL only: w, wdot on the local grid; age_integrals' Q, Q2 up to end
-    w_loc: np.ndarray | None = None
-    wdot_loc: np.ndarray | None = None
+    # the state on the local grid, X in UL and w in OL, and its derivative
+    y_loc: np.ndarray | None = None
+    ydot_loc: np.ndarray | None = None
+    # OL only: lambda(t - w) Fc(w) and b(t,0) on the local grid, from the
+    # pass that gives ydot_loc; age_integrals' Q, Q2 up to end
+    qw_loc: np.ndarray | None = None
+    b0_loc: np.ndarray | None = None
     Q_loc: np.ndarray | None = None
     Q2_loc: np.ndarray | None = None
     steps: int = 0              # accepted adaptive steps, continuation included
@@ -154,7 +158,7 @@ class FluidInterval:
 
     def l_inverse(self, u):
         """Monotone inverse of L(t) = t - w(t) by linear interpolation."""
-        return np.interp(u, self.t_loc - self.w_loc, self.t_loc)
+        return np.interp(u, self.t_loc - self.y_loc, self.t_loc)
 
 
 @dataclass
@@ -203,7 +207,8 @@ class _Ctx:
     with b(t,0) in OL, plus `rates`, the same stage on arrays.  b0 and the
     scalar stages are built once per solve as closures over mu and the
     spec's bound scalar methods, so a stage call looks up no attribute and
-    evaluates the model through those methods.  `tol` is the step
+    evaluates the model through those methods; `rates` also returns the
+    boundary density q and b(t,0) (None in UL).  `tol` is the step
     tolerance _step_tolerance(step)."""
 
     def __init__(self, spec: ModelSpec, step: float):
@@ -230,7 +235,7 @@ class _Ctx:
             return 1.0 - b / q
 
         def ul_rates(t, x):
-            return np.asarray(spec.arrival_rate(t), dtype=float) - mu * x
+            return np.asarray(spec.arrival_rate(t), dtype=float) - mu * x, None, None
 
         def ol_rates(t, w):
             b = (np.asarray(spec.staffing(t), dtype=float) * mu
@@ -241,7 +246,7 @@ class _Ctx:
             if bad.any():
                 i = int(np.argmax(bad))
                 _ol_check(float(t[i]), q[i], b[i])
-            return 1.0 - b / q
+            return 1.0 - b / q, q, b
 
         self.b0, self.ol_stage = b0, ol_stage
         self.ode = {UL: (lam, ul_stage, ul_rates), OL: (b0, ol_stage, ol_rates)}
@@ -270,8 +275,10 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     Adaptive Dormand-Prince 5(4) steps integrate each regime to the local
     error tolerance _step_tolerance(step) (1e-14 at the default step) and
     their quartic interpolant gives the state at the grid points.  The
-    step may not exceed the horizon, nor 1/mu: the Gaussian layer's
-    quadratures on the grid lose the decay of X' = -mu X beyond it.
+    grid columns are read from the intervals' local values.  The step may
+    not exceed the horizon, nor 1/mu: the Gaussian layer's quadratures of
+    the renewal-arrival excess and the UL mean shift lose the decay of
+    exp(-mu t) beyond it.
     """
     report = validate(spec)
     if not report.ok:
@@ -285,8 +292,6 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     n = int(round(T / step))
     grid = np.linspace(0.0, T, n + 1)
 
-    Y = np.zeros(n + 1)         # the sweeps' state: X in UL, w in OL
-    Ydot = np.zeros(n + 1)
     intervals: list[FluidInterval] = []
     switches: list[float] = []
 
@@ -303,7 +308,7 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
 
     while k <= n:
         try:
-            t_cur, k, iv = _sweep(ctx, kind, grid, Y, Ydot, t_cur, k, y)
+            t_cur, k, iv = _sweep(ctx, kind, grid, t_cur, k, y)
         except OverflowError as exc:
             # a model function that overflows where the solution goes, not
             # only in a rejected trial step
@@ -315,33 +320,27 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
         kind, y = (OL, 0.0) if kind == UL else (UL, ctx.s(t_cur))
 
     ol = np.zeros(n + 1, dtype=bool)
-    qtilde_w = np.full(n + 1, np.nan)
-    b0 = np.full(n + 1, np.nan)
-    Q = np.zeros(n + 1)
-    alpha = np.zeros(n + 1)
-    v = np.zeros(n + 1)          # potential wait L^{-1}(t) - t, zero in UL
-    X = Y.copy()
-    B = Y.copy()
+    qtilde_w, b0 = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
+    # v: the potential wait L^{-1}(t) - t; w, wdot, Q, alpha, v are zero in UL
+    X, B, w, wdot, Q, alpha, v = (np.zeros(n + 1) for _ in range(7))
 
     lam_grid = np.asarray(spec.arrival_rate(grid), dtype=float)
-    for iv in [iv for iv in intervals if iv.kind == OL]:
+    for iv in intervals:
+        sl, idx = slice(iv.i0, iv.i1 + 1), iv.idx
+        if iv.kind == UL:
+            X[sl] = B[sl] = iv.y_loc[idx]
+            continue
         iv.Q_loc, alpha_loc, iv.Q2_loc = age_integrals(
-            spec.arrival_rate, spec.patience, iv.t_loc[: iv.n_in], iv.w_loc[: iv.n_in])
-        sl = slice(iv.i0, iv.i1 + 1)
+            spec.arrival_rate, spec.patience, iv.t_loc[: iv.n_in], iv.y_loc[: iv.n_in])
         ol[sl] = True
         ts = grid[sl]
-        ws = Y[sl]
-        qtilde_w[sl] = (np.asarray(spec.arrival_rate(ts - ws), dtype=float)
-                        * np.asarray(spec.patience.survival(ws), dtype=float))
-        svals = np.asarray(spec.staffing(ts), dtype=float)
-        b0[sl] = svals * spec.mu + np.asarray(spec.staffing.deriv(ts), dtype=float)
-        Q[sl] = iv.Q_loc[iv.idx]
-        alpha[sl] = alpha_loc[iv.idx]
-        X[sl] = svals + Q[sl]
-        B[sl] = svals
+        w[sl], wdot[sl] = iv.y_loc[idx], iv.ydot_loc[idx]
+        qtilde_w[sl], b0[sl] = iv.qw_loc[idx], iv.b0_loc[idx]
+        B[sl] = np.asarray(spec.staffing(ts), dtype=float)
+        Q[sl] = iv.Q_loc[idx]
+        alpha[sl] = alpha_loc[idx]
+        X[sl] = B[sl] + Q[sl]
         v[sl] = iv.l_inverse(ts) - ts
-    w = np.where(ol, Y, 0.0)
-    wdot = np.where(ol, Ydot, 0.0)
 
     Lam = cumulative_trapezoid(lam_grid, grid)
     D = cumulative_trapezoid(spec.mu * B, grid)
@@ -449,7 +448,7 @@ def _dense(steps, t):
     return a[j, 2] + theta * acc
 
 
-def _sweep(ctx, kind, grid, Y, Ydot, start, k, y):
+def _sweep(ctx, kind, grid, start, k, y):
     """Integrate regime `kind` from state y at `start` over grid[k:] until
     it ends or the horizon; returns (end, next grid index, interval).
 
@@ -462,9 +461,7 @@ def _sweep(ctx, kind, grid, Y, Ydot, start, k, y):
     found.  The first crossing among step ends and grid points is
     bisected to float resolution, each probe one step from the start of
     the step that holds it.  An OL interval must hold a grid point after
-    its start; the grid step is too coarse otherwise.  Grid point i of the
-    interval gets the state in Y[i] and its derivative, from the stage on
-    arrays, in Ydot[i].
+    its start; the grid step is too coarse otherwise.
     """
     n = len(grid) - 1
     T = float(grid[n])
@@ -520,25 +517,19 @@ def _sweep(ctx, kind, grid, Y, Ydot, start, k, y):
             t_loc, y_loc = np.concatenate([t_loc, ext_t]), np.concatenate([y_loc, ext_w])
             rejected += ext_rejected
     iv.steps, iv.rejected = len(steps), rejected
-    _attach_local(iv, grid, t_loc, y_loc, rates, Y, Ydot)
+    _attach_local(iv, grid, t_loc, y_loc, rates)
     return iv.end, iv.i1 + 1, iv
 
 
-def _attach_local(iv, grid, t, y, rates, Y, Ydot):
-    """Give iv its start state, local grid and index map from the local
-    times t and states y, dropping a time within _DEDUPE_TOL of the one
-    before it with its state; the derivative is rates(t, y).  An OL
-    interval keeps y and the derivative as w_loc and wdot_loc.  Grid
-    points i0..i1 get theirs in Y and Ydot."""
+def _attach_local(iv, grid, t, y, rates):
+    """Give iv its local grid, states and index map from the local times t
+    and states y, dropping a time within _DEDUPE_TOL of the one before it
+    with its state; rates(t, y) gives the derivative and, in OL, the
+    boundary density and b(t,0)."""
     keep = np.concatenate([[True], np.diff(t) > _DEDUPE_TOL])
-    t, y = t[keep], y[keep]
-    ydot = rates(t, y)
-    iv.y0 = float(y[0])
-    iv.t_loc = t
-    if iv.kind == OL:
-        iv.w_loc, iv.wdot_loc = y, ydot
-    iv.idx = np.searchsorted(t, grid[iv.i0 : iv.i1 + 1] - 1e-9)
-    Y[iv.i0 : iv.i1 + 1], Ydot[iv.i0 : iv.i1 + 1] = y[iv.idx], ydot[iv.idx]
+    iv.t_loc, iv.y_loc = t[keep], y[keep]
+    iv.ydot_loc, iv.qw_loc, iv.b0_loc = rates(iv.t_loc, iv.y_loc)
+    iv.idx = np.searchsorted(iv.t_loc, grid[iv.i0 : iv.i1 + 1] - 1e-9)
 
 
 def _extend_ol(ctx, T, w, wdot, h, steps):

@@ -8,12 +8,13 @@ Simpson filter on the irregular local grid (_filter).  The potential-wait
 variance reads its grids at exit times through cubic Hermite
 interpolants (functions.PiecewisePolyFn.hermite) whose slopes come from
 the ODEs.
-Underloaded intervals use the closed-form infinite-server variances.
-Every interval is solved on the local grid the fluid
+Underloaded intervals read the infinite-server variance from the fluid
+content (var_UL).  Every interval is solved on the local grid the fluid
 solution gives it (FluidInterval.t_loc) and read back onto the global
 grid through its index map (FluidInterval.idx); the 1-D kernels also
-span an OL grid's continuation past the horizon.  The queue-noise age
-integrals are the fluid's (Q_loc, Q2_loc); no age matrix is formed here.
+span an OL grid's continuation past the horizon.  w, wdot, the boundary
+density, b(t,0) and the queue-noise age integrals are the fluid's; no
+age matrix is formed here.
 propagate() walks the interval partition and hands the content variance
 at each switching point to the next interval as its initial-condition
 variance.
@@ -123,18 +124,16 @@ class IntervalKernels:
 
     @staticmethod
     def build(interval: FluidInterval, spec: ModelSpec):
-        t, w, wdot = interval.t_loc, interval.w_loc, interval.wdot_loc
+        t, w, wdot = interval.t_loc, interval.y_loc, interval.ydot_loc
+        qw, b0 = interval.qw_loc, interval.b0_loc
         tau = t - interval.start
         lam_tw = np.asarray(spec.arrival_rate(t - w), dtype=float)
         lamd_tw = np.asarray(spec.arrival_rate.deriv(t - w), dtype=float)
-        Fcw = np.asarray(spec.patience.survival(w), dtype=float)
+        Fcw, fw = (np.asarray(a, dtype=float) for a in spec.patience.survival_pdf(w))
+        # F by the cdf, precise near w = 0 where 1 - Fc cancels
         Fw = np.asarray(spec.patience.cdf(w), dtype=float)
-        fw = np.asarray(spec.patience.pdf(w), dtype=float)
-        qw = lam_tw * Fcw
         hFw = fw / Fcw          # patience hazard at the boundary age
-        sv = np.asarray(spec.staffing(t), dtype=float)
         sdot = np.asarray(spec.staffing.deriv(t), dtype=float)
-        b0 = sv * spec.mu + sdot
         h = (1.0 - wdot) * (-lamd_tw / lam_tw - hFw)
         G = _cumquad(h, tau)
         I1 = spec.c_lambda * np.sqrt(Fcw * b0) / qw
@@ -192,25 +191,22 @@ def var_W_V(kernels: IntervalKernels, vws: np.ndarray, varX0: float):
     return var_W, var_Vstar + varX0 * fwc_u ** 2 / b0_u ** 2, var_Vstar
 
 
-def var_UL(spec: ModelSpec, interval: FluidInterval, X0: float, varX0: float) -> np.ndarray:
+def var_UL(spec: ModelSpec, interval: FluidInterval, varX0: float) -> np.ndarray:
     """Content-deviation variance in an underloaded interval, on its local
-    grid interval.t_loc.
+    grid interval.t_loc, from the initial-condition variance varX0.
 
-    Infinite-server form: net-input noise plus the exponentially thinned
-    initial-condition variance.
+    Infinite-server form from the fluid content X = interval.y_loc: the
+    Poisson arrivals still present have variance X - X0 exp(-mu tau), each
+    initial customer stays with probability exp(-mu tau), and renewal
+    arrivals add (c_lambda^2 - 1) int exp(-2 mu (tau - u)) lambda(u) du.
     """
-    t = interval.t_loc
-    tau = t - interval.start
-    mu = spec.mu
-    lam = np.asarray(spec.arrival_rate(t), dtype=float)
+    X, tau = interval.y_loc, interval.t_loc - interval.start
+    var = X - (X[0] - varX0) * np.exp(-2.0 * spec.mu * tau)
     c2 = spec.c_lambda ** 2
-    var_arr = _filter(-mu * tau, lam, tau)
     if c2 != 1.0:
-        # the renewal-arrival excess; Poisson arrivals (c_lambda = 1) have none
-        var_arr = (c2 - 1.0) * _filter(-2.0 * mu * tau, lam, tau) + var_arr
-    decay = np.exp(-mu * tau)
-    var_init = X0 * (1.0 - decay) * decay + varX0 * decay ** 2
-    return var_arr + var_init
+        lam = np.asarray(spec.arrival_rate(interval.t_loc), dtype=float)
+        var = var + (c2 - 1.0) * _filter(-2.0 * spec.mu * tau, lam, tau)
+    return var
 
 
 @dataclass
@@ -254,7 +250,7 @@ def propagate(fluid: FluidSolution) -> GaussianSolution:
         idx = iv.idx
         gsl = slice(iv.i0, iv.i1 + 1)
         if iv.kind == UL:
-            vx = var_UL(spec, iv, iv.y0, varX0)
+            vx = var_UL(spec, iv, varX0)
             var_X[gsl] = vx[idx]
             var_W[gsl] = 0.0
             var_V[gsl] = 0.0

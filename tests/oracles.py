@@ -379,6 +379,8 @@ def fluid_reference(fluid, stride=29):
     for iv in fluid.intervals:
         sel = (idx >= iv.i0) & (idx <= iv.i1)
         t = fluid.grid[idx[sel]]
+        if not len(t):
+            continue
         if iv.kind == "UL":
             y0 = spec.x0 if iv.start == 0.0 else s(iv.start)
             X[sel] = _dop853(ul, iv.start, y0, iv.end).sol(t)[0]

@@ -18,6 +18,7 @@ from tvqueue.fluid import (
     write_fluid_csv,
 )
 from tvqueue.functions import ConstantFn, LinearFn, PiecewisePolyFn, SinusoidFn, SmoothFn
+from tvqueue.gaussian import IntervalKernels
 from tvqueue.model import ModelSpec
 from tvqueue.patience import (
     ExponentialPatience,
@@ -104,8 +105,9 @@ def test_local_grid_invariants(request, name):
         assert np.array_equal(t[len(inside):], iv.ext_t)
         assert np.all(np.diff(t) > 1e-9)
         assert np.max(np.abs(t[iv.idx] - fl.grid[iv.i0 : iv.i1 + 1]), initial=0.0) <= 1e-9
+        assert len(iv.y_loc) == len(iv.ydot_loc) == len(t)
         if iv.kind == "OL":
-            assert len(iv.w_loc) == len(iv.wdot_loc) == len(t)
+            assert len(iv.qw_loc) == len(iv.b0_loc) == len(t)
     # the first sine/H2 interval starts on grid point 0, which is merged
     # into the start anchor
     if name == "sine_h2_fluid":
@@ -114,8 +116,10 @@ def test_local_grid_invariants(request, name):
         assert len(first.t_loc) == first.i1 - first.i0 + 2
 
 
-def test_flow_conservation(sine_h2_fluid):
-    fl = sine_h2_fluid
+@pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed"])
+def test_flow_conservation(request, model):
+    # X and B as solve_fluid assembles them from the intervals, through D
+    fl = solve_fluid(_bench_spec(request, model))
     resid = fl.X - (fl.spec.x0 + fl.Lam - fl.D - fl.A)
     assert np.max(np.abs(resid)) < 1e-6
 
@@ -166,7 +170,7 @@ def test_step_w_matches_solver(sine_h2_fluid):
 
 def test_l_inverse_roundtrip(sine_h2_fluid):
     iv = sine_h2_fluid.ol_intervals()[0]
-    t, L = iv.t_loc, iv.t_loc - iv.w_loc
+    t, L = iv.t_loc, iv.t_loc - iv.y_loc
     u = np.linspace(L[0], L[-1], 57)
     back = iv.l_inverse(u)
     assert np.all(np.diff(back) > 0.0)
@@ -179,8 +183,8 @@ def test_continuation_reaches_the_horizon(request):
     for name in ("sine_h2_fluid", "stationary_ol_fluid"):
         iv = request.getfixturevalue(name).ol_intervals()[-1]
         assert len(iv.ext_t) > 0
-        assert iv.t_loc[-1] - iv.w_loc[-1] >= iv.end
-        assert np.all(np.diff(iv.t_loc - iv.w_loc) > 0.0)
+        assert iv.t_loc[-1] - iv.y_loc[-1] >= iv.end
+        assert np.all(np.diff(iv.t_loc - iv.y_loc) > 0.0)
 
 
 def test_continuation_checks_staffing():
@@ -373,7 +377,7 @@ def test_age_integrals_match_quad_reference(request, model):
     ols = solve_fluid(spec).ol_intervals()
     assert ols
     for iv in ols:
-        t, w = (np.append(a[: iv.n_in - 1 : 11], a[iv.n_in - 1]) for a in (iv.t_loc, iv.w_loc))
+        t, w = (np.append(a[: iv.n_in - 1 : 11], a[iv.n_in - 1]) for a in (iv.t_loc, iv.y_loc))
         got = age_integrals(spec.arrival_rate, spec.patience, t, w)
         ref = age_integrals_reference(spec.arrival_rate, spec.patience, t, w)
         for name, a, b in zip(("Q", "alpha", "Q2"), got, ref):
@@ -417,14 +421,34 @@ def test_fluid_matches_dop853_reference(request, model):
     # sampled max)
     h = fl.grid[1] - fl.grid[0]
     for iv in fl.ol_intervals():
-        wddot = np.gradient(iv.wdot_loc, iv.t_loc)
-        bound = h ** 2 / 4 * np.max(np.abs(wddot)) / np.min(1.0 - iv.wdot_loc)
+        wddot = np.gradient(iv.ydot_loc, iv.t_loc)
+        bound = h ** 2 / 4 * np.max(np.abs(wddot)) / np.min(1.0 - iv.ydot_loc)
         sel = (idx >= iv.i0) & (idx <= iv.i1)
         assert np.max(np.abs(fl.v[idx[sel]] - v[sel])) <= _REF_ATOL + bound
     # the continuation past the horizon is checked too
     assert fl.intervals[-1].kind == "UL" or len(fl.intervals[-1].ext_t) > 0
     if model == "sine_h2":
         assert [iv.kind for iv in fl.intervals].count("OL") == 3
+
+
+@pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed"])
+def test_kernels_read_the_intervals_boundary_values(request, model):
+    # IntervalKernels.build takes w, wdot, the boundary density and b(t,0)
+    # from the interval, the values of the array pass that gave wdot;
+    # they, and the kernels, equal the formulas evaluated afresh
+    spec = _bench_spec(request, model)
+    for iv in solve_fluid(spec).ol_intervals():
+        k = IntervalKernels.build(iv, spec)
+        assert k.qw is iv.qw_loc and k.w is iv.y_loc and k.wdot is iv.ydot_loc
+        t, w = iv.t_loc, iv.y_loc
+        Fc = np.asarray(spec.patience.survival(w), dtype=float)
+        f = np.asarray(spec.patience.pdf(w), dtype=float)
+        b0 = (np.asarray(spec.staffing(t), dtype=float) * spec.mu
+              + np.asarray(spec.staffing.deriv(t), dtype=float))
+        assert np.array_equal(k.qw, np.asarray(spec.arrival_rate(t - w), dtype=float) * Fc)
+        assert np.array_equal(iv.b0_loc, b0)
+        assert np.array_equal(k.hFw, f / Fc)
+        assert np.array_equal(k.I1, spec.c_lambda * np.sqrt(Fc * b0) / k.qw)
 
 
 def test_w_error_falls_with_the_grid_step(sine_h2_spec):
@@ -558,7 +582,7 @@ def test_age_integral_blocks_stay_within_the_node_budget():
             return self.d.survival_pdf(x)
 
     iv = solve_fluid(spec).ol_intervals()[0]
-    t, w = iv.t_loc[: iv.n_in], iv.w_loc[: iv.n_in]
+    t, w = iv.t_loc[: iv.n_in], iv.y_loc[: iv.n_in]
     got = age_integrals(spec.arrival_rate, Recording(spec.patience), t, w)
     assert sum(rows for rows, _ in shapes) == len(t)
     assert all(rows * nodes <= fluid._BLOCK_NODES for rows, nodes in shapes)

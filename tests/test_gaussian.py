@@ -9,7 +9,7 @@ from scipy.interpolate import CubicSpline
 
 from tvqueue import gaussian
 from tvqueue.fluid import solve_fluid
-from tvqueue.functions import ConstantFn, SinusoidFn
+from tvqueue.functions import ConstantFn, PiecewisePolyFn, SinusoidFn
 from tvqueue.gaussian import (
     IntervalKernels,
     _cumquad,
@@ -135,7 +135,7 @@ def test_initial_condition_terms():
 def test_ul_variance_against_quadrature(sine_h2_spec, sine_h2_fluid):
     # independent fine-grid quadrature of the infinite-server variance
     iv = sine_h2_fluid.intervals[0]
-    var_X = var_UL(sine_h2_spec, iv, 0.0, 0.0)
+    var_X = var_UL(sine_h2_spec, iv, 0.0)
     lam = sine_h2_spec.arrival_rate
     mu = sine_h2_spec.mu
     for tt in (0.4, 0.9, 1.2):
@@ -153,7 +153,7 @@ def _ul_constant_error(lam, mu, horizon):
     fl = solve_fluid(spec)
     iv = fl.intervals[0]
     assert iv.kind == "UL"
-    var_X = var_UL(spec, iv, 0.0, 0.25)
+    var_X = var_UL(spec, iv, 0.25)
     c2 = 4.0
     tau = iv.t_loc - iv.start
     expect = ((c2 - 1.0) * lam / (2 * mu) * (1 - np.exp(-2 * mu * tau))
@@ -200,12 +200,13 @@ def test_ul_variance_overflow_safe_filter():
 
 @pytest.mark.parametrize("c_lambda", [1.0, 1.5])
 def test_ul_variance_filters_at_2mu_only_for_renewal_excess(monkeypatch, c_lambda):
-    # the (c_lambda^2 - 1) term is zero for Poisson arrivals, so its 2 mu
-    # filter runs only when c_lambda != 1; the value is the full formula's
+    # the variance is read from the fluid content X; only the renewal
+    # excess (c_lambda^2 - 1) runs a filter, at 2 mu, and Poisson arrivals
+    # run none; x0 = 0.3 keeps the initial content's term in play
     spec = ModelSpec(SinusoidFn(0.5, 0.3), ConstantFn(1.0), 1.0,
-                     ExponentialPatience(1.0), 8.0, c_lambda=c_lambda)
+                     ExponentialPatience(1.0), 8.0, x0=0.3, c_lambda=c_lambda)
     iv = solve_fluid(spec).intervals[0]
-    assert iv.kind == "UL"
+    assert iv.kind == "UL" and iv.y_loc[0] == 0.3
     slopes = []
     filt = gaussian._filter
 
@@ -214,15 +215,48 @@ def test_ul_variance_filters_at_2mu_only_for_renewal_excess(monkeypatch, c_lambd
         return filt(G, f, tau)
 
     monkeypatch.setattr(gaussian, "_filter", recorded)
-    got = var_UL(spec, iv, 0.3, 0.25)
-    assert sorted(slopes) == ([-1.0] if c_lambda == 1.0 else [-2.0, -1.0])
+    got = var_UL(spec, iv, 0.25)
+    assert slopes == ([] if c_lambda == 1.0 else [-2.0])
     tau = iv.t_loc - iv.start
     lam = np.asarray(spec.arrival_rate(iv.t_loc), dtype=float)
-    c2 = c_lambda ** 2
-    decay = np.exp(-tau)
-    full = ((c2 - 1.0) * filt(-2.0 * tau, lam, tau) + filt(-1.0 * tau, lam, tau)
-            + (0.3 * (1.0 - decay) * decay + 0.25 * decay ** 2))
+    full = iv.y_loc - (0.3 - 0.25) * np.exp(-2.0 * tau)
+    if c_lambda != 1.0:
+        full = full + (c_lambda ** 2 - 1.0) * filt(-2.0 * tau, lam, tau)
     assert np.array_equal(got, full)
+
+
+def _ul_sine_content(mu, t):
+    """X(t) from X(0) = 0 under lambda = mu (0.5 + 0.3 sin t): the mean and,
+    with Poisson arrivals, the variance of the infinite-server count."""
+    e = np.exp(-mu * t)
+    return 0.5 * (1.0 - e) + 0.3 * mu * (mu * np.sin(t) - np.cos(t) + e) / (1.0 + mu * mu)
+
+
+@pytest.mark.parametrize("mu, horizon", [(20.0, 30.0), (100.0, 16.0)])
+def test_ul_variance_exact_at_large_mu(mu, horizon):
+    # mu step = 0.02 and 0.1: a quadrature of exp(-mu tau) on the grid was
+    # off by 4.6e-9 and 2.9e-6 here; the fluid content is the variance
+    spec = ModelSpec(SinusoidFn(0.5 * mu, 0.3 * mu), ConstantFn(1.0), mu,
+                     ExponentialPatience(1.0), horizon)
+    gs = propagate(solve_fluid(spec, 1e-3))
+    assert [iv.kind for iv in gs.fluid.intervals] == ["UL"]
+    assert np.max(np.abs(gs.var_X - _ul_sine_content(mu, gs.grid))) <= 1e-11
+
+
+@pytest.mark.parametrize("mu", [1.0, 3.6])
+def test_ul_variance_exact_across_a_rate_jump(mu):
+    # lambda jumps from 0.2 mu to 0.7 mu between two grid points; the
+    # variance follows the exact content X across the jump
+    tj = 2.0005
+    spec = ModelSpec(PiecewisePolyFn([0.0, tj, 6.0], [[0.2 * mu], [0.7 * mu]]),
+                     ConstantFn(1.0), mu, ExponentialPatience(1.0), 6.0)
+    gs = propagate(solve_fluid(spec))
+    assert [iv.kind for iv in gs.fluid.intervals] == ["UL"]
+    t = gs.grid
+    xj = 0.2 * (1.0 - np.exp(-mu * tj))
+    X = np.where(t < tj, 0.2 * (1.0 - np.exp(-mu * t)),
+                 xj * np.exp(-mu * (t - tj)) + 0.7 * (1.0 - np.exp(-mu * (t - tj))))
+    assert np.max(np.abs(gs.var_X - X)) <= 1e-11
 
 
 def test_waiting_sde_monte_carlo(sine_h2_gaussian):
@@ -327,13 +361,10 @@ def test_propagate_forms_no_age_matrix(sine_h2_spec):
             return super().__call__(t)
 
     class Patience(H2Patience):
-        def survival(self, x):
-            ndims.append(("Fc", np.ndim(x)))
-            return super().survival(x)
-
-        def pdf(self, x):
-            ndims.append(("f", np.ndim(x)))
-            return super().pdf(x)
+        # H2's survival and pdf are survival_pdf's parts
+        def survival_pdf(self, x):
+            ndims.extend((("Fc", np.ndim(x)), ("f", np.ndim(x))))
+            return super().survival_pdf(x)
 
     spec = dataclasses.replace(
         sine_h2_spec,
@@ -345,6 +376,27 @@ def test_propagate_forms_no_age_matrix(sine_h2_spec):
     propagate(fl)
     assert {name for name, _ in ndims} == {"lambda", "Fc", "f"}
     assert max(d for _, d in ndims) == 1
+
+
+def test_propagate_reads_ul_variance_from_the_fluid(sine_h2_spec):
+    # Poisson arrivals: the UL variances are read from the fluid content,
+    # so no arrival rate is evaluated on a UL local grid
+    calls = []
+
+    class Rate(SinusoidFn):
+        def __call__(self, t):
+            calls.append(np.asarray(t))
+            return super().__call__(t)
+
+    spec = dataclasses.replace(
+        sine_h2_spec, arrival_rate=Rate(**dataclasses.asdict(sine_h2_spec.arrival_rate)))
+    fl = solve_fluid(spec)
+    uls = [iv for iv in fl.intervals if iv.kind == "UL"]
+    assert len(uls) == 3 and any(np.array_equal(a, uls[0].t_loc) for a in calls)
+    calls.clear()
+    propagate(fl)
+    assert calls
+    assert not any(np.array_equal(a, iv.t_loc) for a in calls for iv in uls)
 
 
 def test_mean_shift_requires_refined_terms(stationary_ol_fluid):
