@@ -181,9 +181,6 @@ class FluidSolution:
     D: np.ndarray
     Lam: np.ndarray
 
-    def ol_intervals(self):
-        return [iv for iv in self.intervals if iv.kind == OL]
-
 
 def _bisect(fun, a, b, fa):
     """Root of a continuous sign-changing function on [a, b], fa = fun(a),
@@ -276,9 +273,9 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     error tolerance _step_tolerance(step) (1e-14 at the default step) and
     their quartic interpolant gives the state at the grid points.  The
     grid columns are read from the intervals' local values.  The step may
-    not exceed the horizon, nor 1/mu: the Gaussian layer's quadratures of
-    the renewal-arrival excess and the UL mean shift lose the decay of
-    exp(-mu t) beyond it.
+    not exceed the horizon, nor 1/mu: the Gaussian layer's quadrature of
+    the renewal-arrival excess (c_lambda != 1) loses the decay of
+    exp(-2 mu t) beyond it.
     """
     report = validate(spec)
     if not report.ok:

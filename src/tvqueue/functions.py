@@ -217,6 +217,32 @@ class PiecewisePolyFn(SmoothFn):
         return self.knots[1:-1].copy()
 
 
+@dataclass(frozen=True)
+class SumFn(SmoothFn):
+    """f + c*g: a time function moved along g, as the mean shift moves
+    the arrival rate and the staffing; its breakpoints are both
+    functions'."""
+
+    f: SmoothFn
+    g: SmoothFn
+    c: float
+
+    def __call__(self, t):
+        return self.f(t) + self.c * self.g(t)
+
+    def deriv(self, t):
+        return self.f.deriv(t) + self.c * self.g.deriv(t)
+
+    def scalar(self, t):
+        return self.f.scalar(t) + self.c * self.g.scalar(t)
+
+    def scalar_deriv(self, t):
+        return self.f.scalar_deriv(t) + self.c * self.g.scalar_deriv(t)
+
+    def breakpoints(self):
+        return np.union1d(self.f.breakpoints(), self.g.breakpoints())
+
+
 def monotone_slopes(x, y):
     """Knot slopes that keep a cubic Hermite interpolant of monotone data
     monotone (PCHIP, Fritsch & Carlson 1980): zero at a local extremum or

@@ -2,9 +2,9 @@
 
 Overloaded intervals carry the kernel grids: the relaxation exponent h,
 its cumulative integral G and the three noise intensities (arrival,
-service, abandonment).  Each variance and mean shift solves a linear ODE
-x' = G' x + f from its interval's start by one overflow-safe cumulative
-Simpson filter on the irregular local grid (_filter).  The potential-wait
+service, abandonment).  Each variance solves a linear ODE x' = G' x + f
+from its interval's start by one overflow-safe cumulative Simpson filter
+on the irregular local grid (_filter).  The potential-wait
 variance reads its grids at exit times through cubic Hermite
 interpolants (functions.PiecewisePolyFn.hermite) whose slopes come from
 the ODEs.
@@ -18,6 +18,8 @@ age matrix is formed here.
 propagate() walks the interval partition and hands the content variance
 at each switching point to the next interval as its initial-condition
 variance.
+mean_shift_refined differentiates the fluid solve along the refinement
+terms; it keeps no copy of the fluid dynamics.
 
 Queue-length and in-service variances are deliberately not emitted as
 limit quantities: the limits are discontinuous at switching points.
@@ -26,12 +28,13 @@ Distributional summaries live in the approx module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fluid import UL, FluidInterval, FluidSolution, age_integrals, cumulative_trapezoid
-from .functions import PiecewisePolyFn
+from .fluid import (UL, FluidInterval, FluidSolution, _step_tolerance, cumulative_trapezoid,
+                    solve_fluid)
+from .functions import PiecewisePolyFn, SumFn
 from .model import ModelSpec, write_columns
 
 # largest move of a filter's exponent between restarts; exp(300) ~ 1e130
@@ -295,40 +298,33 @@ class MeanShift:
 
 def mean_shift_refined(fluid: FluidSolution) -> MeanShift:
     """Order-sqrt(n) deterministic mean corrections from the refined
-    arrival-rate and staffing scaling of fluid.spec.
-
-    Each interval restarts the correction from zero: switching points pin
-    the content to the staffing level, and underloaded onsets start with
-    the corrected content absorbed into the service pool.
+    arrival-rate and staffing scaling of fluid.spec: the derivative of
+    the fluid content and wait along (arrival_rate_g, staffing_g), as the
+    central difference of two fluid solves on fluid.grid with the spec
+    moved by +-eps, eps = _step_tolerance(step)^(1/3).  Each moved solve
+    finds its own switch times.  A start on the staffing boundary,
+    x0 = s(0), moves with s, so both moved specs start in its regime.
     """
     spec = fluid.spec
     if spec.arrival_rate_g is None or spec.staffing_g is None:
         raise ValueError("refined terms not specified")
+    # the grid's step, or 1/mu where a step that did not divide the
+    # horizon rounded the grid's past it: both give the same grid
+    step = min(spec.horizon / (len(fluid.grid) - 1), 1.0 / spec.mu)
+    eps = _step_tolerance(step) ** (1.0 / 3.0)
+    on_boundary = spec.x0 >= spec.staffing.scalar(0.0) - 1e-12
 
-    n1 = len(fluid.grid)
-    mean_X = np.zeros(n1)
-    mean_W = np.zeros(n1)
-    mu = spec.mu
+    def moved(c):
+        return solve_fluid(replace(
+            spec,
+            arrival_rate=SumFn(spec.arrival_rate, spec.arrival_rate_g, c),
+            staffing=SumFn(spec.staffing, spec.staffing_g, c),
+            x0=spec.x0 + c * spec.staffing_g.scalar(0.0) if on_boundary else spec.x0,
+        ), step)
 
-    for iv in fluid.intervals:
-        gsl = slice(iv.i0, iv.i1 + 1)
-        if iv.kind == UL:
-            lam_g = np.asarray(spec.arrival_rate_g(iv.t_loc), dtype=float)
-            tau = iv.t_loc - iv.start
-            mean_X[gsl] = _filter(-mu * tau, lam_g, tau)[iv.idx]
-        else:
-            k = IntervalKernels.build(iv, spec)
-            lam_g_tw = np.asarray(spec.arrival_rate_g(k.t - k.w), dtype=float)
-            s_g = np.asarray(spec.staffing_g(k.t), dtype=float)
-            sdot_g = np.asarray(spec.staffing_g.deriv(k.t), dtype=float)
-            z = (s_g * mu + lam_g_tw + sdot_g) / k.qw
-            W_g = -_filter(k.G, z, k.tau)
-            # queued arrivals of age x in [0, w(t)] from the refined rate
-            Q1g = age_integrals(spec.arrival_rate_g, spec.patience,
-                                k.t[iv.idx], k.w[iv.idx])[0]
-            mean_X[gsl] = Q1g + (k.qw * W_g)[iv.idx]
-            mean_W[gsl] = W_g[iv.idx]
-    return MeanShift(grid=fluid.grid, mean_X=mean_X, mean_W=mean_W)
+    up, down = moved(eps), moved(-eps)
+    return MeanShift(grid=fluid.grid, mean_X=(up.X - down.X) / (2.0 * eps),
+                     mean_W=(up.w - down.w) / (2.0 * eps))
 
 
 def write_gaussian_csv(gs: GaussianSolution, path):

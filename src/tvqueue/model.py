@@ -34,7 +34,8 @@ class ModelSpec:
     x0: float = 0.0
     var_x0: float = 0.0
     c_lambda: float = 1.0  # Poisson arrivals
-    # order-sqrt(n) refinement terms, read only by gaussian.mean_shift_refined
+    # order-sqrt(n) refinement terms of n lambda + sqrt(n) lambda_g and
+    # n s + sqrt(n) s_g, along which gaussian.mean_shift_refined differentiates
     arrival_rate_g: SmoothFn | None = None
     staffing_g: SmoothFn | None = None
 

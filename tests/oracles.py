@@ -20,6 +20,9 @@ bisection and its interpolated inverse of L.
 and Fc^2 integral of an OL point by scipy's adaptive quadrature on the
 scalar evaluators, with the kinks of the integrand as its break points,
 against the program's Gauss-Legendre panels.
+`shift_reference` carries the refined mean shift along an interval by
+the linearised fluid ODE with DOP853, against the program's central
+difference of two fluid solves.
 """
 
 import heapq
@@ -56,7 +59,7 @@ def ul_content(spec, t, x0, interval_start=0.0):
 
 def first_ol_kernels(fluid):
     """Kernel grids of the first overloaded interval of a fluid solution."""
-    return IntervalKernels.build(fluid.ol_intervals()[0], fluid.spec)
+    return IntervalKernels.build([v for v in fluid.intervals if v.kind == "OL"][0], fluid.spec)
 
 
 def _w_at(k, t):
@@ -310,13 +313,14 @@ def age_integrals_reference(rate, patience, t, w, n=3):
 
 
 def _dop853(rhs, t0, y0, t1, **kw):
-    """scipy's DOP853 from (t0, y0) to t1 at rtol 1e-13, atol 1e-16, with
-    dense output.  Steps of at most 0.1 keep the 7th-order interpolant's
-    error below the step tolerance: unbounded steps on the smooth UL
-    stretch of the piecewise/tabulated model left it 7.7e-12 off the
-    closed form at t = 11.281, against 1.3e-14 for the solution."""
-    return solve_ivp(rhs, (t0, t1), [y0], method="DOP853", rtol=1e-13, atol=1e-16,
-                     dense_output=True, max_step=0.1, **kw)
+    """scipy's DOP853 from (t0, y0), y0 a scalar or a vector, to t1 at
+    rtol 1e-13, atol 1e-16, with dense output.  Steps of at most 0.1 keep
+    the 7th-order interpolant's error below the step tolerance: unbounded
+    steps on the smooth UL stretch of the piecewise/tabulated model left
+    it 7.7e-12 off the closed form at t = 11.281, against 1.3e-14 for the
+    solution."""
+    return solve_ivp(rhs, (t0, t1), np.atleast_1d(y0), method="DOP853", rtol=1e-13,
+                     atol=1e-16, dense_output=True, max_step=0.1, **kw)
 
 
 def _rhs(spec):
@@ -401,3 +405,45 @@ def fluid_reference(fluid, stride=29):
             r = r - (r - dense(r)[0] - t) / slope
         v[sel] = r - t
     return idx, w, X, Q, v
+
+
+def shift_reference(spec, kind, ta, w_a, shift_a, t):
+    """(W_g, X_g) at the sorted times t in (ta, T] of one interval of
+    regime `kind`: the mean shift along (spec.arrival_rate_g,
+    spec.staffing_g) carried from the program's values at ta by the
+    linearised fluid ODE, solved by DOP853 (_dop853), against the
+    program's difference of two fluid solves.
+
+    UL: shift_a = X_g(ta), X_g' = lambda_g - mu X_g, and W_g = 0.
+    OL: w_a = w(ta), shift_a = W_g(ta); the pair (w, W_g) solves
+        w' = 1 - b0 / q,  q = lambda(t - w) Fc(w),  b0 = s mu + s',
+        W_g' = h W_g + (1 - w') lambda_g(t - w) / lambda(t - w)
+               - (s_g mu + s_g') / q,
+    with h = (1 - w') (-lambda'(t - w) / lambda(t - w) - f(w) / Fc(w)),
+    the derivative of w' along the refinement; and
+    X_g = s_g + int_0^w lambda_g(t - x) Fc(x) dx + q W_g, the integral by
+    `quad` (age_integrals_reference)."""
+    mu = spec.mu
+    lam, lam_d = spec.arrival_rate.scalar, spec.arrival_rate.scalar_deriv
+    lam_g = spec.arrival_rate_g.scalar
+    s, s_d = spec.staffing.scalar, spec.staffing.scalar_deriv
+    s_g, s_gd = spec.staffing_g.scalar, spec.staffing_g.scalar_deriv
+    fc = spec.patience.survival_scalar
+    t = np.asarray(t, dtype=float)
+    if kind == "UL":
+        sol = _dop853(lambda u, x: [lam_g(u) - mu * x[0]], ta, shift_a, t[-1])
+        return np.zeros(len(t)), sol.sol(t)[0]
+
+    def rhs(u, y):
+        w, W_g = y
+        lam_tw, Fc_w = lam(u - w), fc(w)
+        q = lam_tw * Fc_w
+        wdot = 1.0 - (s(u) * mu + s_d(u)) / q
+        h = (1.0 - wdot) * (-lam_d(u - w) / lam_tw - float(spec.patience.pdf(w)) / Fc_w)
+        return [wdot, h * W_g + (1.0 - wdot) * lam_g(u - w) / lam_tw
+                - (s_g(u) * mu + s_gd(u)) / q]
+
+    w, W_g = _dop853(rhs, ta, [w_a, shift_a], t[-1]).sol(t)
+    q = np.array([lam(u - x) * fc(x) for u, x in zip(t, w)])
+    Q_g = age_integrals_reference(spec.arrival_rate_g, spec.patience, t, w, n=1)[0]
+    return W_g, np.array([s_g(u) for u in t]) + Q_g + q * W_g

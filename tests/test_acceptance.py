@@ -213,22 +213,45 @@ def test_criterion_7_grid_self_convergence(capsys):
 
 
 def test_criterion_8_refined_scaling(capsys):
-    # zero refinement terms produce exactly zero corrections; a constant
-    # unit staffing refinement in stationary overload drives the waiting
-    # correction to -2
+    # zero refinement terms produce exactly zero corrections; in
+    # stationary overload (theta = 0.5) the shift is the derivative of
+    # the fluid limit: a unit staffing refinement drives the waiting
+    # correction to -1/(theta s) = -2 and the content correction to
+    # 1 - mu/theta = -1, a unit arrival refinement drives them to
+    # 1/(theta lambda) = 4/3 and 1/theta = 2; in underload (lambda = 0.5,
+    # mu = 1) a unit arrival refinement gives the content 1 - exp(-t)
     spec0 = replace(_stationary_spec(), arrival_rate_g=ConstantFn(0.0),
                     staffing_g=ConstantFn(0.0))
     fl = solve_fluid(spec0)
     ms0 = mean_shift_refined(fl)
     zero = float(max(np.max(np.abs(ms0.mean_X)), np.max(np.abs(ms0.mean_W))))
+    i29 = int(np.searchsorted(fl.grid, 29.0))
 
     spec1 = replace(spec0, staffing_g=ConstantFn(1.0))
     fl1 = solve_fluid(spec1)
     ms1 = mean_shift_refined(fl1)
     werr = abs(float(ms1.mean_W[-1]) + 2.0)
-    ok = zero == 0.0 and werr < 1e-3
+    xerr_s = abs(float(ms1.mean_X[i29]) + 1.0)
+
+    ms_l = mean_shift_refined(solve_fluid(replace(spec0, arrival_rate_g=ConstantFn(1.0))))
+    xerr_l = abs(float(ms_l.mean_X[i29]) - 2.0)
+    werr_l = abs(float(ms_l.mean_W[i29]) - 4.0 / 3.0)
+
+    ul = ModelSpec(ConstantFn(0.5), ConstantFn(1.0), 1.0, ExponentialPatience(1.0), 4.0,
+                   arrival_rate_g=ConstantFn(1.0), staffing_g=ConstantFn(0.0))
+    fl_ul = solve_fluid(ul)
+    xerr_ul = float(np.max(np.abs(mean_shift_refined(fl_ul).mean_X - (1.0 - np.exp(-fl_ul.grid)))))
+    ok = (zero == 0.0 and werr < 1e-3 and max(xerr_s, xerr_l, werr_l) < 1e-4
+          and xerr_ul < 1e-8)
     _report(capsys, "criterion 8, refined-scaling corrections", ok,
             f"zero-term residual {zero:.1e} (= 0), "
-            f"|W shift(30) + 2| = {werr:.1e} (tol 1e-3)")
+            f"|W shift(30) + 2| = {werr:.1e} (tol 1e-3); "
+            f"s_g = 1: |X shift(29) + 1| = {xerr_s:.1e}; "
+            f"lambda_g = 1: |X shift(29) - 2| = {xerr_l:.1e}, "
+            f"|W shift(29) - 4/3| = {werr_l:.1e} (tol 1e-4); "
+            f"underload lambda_g = 1: |X shift - (1 - e^-t)| = {xerr_ul:.1e} (tol 1e-8)")
     assert zero == 0.0
     assert werr < 1e-3
+    assert xerr_s < 1e-4
+    assert xerr_l < 1e-4 and werr_l < 1e-4
+    assert xerr_ul < 1e-8

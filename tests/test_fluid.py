@@ -72,7 +72,7 @@ def test_hwt_ode_residual(sine_h2_fluid):
     # stored wdot agrees with a centered finite difference of w
     fl = sine_h2_fluid
     h = fl.grid[1] - fl.grid[0]
-    for iv in fl.ol_intervals():
+    for iv in [v for v in fl.intervals if v.kind == "OL"]:
         # centered stencil only: one-sided edges would add O(h) noise
         i = np.arange(iv.i0 + 5, iv.i1 - 5)
         fd = (fl.w[i + 1] - fl.w[i - 1]) / (2.0 * h)
@@ -82,7 +82,7 @@ def test_hwt_ode_residual(sine_h2_fluid):
 def test_pwt_fixed_point(sine_h2_fluid):
     # v solves v(t) = w(t + v(t)) inside OL intervals
     fl = sine_h2_fluid
-    for iv in fl.ol_intervals():
+    for iv in [v for v in fl.intervals if v.kind == "OL"]:
         sl = slice(iv.i0, iv.i1 + 1)
         ts = fl.grid[sl]
         vs = fl.v[sl]
@@ -160,7 +160,7 @@ def test_step_w_matches_solver(sine_h2_fluid):
     # one Dormand-Prince step from a grid point to the next lands on the
     # interpolated solution there
     fl = sine_h2_fluid
-    iv = fl.ol_intervals()[0]
+    iv = [v for v in fl.intervals if v.kind == "OL"][0]
     i = iv.i0 + 100
     t, w = fl.grid[i], fl.w[i]
     ctx = _Ctx(fl.spec, 1e-3)
@@ -169,7 +169,7 @@ def test_step_w_matches_solver(sine_h2_fluid):
 
 
 def test_l_inverse_roundtrip(sine_h2_fluid):
-    iv = sine_h2_fluid.ol_intervals()[0]
+    iv = [v for v in sine_h2_fluid.intervals if v.kind == "OL"][0]
     t, L = iv.t_loc, iv.t_loc - iv.y_loc
     u = np.linspace(L[0], L[-1], 57)
     back = iv.l_inverse(u)
@@ -181,7 +181,7 @@ def test_continuation_reaches_the_horizon(request):
     # the last OL interval's local grid runs on until L(t) = t - w(t)
     # covers the interval, so L^{-1} is defined up to the horizon
     for name in ("sine_h2_fluid", "stationary_ol_fluid"):
-        iv = request.getfixturevalue(name).ol_intervals()[-1]
+        iv = [v for v in request.getfixturevalue(name).intervals if v.kind == "OL"][-1]
         assert len(iv.ext_t) > 0
         assert iv.t_loc[-1] - iv.y_loc[-1] >= iv.end
         assert np.all(np.diff(iv.t_loc - iv.y_loc) > 0.0)
@@ -374,7 +374,7 @@ def test_age_integrals_match_quad_reference(request, model):
     # Q, alpha and Q2 on every OL local grid (every 11th point and the
     # last), against scipy quad with the kinks as break points
     spec = _long_wait_spec() if model == "long_wait" else _bench_spec(request, model)
-    ols = solve_fluid(spec).ol_intervals()
+    ols = [v for v in solve_fluid(spec).intervals if v.kind == "OL"]
     assert ols
     for iv in ols:
         t, w = (np.append(a[: iv.n_in - 1 : 11], a[iv.n_in - 1]) for a in (iv.t_loc, iv.y_loc))
@@ -420,7 +420,7 @@ def test_fluid_matches_dop853_reference(request, model):
     # whose error is at most h^2/8 max|w''| / min L' (twice that for the
     # sampled max)
     h = fl.grid[1] - fl.grid[0]
-    for iv in fl.ol_intervals():
+    for iv in [v for v in fl.intervals if v.kind == "OL"]:
         wddot = np.gradient(iv.ydot_loc, iv.t_loc)
         bound = h ** 2 / 4 * np.max(np.abs(wddot)) / np.min(1.0 - iv.ydot_loc)
         sel = (idx >= iv.i0) & (idx <= iv.i1)
@@ -437,7 +437,7 @@ def test_kernels_read_the_intervals_boundary_values(request, model):
     # from the interval, the values of the array pass that gave wdot;
     # they, and the kernels, equal the formulas evaluated afresh
     spec = _bench_spec(request, model)
-    for iv in solve_fluid(spec).ol_intervals():
+    for iv in [v for v in solve_fluid(spec).intervals if v.kind == "OL"]:
         k = IntervalKernels.build(iv, spec)
         assert k.qw is iv.qw_loc and k.w is iv.y_loc and k.wdot is iv.ydot_loc
         t, w = iv.t_loc, iv.y_loc
@@ -581,7 +581,7 @@ def test_age_integral_blocks_stay_within_the_node_budget():
             shapes.append(x.shape)
             return self.d.survival_pdf(x)
 
-    iv = solve_fluid(spec).ol_intervals()[0]
+    iv = [v for v in solve_fluid(spec).intervals if v.kind == "OL"][0]
     t, w = iv.t_loc[: iv.n_in], iv.y_loc[: iv.n_in]
     got = age_integrals(spec.arrival_rate, Recording(spec.patience), t, w)
     assert sum(rows for rows, _ in shapes) == len(t)
@@ -629,7 +629,7 @@ def test_short_overload_at_coarse_step_holds_a_grid_point():
     spec = ModelSpec(SinusoidFn(0.65, 0.5), ConstantFn(1.0), 1.0,
                      ExponentialPatience(1.0), 8.0, x0=0.5)
     fl = solve_fluid(spec, step=0.5)
-    iv, = fl.ol_intervals()
+    iv, = [v for v in fl.intervals if v.kind == "OL"]
     assert iv.i0 == iv.i1 == 5 and np.flatnonzero(fl.ol).tolist() == [5]
     assert fl.X[5] == 1.0 + fl.Q[5] and fl.Q[5] > 0.0
     assert np.allclose(fl.switch_times, solve_fluid(spec).switch_times, atol=1e-2)

@@ -22,8 +22,9 @@ from tvqueue.gaussian import (
 )
 from tvqueue.model import ModelSpec
 from tvqueue.patience import ExponentialPatience, H2Patience
+from tvqueue.sim import SimConfig, estimate
 
-from oracles import H, first_ol_kernels, var_X_star_kernel
+from oracles import H, first_ol_kernels, shift_reference, var_X_star_kernel
 
 
 # ---------------------------------------------------------------- closed forms
@@ -126,7 +127,7 @@ def test_initial_condition_terms():
     assert gs.var_W[0] == pytest.approx(0.5 / 1.5 ** 2, abs=1e-9)
     # on the OL grid the content variance is the zero-start variance plus
     # the initial variance thinned by the initial-content survival
-    iv = fl.ol_intervals()[0]
+    iv = [v for v in fl.intervals if v.kind == "OL"][0]
     sl = slice(iv.i0, iv.i1 + 1)
     shifted = gs.var_Xstar[sl] + 0.5 * gs.Fwc[sl] ** 2
     assert np.max(np.abs(gs.var_X[sl] - shifted)) < 1e-12
@@ -300,7 +301,7 @@ def test_cauchy_schwarz(sine_h2_gaussian):
 
 def test_cov_is_boundary_density_times_var(sine_h2_gaussian):
     gs = sine_h2_gaussian
-    iv = gs.fluid.ol_intervals()[0]
+    iv = [v for v in gs.fluid.intervals if v.kind == "OL"][0]
     sl = slice(iv.i0, iv.i1 + 1)
     expect = gs.fluid.qtilde_w[sl] * gs.var_Wstar[sl]
     assert np.allclose(gs.cov_XW[sl], expect)
@@ -427,8 +428,42 @@ def test_mean_shift_ul_constant():
     assert np.max(np.abs(ms.mean_X - expect)) < 1e-8
 
 
+def test_mean_shift_on_a_rounded_grid_step():
+    # step 0.4 on horizon 1 makes the grid step 0.5, past 1/mu = 0.45:
+    # the moved solves rebuild the same grid at a valid step
+    spec = ModelSpec(ConstantFn(0.5), ConstantFn(1.0), 2.2, ExponentialPatience(1.0), 1.0,
+                     arrival_rate_g=ConstantFn(1.0), staffing_g=ConstantFn(0.0))
+    fl = solve_fluid(spec, 0.4)
+    ms = mean_shift_refined(fl)
+    np.testing.assert_array_equal(ms.grid, [0.0, 0.5, 1.0])
+    np.testing.assert_allclose(ms.mean_X, (1.0 - np.exp(-2.2 * fl.grid)) / 2.2, atol=1e-6)
+
+
+# Stationary overload lambda = 1.5, s = 1, mu = 1, exponential patience
+# theta = 0.5: lambda Fc(w) = s mu gives w = ln(lambda / (s mu)) / theta,
+# and Q = int_0^w lambda exp(-theta x) dx = (lambda - s mu) / theta, so
+# X = s + Q.  The shift is the derivative along (lambda_g, s_g):
+#   lambda_g = 1: X_g = dQ/dlambda = 1/theta = 2, W_g = 1/(theta lambda) = 4/3;
+#   s_g = 1: X_g = 1 + dQ/ds = 1 - mu/theta = -1, W_g = -1/(theta s) = -2.
+
+
+def test_mean_shift_stationary_arrivals():
+    # lambda_g = 1 in constant overload: the transient, of rate theta, is
+    # below 1e-6 at t = 29
+    spec = ModelSpec(ConstantFn(1.5), ConstantFn(1.0), 1.0,
+                     ExponentialPatience(0.5), 30.0, x0=1.0,
+                     arrival_rate_g=ConstantFn(1.0),
+                     staffing_g=ConstantFn(0.0))
+    fl = solve_fluid(spec)
+    ms = mean_shift_refined(fl)
+    i = int(np.searchsorted(fl.grid, 29.0))
+    assert ms.mean_X[i] == pytest.approx(2.0, abs=1e-4)
+    assert ms.mean_W[i] == pytest.approx(4.0 / 3.0, abs=1e-4)
+
+
 def test_mean_shift_stationary_staffing():
-    # s_g = 1 in constant overload: W shift relaxes to -2, X shift to 0
+    # s_g = 1 in constant overload: the W shift relaxes to -2 and, with
+    # X = s + Q and dQ/ds = -mu/theta = -2, the X shift to 1 - 2 = -1
     spec = ModelSpec(ConstantFn(1.5), ConstantFn(1.0), 1.0,
                      ExponentialPatience(0.5), 30.0, x0=1.0,
                      arrival_rate_g=ConstantFn(0.0),
@@ -436,21 +471,22 @@ def test_mean_shift_stationary_staffing():
     fl = solve_fluid(spec)
     ms = mean_shift_refined(fl)
     assert ms.mean_W[-1] == pytest.approx(-2.0, abs=1e-4)
-    assert ms.mean_X[-1] == pytest.approx(-2.0, abs=1e-4)
+    assert ms.mean_X[-1] == pytest.approx(-1.0, abs=1e-4)
 
 
 def test_mean_shift_fast_patience_staffing():
     # s_g = 1 in constant overload with patience rate 30: W_g' = h W_g - z
-    # with h = -30 and z = s_g mu / qw = 1 relaxes to -1/30; the relaxation
-    # time 1/30 leaves no transient at t = 30, only the discretization error
-    # of rate 30 at step 1e-3.  Fc underflows from age 23.6, before the
-    # horizon, which the model check accepts
+    # with h = -30 and z = s_g mu / qw = 1 relaxes to -1/30, and
+    # X_g = s_g + dQ/ds = 1 - mu/theta = 1 - 1/30; the relaxation
+    # time 1/30 leaves no transient at t = 30.  Fc underflows from age
+    # 23.6, before the horizon, which the model check accepts
     spec = ModelSpec(ConstantFn(1.5), ConstantFn(1.0), 1.0,
                      ExponentialPatience(30.0), 30.0, x0=1.0,
                      arrival_rate_g=ConstantFn(0.0),
                      staffing_g=ConstantFn(1.0))
     ms = mean_shift_refined(solve_fluid(spec))
     assert ms.mean_W[-1] == pytest.approx(-1.0 / 30.0, rel=1e-5)
+    assert ms.mean_X[-1] == pytest.approx(1.0 - 1.0 / 30.0, rel=1e-5)
 
 
 def test_csv_export(tmp_path, sine_h2_gaussian):
@@ -476,7 +512,7 @@ def test_potential_wait_hermite_against_spline(sine_h2_spec, sine_h2_fluid):
     # the exit-time reads of var_V: Hermite with exact ODE slopes against
     # the not-a-knot cubic spline through the same samples; they differ by
     # interpolation error, not rounding (wdot's slopes are finite differences)
-    for iv in sine_h2_fluid.ol_intervals():
+    for iv in [v for v in sine_h2_fluid.intervals if v.kind == "OL"]:
         k = IntervalKernels.build(iv, sine_h2_spec)
         vws = sum(_var_w_star_parts(k))
         var_W, var_V, var_Vstar = var_W_V(k, vws, 0.7)
@@ -489,3 +525,59 @@ def test_potential_wait_hermite_against_spline(sine_h2_spec, sine_h2_fluid):
         np.testing.assert_allclose(var_Vstar, ref_star, rtol=1e-8, atol=0.0)
         np.testing.assert_allclose(var_V, ref, rtol=1e-8, atol=0.0)
         np.testing.assert_array_equal(var_W, vws[:m] + 0.7 * k.Fwc[:m] ** 2 / k.qw[:m] ** 2)
+
+
+# ------------------------------------------------ mean shift against references
+
+_SHIFT_TERMS = {
+    "lambda_g": (ConstantFn(1.0), ConstantFn(0.0)),
+    "s_g": (ConstantFn(0.0), ConstantFn(1.0)),
+    "both": (SinusoidFn(0.5, 0.4, 2.0), SinusoidFn(-0.3, 0.5, 1.5, 0.7)),
+}
+
+
+@pytest.mark.parametrize("terms", sorted(_SHIFT_TERMS))
+@pytest.mark.parametrize("staffed", [False, True], ids=["sine_h2", "sine_staffed"])
+def test_mean_shift_against_sensitivity_reference(sine_h2_spec, staffed, terms):
+    # in every interval, from the program's shift at 0.3 past its start,
+    # the linearised fluid ODE (DOP853) carries the shift to every 50th
+    # grid point up to 0.3 before its end: agreement to 1e-7 in W and X
+    spec = sine_h2_spec
+    if staffed:
+        spec = dataclasses.replace(spec, staffing=SinusoidFn(1.0, 0.3, 1.0, -0.5))
+    lam_g, s_g = _SHIFT_TERMS[terms]
+    fl = solve_fluid(dataclasses.replace(spec, arrival_rate_g=lam_g, staffing_g=s_g))
+    ms = mean_shift_refined(fl)
+    away = np.all(np.abs(fl.grid[:, None] - fl.switch_times[None, :]) >= 0.3, axis=1)
+    kinds = set()
+    for iv in fl.intervals:
+        i = np.flatnonzero((fl.grid > iv.start) & (fl.grid <= iv.end) & away)
+        if len(i) < 100:
+            continue
+        ia, ib = i[0], i[50::50]
+        W_g, X_g = shift_reference(fl.spec, iv.kind, fl.grid[ia], fl.w[ia],
+                                   (ms.mean_W if iv.kind == "OL" else ms.mean_X)[ia],
+                                   fl.grid[ib])
+        assert np.max(np.abs(ms.mean_W[ib] - W_g)) < 1e-7, iv.kind
+        assert np.max(np.abs(ms.mean_X[ib] - X_g)) < 1e-7, iv.kind
+        kinds.add(iv.kind)
+    assert kinds == {"UL", "OL"}
+
+
+def test_mean_shift_against_simulation(sine_h2_spec):
+    # sine/H2 with arrival rate n (lambda + lambda_g / sqrt(n)),
+    # lambda_g = 0.5, n = 200, 400 replications, seed 1: at t = 3, in
+    # overload, the simulated (mean X_n - n X) / sqrt(n) lies within 3 SE
+    # of the X shift, the SE from the replications (about 0.06)
+    n, lam_g = 200, 0.5
+    moved = dataclasses.replace(sine_h2_spec,
+                                arrival_rate=SinusoidFn(1.0 + lam_g / np.sqrt(n), 0.6))
+    est = estimate(SimConfig(moved, n=n, reps=400, base_seed=1))
+    fl = solve_fluid(dataclasses.replace(sine_h2_spec, arrival_rate_g=ConstantFn(lam_g),
+                                         staffing_g=ConstantFn(0.0)))
+    ms = mean_shift_refined(fl)
+    j, i = int(np.searchsorted(est.t, 3.0 - 1e-9)), int(np.searchsorted(fl.grid, 3.0 - 1e-9))
+    assert fl.ol[i]
+    sim_shift = (est.mean("X")[j] - n * fl.X[i]) / np.sqrt(n)
+    se = est.se("X")[j] / np.sqrt(n)
+    assert abs(sim_shift - ms.mean_X[i]) <= 3.0 * se, (sim_shift, se, ms.mean_X[i])
