@@ -27,12 +27,13 @@ __all__ = [
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 _SQRT2 = math.sqrt(2.0)
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _ndtr(d):
-    """Standard normal cdf, 0.5 erfc(-d / sqrt 2), elementwise."""
-    return 0.5 * np.asarray(_erfc(-d / _SQRT2), dtype=float)
+    """Standard normal cdf, 0.5 erfc(-d / sqrt 2), elementwise by
+    math.erfc; a 0-d d gives a numpy scalar."""
+    x = np.asarray(-d / _SQRT2, dtype=float)
+    return 0.5 * np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _excess(diff, sd):

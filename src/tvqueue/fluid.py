@@ -605,8 +605,16 @@ def _block_edges(rate_bps, pat_bps, t, w):
 
 
 def cumulative_trapezoid(y, x):
-    """Cumulative trapezoid integral of samples y over x, from 0 at x[0]."""
-    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+    """Cumulative trapezoid integral of samples y over x along y's last
+    axis, from 0 at x[0]."""
+    return _cumsum_from_zero(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0)
+
+
+def _cumsum_from_zero(steps):
+    """Running sums of steps along the last axis, led by a zero."""
+    out = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,))
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    return out
 
 
 def write_fluid_csv(solution: FluidSolution, path):

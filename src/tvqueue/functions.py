@@ -121,6 +121,11 @@ class PiecewisePolyFn(SmoothFn):
     lowest power up; shorter pieces are padded with zeros to one
     (pieces x terms) array.  Evaluation before the first knot and beyond
     the last continues the end pieces.
+
+    A (rows x pieces x terms) array carries several functions on the same
+    knots (`hermite` of stacked values): array evaluation then returns
+    one row per function from one knot search and one gather per power.
+    The scalar reads need a single row.
     """
 
     def __init__(self, knots, coeffs):
@@ -131,34 +136,44 @@ class PiecewisePolyFn(SmoothFn):
             for row, c in zip(padded, coeffs):
                 row[: len(c)] = c
             coeffs = padded
+        coeffs = np.asarray(coeffs, dtype=float)
         knots = np.asarray(knots, dtype=float)
-        if len(coeffs) == 0:
+        pieces, terms = coeffs.shape[-2:]
+        if pieces == 0:
             raise ValueError("a piecewise polynomial needs at least one piece")
-        if len(knots) != len(coeffs) + 1:
+        if len(knots) != pieces + 1:
             raise ValueError("need len(knots) == len(coeffs) + 1")
         if not np.all(np.diff(knots) > 0):
             raise ValueError(f"piecewise knots must increase: {knots.tolist()}")
         self.knots = knots
         self.coeffs = coeffs
-        self._dcoeffs = np.polynomial.polynomial.polyder(coeffs, axis=1)
-        # per order (value, derivative): one contiguous array per power
-        self._columns = tuple(np.ascontiguousarray(c.T) for c in (coeffs, self._dcoeffs))
+        # per order (value, derivative): one contiguous (rows x pieces)
+        # array per power; d/du of sum c_j u^j has terms j c_j, and a
+        # constant's derivative is one zero term
+        cols = np.ascontiguousarray(np.moveaxis(coeffs, -1, 0))
+        j = np.arange(1, terms).reshape((-1,) + (1,) * (cols.ndim - 1))
+        dcols = cols[1:] * j if terms > 1 else np.zeros_like(cols)
+        self._columns = (cols, dcols)
+        self._dcoeffs = np.moveaxis(dcols, 0, -1)
 
     @classmethod
     def hermite(cls, x, y, dydx):
-        """Piecewise cubic through (x[i], y[i]) with slope dydx[i] at x[i]."""
+        """Piecewise cubic through (x[i], y[..., i]) with slope dydx[..., i]
+        at x[i]; a (rows x knots) y and dydx give one function per row."""
         x, y, dydx = (np.asarray(a, dtype=float) for a in (x, y, dydx))
         dx = np.diff(x)
         slope = np.diff(y) / dx
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-        c2 = (slope - dydx[:-1]) / dx - t
-        return cls(x, np.column_stack((y[:-1], dydx[:-1], c2, t / dx)))
+        t = (dydx[..., :-1] + dydx[..., 1:] - 2 * slope) / dx
+        c2 = (slope - dydx[..., :-1]) / dx - t
+        # power-major, the layout _eval reads; coeffs is a view of it
+        cols = np.stack((y[..., :-1], dydx[..., :-1], c2, t / dx))
+        return cls(x, np.moveaxis(cols, 0, -1))
 
     def _eval(self, t, *orders):
         """The value (order 0) and/or the derivative (order 1) at t, read
         at one piece index with shared powers of u: one knot search for
-        both.  The number of interior knots at or below t is the piece
-        index, clipped to the end pieces."""
+        both, and for every row.  The number of interior knots at or below
+        t is the piece index, clipped to the end pieces."""
         t = np.asarray(t, dtype=float)
         i = np.searchsorted(self.knots[1:-1], t, side="right")
         u = t - self.knots.take(i)
@@ -168,9 +183,9 @@ class PiecewisePolyFn(SmoothFn):
             cols = self._columns[order]
             while len(powers) < len(cols) - 1:
                 powers.append(powers[-1] * u)
-            out = cols[0].take(i)
+            out = cols[0].take(i, axis=-1)
             for col, z in zip(cols[1:], powers):
-                out = out + col.take(i) * z
+                out = out + col.take(i, axis=-1) * z
             outs.append(out)
         return outs
 

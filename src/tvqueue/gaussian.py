@@ -4,10 +4,11 @@ Overloaded intervals carry the kernel grids: the relaxation exponent h,
 its cumulative integral G and the three noise intensities (arrival,
 service, abandonment).  Each variance solves a linear ODE x' = G' x + f
 from its interval's start by one overflow-safe cumulative Simpson filter
-on the irregular local grid (_filter).  The potential-wait
-variance reads its grids at exit times through cubic Hermite
-interpolants (functions.PiecewisePolyFn.hermite) whose slopes come from
-the ODEs.
+on the irregular local grid (_filter); the three waiting-time sources
+share one exponent and run as one stacked filter.  The potential-wait
+variance reads its three grids at exit times through one stacked cubic
+Hermite interpolant (functions.PiecewisePolyFn.hermite), one knot
+search for all three, whose slopes come from the ODEs.
 Underloaded intervals read the infinite-server variance from the fluid
 content (var_UL).  Every interval is solved on the local grid the fluid
 solution gives it (FluidInterval.t_loc) and read back onto the global
@@ -32,8 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fluid import (UL, FluidInterval, FluidSolution, _step_tolerance, cumulative_trapezoid,
-                    solve_fluid)
+from .fluid import (UL, FluidInterval, FluidSolution, _cumsum_from_zero, _step_tolerance,
+                    cumulative_trapezoid, solve_fluid)
 from .functions import PiecewisePolyFn, SumFn
 from .model import ModelSpec, write_columns
 
@@ -53,7 +54,8 @@ __all__ = [
 
 
 def _cumquad(y, x):
-    """Cumulative integral of samples y over x, from 0 at x[0].
+    """Cumulative integral of samples y over x along y's last axis, from
+    0 at x[0].
 
     Each step's area is that of the quadratic through three consecutive
     samples: the step that begins a triple and, for the step after it,
@@ -64,12 +66,13 @@ def _cumquad(y, x):
     if len(x) < 3:
         return cumulative_trapezoid(y, x)
     dx = np.diff(x)
-    y0, y1, y2, d0, d1 = y[:-2:2], y[1:-1:2], y[2::2], dx[:-1:2], dx[1::2]
-    steps = np.empty(len(dx))
-    steps[:-1:2] = _first_step_areas(y0, y1, y2, d0, d1)
-    steps[1::2] = _first_step_areas(y2, y1, y0, d1, d0)
-    steps[-1] = _first_step_areas(y[-1], y[-2], y[-3], dx[-1], dx[-2])
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    y0, y1, y2 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
+    d0, d1 = dx[:-1:2], dx[1::2]
+    steps = np.empty(y.shape[:-1] + dx.shape)
+    steps[..., :-1:2] = _first_step_areas(y0, y1, y2, d0, d1)
+    steps[..., 1::2] = _first_step_areas(y2, y1, y0, d1, d0)
+    steps[..., -1] = _first_step_areas(y[..., -1], y[..., -2], y[..., -3], dx[-1], dx[-2])
+    return _cumsum_from_zero(steps)
 
 
 def _first_step_areas(y0, y1, y2, x21, x32):
@@ -84,19 +87,21 @@ def _first_step_areas(y0, y1, y2, x21, x32):
 def _filter(G, f, tau, x0=0.0):
     """x = exp(G) (x0 + int exp(-G) f) on the grid tau by _cumquad: the
     solution of x' = G' x + f from x0, for a cumulative exponent G[0] = 0.
+    A (rows x points) f solves one ODE per row with the same exponent.
 
     The quadrature restarts from the previous point, carrying x, wherever
     G has moved more than _SPAN since the last restart, so neither
     exponential overflows.  A block holds at least one step; a single
     step that moves G further has its exponent clipped to _SPAN.
     """
-    x = np.full(len(tau), float(x0))
+    x = np.full(np.shape(f), float(x0))
     s, last = 0, len(tau) - 1
     while s < last:
         far = np.flatnonzero(np.abs(G[s:] - G[s]) > _SPAN)
         e = last if far.size == 0 else s + max(int(far[0]) - 1, 1)
         d = np.clip(G[s : e + 1] - G[s], -_SPAN, _SPAN)
-        x[s : e + 1] = np.exp(d) * (x[s] + _cumquad(np.exp(-d) * f[s : e + 1], tau[s : e + 1]))
+        x[..., s : e + 1] = np.exp(d) * (
+            x[..., s, None] + _cumquad(np.exp(-d) * f[..., s : e + 1], tau[s : e + 1]))
         s = e
     return x
 
@@ -152,8 +157,9 @@ class IntervalKernels:
 
 def _var_w_star_parts(k: IntervalKernels):
     """Per-source waiting-time deviation variances on the interval grid,
-    each the solution of v' = 2 h v + I_i^2 from v = 0."""
-    return [_filter(2.0 * k.G, Ii ** 2, k.tau) for Ii in (k.I1, k.I2, k.I3)]
+    one row per source (arrival, service, abandonment), each the solution
+    of v' = 2 h v + I_i^2 from v = 0: one filter pass for all three."""
+    return _filter(2.0 * k.G, np.stack((k.I1, k.I2, k.I3)) ** 2, k.tau)
 
 
 def _var_x_star_parts(k: IntervalKernels, w_parts):
@@ -174,19 +180,20 @@ def var_W_V(kernels: IntervalKernels, vws: np.ndarray, varX0: float):
 
     The potential-waiting variance reads the head-of-line variance at the
     virtual exit time t + v(t) = L^{-1}(t), which the continuation past
-    the horizon keeps on the local grid.  It is read through cubic
-    Hermite interpolants whose knot slopes are the exact ODE derivatives,
-    d vws/dt = 2 h vws + Isq and d Fwc/dt = -hFw Fwc, and for wdot a
-    second-order finite difference.
+    the horizon keeps on the local grid.  vws, wdot and Fwc are read there
+    through one stacked cubic Hermite interpolant, one row each, so one
+    knot search serves all three.  Its knot slopes are the exact ODE
+    derivatives, d vws/dt = 2 h vws + Isq and d Fwc/dt = -hFw Fwc, and
+    for wdot a second-order finite difference.
     """
     k = kernels
     m = k.interval.n_in
     var_W = vws[:m] + varX0 * k.Fwc[:m] ** 2 / k.qw[:m] ** 2
     u = k.interval.l_inverse(k.t[:m])
-    vws_u = PiecewisePolyFn.hermite(k.t, vws, 2.0 * k.h * vws + k.Isq)(u)
     wddot = np.gradient(k.wdot, k.t, edge_order=2 if len(k.t) > 2 else 1)
-    wdot_u = PiecewisePolyFn.hermite(k.t, k.wdot, wddot)(u)
-    fwc_u = PiecewisePolyFn.hermite(k.t, k.Fwc, -k.hFw * k.Fwc)(u)
+    vws_u, wdot_u, fwc_u = PiecewisePolyFn.hermite(
+        k.t, np.stack((vws, k.wdot, k.Fwc)),
+        np.stack((2.0 * k.h * vws + k.Isq, wddot, -k.hFw * k.Fwc)))(u)
     b0_u = np.asarray(k.spec.staffing(u), dtype=float) * k.spec.mu + np.asarray(
         k.spec.staffing.deriv(u), dtype=float
     )

@@ -20,7 +20,7 @@ __all__ = ["ModelSpec", "ValidationReport", "validate", "load_spec", "spec_from_
 
 # validation grid resolution relative to the horizon
 _GRID_FRACTION = 1e-3
-# CSV rows formatted by one %-operation in write_columns
+# CSV rows formatted by one bytes %-operation in write_columns
 _CSV_BLOCK = 256
 
 
@@ -133,23 +133,28 @@ def staffing_level(n, s):
 def write_columns(path, columns):
     """Write a CSV table, one column per entry of the name -> values dict.
 
-    Float columns are written as %.10g; integer and string columns are
-    written as they are, with the `\r\n` line ends of `csv.writer`; no
-    cell is quoted, so names and string cells must hold no comma, quote
-    or line break.  The rows are formatted _CSV_BLOCK at a time by one
-    %-operation: the row format repeated over the block's cells, read
-    row by row from one flat list.
+    Float columns are written as %.10g and integer columns as %d; every
+    other cell is written as its str(), encoded as UTF-8 like the header,
+    with the `\r\n` line ends of `csv.writer`; no cell is quoted, so
+    names and string cells must hold no comma, quote or line break.  The
+    rows are formatted as bytes _CSV_BLOCK at a time by one %-operation:
+    the row format repeated over the block's cells, read row by row from
+    one flat list.
     """
     cells = [np.asarray(col) for col in columns.values()]
-    row = ",".join("%.10g" if col.dtype.kind == "f" else "%s" for col in cells) + "\r\n"
+    formats = {"f": b"%.10g", "i": b"%d", "u": b"%d"}
+    row = b",".join(formats.get(col.dtype.kind, b"%s") for col in cells) + b"\r\n"
     m = len(cells)
     flat = [None] * (m * len(cells[0]))
     for j, col in enumerate(cells):
-        flat[j::m] = col.tolist()
+        values = col.tolist()
+        if col.dtype.kind not in formats:
+            values = [str(v).encode("utf-8") for v in values]
+        flat[j::m] = values
     step = _CSV_BLOCK * m
     block = row * _CSV_BLOCK
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(columns).encode("utf-8") + b"\r\n")
         for lo in range(0, len(flat), step):
             cut = tuple(flat[lo : lo + step])
             fh.write((block if len(cut) == step else row * (len(cut) // m)) % cut)

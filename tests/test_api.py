@@ -57,28 +57,52 @@ PIECEWISE_TAB = {
 }
 
 
-def test_runtime_loads_no_scipy(tmp_path):
-    # numpy is the only run-time dependency: a full approx run in a fresh
-    # interpreter must not load scipy
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(PIECEWISE_TAB), encoding="utf-8")
+SINE_H2 = {
+    "lambda": {"kind": "sinusoid", "params": {"a": 1.0, "b": 0.6}},
+    "staffing": {"kind": "constant", "params": {"value": 1.0}},
+    "mu": 1.0,
+    "patience": {"kind": "h2", "params": {"mean": 2.0, "scv": 4.0}},
+    "horizon": 16.0,
+}
+
+
+def _modules_after_approx(tmp_path, cfg, prefixes):
+    """The modules named in `prefixes`, or under them, that one `tvqueue
+    approx --n 200` run on the config `cfg` loads in a fresh interpreter."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     code = textwrap.dedent(f"""
         import json, sys
         from tvqueue.cli import main
-        code = main(["approx", "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r},
+        code = main(["approx", "--config", {str(path)!r}, "--out", {str(tmp_path)!r},
                      "--n", "200"])
+        prefixes = {tuple(prefixes)!r}
+        under = tuple(p + "." for p in prefixes)
         print(json.dumps([code, sorted(m for m in sys.modules
-                                       if m == "scipy" or m.startswith("scipy."))]))
+                                       if m in prefixes or m.startswith(under))]))
     """)
     src = str(Path(tvqueue.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
     assert code in (0, None)
     assert (tmp_path / "approx.csv").stat().st_size > 0
-    assert scipy_modules == []
+    return modules
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # numpy is the only run-time dependency: a full approx run in a fresh
+    # interpreter must not load scipy
+    assert _modules_after_approx(tmp_path, PIECEWISE_TAB, ["scipy"]) == []
+
+
+def test_approx_run_loads_no_numpy_polynomial(tmp_path):
+    # the interpolants form their derivative coefficients without
+    # numpy.polynomial's polyder, so an approx run, which builds them,
+    # does not load numpy.polynomial (about 3 ms) either
+    assert _modules_after_approx(tmp_path, SINE_H2, ["numpy.polynomial"]) == []
 
 
 def _modules_after_cli_import(prefixes):

@@ -246,3 +246,35 @@ def test_scalar_piece_is_the_clipped_knot_search(case):
             acc = acc + ck * z
             z *= u
         assert f._scalar_eval(t, order) == acc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_hermite_reads_each_row_bitwise(seed):
+    # one interpolant of three value rows on the same knots reads what
+    # three one-row interpolants read, bit for bit, at scalar and array
+    # times before, on and between the knots and past the last one
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    x = np.cumsum(rng.uniform(0.01, 2.0, n))
+    y = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-3, 4, (3, 1))
+    dydx = rng.standard_normal((3, n))
+    stacked = PiecewisePolyFn.hermite(x, y, dydx)
+    rows = [PiecewisePolyFn.hermite(x, yr, dr) for yr, dr in zip(y, dydx)]
+    u = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 50)])
+    got = stacked(u)
+    assert got.shape == (3, len(u))
+    for r, f in enumerate(rows):
+        assert np.array_equal(got[r], f(u))
+        assert np.array_equal(stacked.deriv(u)[r], f.deriv(u))
+        for t in (float(u[7 % len(u)]), float(x[0]) - 0.5, float(x[-1]) + 0.5):
+            read = stacked(t)
+            assert read.shape == (3,)
+            assert read[r] == f(t)
+
+
+@given(piecewise_and_time())
+def test_derivative_coefficients_equal_polyder(case):
+    # the derivative's coefficients, j c_j for j >= 1 and one zero term
+    # for a constant, are the values numpy.polynomial's polyder gives
+    f, _ = case
+    assert np.array_equal(f._dcoeffs, np.polynomial.polynomial.polyder(f.coeffs, axis=1))

@@ -187,6 +187,34 @@ def test_filter_step_beyond_restart_span():
     assert np.all(np.isfinite(x))
 
 
+@pytest.mark.parametrize("slope, n", [(-50.0, 2), (-50.0, 3), (-0.5, 401), (-2000.0, 33),
+                                      (-150.0, 401), (40.0, 160)])
+def test_stacked_filter_equals_one_filter_per_row(slope, n):
+    # three forcing rows on one exponent give the three single-row
+    # filters bit for bit: with no restart, with restarts (G moves about
+    # 2400 and 640 over the grid, against _SPAN = 300), with one-step
+    # blocks where a step moves G past _SPAN, and on two points, where
+    # _cumquad takes trapezoids
+    tau = np.sort(np.random.default_rng(n).uniform(0.0, 16.0, n))
+    tau = tau - tau[0]
+    G = slope * tau + np.sin(tau)
+    f = np.stack((1.0 + 0.5 * np.sin(tau), np.cos(3.0 * tau) ** 2, np.exp(-tau)))
+    x = gaussian._filter(G, f, tau, 0.25)
+    assert x.shape == f.shape
+    for row, fr in zip(x, f):
+        assert np.array_equal(row, gaussian._filter(G, fr, tau, 0.25))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 1001])
+def test_stacked_cumquad_integrates_along_the_last_axis(n):
+    x = np.cumsum(np.random.default_rng(n).uniform(0.001, 1.0, n))
+    y = np.stack((np.sin(x), x ** 2, np.exp(-x)))
+    got = _cumquad(y, x)
+    assert got.shape == y.shape
+    for row, yr in zip(got, y):
+        assert np.array_equal(row, _cumquad(yr, x))
+
+
 def test_ul_variance_constant_closed_form():
     assert _ul_constant_error(0.5, 1.0, 6.0)[0] < 1e-8
 

@@ -141,7 +141,8 @@ def _csv_reference(columns):
 @pytest.mark.parametrize("rows", ["0", "1", "B-1", "B", "B+1", "2B+3"])
 def test_write_columns_blocks_match_csv_writer(tmp_path, rows):
     # rows are formatted a block at a time: an empty table, a part block,
-    # whole blocks and whole blocks plus a part all read as csv.writer's
+    # whole blocks and whole blocks plus a part all read as csv.writer's;
+    # unsigned integers and non-ASCII names and cells too, as UTF-8
     block = model._CSV_BLOCK
     n = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1,
          "2B+3": 2 * block + 3}[rows]
@@ -155,6 +156,8 @@ def test_write_columns_blocks_match_csv_writer(tmp_path, rows):
         "k": np.arange(n, dtype=np.int64) - 7,
         "regime": np.where(np.arange(n) % 3 == 0, "OL", "UL"),
         "y": x[::-1].copy(),
+        "count": np.arange(n, dtype=np.uint64) * np.uint64(2 ** 40),
+        "régime_é": np.where(np.arange(n) % 2 == 0, "é", "∞ω"),
     }
     path = tmp_path / "table.csv"
     write_columns(path, columns)
