@@ -8,18 +8,20 @@ stretches it integrates the head-of-line waiting-time ODE
 
 with adaptive Dormand-Prince 5(4) steps (_dp5, _march): error control
 on the embedded fourth-order solution, the last stage of a step serving
-as the first of the next (FSAL), and the free quartic interpolant.  The
-local error tolerance is tied to the grid step, 1e-2 step^4 within
-[1e-14, 1e-6] (_step_tolerance), so that the solution converges with the
-grid step.  One sweep (_sweep) serves both regimes, the switch bisection
-and the continuation past the horizon.  Each regime's ODE is a
+as the first of the next (FSAL), and the free quartic interpolant, one
+piecewise polynomial per interval, its path (_path).  The local error
+tolerance is tied to the grid step, 1e-2 step^4 within [1e-14, 1e-6]
+(_step_tolerance), so that the solution converges with the grid step.
+One sweep (_sweep) serves both regimes, the switch bisection and the
+continuation past the horizon.  Each regime's ODE is a
 time-only term, lambda(t) in UL and b(t,0) = s(t) mu + sdot(t) in OL,
 and a scalar stage that takes the state and that term's value; the term
 is evaluated once per node of a step.  A stage whose state fails the OL
-check, or overflows, rejects its step.  The interpolant gives the state
-at the grid points in one array pass per interval, where the same stage
-on arrays gives its derivative, and the regime is tested at every step
-end and grid point; each switch is bisected to float resolution.
+check, or overflows, rejects its step.  The path gives the state at the
+grid points in one array pass per interval, where the same stage on
+arrays (ol_rates in OL) gives its derivative, and the regime is tested
+at every step end and grid point; each switch is bisected to float
+resolution.
 
 One age-integral pass per OL interval (age_integrals) gives the queue
 content, the abandonment rate and the Fc^2 integral of the Gaussian
@@ -33,7 +35,7 @@ stay in cache, with one patience pass (Fc and f) per block, and sums
 each row against its weights with einsum, not BLAS, whose row sums may
 depend on a row's place in the block.  The cumulative flows (arrivals,
 departures, abandonments) are cumulative trapezoids.  The potential wait
-inverts L(t) = t - w(t).
+inverts L(t) = t - w(t) on the path (FluidInterval.l_inverse).
 
 Each interval also carries its local grid: its start, the global grid
 points inside it and its end, with near-duplicate times dropped; an OL
@@ -42,7 +44,8 @@ covers the interval, and raises ValueError if that takes longer than
 _EXT_SPAN.  There it holds the state, its derivative and, in OL, the
 boundary density lambda(t - w) Fc(w) and b(t,0) from one checked array
 pass; the grid columns and the Gaussian layer read them from it, and the
-latter reads its variances back through the interval's index map.
+path between them, and the latter reads its variances back through the
+interval's index map.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .functions import PiecewisePolyFn
 from .model import ModelSpec, validate, write_columns
 
 __all__ = [
@@ -77,8 +81,8 @@ _TOL_CAP = 1e-6           # and cap: steps short enough at a coarse grid step
 # stage coefficients, the fifth-order weights (also the row of the FSAL
 # stage k7, the next step's k1), the error weights (fifth minus embedded
 # fourth order) and the free quartic interpolant (Shampine's, scipy's RK45
-# P matrix) over theta = (t - t0) / h, rows k1, k3..k7; k2 has weight zero
-# in the solution, the error and the interpolant
+# P): theta..theta^4, theta = (t - t0) / h, over h, rows k1, k3..k7; k2
+# has weight zero in the solution, the error and the interpolant
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -143,6 +147,7 @@ class FluidInterval:
     b0_loc: np.ndarray | None = None
     Q_loc: np.ndarray | None = None
     Q2_loc: np.ndarray | None = None
+    path: PiecewisePolyFn | None = None  # the steps' interpolant (_path)
     steps: int = 0              # accepted adaptive steps, continuation included
     rejected: int = 0           # rejected trial steps
 
@@ -157,13 +162,17 @@ class FluidInterval:
         return self.t_loc[self.n_in:]
 
     def l_inverse(self, u):
-        """Monotone inverse of L(t) = t - w(t) by linear interpolation."""
-        return np.interp(u, self.t_loc - self.y_loc, self.t_loc)
+        """Inverse of L(t) = t - w(t) on the path: the linear interpolant
+        of L's local values, then one Newton step on the path."""
+        r = np.interp(u, self.t_loc - self.y_loc, self.t_loc)
+        w, wdot = self.path.value_and_deriv(r)
+        return r - (r - w - u) / (1.0 - wdot)
 
 
 @dataclass
 class FluidSolution:
     spec: ModelSpec
+    step: float                 # the grid step solve_fluid was called with
     grid: np.ndarray
     ol: np.ndarray              # True at the grid points of OL intervals
     intervals: list
@@ -205,8 +214,8 @@ class _Ctx:
     scalar stages are built once per solve as closures over mu and the
     spec's bound scalar methods, so a stage call looks up no attribute and
     evaluates the model through those methods; `rates` also returns the
-    boundary density q and b(t,0) (None in UL).  `tol` is the step
-    tolerance _step_tolerance(step)."""
+    boundary density q and b(t,0) (None in UL), in OL by ol_rates.  `tol`
+    is the step tolerance _step_tolerance(step)."""
 
     def __init__(self, spec: ModelSpec, step: float):
         self.spec, self.step, self.tol = spec, step, _step_tolerance(step)
@@ -234,19 +243,23 @@ class _Ctx:
         def ul_rates(t, x):
             return np.asarray(spec.arrival_rate(t), dtype=float) - mu * x, None, None
 
-        def ol_rates(t, w):
-            b = (np.asarray(spec.staffing(t), dtype=float) * mu
-                 + np.asarray(spec.staffing.deriv(t), dtype=float))
-            q = (np.asarray(spec.arrival_rate(t - w), dtype=float)
-                 * np.asarray(spec.patience.survival(w), dtype=float))
-            bad = (q < _QTILDE_FLOOR) | (b <= 0.0)
-            if bad.any():
-                i = int(np.argmax(bad))
-                _ol_check(float(t[i]), q[i], b[i])
-            return 1.0 - b / q, q, b
-
         self.b0, self.ol_stage = b0, ol_stage
-        self.ode = {UL: (lam, ul_stage, ul_rates), OL: (b0, ol_stage, ol_rates)}
+        self.ode = {UL: (lam, ul_stage, ul_rates),
+                    OL: (b0, ol_stage, lambda t, w: ol_rates(spec, t, w))}
+
+
+def ol_rates(spec, t, w):
+    """The OL stage on arrays: (wdot, q = lambda(t - w) Fc(w), b = b(t,0))
+    at the times t and waits w, after the OL check at every point."""
+    b = (np.asarray(spec.staffing(t), dtype=float) * spec.mu
+         + np.asarray(spec.staffing.deriv(t), dtype=float))
+    q = (np.asarray(spec.arrival_rate(t - w), dtype=float)
+         * np.asarray(spec.patience.survival(w), dtype=float))
+    bad = (q < _QTILDE_FLOOR) | (b <= 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _ol_check(float(t[i]), q[i], b[i])
+    return 1.0 - b / q, q, b
 
 
 def _ol_check(t, q, b):
@@ -271,11 +284,11 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
 
     Adaptive Dormand-Prince 5(4) steps integrate each regime to the local
     error tolerance _step_tolerance(step) (1e-14 at the default step) and
-    their quartic interpolant gives the state at the grid points.  The
-    grid columns are read from the intervals' local values.  The step may
-    not exceed the horizon, nor 1/mu: the Gaussian layer's quadrature of
-    the renewal-arrival excess (c_lambda != 1) loses the decay of
-    exp(-2 mu t) beyond it.
+    their quartic interpolant, the interval's path, gives the state at the
+    grid points.  The grid columns are read from the intervals' local
+    values.  The step may not exceed the horizon, nor 1/mu: the Gaussian
+    layer's quadrature of the renewal-arrival excess (c_lambda != 1)
+    loses the decay of exp(-2 mu t) beyond it.
     """
     report = validate(spec)
     if not report.ok:
@@ -345,6 +358,7 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
 
     return FluidSolution(
         spec=spec,
+        step=step,
         grid=grid,
         ol=ol,
         intervals=intervals,
@@ -429,20 +443,14 @@ def _march(ctx, kind, t, y, f, h, t_stop, done, steps):
             return t, y, f, hit, h, rejected
 
 
-def _dense(steps, t):
-    """The accepted steps' quartic interpolant at the sorted times t, each
-    in the span of a step: per step, the coefficients of theta..theta^4,
-    theta = (t - t0) / h, gathered one column at a time."""
-    if not len(t):
-        return np.empty(0)
+def _path(steps):
+    """The accepted steps' quartic interpolant as one piecewise polynomial,
+    a piece per step in u = t - t0: the coefficient of theta^j over h^j,
+    theta = u / h, is that of u^j."""
     a = np.array(steps)
-    coef = (a[:, 3:] @ _DENSE) * a[:, 1:2]
-    j = np.searchsorted(a[:, 0], t, side="right") - 1
-    theta = (t - a[j, 0]) / a[j, 1]
-    acc = coef[j, 3]
-    for c in (2, 1, 0):
-        acc = acc * theta + coef[j, c]
-    return a[j, 2] + theta * acc
+    t0, h = a[:, 0], a[:, 1:2]
+    coef = (a[:, 3:] @ _DENSE) / h ** np.arange(4)
+    return PiecewisePolyFn(np.append(t0, t0[-1] + h[-1]), np.column_stack([a[:, 2], coef]))
 
 
 def _sweep(ctx, kind, grid, start, k, y):
@@ -452,7 +460,7 @@ def _sweep(ctx, kind, grid, start, k, y):
     The state is X in UL, which ends when X reaches s(t), and w in OL,
     which ends when w returns to zero.  Adaptive steps (_march) run from
     start, or from grid[k] if start lies within 1e-14 of it, until a step
-    ends past the regime or at the horizon.  Their interpolant gives the
+    ends past the regime or at the horizon.  Their path (_path) gives the
     state at the grid points they cover in one array pass, where the
     regime is tested too, so a crossing that only a grid point sees is
     found.  The first crossing among step ends and grid points is
@@ -476,7 +484,8 @@ def _sweep(ctx, kind, grid, start, k, y):
     k_first = k + snap
     k_last = int(np.searchsorted(grid, t_end, side="right")) - 1
     tg = grid[k_first : k_last + 1]
-    yg = _dense(steps, tg)
+    path = _path(steps) if steps else None
+    yg = path(tg) if steps else np.empty(0)
     crossed = np.flatnonzero(yg - np.asarray(ctx.spec.staffing(tg), dtype=float) >= 0.0
                              if ul else yg <= 0.0)
     if len(crossed) or hit:
@@ -503,18 +512,18 @@ def _sweep(ctx, kind, grid, start, k, y):
             raise ValueError(f"grid step {ctx.step:g} too coarse: the overload on "
                              f"[{start:.6f}, {tau:.6f}] holds no grid point")
         m = kc - k_first
-        t_loc = np.concatenate([[start], tg[:m], [tau]])
-        y_loc = np.concatenate([[y], yg[:m], [s(tau) if ul else 0.0]])
+        tg, yg = np.append(tg[:m], tau), np.append(yg[:m], s(tau) if ul else 0.0)
         iv = FluidInterval(kind, start, tau, k, kc - 1)
     else:
-        t_loc, y_loc = np.concatenate([[start], tg]), np.concatenate([[y], yg])
         iv = FluidInterval(kind, start, T, k, n)
         if not ul:
-            ext_t, ext_w, ext_rejected = _extend_ol(ctx, T, y_end, f_end, h, steps)
-            t_loc, y_loc = np.concatenate([t_loc, ext_t]), np.concatenate([y_loc, ext_w])
+            path, ext_t, ext_rejected = _extend_ol(ctx, T, y_end, f_end, h, steps)
+            yg[-1:] = path(tg[-1:])  # T, now the continuation's first knot
+            tg = np.concatenate([tg, ext_t])
+            yg = np.concatenate([yg, np.maximum(path(ext_t), 0.0)])
             rejected += ext_rejected
-    iv.steps, iv.rejected = len(steps), rejected
-    _attach_local(iv, grid, t_loc, y_loc, rates)
+    iv.path, iv.steps, iv.rejected = path, len(steps), rejected
+    _attach_local(iv, grid, np.concatenate([[start], tg]), np.concatenate([[y], yg]), rates)
     return iv.end, iv.i1 + 1, iv
 
 
@@ -532,24 +541,21 @@ def _attach_local(iv, grid, t, y, rates):
 def _extend_ol(ctx, T, w, wdot, h, steps):
     """Continue w past the horizon T, from w and its derivative wdot there
     and trial step h, until L(t) = t - w(t) covers the interval; appends
-    the steps to `steps`.  Returns the continuation's local times, every
-    ctx.step past T up to the first where L >= T (or the last step's end
-    if none before it gets there), w there, clipped at 0, and the number
-    of rejected steps.  Raises ValueError if L(t) is still short of T
-    after _EXT_SPAN: the potential wait is then undefined there."""
-    first = len(steps)
+    the steps to `steps`.  Returns the path of all of `steps`, the
+    continuation's local times, every ctx.step past T up to the first
+    where L >= T on the path (or the last step's end if none gets there),
+    and the number of rejected steps.  Raises ValueError if L(t) is still
+    short of T after _EXT_SPAN: the potential wait is undefined there."""
     t, w, _, hit, _, rejected = _march(ctx, OL, T, w, wdot, h, T + _EXT_SPAN,
                                        lambda te, we: te - we >= T, steps)
     if not hit:
         raise ValueError(f"the potential wait near the horizon T={T:g} is "
                          f"undefined: continued to t={t:.6f}, t - w(t) is still below T")
+    path = _path(steps)
     ts = T + ctx.step * np.arange(1, int((t - T) / ctx.step) + 1)
     ts = ts[ts < t]
-    ws = np.maximum(_dense(steps[first:], ts), 0.0)
-    covered = np.flatnonzero(ts - ws >= T)
-    if len(covered):
-        return ts[: covered[0] + 1], ws[: covered[0] + 1], rejected
-    return np.append(ts, t), np.append(ws, max(w, 0.0)), rejected
+    covered = np.flatnonzero(ts - path(ts) >= T)
+    return path, ts[: covered[0] + 1] if len(covered) else np.append(ts, t), rejected
 
 
 def age_integrals(rate, patience, t, w):

@@ -6,9 +6,10 @@ service, abandonment).  Each variance solves a linear ODE x' = G' x + f
 from its interval's start by one overflow-safe cumulative Simpson filter
 on the irregular local grid (_filter); the three waiting-time sources
 share one exponent and run as one stacked filter.  The potential-wait
-variance reads its three grids at exit times through one stacked cubic
-Hermite interpolant (functions.PiecewisePolyFn.hermite), one knot
-search for all three, whose slopes come from the ODEs.
+variance reads w at the exit times t + v(t) from the interval's path,
+wdot and b(t,0) there by the fluid's OL stage (fluid.ol_rates), and its
+two variance grids through one stacked cubic Hermite interpolant
+(functions.PiecewisePolyFn.hermite) whose slopes come from the ODEs.
 Underloaded intervals read the infinite-server variance from the fluid
 content (var_UL).  Every interval is solved on the local grid the fluid
 solution gives it (FluidInterval.t_loc) and read back onto the global
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fluid import (UL, FluidInterval, FluidSolution, _cumsum_from_zero, _step_tolerance,
-                    cumulative_trapezoid, solve_fluid)
+                    cumulative_trapezoid, ol_rates, solve_fluid)
 from .functions import PiecewisePolyFn, SumFn
 from .model import ModelSpec, write_columns
 
@@ -179,24 +180,20 @@ def var_W_V(kernels: IntervalKernels, vws: np.ndarray, varX0: float):
     end, from vws, the zero-start head-of-line variance on the local grid.
 
     The potential-waiting variance reads the head-of-line variance at the
-    virtual exit time t + v(t) = L^{-1}(t), which the continuation past
-    the horizon keeps on the local grid.  vws, wdot and Fwc are read there
-    through one stacked cubic Hermite interpolant, one row each, so one
-    knot search serves all three.  Its knot slopes are the exact ODE
-    derivatives, d vws/dt = 2 h vws + Isq and d Fwc/dt = -hFw Fwc, and
-    for wdot a second-order finite difference.
+    virtual exit time u = t + v(t) = L^{-1}(t), which the continuation
+    past the horizon keeps on the local grid: w from the interval's path,
+    wdot and b(t,0) by the fluid's OL stage, and vws and Fwc through one
+    stacked cubic Hermite interpolant, one knot search for both, whose
+    knot slopes are the exact ODE derivatives, d vws/dt = 2 h vws + Isq
+    and d Fwc/dt = -hFw Fwc.
     """
     k = kernels
     m = k.interval.n_in
     var_W = vws[:m] + varX0 * k.Fwc[:m] ** 2 / k.qw[:m] ** 2
     u = k.interval.l_inverse(k.t[:m])
-    wddot = np.gradient(k.wdot, k.t, edge_order=2 if len(k.t) > 2 else 1)
-    vws_u, wdot_u, fwc_u = PiecewisePolyFn.hermite(
-        k.t, np.stack((vws, k.wdot, k.Fwc)),
-        np.stack((2.0 * k.h * vws + k.Isq, wddot, -k.hFw * k.Fwc)))(u)
-    b0_u = np.asarray(k.spec.staffing(u), dtype=float) * k.spec.mu + np.asarray(
-        k.spec.staffing.deriv(u), dtype=float
-    )
+    wdot_u, _, b0_u = ol_rates(k.spec, u, k.interval.path(u))
+    vws_u, fwc_u = PiecewisePolyFn.hermite(
+        k.t, np.stack((vws, k.Fwc)), np.stack((2.0 * k.h * vws + k.Isq, -k.hFw * k.Fwc)))(u)
     var_Vstar = np.maximum(vws_u, 0.0) / (1.0 - wdot_u) ** 2
     return var_W, var_Vstar + varX0 * fwc_u ** 2 / b0_u ** 2, var_Vstar
 
@@ -307,18 +304,15 @@ def mean_shift_refined(fluid: FluidSolution) -> MeanShift:
     """Order-sqrt(n) deterministic mean corrections from the refined
     arrival-rate and staffing scaling of fluid.spec: the derivative of
     the fluid content and wait along (arrival_rate_g, staffing_g), as the
-    central difference of two fluid solves on fluid.grid with the spec
-    moved by +-eps, eps = _step_tolerance(step)^(1/3).  Each moved solve
-    finds its own switch times.  A start on the staffing boundary,
+    central difference of two fluid solves at fluid.step, on the spec
+    moved by +-eps, eps = _step_tolerance(fluid.step)^(1/3).  Each moved
+    solve finds its own switch times.  A start on the staffing boundary,
     x0 = s(0), moves with s, so both moved specs start in its regime.
     """
     spec = fluid.spec
     if spec.arrival_rate_g is None or spec.staffing_g is None:
         raise ValueError("refined terms not specified")
-    # the grid's step, or 1/mu where a step that did not divide the
-    # horizon rounded the grid's past it: both give the same grid
-    step = min(spec.horizon / (len(fluid.grid) - 1), 1.0 / spec.mu)
-    eps = _step_tolerance(step) ** (1.0 / 3.0)
+    eps = _step_tolerance(fluid.step) ** (1.0 / 3.0)
     on_boundary = spec.x0 >= spec.staffing.scalar(0.0) - 1e-12
 
     def moved(c):
@@ -327,7 +321,7 @@ def mean_shift_refined(fluid: FluidSolution) -> MeanShift:
             arrival_rate=SumFn(spec.arrival_rate, spec.arrival_rate_g, c),
             staffing=SumFn(spec.staffing, spec.staffing_g, c),
             x0=spec.x0 + c * spec.staffing_g.scalar(0.0) if on_boundary else spec.x0,
-        ), step)
+        ), fluid.step)
 
     up, down = moved(eps), moved(-eps)
     return MeanShift(grid=fluid.grid, mean_X=(up.X - down.X) / (2.0 * eps),

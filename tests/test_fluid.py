@@ -169,12 +169,14 @@ def test_step_w_matches_solver(sine_h2_fluid):
 
 
 def test_l_inverse_roundtrip(sine_h2_fluid):
+    # L^{-1} inverts L(t) = t - w(t) on the path, not on its linear
+    # interpolant between local points
     iv = [v for v in sine_h2_fluid.intervals if v.kind == "OL"][0]
-    t, L = iv.t_loc, iv.t_loc - iv.y_loc
+    L = iv.t_loc - iv.y_loc
     u = np.linspace(L[0], L[-1], 57)
     back = iv.l_inverse(u)
     assert np.all(np.diff(back) > 0.0)
-    assert np.max(np.abs(np.interp(back, t, L) - u)) < 1e-9
+    assert np.max(np.abs(back - iv.path(back) - u)) <= 1e-12
 
 
 def test_continuation_reaches_the_horizon(request):
@@ -414,17 +416,8 @@ _REF_ATOL = 1e-11
 def test_fluid_matches_dop853_reference(request, model):
     fl = solve_fluid(_bench_spec(request, model))
     idx, w, X, Q, v = fluid_reference(fl)
-    for name, ref in (("w", w), ("X", X), ("Q", Q)):
+    for name, ref in (("w", w), ("X", X), ("Q", Q), ("v", v)):
         assert np.max(np.abs(getattr(fl, name)[idx] - ref)) <= _REF_ATOL, name
-    # v inverts L(t) = t - w(t) by linear interpolation on the local grid,
-    # whose error is at most h^2/8 max|w''| / min L' (twice that for the
-    # sampled max)
-    h = fl.grid[1] - fl.grid[0]
-    for iv in [v for v in fl.intervals if v.kind == "OL"]:
-        wddot = np.gradient(iv.ydot_loc, iv.t_loc)
-        bound = h ** 2 / 4 * np.max(np.abs(wddot)) / np.min(1.0 - iv.ydot_loc)
-        sel = (idx >= iv.i0) & (idx <= iv.i1)
-        assert np.max(np.abs(fl.v[idx[sel]] - v[sel])) <= _REF_ATOL + bound
     # the continuation past the horizon is checked too
     assert fl.intervals[-1].kind == "UL" or len(fl.intervals[-1].ext_t) > 0
     if model == "sine_h2":
@@ -449,6 +442,29 @@ def test_kernels_read_the_intervals_boundary_values(request, model):
         assert np.array_equal(iv.b0_loc, b0)
         assert np.array_equal(k.hFw, f / Fc)
         assert np.array_equal(k.I1, spec.c_lambda * np.sqrt(Fc * b0) / k.qw)
+
+
+@pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed"])
+def test_path_pieces_join_at_their_knots(request, model):
+    # every accepted step's quartic, in u = t - (its start), reaches the
+    # next step's start state at its right knot, continuation included:
+    # the theta -> u conversion of the interpolant's coefficients
+    for iv in solve_fluid(_bench_spec(request, model)).intervals:
+        p = iv.path
+        assert len(p.coeffs) == iv.steps
+        ends = np.polynomial.polynomial.polyval(np.diff(p.knots)[:-1], p.coeffs[:-1].T,
+                                                tensor=False)
+        starts = p.coeffs[1:, 0]
+        assert np.all(np.abs(ends - starts) <= 1e-14 * (1.0 + np.abs(starts)))
+
+
+@pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed"])
+def test_path_gives_the_grid_values(request, model):
+    # the grid columns are the path's values, X in UL and w in OL
+    fl = solve_fluid(_bench_spec(request, model))
+    for iv in fl.intervals:
+        sl = slice(iv.i0, iv.i1 + 1)
+        assert np.array_equal(iv.path(fl.grid[sl]), (fl.X if iv.kind == "UL" else fl.w)[sl])
 
 
 def test_w_error_falls_with_the_grid_step(sine_h2_spec):

@@ -537,9 +537,10 @@ def test_cumquad_against_cumulative_simpson(n):
 
 
 def test_potential_wait_hermite_against_spline(sine_h2_spec, sine_h2_fluid):
-    # the exit-time reads of var_V: Hermite with exact ODE slopes against
-    # the not-a-knot cubic spline through the same samples; they differ by
-    # interpolation error, not rounding (wdot's slopes are finite differences)
+    # the exit-time reads of var_V: Hermite with exact ODE slopes, and wdot
+    # by the OL stage on the fluid's path, against the not-a-knot cubic
+    # spline through the same samples; they differ by interpolation error,
+    # not rounding
     for iv in [v for v in sine_h2_fluid.intervals if v.kind == "OL"]:
         k = IntervalKernels.build(iv, sine_h2_spec)
         vws = sum(_var_w_star_parts(k))
@@ -553,6 +554,24 @@ def test_potential_wait_hermite_against_spline(sine_h2_spec, sine_h2_fluid):
         np.testing.assert_allclose(var_Vstar, ref_star, rtol=1e-8, atol=0.0)
         np.testing.assert_allclose(var_V, ref, rtol=1e-8, atol=0.0)
         np.testing.assert_array_equal(var_W, vws[:m] + 0.7 * k.Fwc[:m] ** 2 / k.qw[:m] ** 2)
+
+
+@pytest.mark.parametrize("staffed", [False, True], ids=["sine_h2", "sine_staffed"])
+def test_potential_wait_variance_against_a_finer_step(sine_h2_spec, staffed):
+    # var_V reads w, wdot and b(t,0) at the exit times from the fluid's
+    # path and OL stage, so at the default step it is as close to a
+    # nesting step-1.25e-4 solve as var_X is, away from the start and
+    # from the switches, where the variances have kinks
+    spec = sine_h2_spec
+    if staffed:
+        spec = dataclasses.replace(spec, staffing=SinusoidFn(1.0, 0.3, 1.0, -0.5))
+    coarse, fine = (propagate(solve_fluid(spec, h)) for h in (1e-3, 1.25e-4))
+    t = coarse.grid
+    np.testing.assert_allclose(fine.grid[::8], t, rtol=0.0, atol=1e-12)
+    away = (t >= 0.05) & np.all(
+        np.abs(t[:, None] - coarse.fluid.switch_times[None, :]) >= 0.05, axis=1)
+    assert np.count_nonzero(away & coarse.fluid.ol) > 5000
+    np.testing.assert_allclose(coarse.var_V[away], fine.var_V[::8][away], rtol=1e-10, atol=0.0)
 
 
 # ------------------------------------------------ mean shift against references
