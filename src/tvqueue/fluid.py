@@ -19,7 +19,7 @@ and a scalar stage that takes the state and that term's value; the term
 is evaluated once per node of a step.  A stage whose state fails the OL
 check, or overflows, rejects its step.  The path gives the state at the
 grid points in one array pass per interval, where the same stage on
-arrays (ol_rates in OL) gives its derivative, and the regime is tested
+arrays (ol_rates) gives its derivative in OL, and the regime is tested
 at every step end and grid point; each switch is bisected to float
 resolution.
 
@@ -33,15 +33,17 @@ put many periods of a fast-varying rate on one panel.  It reduces the
 (points x nodes) products in blocks of at most _BLOCK_NODES nodes that
 stay in cache, with one patience pass (Fc and f) per block, and sums
 each row against its weights with einsum, not BLAS, whose row sums may
-depend on a row's place in the block.  The cumulative flows (arrivals,
-departures, abandonments) are cumulative trapezoids.  The potential wait
-inverts L(t) = t - w(t) on the path (FluidInterval.l_inverse).
+depend on a row's place in the block.  The exit times L^{-1}(t), L(t) =
+t - w(t), are solved once per OL interval on the path (u_loc).  The
+cumulative flows (arrivals, departures, abandonments) take one stacked
+_cumquad (cumulative Simpson) per interval on its local grid, their
+totals carried over each switch.
 
 Each interval also carries its local grid: its start, the global grid
 points inside it and its end, with near-duplicate times dropped; an OL
 grid that reaches the horizon runs on, every grid step, until L(t)
 covers the interval, and raises ValueError if that takes longer than
-_EXT_SPAN.  There it holds the state, its derivative and, in OL, the
+_EXT_SPAN.  There it holds the state and, in OL, its derivative, the
 boundary density lambda(t - w) Fc(w) and b(t,0) from one checked array
 pass; the grid columns and the Gaussian layer read them from it, and the
 path between them, and the latter reads its variances back through the
@@ -138,15 +140,16 @@ class FluidInterval:
     # _DEDUPE_TOL; idx: positions of grid points i0..i1 in it
     t_loc: np.ndarray | None = None
     idx: np.ndarray | None = None
-    # the state on the local grid, X in UL and w in OL, and its derivative
+    # the state on the local grid, X in UL and w in OL
     y_loc: np.ndarray | None = None
+    # OL only: wdot, lambda(t - w) Fc(w), b(t,0) on the local grid; Q, Q2
+    # (age_integrals) and the exit times L^{-1}(t) (l_inverse) up to end
     ydot_loc: np.ndarray | None = None
-    # OL only: lambda(t - w) Fc(w) and b(t,0) on the local grid, from the
-    # pass that gives ydot_loc; age_integrals' Q, Q2 up to end
     qw_loc: np.ndarray | None = None
     b0_loc: np.ndarray | None = None
     Q_loc: np.ndarray | None = None
     Q2_loc: np.ndarray | None = None
+    u_loc: np.ndarray | None = None
     path: PiecewisePolyFn | None = None  # the steps' interpolant (_path)
     steps: int = 0              # accepted adaptive steps, continuation included
     rejected: int = 0           # rejected trial steps
@@ -210,12 +213,10 @@ class _Ctx:
     """Evaluators bound to one spec and grid step.  `ode[kind]` is the
     regime's state ODE y' = stage(t, y, term(t)) split into its time-only
     term and its scalar stage, X' = lambda - mu X in UL and the HWT ODE
-    with b(t,0) in OL, plus `rates`, the same stage on arrays.  b0 and the
-    scalar stages are built once per solve as closures over mu and the
-    spec's bound scalar methods, so a stage call looks up no attribute and
-    evaluates the model through those methods; `rates` also returns the
-    boundary density q and b(t,0) (None in UL), in OL by ol_rates.  `tol`
-    is the step tolerance _step_tolerance(step)."""
+    with b(t,0) in OL.  b0 and the stages are built once per solve as
+    closures over mu and the spec's bound scalar methods, so a stage call
+    looks up no attribute and evaluates the model through those methods.
+    `tol` is the step tolerance _step_tolerance(step)."""
 
     def __init__(self, spec: ModelSpec, step: float):
         self.spec, self.step, self.tol = spec, step, _step_tolerance(step)
@@ -240,12 +241,8 @@ class _Ctx:
                 _ol_check(t, q, b)
             return 1.0 - b / q
 
-        def ul_rates(t, x):
-            return np.asarray(spec.arrival_rate(t), dtype=float) - mu * x, None, None
-
         self.b0, self.ol_stage = b0, ol_stage
-        self.ode = {UL: (lam, ul_stage, ul_rates),
-                    OL: (b0, ol_stage, lambda t, w: ol_rates(spec, t, w))}
+        self.ode = {UL: (lam, ul_stage), OL: (b0, ol_stage)}
 
 
 def ol_rates(spec, t, w):
@@ -333,28 +330,29 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     qtilde_w, b0 = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
     # v: the potential wait L^{-1}(t) - t; w, wdot, Q, alpha, v are zero in UL
     X, B, w, wdot, Q, alpha, v = (np.zeros(n + 1) for _ in range(7))
-
-    lam_grid = np.asarray(spec.arrival_rate(grid), dtype=float)
+    # the cumulative flows Lam, D, A, each interval's on its local points
+    # from the totals carried over the switch before it
+    flows, total = np.zeros((3, n + 1)), np.zeros((3, 1))
     for iv in intervals:
-        sl, idx = slice(iv.i0, iv.i1 + 1), iv.idx
+        sl, idx, t = slice(iv.i0, iv.i1 + 1), iv.idx, iv.t_loc[: iv.n_in]
         if iv.kind == UL:
-            X[sl] = B[sl] = iv.y_loc[idx]
-            continue
-        iv.Q_loc, alpha_loc, iv.Q2_loc = age_integrals(
-            spec.arrival_rate, spec.patience, iv.t_loc[: iv.n_in], iv.y_loc[: iv.n_in])
-        ol[sl] = True
-        ts = grid[sl]
-        w[sl], wdot[sl] = iv.y_loc[idx], iv.ydot_loc[idx]
-        qtilde_w[sl], b0[sl] = iv.qw_loc[idx], iv.b0_loc[idx]
-        B[sl] = np.asarray(spec.staffing(ts), dtype=float)
-        Q[sl] = iv.Q_loc[idx]
-        alpha[sl] = alpha_loc[idx]
+            B_loc, alpha_loc = iv.y_loc, np.zeros(len(t))
+        else:
+            iv.Q_loc, alpha_loc, iv.Q2_loc = age_integrals(
+                spec.arrival_rate, spec.patience, t, iv.y_loc[: iv.n_in])
+            iv.u_loc = iv.l_inverse(t)
+            B_loc = np.asarray(spec.staffing(t), dtype=float)
+            ol[sl] = True
+            w[sl], wdot[sl] = iv.y_loc[idx], iv.ydot_loc[idx]
+            qtilde_w[sl], b0[sl] = iv.qw_loc[idx], iv.b0_loc[idx]
+            Q[sl], alpha[sl] = iv.Q_loc[idx], alpha_loc[idx]
+            v[sl] = (iv.u_loc - t)[idx]
+        B[sl] = B_loc[idx]
         X[sl] = B[sl] + Q[sl]
-        v[sl] = iv.l_inverse(ts) - ts
-
-    Lam = cumulative_trapezoid(lam_grid, grid)
-    D = cumulative_trapezoid(spec.mu * B, grid)
-    A = cumulative_trapezoid(alpha, grid)
+        cum = total + _cumquad(np.stack(
+            (np.asarray(spec.arrival_rate(t), dtype=float), spec.mu * B_loc, alpha_loc)), t)
+        flows[:, sl], total = cum[:, idx], cum[:, -1:]
+    Lam, D, A = flows
 
     return FluidSolution(
         spec=spec,
@@ -409,7 +407,7 @@ def _march(ctx, kind, t, y, f, h, t_stop, done, steps):
     that fails the OL check or overflows rejects the step and halves it,
     so the steps close in on the time where the solution itself fails;
     that failure is raised once no float lies inside the failed step."""
-    term, stage = ctx.ode[kind][:2]
+    term, stage = ctx.ode[kind]
     tol = ctx.tol
     rejected = 0
     retry = False
@@ -471,7 +469,7 @@ def _sweep(ctx, kind, grid, start, k, y):
     n = len(grid) - 1
     T = float(grid[n])
     ul = kind == UL
-    term, stage, rates = ctx.ode[kind]
+    term, stage = ctx.ode[kind]
     s = ctx.s
     snap = k <= n and abs(float(grid[k]) - start) < 1e-14
     t = float(grid[k]) if snap else start
@@ -523,18 +521,19 @@ def _sweep(ctx, kind, grid, start, k, y):
             yg = np.concatenate([yg, np.maximum(path(ext_t), 0.0)])
             rejected += ext_rejected
     iv.path, iv.steps, iv.rejected = path, len(steps), rejected
-    _attach_local(iv, grid, np.concatenate([[start], tg]), np.concatenate([[y], yg]), rates)
+    _attach_local(iv, grid, np.concatenate([[start], tg]), np.concatenate([[y], yg]), ctx.spec)
     return iv.end, iv.i1 + 1, iv
 
 
-def _attach_local(iv, grid, t, y, rates):
+def _attach_local(iv, grid, t, y, spec):
     """Give iv its local grid, states and index map from the local times t
     and states y, dropping a time within _DEDUPE_TOL of the one before it
-    with its state; rates(t, y) gives the derivative and, in OL, the
-    boundary density and b(t,0)."""
+    with its state; in OL, ol_rates gives the derivative, the boundary
+    density and b(t,0) there."""
     keep = np.concatenate([[True], np.diff(t) > _DEDUPE_TOL])
     iv.t_loc, iv.y_loc = t[keep], y[keep]
-    iv.ydot_loc, iv.qw_loc, iv.b0_loc = rates(iv.t_loc, iv.y_loc)
+    if iv.kind == OL:
+        iv.ydot_loc, iv.qw_loc, iv.b0_loc = ol_rates(spec, iv.t_loc, iv.y_loc)
     iv.idx = np.searchsorted(iv.t_loc, grid[iv.i0 : iv.i1 + 1] - 1e-9)
 
 
@@ -610,17 +609,38 @@ def _block_edges(rate_bps, pat_bps, t, w):
     return np.clip(ages, 0.0, w)
 
 
-def cumulative_trapezoid(y, x):
-    """Cumulative trapezoid integral of samples y over x along y's last
-    axis, from 0 at x[0]."""
-    return _cumsum_from_zero(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0)
+def _cumquad(y, x):
+    """Cumulative integral of samples y over x along y's last axis, from
+    0 at x[0].
 
-
-def _cumsum_from_zero(steps):
-    """Running sums of steps along the last axis, led by a zero."""
+    Each step's area is that of the quadratic through three consecutive
+    samples: the step that begins a triple and, for the step after it,
+    the triple read backwards; the last step takes the backward triple
+    (cumulative Simpson on an irregular grid, Cartwright 2017).  Below
+    three samples, trapezoids.
+    """
+    dx = np.diff(x)
+    if len(x) < 3:
+        steps = dx * (y[..., 1:] + y[..., :-1]) / 2.0
+    else:
+        y0, y1, y2 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
+        d0, d1 = dx[:-1:2], dx[1::2]
+        steps = np.empty(y.shape[:-1] + dx.shape)
+        steps[..., :-1:2] = _first_step_areas(y0, y1, y2, d0, d1)
+        steps[..., 1::2] = _first_step_areas(y2, y1, y0, d1, d0)
+        steps[..., -1] = _first_step_areas(y[..., -1], y[..., -2], y[..., -3], dx[-1], dx[-2])
     out = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,))
     np.cumsum(steps, axis=-1, out=out[..., 1:])
     return out
+
+
+def _first_step_areas(y0, y1, y2, x21, x32):
+    """Area over the first step, of width x21, of the quadratic through
+    y0, y1, y2 at steps x21, x32."""
+    r31 = x21 / (x21 + x32)
+    r32 = x21 / x32
+    r = r31 * r32
+    return x21 / 6 * ((3 - r31) * y0 + (3 + r + r31) * y1 - r * y2)
 
 
 def write_fluid_csv(solution: FluidSolution, path):

@@ -146,14 +146,14 @@ class PiecewisePolyFn(SmoothFn):
         if not np.all(np.diff(knots) > 0):
             raise ValueError(f"piecewise knots must increase: {knots.tolist()}")
         self.knots = knots
-        self.coeffs = coeffs
         # per order (value, derivative): one contiguous (rows x pieces)
-        # array per power; d/du of sum c_j u^j has terms j c_j, and a
-        # constant's derivative is one zero term
+        # array per power, of which coeffs is a view; d/du of sum c_j u^j
+        # has terms j c_j, and a constant's derivative is one zero term
         cols = np.ascontiguousarray(np.moveaxis(coeffs, -1, 0))
         j = np.arange(1, terms).reshape((-1,) + (1,) * (cols.ndim - 1))
         dcols = cols[1:] * j if terms > 1 else np.zeros_like(cols)
         self._columns = (cols, dcols)
+        self.coeffs = np.moveaxis(cols, 0, -1)
         self._dcoeffs = np.moveaxis(dcols, 0, -1)
 
     @classmethod

@@ -6,9 +6,10 @@ service, abandonment).  Each variance solves a linear ODE x' = G' x + f
 from its interval's start by one overflow-safe cumulative Simpson filter
 on the irregular local grid (_filter); the three waiting-time sources
 share one exponent and run as one stacked filter.  The potential-wait
-variance reads w at the exit times t + v(t) from the interval's path,
-wdot and b(t,0) there by the fluid's OL stage (fluid.ol_rates), and its
-two variance grids through one stacked cubic Hermite interpolant
+variance takes the exit times t + v(t) from the fluid solve
+(FluidInterval.u_loc), reads w there from the interval's path, wdot and
+b(t,0) by the fluid's OL stage (fluid.ol_rates), and its two variance
+grids through one stacked cubic Hermite interpolant
 (functions.PiecewisePolyFn.hermite) whose slopes come from the ODEs.
 Underloaded intervals read the infinite-server variance from the fluid
 content (var_UL).  Every interval is solved on the local grid the fluid
@@ -34,8 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fluid import (UL, FluidInterval, FluidSolution, _cumsum_from_zero, _step_tolerance,
-                    cumulative_trapezoid, ol_rates, solve_fluid)
+from .fluid import (UL, FluidInterval, FluidSolution, _cumquad, _step_tolerance, ol_rates,
+                    solve_fluid)
 from .functions import PiecewisePolyFn, SumFn
 from .model import ModelSpec, write_columns
 
@@ -52,37 +53,6 @@ __all__ = [
     "mean_shift_refined",
     "write_gaussian_csv",
 ]
-
-
-def _cumquad(y, x):
-    """Cumulative integral of samples y over x along y's last axis, from
-    0 at x[0].
-
-    Each step's area is that of the quadratic through three consecutive
-    samples: the step that begins a triple and, for the step after it,
-    the triple read backwards; the last step takes the backward triple
-    (cumulative Simpson on an irregular grid, Cartwright 2017).  Below
-    three samples, trapezoids.
-    """
-    if len(x) < 3:
-        return cumulative_trapezoid(y, x)
-    dx = np.diff(x)
-    y0, y1, y2 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
-    d0, d1 = dx[:-1:2], dx[1::2]
-    steps = np.empty(y.shape[:-1] + dx.shape)
-    steps[..., :-1:2] = _first_step_areas(y0, y1, y2, d0, d1)
-    steps[..., 1::2] = _first_step_areas(y2, y1, y0, d1, d0)
-    steps[..., -1] = _first_step_areas(y[..., -1], y[..., -2], y[..., -3], dx[-1], dx[-2])
-    return _cumsum_from_zero(steps)
-
-
-def _first_step_areas(y0, y1, y2, x21, x32):
-    """Area over the first step, of width x21, of the quadratic through
-    y0, y1, y2 at steps x21, x32."""
-    r31 = x21 / (x21 + x32)
-    r32 = x21 / x32
-    r = r31 * r32
-    return x21 / 6 * ((3 - r31) * y0 + (3 + r + r31) * y1 - r * y2)
 
 
 def _filter(G, f, tau, x0=0.0):
@@ -180,17 +150,18 @@ def var_W_V(kernels: IntervalKernels, vws: np.ndarray, varX0: float):
     end, from vws, the zero-start head-of-line variance on the local grid.
 
     The potential-waiting variance reads the head-of-line variance at the
-    virtual exit time u = t + v(t) = L^{-1}(t), which the continuation
-    past the horizon keeps on the local grid: w from the interval's path,
-    wdot and b(t,0) by the fluid's OL stage, and vws and Fwc through one
-    stacked cubic Hermite interpolant, one knot search for both, whose
-    knot slopes are the exact ODE derivatives, d vws/dt = 2 h vws + Isq
-    and d Fwc/dt = -hFw Fwc.
+    virtual exit times u = t + v(t) = L^{-1}(t), which the fluid solve
+    keeps (interval.u_loc) and the continuation past the horizon keeps on
+    the local grid: w from the interval's path, wdot and b(t,0) by the
+    fluid's OL stage, and vws and Fwc through one stacked cubic Hermite
+    interpolant, one knot search for both, whose knot slopes are the
+    exact ODE derivatives, d vws/dt = 2 h vws + Isq and
+    d Fwc/dt = -hFw Fwc.
     """
     k = kernels
     m = k.interval.n_in
     var_W = vws[:m] + varX0 * k.Fwc[:m] ** 2 / k.qw[:m] ** 2
-    u = k.interval.l_inverse(k.t[:m])
+    u = k.interval.u_loc
     wdot_u, _, b0_u = ol_rates(k.spec, u, k.interval.path(u))
     vws_u, fwc_u = PiecewisePolyFn.hermite(
         k.t, np.stack((vws, k.Fwc)), np.stack((2.0 * k.h * vws + k.Isq, -k.hFw * k.Fwc)))(u)

@@ -55,7 +55,7 @@ class ValidationReport:
 
 
 def validate(spec: ModelSpec) -> ValidationReport:
-    """Check positivity, finiteness and initial conditions on a dense grid."""
+    """Check positivity, finiteness, staffing continuity and initial conditions."""
     report = ValidationReport()
     for name in ("horizon", "mu", "x0", "var_x0", "c_lambda"):
         if not np.isfinite(getattr(spec, name)):
@@ -75,6 +75,12 @@ def validate(spec: ModelSpec) -> ValidationReport:
             report.violations.append(f"{name}_inf > 0 fails")
         if not np.all(values < np.inf):
             report.violations.append(f"{name}_sup < inf fails")
+    # s at each breakpoint in (0, T) against its left limit: a jump fails, a kink passes
+    b = np.asarray(spec.staffing.breakpoints(), dtype=float)
+    b = b[(b > 0) & (b < spec.horizon)]
+    right, left = (np.asarray(spec.staffing(x), dtype=float) for x in (b, np.nextafter(b, -np.inf)))
+    if np.any(np.abs(right - left) > 1e-9 * np.maximum(1.0, np.abs(right))):
+        report.violations.append("staffing continuous on [0, T] fails")
     if spec.c_lambda < 0:
         report.violations.append("c_lambda >= 0 fails")
     if spec.var_x0 < 0:

@@ -139,6 +139,38 @@ def test_invalid_model(tmp_path, capsys):
     assert "lambda_inf > 0 fails" in capsys.readouterr().err
 
 
+def _sine_h2_staffed(tmp_path, coeffs):
+    """The sine/H2 model with piecewise staffing, its knot at t = 2."""
+    return _write_config(
+        tmp_path, horizon=16.0, x0=0.0,
+        **{"lambda": {"kind": "sinusoid", "params": {"a": 1.0, "b": 0.6}},
+           "staffing": {"kind": "piecewise_poly",
+                        "params": {"knots": [0.0, 2.0, 16.0], "coeffs": coeffs}},
+           "patience": {"kind": "h2", "params": {"mean": 2.0, "scv": 4.0}}})
+
+
+@pytest.mark.parametrize("command", ["approx", "simulate"])
+@pytest.mark.parametrize("after", [1.3, 0.8])
+def test_staffing_jump_is_invalid_model(tmp_path, capsys, command, after):
+    # a jump in s at t = 2, inside the first overload, would add or drop
+    # fluid content (flow residual 0.3 up, 0.2 down) with exit 0
+    cfg = _sine_h2_staffed(tmp_path, [[1.0], [after]])
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--n", "20"]
+    if command == "simulate":
+        argv += ["--reps", "2"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "staffing continuous on [0, T] fails" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_staffing_kink_is_valid(tmp_path):
+    # s = 1 + 0.1 t, then 1.2 - 0.05 (t - 2): continuous, with a kink at 2
+    cfg = _sine_h2_staffed(tmp_path, [[1.0, 0.1], [1.2, -0.05]])
+    assert main(["approx", "--config", cfg, "--out", str(tmp_path), "--n", "20"]) == 0
+
+
 def test_infeasible_staffing(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
