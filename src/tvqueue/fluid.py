@@ -27,9 +27,10 @@ One age-integral pass per OL interval (age_integrals) gives the queue
 content, the abandonment rate and the Fc^2 integral of the Gaussian
 noise terms, by 16-node Gauss-Legendre panels over each point's ages
 [0, w], edged at the ages t - b of the arrival rate's breakpoints b and
-at the patience breakpoints, so that every panel holds a smooth piece of
-the integrand, and at most _PANEL_AGE long, so that a long wait does not
-put many periods of a fast-varying rate on one panel.  It reduces the
+at the patience breakpoints (kinks, and ages graded toward 0 for a fast
+phase), so that every panel holds a smooth piece of the integrand, and
+at most _PANEL_AGE long, so that a long wait does not put many periods
+of a fast-varying rate on one panel.  It reduces the
 (points x nodes) products in blocks of at most _BLOCK_NODES nodes that
 stay in cache, with one patience pass (Fc and f) per block, and sums
 each row against its weights with einsum, not BLAS, whose row sums may
@@ -39,15 +40,15 @@ cumulative flows (arrivals, departures, abandonments) take one stacked
 _cumquad (cumulative Simpson) per interval on its local grid, their
 totals carried over each switch.
 
-Each interval also carries its local grid: its start, the global grid
-points inside it and its end, with near-duplicate times dropped; an OL
-grid that reaches the horizon runs on, every grid step, until L(t)
-covers the interval, and raises ValueError if that takes longer than
-_EXT_SPAN.  There it holds the state and, in OL, its derivative, the
+Each interval is built whole as its sweep ends (_attach_local): its
+local grid (its start, the global grid points inside it and its end,
+near-duplicate times dropped; an OL grid that reaches the horizon runs
+on, every grid step, until L(t) covers the interval, or raises
+ValueError after _EXT_SPAN), the state and, in OL, its derivative, the
 boundary density lambda(t - w) Fc(w) and b(t,0) from one checked array
-pass; the grid columns and the Gaussian layer read them from it, and the
-path between them, and the latter reads its variances back through the
-interval's index map.
+pass, and up to its end Q, alpha, Q2 and the exit times.  The Gaussian
+layer reads them, and the path between them; both layers read their
+local columns onto the global grid through _on_grid, by the index map.
 """
 
 from __future__ import annotations
@@ -142,12 +143,13 @@ class FluidInterval:
     idx: np.ndarray | None = None
     # the state on the local grid, X in UL and w in OL
     y_loc: np.ndarray | None = None
-    # OL only: wdot, lambda(t - w) Fc(w), b(t,0) on the local grid; Q, Q2
-    # (age_integrals) and the exit times L^{-1}(t) (l_inverse) up to end
+    # OL only: wdot, lambda(t - w) Fc(w), b(t,0) on the local grid; Q, alpha,
+    # Q2 (age_integrals) and the exit times L^{-1}(t) (l_inverse) up to end
     ydot_loc: np.ndarray | None = None
     qw_loc: np.ndarray | None = None
     b0_loc: np.ndarray | None = None
     Q_loc: np.ndarray | None = None
+    alpha_loc: np.ndarray | None = None
     Q2_loc: np.ndarray | None = None
     u_loc: np.ndarray | None = None
     path: PiecewisePolyFn | None = None  # the steps' interpolant (_path)
@@ -302,8 +304,7 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     intervals: list[FluidInterval] = []
     switches: list[float] = []
 
-    s0 = ctx.s(0.0)
-    if spec.x0 < s0 - 1e-12:
+    if spec.x0 < ctx.s(0.0) - 1e-12:
         kind = UL
     else:
         # start exactly on the boundary: loading direction decides
@@ -326,54 +327,43 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
         switches.append(t_cur)
         kind, y = (OL, 0.0) if kind == UL else (UL, ctx.s(t_cur))
 
-    ol = np.zeros(n + 1, dtype=bool)
-    qtilde_w, b0 = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
-    # v: the potential wait L^{-1}(t) - t; w, wdot, Q, alpha, v are zero in UL
-    X, B, w, wdot, Q, alpha, v = (np.zeros(n + 1) for _ in range(7))
-    # the cumulative flows Lam, D, A, each interval's on its local points
+    # each interval's local columns up to its end; the flows Lam, D, A
     # from the totals carried over the switch before it
-    flows, total = np.zeros((3, n + 1)), np.zeros((3, 1))
+    parts, total = [], np.zeros((3, 1))
     for iv in intervals:
-        sl, idx, t = slice(iv.i0, iv.i1 + 1), iv.idx, iv.t_loc[: iv.n_in]
+        t = iv.t_loc[: iv.n_in]
         if iv.kind == UL:
             B_loc, alpha_loc = iv.y_loc, np.zeros(len(t))
+            local = {"X": B_loc}
         else:
-            iv.Q_loc, alpha_loc, iv.Q2_loc = age_integrals(
-                spec.arrival_rate, spec.patience, t, iv.y_loc[: iv.n_in])
-            iv.u_loc = iv.l_inverse(t)
-            B_loc = np.asarray(spec.staffing(t), dtype=float)
-            ol[sl] = True
-            w[sl], wdot[sl] = iv.y_loc[idx], iv.ydot_loc[idx]
-            qtilde_w[sl], b0[sl] = iv.qw_loc[idx], iv.b0_loc[idx]
-            Q[sl], alpha[sl] = iv.Q_loc[idx], alpha_loc[idx]
-            v[sl] = (iv.u_loc - t)[idx]
-        B[sl] = B_loc[idx]
-        X[sl] = B[sl] + Q[sl]
+            B_loc, alpha_loc = np.asarray(spec.staffing(t), dtype=float), iv.alpha_loc
+            local = {"ol": np.ones(len(t), dtype=bool), "X": B_loc + iv.Q_loc, "Q": iv.Q_loc,
+                     "w": iv.y_loc, "wdot": iv.ydot_loc, "v": iv.u_loc - t,
+                     "b0": iv.b0_loc, "qtilde_w": iv.qw_loc, "alpha": alpha_loc}
         cum = total + _cumquad(np.stack(
             (np.asarray(spec.arrival_rate(t), dtype=float), spec.mu * B_loc, alpha_loc)), t)
-        flows[:, sl], total = cum[:, idx], cum[:, -1:]
-    Lam, D, A = flows
+        total = cum[:, -1:]
+        parts.append(dict(local, B=B_loc, Lam=cum[0], D=cum[1], A=cum[2]))
+    # v: the potential wait L^{-1}(t) - t; w, wdot, Q, alpha, v are zero in UL
+    cols = _on_grid(intervals, n + 1, parts, {
+        "ol": False, "w": 0.0, "wdot": 0.0, "Q": 0.0, "alpha": 0.0, "v": 0.0,
+        "b0": np.nan, "qtilde_w": np.nan})
+    return FluidSolution(spec=spec, step=step, grid=grid, intervals=intervals,
+                         switch_times=np.asarray(switches), **cols)
 
-    return FluidSolution(
-        spec=spec,
-        step=step,
-        grid=grid,
-        ol=ol,
-        intervals=intervals,
-        switch_times=np.asarray(switches),
-        X=X,
-        B=B,
-        Q=Q,
-        w=w,
-        wdot=wdot,
-        v=v,
-        b0=b0,
-        qtilde_w=qtilde_w,
-        alpha=alpha,
-        A=A,
-        D=D,
-        Lam=Lam,
-    )
+
+def _on_grid(intervals, size, parts, fill):
+    """Grid columns of `size` points: parts[i] maps a column name to
+    interval i's local values up to its end, read at its grid points
+    i0..i1 through idx; fill[name] stands where an interval has no such
+    column, and every interval has the columns that fill does not name."""
+    cols = {name: np.full(size, value) for name, value in fill.items()}
+    for iv, local in zip(intervals, parts):
+        for name, values in local.items():
+            if name not in cols:
+                cols[name] = np.full(size, np.nan)
+            cols[name][iv.i0 : iv.i1 + 1] = values[iv.idx]
+    return cols
 
 
 def _dp5(term, stage, t, te, y, k1):
@@ -526,14 +516,19 @@ def _sweep(ctx, kind, grid, start, k, y):
 
 
 def _attach_local(iv, grid, t, y, spec):
-    """Give iv its local grid, states and index map from the local times t
-    and states y, dropping a time within _DEDUPE_TOL of the one before it
-    with its state; in OL, ol_rates gives the derivative, the boundary
-    density and b(t,0) there."""
+    """Build iv whole from the local times t and states y: its local grid
+    and states, dropping a time within _DEDUPE_TOL of the one before it
+    with its state, and its index map; in OL also the derivative, the
+    boundary density and b(t,0) there (ol_rates), and up to its end the
+    age integrals Q, alpha, Q2 and the exit times L^{-1}(t)."""
     keep = np.concatenate([[True], np.diff(t) > _DEDUPE_TOL])
     iv.t_loc, iv.y_loc = t[keep], y[keep]
     if iv.kind == OL:
         iv.ydot_loc, iv.qw_loc, iv.b0_loc = ol_rates(spec, iv.t_loc, iv.y_loc)
+        t_in = iv.t_loc[: iv.n_in]
+        iv.Q_loc, iv.alpha_loc, iv.Q2_loc = age_integrals(
+            spec.arrival_rate, spec.patience, t_in, iv.y_loc[: iv.n_in])
+        iv.u_loc = iv.l_inverse(t_in)
     iv.idx = np.searchsorted(iv.t_loc, grid[iv.i0 : iv.i1 + 1] - 1e-9)
 
 

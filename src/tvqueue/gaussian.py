@@ -13,11 +13,11 @@ grids through one stacked cubic Hermite interpolant
 (functions.PiecewisePolyFn.hermite) whose slopes come from the ODEs.
 Underloaded intervals read the infinite-server variance from the fluid
 content (var_UL).  Every interval is solved on the local grid the fluid
-solution gives it (FluidInterval.t_loc) and read back onto the global
-grid through its index map (FluidInterval.idx); the 1-D kernels also
-span an OL grid's continuation past the horizon.  w, wdot, the boundary
-density, b(t,0) and the queue-noise age integrals are the fluid's; no
-age matrix is formed here.
+solution gives it (FluidInterval.t_loc), and its variances reach the
+global grid through the fluid's reader of local columns (fluid._on_grid);
+the 1-D kernels also span an OL grid's continuation past the horizon.
+w, wdot, the boundary density, b(t,0) and the queue-noise age integrals
+are the fluid's; no age matrix is formed here.
 propagate() walks the interval partition and hands the content variance
 at each switching point to the next interval as its initial-condition
 variance.
@@ -35,8 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fluid import (UL, FluidInterval, FluidSolution, _cumquad, _step_tolerance, ol_rates,
-                    solve_fluid)
+from .fluid import (UL, FluidInterval, FluidSolution, _cumquad, _on_grid, _step_tolerance,
+                    ol_rates, solve_fluid)
 from .functions import PiecewisePolyFn, SumFn
 from .model import ModelSpec, write_columns
 
@@ -212,27 +212,15 @@ def propagate(fluid: FluidSolution) -> GaussianSolution:
     content variance reached at the end of the previous one as its
     initial-condition variance.
     """
-    n1 = len(fluid.grid)
-    var_X = np.full(n1, np.nan)
-    nans = lambda: np.full(n1, np.nan)
-    var_Xstar, var_W, var_Wstar = nans(), nans(), nans()
-    var_V, var_Vstar, cov, fwc = nans(), nans(), nans(), nans()
-    comp_l, comp_s, comp_a = nans(), nans(), nans()
-
     spec = fluid.spec
-    interval_var0 = []
+    interval_var0, parts = [], []
     varX0 = spec.var_x0
 
     for iv in fluid.intervals:
         interval_var0.append((iv.kind, iv.start, varX0))
-        idx = iv.idx
-        gsl = slice(iv.i0, iv.i1 + 1)
         if iv.kind == UL:
             vx = var_UL(spec, iv, varX0)
-            var_X[gsl] = vx[idx]
-            var_W[gsl] = 0.0
-            var_V[gsl] = 0.0
-            varX0 = float(vx[-1])
+            parts.append({"var_X": vx})
         else:
             k = IntervalKernels.build(iv, spec)
             w_parts = _var_w_star_parts(k)
@@ -241,27 +229,20 @@ def propagate(fluid: FluidSolution) -> GaussianSolution:
             vx = vxs + varX0 * k.Fwc[: iv.n_in] ** 2
             vws = w_parts[0] + w_parts[1] + w_parts[2]
             vw, vv, vvs = var_W_V(k, vws, varX0)
-            var_X[gsl] = vx[idx]
-            var_Xstar[gsl] = vxs[idx]
-            var_W[gsl] = vw[idx]
-            var_Wstar[gsl] = vws[idx]
-            var_V[gsl] = vv[idx]
-            var_Vstar[gsl] = vvs[idx]
             # each content kernel is the matching waiting-time kernel times
             # the boundary density, so the cross integral factorizes
-            cov[gsl] = (k.qw * vws)[idx]
-            fwc[gsl] = k.Fwc[idx]
-            comp_l[gsl] = x_parts[0][idx]
-            comp_s[gsl] = x_parts[1][idx]
-            comp_a[gsl] = x_parts[2][idx]
-            varX0 = float(vx[-1])
+            parts.append({
+                "var_X": vx, "var_Xstar": vxs, "var_W": vw, "var_Wstar": vws,
+                "var_V": vv, "var_Vstar": vvs, "cov_XW": k.qw * vws, "Fwc": k.Fwc,
+                "var_X_lambda": x_parts[0], "var_X_s": x_parts[1], "var_X_a": x_parts[2]})
+        varX0 = float(vx[-1])
 
-    return GaussianSolution(
-        fluid=fluid, grid=fluid.grid, var_X=var_X, var_Xstar=var_Xstar,
-        var_W=var_W, var_Wstar=var_Wstar, var_V=var_V, var_Vstar=var_Vstar,
-        cov_XW=cov, Fwc=fwc, var_X_lambda=comp_l, var_X_s=comp_s,
-        var_X_a=comp_a, interval_var0=interval_var0,
-    )
+    # var_W and var_V are zero in UL, the OL-only grids nan
+    ol_only = ("var_Xstar", "var_Wstar", "var_Vstar", "cov_XW", "Fwc", "var_X_lambda",
+               "var_X_s", "var_X_a")
+    cols = _on_grid(fluid.intervals, len(fluid.grid), parts,
+                    {"var_W": 0.0, "var_V": 0.0, **dict.fromkeys(ol_only, np.nan)})
+    return GaussianSolution(fluid=fluid, grid=fluid.grid, interval_var0=interval_var0, **cols)
 
 
 @dataclass

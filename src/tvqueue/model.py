@@ -54,8 +54,11 @@ class ValidationReport:
         return "; ".join(self.violations)
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def validate(spec: ModelSpec) -> ValidationReport:
-    """Check positivity, finiteness, staffing continuity and initial conditions."""
+    """Check positivity, finiteness, staffing continuity and initial
+    conditions.  A non-finite parameter makes nan or inf values, which
+    fail the checks without a floating-point warning."""
     report = ValidationReport()
     for name in ("horizon", "mu", "x0", "var_x0", "c_lambda"):
         if not np.isfinite(getattr(spec, name)):
@@ -87,8 +90,9 @@ def validate(spec: ModelSpec) -> ValidationReport:
         report.violations.append("Var(X(0)) >= 0 fails")
     if spec.x0 < 0:
         report.violations.append("X(0) >= 0 fails")
-    s0 = spec.staffing.scalar(0.0)
-    if spec.x0 > s0 + 1e-12:
+    # values: s on the grid; the scalar s(0) only where it is finite there
+    # (math raises on a non-finite sinusoid phase)
+    if np.isfinite(values[0]) and spec.x0 > spec.staffing.scalar(0.0) + 1e-12:
         report.violations.append("X(0) <= s(0) fails")
     try:
         # positive up to the first age where Fc underflows; at an older age

@@ -49,11 +49,22 @@ class PatienceDist:
         return self.survival(x), self.pdf(x)
 
     def breakpoints(self):
-        """Ages where the density may kink (empty for closed forms)."""
+        """Ages where an age-integral panel must end: where the density
+        may kink, and where it decays fast (empty for slow closed forms)."""
         return np.empty(0)
 
     def sample(self, rng, size):
         raise NotImplementedError
+
+
+def _graded_ages(rate):
+    """The ages 2^-j, j = 1..J, J the least with rate 2^-J <= 8: panel
+    edges graded toward age 0, so that a phase of this rate decays by at
+    most e^-8 (its Fc^2 by e^-16) over the first panel."""
+    ages = []
+    while rate * 2.0 ** -len(ages) > 8.0:
+        ages.append(2.0 ** -(len(ages) + 1))
+    return np.array(ages)
 
 
 @dataclass(frozen=True)
@@ -61,8 +72,8 @@ class ExponentialPatience(PatienceDist):
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("exponential rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("exponential rate must be positive and finite")
 
     def cdf(self, x):
         return -np.expm1(-self.rate * np.asarray(x, dtype=float))
@@ -80,6 +91,9 @@ class ExponentialPatience(PatienceDist):
         fc = self.survival(x)
         return fc, self.rate * fc
 
+    def breakpoints(self):
+        return _graded_ages(self.rate)
+
     def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
 
@@ -95,8 +109,8 @@ class H2Patience(PatienceDist):
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("mixing probability must lie in [0, 1]")
-        if self.rate1 <= 0 or self.rate2 <= 0:
-            raise ValueError("H2 rates must be positive")
+        if not (0 < self.rate1 < math.inf and 0 < self.rate2 < math.inf):
+            raise ValueError("H2 rates must be positive and finite")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -119,6 +133,9 @@ class H2Patience(PatienceDist):
         return (self.p * e1 + q * e2,
                 self.p * self.rate1 * e1 + q * self.rate2 * e2)
 
+    def breakpoints(self):
+        return _graded_ages(max(self.rate1, self.rate2))
+
     def sample(self, rng, size):
         phase = rng.random(size) < self.p
         rates = np.where(phase, self.rate1, self.rate2)
@@ -138,6 +155,8 @@ class TabulatedPatience(PatienceDist):
         if x.ndim != 1 or x.shape != F.shape or len(x) < 2:
             raise ValueError("tabulated cdf needs x and F as 1-D lists of the "
                              "same length, at least 2")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(F))):
+            raise ValueError("tabulated cdf needs finite x and F")
         if x[0] != 0.0 or F[0] != 0.0:
             raise ValueError("tabulated cdf must start at F(0) = 0")
         if np.any(np.diff(x) <= 0) or np.any(np.diff(F) < 0):
@@ -186,8 +205,8 @@ class TabulatedPatience(PatienceDist):
 
     def breakpoints(self):
         """The knots past 0: the cubic pieces' ends, the last one where the
-        exponential tail starts."""
-        return self.x[1:].copy()
+        exponential tail starts; past it, the tail's graded ages."""
+        return np.concatenate([self.x[1:], self._x_end + _graded_ages(self._tail_rate)])
 
     def sample(self, rng, size):
         u = rng.random(size)

@@ -115,6 +115,15 @@ def test_bad_tabulated_table_is_config_error(tmp_path, capsys):
                  "mean must be positive", id="h2_mean"),
     pytest.param({"kind": "tabulated", "params": {"x": [0.0, 1.0, 2.0], "F": [0.0, 0.5, 0.4]}},
                  "tabulated cdf must be nondecreasing", id="tabulated_decreasing"),
+    # a non-finite rate or table value is a config error too, not a
+    # misleading Fc(x) > 0 violation
+    pytest.param({"kind": "exponential", "params": {"rate": float("inf")}},
+                 "exponential rate must be positive and finite", id="exponential_rate_inf"),
+    pytest.param({"kind": "h2", "params": {"p": 0.5, "rate1": float("inf"), "rate2": 2.0}},
+                 "H2 rates must be positive and finite", id="h2_rate1_inf"),
+    pytest.param({"kind": "tabulated",
+                  "params": {"x": [0.0, 1.0, float("inf")], "F": [0.0, 0.5, 0.6]}},
+                 "tabulated cdf needs finite x and F", id="tabulated_x_inf"),
 ])
 def test_bad_patience_parameters_are_config_errors(tmp_path, capsys, params, message):
     cfg = _write_config(tmp_path, patience=params)
@@ -228,6 +237,15 @@ def test_compare_pass_and_fail(tmp_path, capsys):
      "s_sup < inf fails"),
     ({"c_lambda": -1.0}, "c_lambda >= 0 fails"),
     ({"var_x0": -1.0}, "Var(X(0)) >= 0 fails"),
+    # an infinite function parameter: nan values on the grid, and no
+    # floating-point warning or math domain error on the way
+    ({"staffing": {"kind": "sinusoid",
+                   "params": {"a": 1.0, "b": 0.3, "c": 1.0, "d": float("inf")}}},
+     "s_inf > 0 fails"),
+    ({"lambda": {"kind": "sinusoid", "params": {"a": 1.0, "b": 0.6, "c": float("inf")}}},
+     "lambda_inf > 0 fails"),
+    ({"lambda": {"kind": "linear", "params": {"intercept": 1.0, "slope": float("inf")}}},
+     "lambda_inf > 0 fails"),
 ])
 def test_non_finite_number_is_invalid_model(tmp_path, capsys, overrides, violation):
     # json reads NaN and Infinity; validate must not let them through, nor
@@ -236,7 +254,7 @@ def test_non_finite_number_is_invalid_model(tmp_path, capsys, overrides, violati
     assert main(["variance", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert violation in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 @pytest.mark.parametrize("horizon, obs_step", [(0.25, "0.05"), (16.0, "20")])
