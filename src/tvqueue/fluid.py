@@ -304,11 +304,8 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
     intervals: list[FluidInterval] = []
     switches: list[float] = []
 
-    if spec.x0 < ctx.s(0.0) - 1e-12:
-        kind = UL
-    else:
-        # start exactly on the boundary: loading direction decides
-        kind = OL if ctx.lam(0.0) > ctx.b0(0.0) else UL
+    # a start on the boundary: the loading direction decides
+    kind = OL if _starts_on_boundary(spec) and ctx.lam(0.0) > ctx.b0(0.0) else UL
 
     t_cur = 0.0
     k = 0
@@ -350,6 +347,13 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
         "b0": np.nan, "qtilde_w": np.nan})
     return FluidSolution(spec=spec, step=step, grid=grid, intervals=intervals,
                          switch_times=np.asarray(switches), **cols)
+
+
+def _starts_on_boundary(spec: ModelSpec) -> bool:
+    """Whether the fluid starts on the staffing boundary, x0 >= s(0) - 1e-12:
+    solve_fluid's rule for the first regime, which the moved solves of the
+    refined mean shift keep."""
+    return spec.x0 >= spec.staffing.scalar(0.0) - 1e-12
 
 
 def _on_grid(intervals, size, parts, fill):

@@ -1,26 +1,24 @@
 """Second-order (Gaussian) approximation: variance and covariance grids.
 
-Overloaded intervals carry the kernel grids: the relaxation exponent h,
-its cumulative integral G and the three noise intensities (arrival,
-service, abandonment).  Each variance solves a linear ODE x' = G' x + f
-from its interval's start by one overflow-safe cumulative Simpson filter
-on the irregular local grid (_filter); the three waiting-time sources
-share one exponent and run as one stacked filter.  The potential-wait
-variance takes the exit times t + v(t) from the fluid solve
-(FluidInterval.u_loc), reads w there from the interval's path, wdot and
-b(t,0) by the fluid's OL stage (fluid.ol_rates), and its two variance
-grids through one stacked cubic Hermite interpolant
-(functions.PiecewisePolyFn.hermite) whose slopes come from the ODEs.
-Underloaded intervals read the infinite-server variance from the fluid
-content (var_UL).  Every interval is solved on the local grid the fluid
-solution gives it (FluidInterval.t_loc), and its variances reach the
-global grid through the fluid's reader of local columns (fluid._on_grid);
-the 1-D kernels also span an OL grid's continuation past the horizon.
-w, wdot, the boundary density, b(t,0) and the queue-noise age integrals
-are the fluid's; no age matrix is formed here.
 propagate() walks the interval partition and hands the content variance
 at each switching point to the next interval as its initial-condition
-variance.
+variance.  Each interval is solved on the local grid the fluid solution
+gives it (FluidInterval.t_loc) by one function, and its columns reach the
+global grid through the fluid's reader of local columns (fluid._on_grid).
+Underloaded intervals read the infinite-server variance from the fluid
+content (var_UL).  An overloaded interval's columns come from _ol_columns:
+its kernel grids (IntervalKernels: the relaxation exponent h, its
+cumulative integral G and the three noise intensities of arrival,
+service and abandonment) span the local grid, the continuation past the
+horizon included.  Each variance solves a linear ODE x' = G' x + f from
+the interval's start by one overflow-safe cumulative Simpson filter on
+the irregular local grid (_filter); the three waiting-time sources share
+one exponent and run as one stacked filter.  The potential-wait variance
+is read at the exit times t + v(t) the fluid solve keeps
+(FluidInterval.u_loc) through one stacked cubic Hermite interpolant
+(functions.PiecewisePolyFn.hermite) whose slopes come from the ODEs.
+w, wdot, the boundary density, b(t,0) and the queue-noise age integrals
+are the fluid's; no age matrix is formed here.
 mean_shift_refined differentiates the fluid solve along the refinement
 terms; it keeps no copy of the fluid dynamics.
 
@@ -35,8 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fluid import (UL, FluidInterval, FluidSolution, _cumquad, _on_grid, _step_tolerance,
-                    ol_rates, solve_fluid)
+from .fluid import (UL, FluidInterval, FluidSolution, _cumquad, _on_grid, _starts_on_boundary,
+                    _step_tolerance, ol_rates, solve_fluid)
 from .functions import PiecewisePolyFn, SumFn
 from .model import ModelSpec, write_columns
 
@@ -47,7 +45,6 @@ __all__ = [
     "IntervalKernels",
     "GaussianSolution",
     "MeanShift",
-    "var_W_V",
     "var_UL",
     "propagate",
     "mean_shift_refined",
@@ -79,25 +76,18 @@ def _filter(G, f, tau, x0=0.0):
 
 @dataclass
 class IntervalKernels:
-    """Kernel grids for one overloaded interval.
-
-    Local times t are absolute; tau = t - start.  All arrays share the
-    interval's local grid (start, interior grid points, end, continuation).
-    """
+    """Kernel grids for one overloaded interval, on its local grid
+    interval.t_loc (start, interior grid points, end, continuation);
+    tau = t - start.  w, wdot and the boundary density are the interval's
+    (y_loc, ydot_loc, qw_loc)."""
 
     interval: FluidInterval
-    spec: ModelSpec
-    t: np.ndarray
     tau: np.ndarray
-    w: np.ndarray
-    wdot: np.ndarray
-    qw: np.ndarray          # boundary queue density lambda(t-w) Fc(w)
     h: np.ndarray           # waiting-time relaxation exponent
     G: np.ndarray           # cumulative integral of h
     I1: np.ndarray          # arrival noise intensity
     I2: np.ndarray          # service noise intensity
     I3: np.ndarray          # abandonment noise intensity
-    Isq: np.ndarray         # I1^2 + I2^2 + I3^2
     hFw: np.ndarray         # patience hazard at the boundary age w
     Fwc: np.ndarray         # exp(-int of hFw): initial-content survival
 
@@ -114,59 +104,53 @@ class IntervalKernels:
         hFw = fw / Fcw          # patience hazard at the boundary age
         sdot = np.asarray(spec.staffing.deriv(t), dtype=float)
         h = (1.0 - wdot) * (-lamd_tw / lam_tw - hFw)
-        G = _cumquad(h, tau)
         I1 = spec.c_lambda * np.sqrt(Fcw * b0) / qw
         I2 = -np.sqrt(np.maximum(b0 - sdot, 0.0)) / qw
         I3 = -np.sqrt(Fw * b0) / qw
-        Isq = I1 ** 2 + I2 ** 2 + I3 ** 2
-        Fwc = np.exp(-_cumquad(hFw, tau))
-        return IntervalKernels(
-            interval=interval, spec=spec, t=t, tau=tau, w=w, wdot=wdot, qw=qw,
-            h=h, G=G, I1=I1, I2=I2, I3=I3, Isq=Isq, hFw=hFw, Fwc=Fwc,
-        )
+        return IntervalKernels(interval=interval, tau=tau, h=h, G=_cumquad(h, tau),
+                               I1=I1, I2=I2, I3=I3, hFw=hFw,
+                               Fwc=np.exp(-_cumquad(hFw, tau)))
 
 
-def _var_w_star_parts(k: IntervalKernels):
-    """Per-source waiting-time deviation variances on the interval grid,
-    one row per source (arrival, service, abandonment), each the solution
-    of v' = 2 h v + I_i^2 from v = 0: one filter pass for all three."""
-    return _filter(2.0 * k.G, np.stack((k.I1, k.I2, k.I3)) ** 2, k.tau)
+def _ol_columns(iv: FluidInterval, spec: ModelSpec, varX0: float) -> dict:
+    """The variance columns of an overloaded interval on its local grid,
+    from the content variance varX0 at its start; var_X, var_W, var_V and
+    the content parts end at the interval's end (iv.n_in points).
 
-
-def _var_x_star_parts(k: IntervalKernels, w_parts):
-    """Per-source content-deviation variances (queue noise from the age
-    integrals Q_loc, Q2_loc + waiting-time feedback, w_parts =
-    _var_w_star_parts(k)) on the local points up to the interval's end."""
-    iv = k.interval
-    q2 = k.qw[: iv.n_in] ** 2
-    part_lam = k.spec.c_lambda ** 2 * iv.Q2_loc + q2 * w_parts[0][: iv.n_in]
-    part_s = q2 * w_parts[1][: iv.n_in]
-    part_a = (iv.Q_loc - iv.Q2_loc) + q2 * w_parts[2][: iv.n_in]
-    return part_lam, part_s, part_a
-
-
-def var_W_V(kernels: IntervalKernels, vws: np.ndarray, varX0: float):
-    """(var_W, var_V, var_Vstar) on the local points up to the interval's
-    end, from vws, the zero-start head-of-line variance on the local grid.
-
+    The three waiting-time sources solve v' = 2 h v + I_i^2 from v = 0 as
+    one stacked filter; each content part is its queue noise, from the
+    age integrals Q_loc and Q2_loc, plus its waiting-time feedback qw^2 v.
     The potential-waiting variance reads the head-of-line variance at the
-    virtual exit times u = t + v(t) = L^{-1}(t), which the fluid solve
-    keeps (interval.u_loc) and the continuation past the horizon keeps on
-    the local grid: w from the interval's path, wdot and b(t,0) by the
-    fluid's OL stage, and vws and Fwc through one stacked cubic Hermite
-    interpolant, one knot search for both, whose knot slopes are the
-    exact ODE derivatives, d vws/dt = 2 h vws + Isq and
+    exit times u = t + v(t) = L^{-1}(t) (iv.u_loc, past the horizon on the
+    continuation): w from the interval's path, wdot and b(t,0) by the
+    fluid's OL stage, and var_Wstar and Fwc through one stacked cubic
+    Hermite interpolant whose knot slopes are the exact ODE derivatives,
+    d var_Wstar/dt = 2 h var_Wstar + I1^2 + I2^2 + I3^2 and
     d Fwc/dt = -hFw Fwc.
     """
-    k = kernels
-    m = k.interval.n_in
-    var_W = vws[:m] + varX0 * k.Fwc[:m] ** 2 / k.qw[:m] ** 2
-    u = k.interval.u_loc
-    wdot_u, _, b0_u = ol_rates(k.spec, u, k.interval.path(u))
+    k = IntervalKernels.build(iv, spec)
+    m, qw, Fwc = iv.n_in, iv.qw_loc, k.Fwc
+    sq = np.stack((k.I1, k.I2, k.I3)) ** 2
+    w_parts = _filter(2.0 * k.G, sq, k.tau)
+    vws = w_parts[0] + w_parts[1] + w_parts[2]
+    q2 = qw[:m] ** 2
+    x_lam = spec.c_lambda ** 2 * iv.Q2_loc + q2 * w_parts[0][:m]
+    x_s = q2 * w_parts[1][:m]
+    x_a = (iv.Q_loc - iv.Q2_loc) + q2 * w_parts[2][:m]
+    vxs = x_lam + x_s + x_a
+    u = iv.u_loc
+    wdot_u, _, b0_u = ol_rates(spec, u, iv.path(u))
     vws_u, fwc_u = PiecewisePolyFn.hermite(
-        k.t, np.stack((vws, k.Fwc)), np.stack((2.0 * k.h * vws + k.Isq, -k.hFw * k.Fwc)))(u)
-    var_Vstar = np.maximum(vws_u, 0.0) / (1.0 - wdot_u) ** 2
-    return var_W, var_Vstar + varX0 * fwc_u ** 2 / b0_u ** 2, var_Vstar
+        iv.t_loc, np.stack((vws, Fwc)),
+        np.stack((2.0 * k.h * vws + (sq[0] + sq[1] + sq[2]), -k.hFw * Fwc)))(u)
+    vvs = np.maximum(vws_u, 0.0) / (1.0 - wdot_u) ** 2
+    # each content kernel is the matching waiting-time kernel times the
+    # boundary density, so the cross integral factorizes
+    return {"var_X": vxs + varX0 * Fwc[:m] ** 2, "var_Xstar": vxs,
+            "var_W": vws[:m] + varX0 * Fwc[:m] ** 2 / qw[:m] ** 2, "var_Wstar": vws,
+            "var_V": vvs + varX0 * fwc_u ** 2 / b0_u ** 2, "var_Vstar": vvs,
+            "cov_XW": qw * vws, "Fwc": Fwc,
+            "var_X_lambda": x_lam, "var_X_s": x_s, "var_X_a": x_a}
 
 
 def var_UL(spec: ModelSpec, interval: FluidInterval, varX0: float) -> np.ndarray:
@@ -218,24 +202,9 @@ def propagate(fluid: FluidSolution) -> GaussianSolution:
 
     for iv in fluid.intervals:
         interval_var0.append((iv.kind, iv.start, varX0))
-        if iv.kind == UL:
-            vx = var_UL(spec, iv, varX0)
-            parts.append({"var_X": vx})
-        else:
-            k = IntervalKernels.build(iv, spec)
-            w_parts = _var_w_star_parts(k)
-            x_parts = _var_x_star_parts(k, w_parts)
-            vxs = x_parts[0] + x_parts[1] + x_parts[2]
-            vx = vxs + varX0 * k.Fwc[: iv.n_in] ** 2
-            vws = w_parts[0] + w_parts[1] + w_parts[2]
-            vw, vv, vvs = var_W_V(k, vws, varX0)
-            # each content kernel is the matching waiting-time kernel times
-            # the boundary density, so the cross integral factorizes
-            parts.append({
-                "var_X": vx, "var_Xstar": vxs, "var_W": vw, "var_Wstar": vws,
-                "var_V": vv, "var_Vstar": vvs, "cov_XW": k.qw * vws, "Fwc": k.Fwc,
-                "var_X_lambda": x_parts[0], "var_X_s": x_parts[1], "var_X_a": x_parts[2]})
-        varX0 = float(vx[-1])
+        parts.append({"var_X": var_UL(spec, iv, varX0)} if iv.kind == UL
+                     else _ol_columns(iv, spec, varX0))
+        varX0 = float(parts[-1]["var_X"][-1])
 
     # var_W and var_V are zero in UL, the OL-only grids nan
     ol_only = ("var_Xstar", "var_Wstar", "var_Vstar", "cov_XW", "Fwc", "var_X_lambda",
@@ -258,14 +227,15 @@ def mean_shift_refined(fluid: FluidSolution) -> MeanShift:
     the fluid content and wait along (arrival_rate_g, staffing_g), as the
     central difference of two fluid solves at fluid.step, on the spec
     moved by +-eps, eps = _step_tolerance(fluid.step)^(1/3).  Each moved
-    solve finds its own switch times.  A start on the staffing boundary,
-    x0 = s(0), moves with s, so both moved specs start in its regime.
+    solve finds its own switch times.  A start on the staffing boundary
+    (fluid._starts_on_boundary) moves with s, so both moved specs start
+    in its regime.
     """
     spec = fluid.spec
     if spec.arrival_rate_g is None or spec.staffing_g is None:
         raise ValueError("refined terms not specified")
     eps = _step_tolerance(fluid.step) ** (1.0 / 3.0)
-    on_boundary = spec.x0 >= spec.staffing.scalar(0.0) - 1e-12
+    on_boundary = _starts_on_boundary(spec)
 
     def moved(c):
         return solve_fluid(replace(

@@ -27,6 +27,7 @@ difference of two fluid solves.
 
 import heapq
 from math import inf
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import quad, simpson, solve_ivp
@@ -58,8 +59,14 @@ def ul_content(spec, t, x0, interval_start=0.0):
 
 
 def first_ol_kernels(fluid):
-    """Kernel grids of the first overloaded interval of a fluid solution."""
-    return IntervalKernels.build([v for v in fluid.intervals if v.kind == "OL"][0], fluid.spec)
+    """Kernel grids of the first overloaded interval of a fluid solution,
+    beside its local times t, w, wdot and boundary density qw, the spec and
+    the summed noise intensity Isq = I1^2 + I2^2 + I3^2."""
+    iv = [v for v in fluid.intervals if v.kind == "OL"][0]
+    k = IntervalKernels.build(iv, fluid.spec)
+    return SimpleNamespace(**vars(k), spec=fluid.spec, t=iv.t_loc, w=iv.y_loc,
+                           wdot=iv.ydot_loc, qw=iv.qw_loc,
+                           Isq=k.I1 ** 2 + k.I2 ** 2 + k.I3 ** 2)
 
 
 def _w_at(k, t):

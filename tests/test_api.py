@@ -31,6 +31,34 @@ def test_all_names_resolve(module):
     assert not missing
 
 
+# every module's public names: adding or dropping one is an edit here
+PUBLIC = {
+    "approx": ["PerformanceReport", "truncated_moments", "report", "write_report_csv"],
+    "cli": ["main"],
+    "compare": ["CompareResult", "compare", "compare_metrics", "write_compare_csv",
+                "write_summary"],
+    "fluid": ["FluidSolution", "FluidInterval", "StaffingInfeasibleError",
+              "CriticalLoadingError", "BoundaryDensityError", "solve_fluid",
+              "write_fluid_csv"],
+    "functions": ["SmoothFn", "ConstantFn", "LinearFn", "SinusoidFn", "PiecewisePolyFn",
+                  "fn_from_config"],
+    "gaussian": ["IntervalKernels", "GaussianSolution", "MeanShift", "var_UL", "propagate",
+                 "mean_shift_refined", "write_gaussian_csv"],
+    "model": ["ModelSpec", "ValidationReport", "validate", "load_spec", "spec_from_dict"],
+    "patience": ["PatienceDist", "ExponentialPatience", "H2Patience", "TabulatedPatience",
+                 "h2_from_scv", "patience_from_config"],
+    "sim": ["SimConfig", "SimPath", "SimEstimate", "Moments", "arrival_envelope",
+            "gen_arrivals", "staffing_epochs", "run_replication", "estimate",
+            "write_path_csv", "write_estimate_csv"],
+}
+
+
+def test_public_api_is_pinned():
+    assert sorted(PUBLIC) == MODULES
+    for module, names in PUBLIC.items():
+        assert importlib.import_module(f"tvqueue.{module}").__all__ == names, module
+
+
 def test_package_imports_resolve():
     imports = _package_imports()
     assert imports

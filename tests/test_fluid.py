@@ -473,16 +473,15 @@ def test_kernels_read_the_intervals_boundary_values(request, model):
     spec = _bench_spec(request, model)
     for iv in [v for v in solve_fluid(spec).intervals if v.kind == "OL"]:
         k = IntervalKernels.build(iv, spec)
-        assert k.qw is iv.qw_loc and k.w is iv.y_loc and k.wdot is iv.ydot_loc
         t, w = iv.t_loc, iv.y_loc
         Fc = np.asarray(spec.patience.survival(w), dtype=float)
         f = np.asarray(spec.patience.pdf(w), dtype=float)
         b0 = (np.asarray(spec.staffing(t), dtype=float) * spec.mu
               + np.asarray(spec.staffing.deriv(t), dtype=float))
-        assert np.array_equal(k.qw, np.asarray(spec.arrival_rate(t - w), dtype=float) * Fc)
+        assert np.array_equal(iv.qw_loc, np.asarray(spec.arrival_rate(t - w), dtype=float) * Fc)
         assert np.array_equal(iv.b0_loc, b0)
         assert np.array_equal(k.hFw, f / Fc)
-        assert np.array_equal(k.I1, spec.c_lambda * np.sqrt(Fc * b0) / k.qw)
+        assert np.array_equal(k.I1, spec.c_lambda * np.sqrt(Fc * b0) / iv.qw_loc)
 
 
 @pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed"])

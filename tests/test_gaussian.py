@@ -8,16 +8,15 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from tvqueue import gaussian
+from tvqueue.compare import compare
 from tvqueue.fluid import solve_fluid
 from tvqueue.functions import ConstantFn, PiecewisePolyFn, SinusoidFn
 from tvqueue.gaussian import (
-    IntervalKernels,
     _cumquad,
-    _var_w_star_parts,
+    _ol_columns,
     mean_shift_refined,
     propagate,
     var_UL,
-    var_W_V,
     write_gaussian_csv,
 )
 from tvqueue.model import ModelSpec
@@ -44,11 +43,16 @@ def test_stationary_kernel_ingredients(stationary_ol_fluid):
     assert k.I3[-1] ** 2 == pytest.approx(1.0 / 3.0, abs=1e-5)
 
 
-def test_stationary_variance_limits(stationary_ol_gaussian):
-    gs = stationary_ol_gaussian
-    assert gs.var_Wstar[-1] == pytest.approx(2.0, abs=1e-4)
-    assert gs.var_Xstar[-1] == pytest.approx(3.0, abs=1e-4)
-    assert gs.cov_XW[-1] == pytest.approx(2.0, abs=1e-4)
+@pytest.mark.parametrize("c_lambda", [0.0, 0.5, 1.0, 2.0])
+def test_stationary_variance_limits(stationary_ol_spec, c_lambda):
+    # renewal arrivals scale the arrival noise: I1^2 -> 2 c^2 / 3, so
+    # var_Wstar -> (2 c^2 + 4) / 3 and, with Q -> 1 and Q2 -> 5/6,
+    # var_Xstar -> c^2 Q2 + Q - Q2 + var_Wstar = 3 (c^2 + 1) / 2
+    gs = propagate(solve_fluid(dataclasses.replace(stationary_ol_spec, c_lambda=c_lambda)))
+    c2 = c_lambda ** 2
+    assert gs.var_Wstar[-1] == pytest.approx((2.0 * c2 + 4.0) / 3.0, abs=1e-4)
+    assert gs.var_Xstar[-1] == pytest.approx(1.5 * (c2 + 1.0), abs=1e-4)
+    assert gs.cov_XW[-1] == pytest.approx((2.0 * c2 + 4.0) / 3.0, abs=1e-4)
     assert gs.var_Vstar[-2000] == pytest.approx(
         gs.var_Wstar[-2000], abs=1e-3)   # wdot -> 0 in the limit
 
@@ -85,9 +89,11 @@ def test_variance_additivity(sine_h2_gaussian):
     assert np.max(np.abs(total - gs.var_Xstar[ol])) < 1e-12
 
 
-def test_direct_vs_kernel_route(sine_h2_gaussian):
-    # two independent evaluations of the content-deviation variance
-    gs = sine_h2_gaussian
+@pytest.mark.parametrize("c_lambda", [1.0, 2.0])
+def test_direct_vs_kernel_route(sine_h2_spec, c_lambda):
+    # two independent evaluations of the content-deviation variance, under
+    # Poisson and under renewal arrivals
+    gs = propagate(solve_fluid(dataclasses.replace(sine_h2_spec, c_lambda=c_lambda)))
     times = np.array([2.0, 2.5, 3.0, 3.5])
     direct = np.interp(times, gs.grid, gs.var_Xstar)
     kernel = var_X_star_kernel(first_ol_kernels(gs.fluid), times)
@@ -105,15 +111,14 @@ def test_initial_content_survival_exponential(stationary_ol_fluid):
 def test_waiting_potential_identity(sine_h2_fluid):
     # var_Vstar(t) (1 - wdot(t+v))^2 equals var_Wstar read at t + v(t)
     # vws is read on the local grid, past the horizon too
-    k = first_ol_kernels(sine_h2_fluid)
-    p1, p2, p3 = _var_w_star_parts(k)
-    vws = p1 + p2 + p3
-    vw, vv, vvs = var_W_V(k, vws, 0.0)
-    u = k.interval.l_inverse(k.t)
-    ok = (u <= k.t[-1]) & (k.tau > 0.1)
-    wdot_u = np.interp(u[ok], k.t, k.wdot)
+    iv = [v for v in sine_h2_fluid.intervals if v.kind == "OL"][0]
+    cols = _ol_columns(iv, sine_h2_fluid.spec, 0.0)
+    t, vws, vvs = iv.t_loc, cols["var_Wstar"], cols["var_Vstar"]
+    u = iv.l_inverse(t)
+    ok = (u <= t[-1]) & (t - iv.start > 0.1)
+    wdot_u = np.interp(u[ok], t, iv.ydot_loc)
     back = vvs[ok] * (1.0 - wdot_u) ** 2
-    expect = np.interp(u[ok], k.t, vws)
+    expect = np.interp(u[ok], t, vws)
     assert np.max(np.abs(back - expect)) < 1e-6
 
 
@@ -542,18 +547,17 @@ def test_potential_wait_hermite_against_spline(sine_h2_spec, sine_h2_fluid):
     # spline through the same samples; they differ by interpolation error,
     # not rounding
     for iv in [v for v in sine_h2_fluid.intervals if v.kind == "OL"]:
-        k = IntervalKernels.build(iv, sine_h2_spec)
-        vws = sum(_var_w_star_parts(k))
-        var_W, var_V, var_Vstar = var_W_V(k, vws, 0.7)
-        m = iv.n_in
-        u = np.minimum(iv.l_inverse(k.t[:m]), k.t[-1])
+        cols = _ol_columns(iv, sine_h2_spec, 0.7)
+        t, vws, Fwc, m = iv.t_loc, cols["var_Wstar"], cols["Fwc"], iv.n_in
+        u = np.minimum(iv.l_inverse(t[:m]), t[-1])
         b0 = sine_h2_spec.staffing(u) * sine_h2_spec.mu + sine_h2_spec.staffing.deriv(u)
-        ref_star = (np.maximum(CubicSpline(k.t, vws)(u), 0.0)
-                    / (1.0 - CubicSpline(k.t, k.wdot)(u)) ** 2)
-        ref = ref_star + 0.7 * CubicSpline(k.t, k.Fwc)(u) ** 2 / b0 ** 2
-        np.testing.assert_allclose(var_Vstar, ref_star, rtol=1e-8, atol=0.0)
-        np.testing.assert_allclose(var_V, ref, rtol=1e-8, atol=0.0)
-        np.testing.assert_array_equal(var_W, vws[:m] + 0.7 * k.Fwc[:m] ** 2 / k.qw[:m] ** 2)
+        ref_star = (np.maximum(CubicSpline(t, vws)(u), 0.0)
+                    / (1.0 - CubicSpline(t, iv.ydot_loc)(u)) ** 2)
+        ref = ref_star + 0.7 * CubicSpline(t, Fwc)(u) ** 2 / b0 ** 2
+        np.testing.assert_allclose(cols["var_Vstar"], ref_star, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(cols["var_V"], ref, rtol=1e-8, atol=0.0)
+        np.testing.assert_array_equal(cols["var_W"],
+                                      vws[:m] + 0.7 * Fwc[:m] ** 2 / iv.qw_loc[:m] ** 2)
 
 
 @pytest.mark.parametrize("staffed", [False, True], ids=["sine_h2", "sine_staffed"])
@@ -628,3 +632,16 @@ def test_mean_shift_against_simulation(sine_h2_spec):
     sim_shift = (est.mean("X")[j] - n * fl.X[i]) / np.sqrt(n)
     se = est.se("X")[j] / np.sqrt(n)
     assert abs(sim_shift - ms.mean_X[i]) <= 3.0 * se, (sim_shift, se, ms.mean_X[i])
+
+
+def test_wait_variances_against_simulation(sine_h2_spec):
+    # sine/H2, n = 200, 400 replications, seed 1: the simulated n Var(W_n)
+    # and n Var(V_n) over the predicted var_W and var_V lie in criterion
+    # 5's [0.8, 1.25] on compare's waiting-time masks
+    res = compare(sine_h2_spec, n=200, reps=400, seed=1)
+    est, gs, tg = res.sim, res.gaussian, res.sim.t
+    for name, mask in (("W", res.masks["wait"]), ("V", res.masks["v"])):
+        assert mask.sum() > 100, name
+        pred = np.interp(tg[mask], gs.grid, getattr(gs, f"var_{name}"))
+        ratio = est.scaled_var(name)[mask] / pred
+        assert 0.8 <= ratio.min() and ratio.max() <= 1.25, (name, ratio.min(), ratio.max())
