@@ -11,7 +11,7 @@ in underloaded interiors, where the refinement offers nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,8 +74,7 @@ def truncated_moments(mean, var, threshold):
     return e1, var_hi, e_lo, var_lo
 
 
-@dataclass
-class PerformanceReport:
+class PerformanceReport(SimpleNamespace):
     n: int
     grid: np.ndarray
     s_n: np.ndarray

@@ -11,7 +11,7 @@ dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,8 +27,7 @@ SWITCH_WINDOW = 0.3
 WAIT_WINDOW = 0.5
 
 
-@dataclass
-class CompareResult:
+class CompareResult(SimpleNamespace):
     fluid: FluidSolution
     gaussian: GaussianSolution
     sim: SimEstimate

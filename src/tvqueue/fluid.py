@@ -53,7 +53,7 @@ local columns onto the global grid through _on_grid, by the index map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -129,7 +129,6 @@ class BoundaryDensityError(RuntimeError):
     pass
 
 
-@dataclass
 class FluidInterval:
     kind: str
     start: float
@@ -156,6 +155,10 @@ class FluidInterval:
     steps: int = 0              # accepted adaptive steps, continuation included
     rejected: int = 0           # rejected trial steps
 
+    def __init__(self, kind: str, start: float, end: float, i0: int, i1: int, **local):
+        self.kind, self.start, self.end, self.i0, self.i1 = kind, start, end, i0, i1
+        vars(self).update(local)    # the optional fields above, by keyword
+
     @property
     def n_in(self):
         """Number of local times up to end."""
@@ -174,8 +177,7 @@ class FluidInterval:
         return r - (r - w - u) / (1.0 - wdot)
 
 
-@dataclass
-class FluidSolution:
+class FluidSolution(SimpleNamespace):
     spec: ModelSpec
     step: float                 # the grid step solve_fluid was called with
     grid: np.ndarray
@@ -296,8 +298,10 @@ def solve_fluid(spec: ModelSpec, step: float = 1e-3) -> FluidSolution:
         raise ValueError(f"grid step {step} must be positive and at most "
                          f"min(horizon, 1/mu) = {min(spec.horizon, 1.0 / spec.mu):g}")
 
-    ctx = _Ctx(spec, step)
     T = spec.horizon
+    if not T / step < np.inf:
+        raise ValueError(f"horizon {T:g} is too long for grid step {step:g}")
+    ctx = _Ctx(spec, step)
     n = int(round(T / step))
     grid = np.linspace(0.0, T, n + 1)
 

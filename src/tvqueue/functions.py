@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -54,9 +53,9 @@ class SmoothFn:
         return np.empty(0)
 
 
-@dataclass(frozen=True)
 class ConstantFn(SmoothFn):
-    value: float
+    def __init__(self, value: float):
+        self.value = value
 
     def __call__(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.value)
@@ -71,10 +70,10 @@ class ConstantFn(SmoothFn):
         return 0.0
 
 
-@dataclass(frozen=True)
 class LinearFn(SmoothFn):
-    intercept: float
-    slope: float
+    def __init__(self, intercept: float, slope: float):
+        self.intercept = intercept
+        self.slope = slope
 
     def __call__(self, t):
         return self.intercept + self.slope * np.asarray(t, dtype=float)
@@ -89,14 +88,14 @@ class LinearFn(SmoothFn):
         return float(self.slope)
 
 
-@dataclass(frozen=True)
 class SinusoidFn(SmoothFn):
     """a + b*sin(c*t + d)."""
 
-    a: float
-    b: float
-    c: float = 1.0
-    d: float = 0.0
+    def __init__(self, a: float, b: float, c: float = 1.0, d: float = 0.0):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -232,15 +231,15 @@ class PiecewisePolyFn(SmoothFn):
         return self.knots[1:-1].copy()
 
 
-@dataclass(frozen=True)
 class SumFn(SmoothFn):
     """f + c*g: a time function moved along g, as the mean shift moves
     the arrival rate and the staffing; its breakpoints are both
     functions'."""
 
-    f: SmoothFn
-    g: SmoothFn
-    c: float
+    def __init__(self, f: SmoothFn, g: SmoothFn, c: float):
+        self.f = f
+        self.g = g
+        self.c = c
 
     def __call__(self, t):
         return self.f(t) + self.c * self.g(t)
@@ -256,6 +255,37 @@ class SumFn(SmoothFn):
 
     def breakpoints(self):
         return np.union1d(self.f.breakpoints(), self.g.breakpoints())
+
+
+def halve_brackets(upper, lo, hi, *params):
+    """(lo, hi) after at most 60 halvings of the brackets [lo, hi].
+    upper(mid, *params) is True where the point sought lies at or below
+    the midpoint mid; params are arrays with one entry per bracket.
+
+    A bracket whose midpoint rounds to one of its ends is at a fixed
+    point after that halving: every later one leaves it as it is, so it
+    ends as after all 60.  Every fourth halving looks for such brackets
+    and retires them from the working arrays once they make up half of
+    them; the loop stops when none is left.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    live = np.arange(len(lo))
+    a, b = lo, hi
+    for k in range(60):
+        if not len(a):
+            break
+        mid = 0.5 * (a + b)
+        up = upper(mid, *params)
+        look = k % 4 == 3
+        if look:
+            inside = (a != mid) & (mid != b)
+        a, b = np.where(up, a, mid), np.where(up, mid, b)
+        if look and 2 * np.count_nonzero(inside) <= len(inside):
+            lo[live], hi[live] = a, b
+            live, a, b = live[inside], a[inside], b[inside]
+            params = [p[inside] for p in params]
+    lo[live], hi[live] = a, b
+    return lo, hi
 
 
 def monotone_slopes(x, y):

@@ -29,7 +29,7 @@ Distributional summaries live in the approx module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,8 +74,7 @@ def _filter(G, f, tau, x0=0.0):
     return x
 
 
-@dataclass
-class IntervalKernels:
+class IntervalKernels(SimpleNamespace):
     """Kernel grids for one overloaded interval, on its local grid
     interval.t_loc (start, interior grid points, end, continuation);
     tau = t - start.  w, wdot and the boundary density are the interval's
@@ -171,8 +170,7 @@ def var_UL(spec: ModelSpec, interval: FluidInterval, varX0: float) -> np.ndarray
     return var
 
 
-@dataclass
-class GaussianSolution:
+class GaussianSolution(SimpleNamespace):
     fluid: FluidSolution
     grid: np.ndarray
     var_X: np.ndarray
@@ -214,8 +212,7 @@ def propagate(fluid: FluidSolution) -> GaussianSolution:
     return GaussianSolution(fluid=fluid, grid=fluid.grid, interval_var0=interval_var0, **cols)
 
 
-@dataclass
-class MeanShift:
+class MeanShift(SimpleNamespace):
     grid: np.ndarray
     mean_X: np.ndarray
     mean_W: np.ndarray
@@ -238,12 +235,12 @@ def mean_shift_refined(fluid: FluidSolution) -> MeanShift:
     on_boundary = _starts_on_boundary(spec)
 
     def moved(c):
-        return solve_fluid(replace(
-            spec,
-            arrival_rate=SumFn(spec.arrival_rate, spec.arrival_rate_g, c),
-            staffing=SumFn(spec.staffing, spec.staffing_g, c),
-            x0=spec.x0 + c * spec.staffing_g.scalar(0.0) if on_boundary else spec.x0,
-        ), fluid.step)
+        return solve_fluid(ModelSpec(**{
+            **vars(spec),
+            "arrival_rate": SumFn(spec.arrival_rate, spec.arrival_rate_g, c),
+            "staffing": SumFn(spec.staffing, spec.staffing_g, c),
+            "x0": spec.x0 + c * spec.staffing_g.scalar(0.0) if on_boundary else spec.x0,
+        }), fluid.step)
 
     up, down = moved(eps), moved(-eps)
     return MeanShift(grid=fluid.grid, mean_X=(up.X - down.X) / (2.0 * eps),

@@ -9,7 +9,6 @@ instead of raising, so callers can show all problems at once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,25 +23,28 @@ _GRID_FRACTION = 1e-3
 _CSV_BLOCK = 256
 
 
-@dataclass(frozen=True)
 class ModelSpec:
-    arrival_rate: SmoothFn
-    staffing: SmoothFn
-    mu: float
-    patience: PatienceDist
-    horizon: float
-    x0: float = 0.0
-    var_x0: float = 0.0
-    c_lambda: float = 1.0  # Poisson arrivals
-    # order-sqrt(n) refinement terms of n lambda + sqrt(n) lambda_g and
-    # n s + sqrt(n) s_g, along which gaussian.mean_shift_refined differentiates
-    arrival_rate_g: SmoothFn | None = None
-    staffing_g: SmoothFn | None = None
+    def __init__(self, arrival_rate: SmoothFn, staffing: SmoothFn, mu: float,
+                 patience: PatienceDist, horizon: float, x0: float = 0.0,
+                 var_x0: float = 0.0, c_lambda: float = 1.0,
+                 arrival_rate_g: SmoothFn | None = None, staffing_g: SmoothFn | None = None):
+        self.arrival_rate = arrival_rate
+        self.staffing = staffing
+        self.mu = mu
+        self.patience = patience
+        self.horizon = horizon
+        self.x0 = x0
+        self.var_x0 = var_x0
+        self.c_lambda = c_lambda  # 1: Poisson arrivals
+        # order-sqrt(n) refinement terms of n lambda + sqrt(n) lambda_g and
+        # n s + sqrt(n) s_g, along which gaussian.mean_shift_refined differentiates
+        self.arrival_rate_g = arrival_rate_g
+        self.staffing_g = staffing_g
 
 
-@dataclass
 class ValidationReport:
-    violations: list = field(default_factory=list)
+    def __init__(self, violations: list | None = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

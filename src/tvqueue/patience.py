@@ -12,11 +12,10 @@ gives Fc and f on one age block from one pass for its age integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import PiecewisePolyFn, monotone_slopes
+from .functions import PiecewisePolyFn, halve_brackets, monotone_slopes
 
 __all__ = [
     "PatienceDist",
@@ -67,13 +66,11 @@ def _graded_ages(rate):
     return np.array(ages)
 
 
-@dataclass(frozen=True)
 class ExponentialPatience(PatienceDist):
-    rate: float
-
-    def __post_init__(self):
-        if not 0 < self.rate < math.inf:
+    def __init__(self, rate: float):
+        if not 0 < rate < math.inf:
             raise ValueError("exponential rate must be positive and finite")
+        self.rate = rate
 
     def cdf(self, x):
         return -np.expm1(-self.rate * np.asarray(x, dtype=float))
@@ -98,19 +95,17 @@ class ExponentialPatience(PatienceDist):
         return rng.exponential(1.0 / self.rate, size)
 
 
-@dataclass(frozen=True)
 class H2Patience(PatienceDist):
     """Mixture p*Exp(rate1) + (1-p)*Exp(rate2)."""
 
-    p: float
-    rate1: float
-    rate2: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
+    def __init__(self, p: float, rate1: float, rate2: float):
+        if not 0.0 <= p <= 1.0:
             raise ValueError("mixing probability must lie in [0, 1]")
-        if not (0 < self.rate1 < math.inf and 0 < self.rate2 < math.inf):
+        if not (0 < rate1 < math.inf and 0 < rate2 < math.inf):
             raise ValueError("H2 rates must be positive and finite")
+        self.p = p
+        self.rate1 = rate1
+        self.rate2 = rate2
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -222,19 +217,24 @@ class TabulatedPatience(PatienceDist):
             # bisected in the local variable alone
             j = np.minimum(np.searchsorted(self.F, target, side="right") - 1,
                            len(self.x) - 2)
-            c0, c1, c2, c3 = self._interp.coeffs[j].T
-            lo = np.zeros(len(target))
-            hi = np.diff(self.x)[j]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                above = c0 + mid * (c1 + mid * (c2 + mid * c3)) > target
-                hi = np.where(above, mid, hi)
-                lo = np.where(above, lo, mid)
+            lo, hi = halve_brackets(_cubic_above, np.zeros(len(target)), np.diff(self.x)[j],
+                                    *self._interp.coeffs[j].T, target)
             flat[in_table] = self.x[j] + 0.5 * (lo + hi)
         if np.any(~in_table):
             utail = uu[~in_table]
             flat[~in_table] = self.x[-1] - np.log((1.0 - utail) / (1.0 - self.F[-1])) / self._tail_rate
         return out
+
+
+def _cubic_above(u, c0, c1, c2, c3, y):
+    """c0 + u (c1 + u (c2 + u c3)) > y, the cubic evaluated in place."""
+    p = c3 * u
+    p += c2
+    p *= u
+    p += c1
+    p *= u
+    p += c0
+    return p > y
 
 
 def h2_from_scv(mean: float, scv: float) -> PatienceDist:

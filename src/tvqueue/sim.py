@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import os
 from array import array
-from dataclasses import dataclass, field
 from itertools import chain
 from math import floor, inf, nan, nextafter
+from types import SimpleNamespace
 
 import numpy as np
 
+from .functions import halve_brackets
 from .model import ModelSpec, staffing_level, validate, write_columns
 
 __all__ = [
@@ -61,36 +62,39 @@ __all__ = [
 ]
 
 
-@dataclass
 class SimConfig:
-    spec: ModelSpec
-    n: int
-    reps: int
-    base_seed: int = 0
-    obs_step: float = 0.05
-    parallel: int = 1
-
-    def __post_init__(self):
-        if self.n < 1 or self.reps < 1:
+    def __init__(self, spec: ModelSpec, n: int, reps: int, base_seed: int = 0,
+                 obs_step: float = 0.05, parallel: int = 1):
+        if n < 1 or reps < 1:
             raise ValueError("need n >= 1 and reps >= 1")
-        if not 0 < self.obs_step < inf:      # also rejects nan
-            raise ValueError(f"obs_step must be positive and finite, got {self.obs_step}")
-        if self.parallel < 1:
-            raise ValueError(f"need parallel >= 1, got {self.parallel}")
-        if self.base_seed < 0:
-            raise ValueError(f"need base_seed >= 0, got {self.base_seed}")
+        if not 0 < obs_step < inf:      # also rejects nan
+            raise ValueError(f"obs_step must be positive and finite, got {obs_step}")
+        if parallel < 1:
+            raise ValueError(f"need parallel >= 1, got {parallel}")
+        if base_seed < 0:
+            raise ValueError(f"need base_seed >= 0, got {base_seed}")
         # the Gaussian layer's keys the simulator has no model for
-        if self.spec.c_lambda != 1.0:
+        if spec.c_lambda != 1.0:
             raise ValueError("the simulator generates Poisson arrivals: c_lambda "
-                             f"must be 1, got {self.spec.c_lambda:g}")
-        if self.spec.var_x0 != 0.0:
+                             f"must be 1, got {spec.c_lambda:g}")
+        if spec.var_x0 != 0.0:
             raise ValueError("the simulator starts from the fixed content x0: "
-                             f"var_x0 must be 0, got {self.spec.var_x0:g}")
+                             f"var_x0 must be 0, got {spec.var_x0:g}")
+        self.spec = spec
+        self.n = n
+        self.reps = reps
+        self.base_seed = base_seed
+        self.obs_step = obs_step
+        self.parallel = parallel
 
     def obs_grid(self):
         """Multiples of obs_step up to the model horizon; the tolerance
         keeps the last one when the step divides the horizon."""
-        m = floor(self.spec.horizon / self.obs_step + 1e-9)
+        steps = self.spec.horizon / self.obs_step
+        if not steps < inf:
+            raise ValueError(f"horizon {self.spec.horizon:g} is too long for "
+                             f"obs_step {self.obs_step:g}")
+        m = floor(steps + 1e-9)
         return np.linspace(0.0, m * self.obs_step, m + 1)
 
 
@@ -168,8 +172,8 @@ def staffing_epochs(spec: ModelSpec, n: int, horizon: float):
     crossed, in time order.
 
     An interval of a 20001-point probe whose level moves by d holds d
-    crossings; all crossings are located together by 60 halvings on the
-    predicate "the level has reached its target".
+    crossings; all crossings are located together by halve_brackets on
+    the predicate "the level has reached its target".
     """
     probe = np.linspace(0.0, horizon, 20001)
     lv = staffing_level(n, np.asarray(spec.staffing(probe), dtype=float)).astype(int)
@@ -179,19 +183,17 @@ def staffing_epochs(spec: ModelSpec, n: int, horizon: float):
     step = np.sign(d)[idx]
     rank = np.arange(1, len(idx) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
     target = lv[idx] + step * rank
-    lo, hi = probe[idx], probe[idx + 1]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        here = staffing_level(n, np.asarray(spec.staffing(mid), dtype=float))
-        reached = step * (here - target) >= 0
-        lo = np.where(reached, lo, mid)
-        hi = np.where(reached, mid, hi)
+
+    def reached(t, step, target):
+        here = staffing_level(n, np.asarray(spec.staffing(t), dtype=float))
+        return step * (here - target) >= 0
+
+    hi = halve_brackets(reached, probe[idx], probe[idx + 1], step, target)[1]
     order = np.argsort(hi, kind="stable")
     return hi[order], target[order]
 
 
-@dataclass
-class SimPath:
+class SimPath(SimpleNamespace):
     t: np.ndarray
     X: np.ndarray
     Q: np.ndarray
@@ -429,11 +431,10 @@ class Moments:
 _TRACKED = ("X", "Q", "B", "W", "V", "A")     # the rows of a batch's Moments
 
 
-@dataclass
-class SimEstimate:
+class SimEstimate(SimpleNamespace):
     config: SimConfig
     t: np.ndarray
-    moments: dict = field(default_factory=dict)
+    moments: dict
 
     def mean(self, name):
         return self.moments[name].mean.copy()

@@ -8,7 +8,6 @@ exact counting, or a redundant evaluation route).
 
 import filecmp
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,20 +219,20 @@ def test_criterion_8_refined_scaling(capsys):
     # 1 - mu/theta = -1, a unit arrival refinement drives them to
     # 1/(theta lambda) = 4/3 and 1/theta = 2; in underload (lambda = 0.5,
     # mu = 1) a unit arrival refinement gives the content 1 - exp(-t)
-    spec0 = replace(_stationary_spec(), arrival_rate_g=ConstantFn(0.0),
-                    staffing_g=ConstantFn(0.0))
+    spec0 = ModelSpec(**dict(vars(_stationary_spec()), arrival_rate_g=ConstantFn(0.0),
+                             staffing_g=ConstantFn(0.0)))
     fl = solve_fluid(spec0)
     ms0 = mean_shift_refined(fl)
     zero = float(max(np.max(np.abs(ms0.mean_X)), np.max(np.abs(ms0.mean_W))))
     i29 = int(np.searchsorted(fl.grid, 29.0))
 
-    spec1 = replace(spec0, staffing_g=ConstantFn(1.0))
+    spec1 = ModelSpec(**dict(vars(spec0), staffing_g=ConstantFn(1.0)))
     fl1 = solve_fluid(spec1)
     ms1 = mean_shift_refined(fl1)
     werr = abs(float(ms1.mean_W[-1]) + 2.0)
     xerr_s = abs(float(ms1.mean_X[i29]) + 1.0)
 
-    ms_l = mean_shift_refined(solve_fluid(replace(spec0, arrival_rate_g=ConstantFn(1.0))))
+    ms_l = mean_shift_refined(solve_fluid(ModelSpec(**dict(vars(spec0), arrival_rate_g=ConstantFn(1.0)))))
     xerr_l = abs(float(ms_l.mean_X[i29]) - 2.0)
     werr_l = abs(float(ms_l.mean_W[i29]) - 4.0 / 3.0)
 

@@ -3,15 +3,22 @@ import importlib
 import json
 import math
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tvqueue
+from tvqueue.approx import report
+from tvqueue.fluid import solve_fluid
+from tvqueue.gaussian import propagate
+from tvqueue.model import spec_from_dict
+from tvqueue.sim import SimConfig, estimate, run_replication
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tvqueue.__path__))
 
@@ -157,7 +164,29 @@ def test_cli_import_loads_no_process_pool():
     assert _modules_after_cli_import(["multiprocessing", "concurrent.futures.process"]) == []
 
 
+def test_cli_import_loads_no_dataclasses():
+    # the spec, function, patience and result types are plain classes, so
+    # importing the CLI neither loads dataclasses nor generates methods
+    assert _modules_after_cli_import(["dataclasses"]) == []
+
+
 def test_cli_import_loads_no_numpy_polynomial():
     # the age integrals' Gauss-Legendre nodes are hard-coded, so importing
     # the CLI does not load numpy.polynomial (3-6 ms)
     assert _modules_after_cli_import(["numpy.polynomial"]) == []
+
+
+def test_result_records_pickle():
+    # the result records pickle and come back with every field, the fluid
+    # solution's intervals and the simulator's path and estimate included
+    spec = spec_from_dict(dict(SINE_H2, horizon=4.0))
+    gs = propagate(solve_fluid(spec, 0.01))
+    config = SimConfig(spec, n=10, reps=2)
+    records = (gs.fluid, gs.fluid.intervals[-1], gs, report(10, gs),
+               run_replication(config, 1), estimate(config))
+    for rec in records:
+        back = pickle.loads(pickle.dumps(rec))
+        assert type(back) is type(rec) and vars(back).keys() == vars(rec).keys()
+        for name, value in vars(rec).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(back, name), value, equal_nan=True), name

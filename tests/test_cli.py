@@ -416,6 +416,20 @@ def test_simulator_rejects_gaussian_only_keys(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [["fluid"], ["variance"], ["approx", "--n", "10"],
+                                  ["simulate", "--n", "10", "--reps", "2"],
+                                  ["compare", "--n", "10", "--reps", "2"]],
+                         ids=lambda argv: argv[0])
+def test_overlong_horizon_is_config_error(tmp_path, capsys, argv):
+    # horizon / step overflows to inf, so the grid has no point count:
+    # a one-line config error, not an OverflowError
+    cfg = _write_config(tmp_path, horizon=1e308)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "horizon 1e+308 is too long" in err
+
+
 def test_gaussian_only_keys_reach_the_analytic_commands(tmp_path):
     # fluid, variance and approx read c_lambda and var_x0
     cfg = _write_config(tmp_path, horizon=2.0, c_lambda=2.0, var_x0=0.5)

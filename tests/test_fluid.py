@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -443,7 +441,7 @@ def test_age_integrals_of_fast_phases_match_quad_reference(pat):
 
 def _staffed_spec(sine_h2_spec):
     # s = 1 + 0.3 sin(t - 0.5): a b(t,0) that moves with t
-    return dataclasses.replace(sine_h2_spec, staffing=SinusoidFn(1.0, 0.3, 1.0, -0.5))
+    return ModelSpec(**dict(vars(sine_h2_spec), staffing=SinusoidFn(1.0, 0.3, 1.0, -0.5)))
 
 
 # w, X and Q against DOP853 at rtol 1e-13: both solutions carry a global
@@ -623,7 +621,7 @@ def test_age_integrals_make_one_patience_call_per_block(sine_h2_spec):
             calls.append("survival_pdf")
             return super().survival_pdf(x)
 
-    pat = Patience(**dataclasses.asdict(sine_h2_spec.patience))
+    pat = Patience(**vars(sine_h2_spec.patience))
     t = np.linspace(2.0, 16.0, 5000)
     w = 0.5 + 0.4 * np.sin(t)
     got = age_integrals(sine_h2_spec.arrival_rate, pat, t, w)
@@ -697,7 +695,7 @@ def test_short_overload_at_coarse_step_holds_a_grid_point():
     assert iv.i0 == iv.i1 == 5 and np.flatnonzero(fl.ol).tolist() == [5]
     assert fl.X[5] == 1.0 + fl.Q[5] and fl.Q[5] > 0.0
     assert np.allclose(fl.switch_times, solve_fluid(spec).switch_times, atol=1e-2)
-    fast = dataclasses.replace(spec, patience=ExponentialPatience(50.0))
+    fast = ModelSpec(**dict(vars(spec), patience=ExponentialPatience(50.0)))
     with pytest.raises(ValueError, match=r"grid step 0\.5 too coarse: the overload on \[2\.05"):
         solve_fluid(fast, step=0.5)
 

@@ -14,10 +14,13 @@ from tvqueue.functions import (
     LinearFn,
     PiecewisePolyFn,
     SinusoidFn,
+    SumFn,
     fn_from_config,
+    halve_brackets,
     monotone_slopes,
 )
-from tvqueue.patience import TabulatedPatience
+from tvqueue.model import ModelSpec
+from tvqueue.patience import ExponentialPatience, H2Patience, TabulatedPatience
 
 
 def test_constant():
@@ -126,6 +129,44 @@ def test_pickle_round_trip_is_bit_identical():
     g = pickle.loads(pickle.dumps(tab))
     assert np.array_equal(g.cdf(u), tab.cdf(u)) and np.array_equal(g.pdf(u), tab.pdf(u))
     assert [g.survival_scalar(v) for v in vs] == [tab.survival_scalar(v) for v in vs]
+    # the plain function and patience classes and the spec that holds them
+    sine = SinusoidFn(1.0, 0.6, 1.3, -0.2)
+    fns = (ConstantFn(1.5), LinearFn(0.5, 0.1), sine, SumFn(sine, hermite_built, 0.3))
+    for f in fns:
+        g = pickle.loads(pickle.dumps(f))
+        assert type(g) is type(f) and np.array_equal(g(u), f(u))
+        assert np.array_equal(g.deriv(u), f.deriv(u))
+        assert [g.scalar(v) for v in vs] == [f.scalar(v) for v in vs]
+    for pat in (ExponentialPatience(0.7), H2Patience(0.25, 2.0, 0.5)):
+        g = pickle.loads(pickle.dumps(pat))
+        assert type(g) is type(pat) and vars(g) == vars(pat)
+        assert np.array_equal(g.cdf(u), pat.cdf(u)) and np.array_equal(g.pdf(u), pat.pdf(u))
+    spec = ModelSpec(sine, LinearFn(1.0, 0.05), 1.0, tab, 12.0, x0=0.5, staffing_g=fns[0])
+    g = pickle.loads(pickle.dumps(spec))
+    assert vars(g).keys() == vars(spec).keys()
+    assert [getattr(g, k) for k in ("mu", "horizon", "x0", "var_x0", "c_lambda",
+                                    "arrival_rate_g")] == [1.0, 12.0, 0.5, 0.0, 1.0, None]
+    assert np.array_equal(g.arrival_rate(u), sine(u)) and np.array_equal(g.staffing_g(u), fns[0](u))
+    assert np.array_equal(g.patience.cdf(u), tab.cdf(u))
+
+
+def test_halve_brackets_ends_as_sixty_halvings():
+    # a bracket retires at its fixed point, so the ends are those of 60
+    # plain halvings; wide, narrow, adjacent-float and empty brackets
+    rng = np.random.default_rng(4)
+    lo = rng.uniform(-3.0, 3.0, 400) * 10.0 ** rng.integers(-25, 6, 400)
+    hi = lo + rng.uniform(0.0, 1.0, 400) * 10.0 ** rng.integers(-20, 3, 400)
+    hi[:20] = np.nextafter(lo[:20], np.inf)
+    hi[20:30] = lo[20:30]
+    root = lo + rng.uniform(0.0, 1.0, 400) * (hi - lo)
+    a, b = lo, hi
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        up = mid >= root
+        a, b = np.where(up, a, mid), np.where(up, mid, b)
+    got = halve_brackets(lambda mid, r: mid >= r, lo, hi, root)
+    assert got[0].tobytes() == a.tobytes() and got[1].tobytes() == b.tobytes()
+    assert [len(x) for x in halve_brackets(lambda mid: mid > 0, np.empty(0), np.empty(0))] == [0, 0]
 
 
 def test_config_dispatch():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,7 +46,7 @@ def test_stationary_variance_limits(stationary_ol_spec, c_lambda):
     # renewal arrivals scale the arrival noise: I1^2 -> 2 c^2 / 3, so
     # var_Wstar -> (2 c^2 + 4) / 3 and, with Q -> 1 and Q2 -> 5/6,
     # var_Xstar -> c^2 Q2 + Q - Q2 + var_Wstar = 3 (c^2 + 1) / 2
-    gs = propagate(solve_fluid(dataclasses.replace(stationary_ol_spec, c_lambda=c_lambda)))
+    gs = propagate(solve_fluid(ModelSpec(**dict(vars(stationary_ol_spec), c_lambda=c_lambda))))
     c2 = c_lambda ** 2
     assert gs.var_Wstar[-1] == pytest.approx((2.0 * c2 + 4.0) / 3.0, abs=1e-4)
     assert gs.var_Xstar[-1] == pytest.approx(1.5 * (c2 + 1.0), abs=1e-4)
@@ -93,7 +91,7 @@ def test_variance_additivity(sine_h2_gaussian):
 def test_direct_vs_kernel_route(sine_h2_spec, c_lambda):
     # two independent evaluations of the content-deviation variance, under
     # Poisson and under renewal arrivals
-    gs = propagate(solve_fluid(dataclasses.replace(sine_h2_spec, c_lambda=c_lambda)))
+    gs = propagate(solve_fluid(ModelSpec(**dict(vars(sine_h2_spec), c_lambda=c_lambda))))
     times = np.array([2.0, 2.5, 3.0, 3.5])
     direct = np.interp(times, gs.grid, gs.var_Xstar)
     kernel = var_X_star_kernel(first_ol_kernels(gs.fluid), times)
@@ -400,10 +398,10 @@ def test_propagate_forms_no_age_matrix(sine_h2_spec):
             ndims.extend((("Fc", np.ndim(x)), ("f", np.ndim(x))))
             return super().survival_pdf(x)
 
-    spec = dataclasses.replace(
-        sine_h2_spec,
-        arrival_rate=Rate(**dataclasses.asdict(sine_h2_spec.arrival_rate)),
-        patience=Patience(**dataclasses.asdict(sine_h2_spec.patience)))
+    spec = ModelSpec(**dict(
+        vars(sine_h2_spec),
+        arrival_rate=Rate(**vars(sine_h2_spec.arrival_rate)),
+        patience=Patience(**vars(sine_h2_spec.patience))))
     fl = solve_fluid(spec)
     assert ("lambda", 2) in ndims       # the recording sees the fluid's pass
     ndims.clear()
@@ -422,8 +420,8 @@ def test_propagate_reads_ul_variance_from_the_fluid(sine_h2_spec):
             calls.append(np.asarray(t))
             return super().__call__(t)
 
-    spec = dataclasses.replace(
-        sine_h2_spec, arrival_rate=Rate(**dataclasses.asdict(sine_h2_spec.arrival_rate)))
+    spec = ModelSpec(**dict(
+        vars(sine_h2_spec), arrival_rate=Rate(**vars(sine_h2_spec.arrival_rate))))
     fl = solve_fluid(spec)
     uls = [iv for iv in fl.intervals if iv.kind == "UL"]
     assert len(uls) == 3 and any(np.array_equal(a, uls[0].t_loc) for a in calls)
@@ -568,7 +566,7 @@ def test_potential_wait_variance_against_a_finer_step(sine_h2_spec, staffed):
     # from the switches, where the variances have kinks
     spec = sine_h2_spec
     if staffed:
-        spec = dataclasses.replace(spec, staffing=SinusoidFn(1.0, 0.3, 1.0, -0.5))
+        spec = ModelSpec(**dict(vars(spec), staffing=SinusoidFn(1.0, 0.3, 1.0, -0.5)))
     coarse, fine = (propagate(solve_fluid(spec, h)) for h in (1e-3, 1.25e-4))
     t = coarse.grid
     np.testing.assert_allclose(fine.grid[::8], t, rtol=0.0, atol=1e-12)
@@ -595,9 +593,9 @@ def test_mean_shift_against_sensitivity_reference(sine_h2_spec, staffed, terms):
     # grid point up to 0.3 before its end: agreement to 1e-7 in W and X
     spec = sine_h2_spec
     if staffed:
-        spec = dataclasses.replace(spec, staffing=SinusoidFn(1.0, 0.3, 1.0, -0.5))
+        spec = ModelSpec(**dict(vars(spec), staffing=SinusoidFn(1.0, 0.3, 1.0, -0.5)))
     lam_g, s_g = _SHIFT_TERMS[terms]
-    fl = solve_fluid(dataclasses.replace(spec, arrival_rate_g=lam_g, staffing_g=s_g))
+    fl = solve_fluid(ModelSpec(**dict(vars(spec), arrival_rate_g=lam_g, staffing_g=s_g)))
     ms = mean_shift_refined(fl)
     away = np.all(np.abs(fl.grid[:, None] - fl.switch_times[None, :]) >= 0.3, axis=1)
     kinds = set()
@@ -621,11 +619,11 @@ def test_mean_shift_against_simulation(sine_h2_spec):
     # overload, the simulated (mean X_n - n X) / sqrt(n) lies within 3 SE
     # of the X shift, the SE from the replications (about 0.06)
     n, lam_g = 200, 0.5
-    moved = dataclasses.replace(sine_h2_spec,
-                                arrival_rate=SinusoidFn(1.0 + lam_g / np.sqrt(n), 0.6))
+    moved = ModelSpec(**dict(vars(sine_h2_spec),
+                             arrival_rate=SinusoidFn(1.0 + lam_g / np.sqrt(n), 0.6)))
     est = estimate(SimConfig(moved, n=n, reps=400, base_seed=1))
-    fl = solve_fluid(dataclasses.replace(sine_h2_spec, arrival_rate_g=ConstantFn(lam_g),
-                                         staffing_g=ConstantFn(0.0)))
+    fl = solve_fluid(ModelSpec(**dict(vars(sine_h2_spec), arrival_rate_g=ConstantFn(lam_g),
+                                      staffing_g=ConstantFn(0.0))))
     ms = mean_shift_refined(fl)
     j, i = int(np.searchsorted(est.t, 3.0 - 1e-9)), int(np.searchsorted(fl.grid, 3.0 - 1e-9))
     assert fl.ol[i]

@@ -107,7 +107,8 @@ def test_load_spec_roundtrip(tmp_path):
     cfg["patience"] = {"kind": "h2", "params": {"p": 0.25, "rate1": 2.0, "rate2": 0.5}}
     path.write_text(json.dumps(cfg))
     spec = load_spec(path)
-    assert spec.patience == H2Patience(p=0.25, rate1=2.0, rate2=0.5)
+    assert type(spec.patience) is H2Patience
+    assert vars(spec.patience) == vars(H2Patience(p=0.25, rate1=2.0, rate2=0.5))
     assert float(spec.patience.survival(1.0)) == pytest.approx(
         0.25 * np.exp(-2.0) + 0.75 * np.exp(-0.5))
     assert validate(spec).ok

@@ -1,4 +1,3 @@
-import dataclasses
 import filecmp
 import gc
 import types
@@ -125,13 +124,13 @@ def test_batch_paths_equal_single_replications(monkeypatch):
 
 
 def _assert_same_path(path, oracle, label=""):
-    for f in dataclasses.fields(path):
-        a, b = getattr(path, f.name), getattr(oracle, f.name)
-        if f.name == "x0":
+    for name, a in vars(path).items():
+        b = getattr(oracle, name)
+        if name == "x0":
             assert type(a) is type(b) and a == b, label
         else:
-            assert a.dtype == b.dtype, (label, f.name)
-            assert np.array_equal(a, b, equal_nan=True), (label, f.name)
+            assert a.dtype == b.dtype, (label, name)
+            assert np.array_equal(a, b, equal_nan=True), (label, name)
 
 
 def _tabulated():
@@ -144,7 +143,7 @@ ORACLE_CASES = [
     ("sine_h2", ModelSpec(SinusoidFn(1.0, 0.6), ConstantFn(1.0), 1.0,
                           h2_from_scv(2.0, 4.0), 16.0), 200, range(3)),
     ("staffed_x0=0", _staffed_spec(), 40, range(12)),
-    ("staffed_x0=1", dataclasses.replace(_staffed_spec(), x0=1.0), 40, range(12)),
+    ("staffed_x0=1", ModelSpec(**dict(vars(_staffed_spec()), x0=1.0)), 40, range(12)),
     ("stationary_x0=1", ModelSpec(ConstantFn(1.5), ConstantFn(1.0), 1.0,
                                   ExponentialPatience(0.5), 30.0, x0=1.0), 30, range(4)),
     ("piecewise_tab", ModelSpec(
@@ -271,7 +270,7 @@ def _pinned(monkeypatch, arrivals, patience, spec, n, seed=0, epochs=None):
         monkeypatch.setattr("tvqueue.sim.staffing_epochs", lambda *args: (times, levels))
     else:   # undo an earlier call's epochs
         monkeypatch.setattr("tvqueue.sim.staffing_epochs", staffing_epochs)
-    spec = dataclasses.replace(spec, patience=FixedPatience(patience))
+    spec = ModelSpec(**dict(vars(spec), patience=FixedPatience(patience)))
     config = SimConfig(spec, n=n, reps=1)
     return run_replication(config, seed), heap_replication(config, seed)
 
@@ -317,7 +316,7 @@ def test_ties_on_the_first_departure(monkeypatch):
     # decrease on an arrival that finds a free server
     one = ModelSpec(ConstantFn(1.0), ConstantFn(1.0), 1.0,
                     ExponentialPatience(1.0), 4.0, x0=1.0)
-    two = dataclasses.replace(one, x0=0.5)      # n = 2: one of two busy
+    two = ModelSpec(**dict(vars(one), x0=0.5))      # n = 2: one of two busy
     for seed in range(8):
         t1, t2 = _first_departure(seed, 1), _first_departure(seed, 2)
         if t1 > 3.5:
@@ -685,7 +684,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="base_seed >= 0"):
         SimConfig(_mmn_spec(1.0, 1.0), n=10, reps=2, base_seed=-1)
     for key, value in (("c_lambda", 2.0), ("c_lambda", 0.0), ("var_x0", 0.5)):
-        spec = dataclasses.replace(_mmn_spec(1.0, 1.0), **{key: value})
+        spec = ModelSpec(**{**vars(_mmn_spec(1.0, 1.0)), key: value})
         with pytest.raises(ValueError, match=f"{key} must be"):
             SimConfig(spec, n=10, reps=2)
     with pytest.raises(ValueError, match="invalid model"):
