@@ -149,24 +149,22 @@ def write_columns(path, columns):
     other cell is written as its str(), encoded as UTF-8 like the header,
     with the `\r\n` line ends of `csv.writer`; no cell is quoted, so
     names and string cells must hold no comma, quote or line break.  The
-    rows are formatted as bytes _CSV_BLOCK at a time by one %-operation:
-    the row format repeated over the block's cells, read row by row from
-    one flat list.
+    rows are written _CSV_BLOCK at a time, formatted as bytes by one
+    %-operation on a list of the block's cells from each column's slice:
+    the memory taken does not grow with the number of rows.
     """
     cells = [np.asarray(col) for col in columns.values()]
     formats = {"f": b"%.10g", "i": b"%d", "u": b"%d"}
     row = b",".join(formats.get(col.dtype.kind, b"%s") for col in cells) + b"\r\n"
-    m = len(cells)
-    flat = [None] * (m * len(cells[0]))
-    for j, col in enumerate(cells):
-        values = col.tolist()
-        if col.dtype.kind not in formats:
-            values = [str(v).encode("utf-8") for v in values]
-        flat[j::m] = values
-    step = _CSV_BLOCK * m
-    block = row * _CSV_BLOCK
+    m, rows = len(cells), len(cells[0])
     with open(path, "wb") as fh:
         fh.write(",".join(columns).encode("utf-8") + b"\r\n")
-        for lo in range(0, len(flat), step):
-            cut = tuple(flat[lo : lo + step])
-            fh.write((block if len(cut) == step else row * (len(cut) // m)) % cut)
+        for lo in range(0, rows, _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, rows)
+            flat = [None] * (m * (hi - lo))
+            for j, col in enumerate(cells):
+                values = col[lo:hi].tolist()
+                if col.dtype.kind not in formats:
+                    values = [str(v).encode("utf-8") for v in values]
+                flat[j::m] = values
+            fh.write((row * (hi - lo)) % tuple(flat))

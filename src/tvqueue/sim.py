@@ -25,13 +25,17 @@ are events, and each departure takes the queue's head until one finds
 the queue empty.  Staffing epochs are the third regime.
 
 A batch of replications builds what depends only on the config once:
-the thinning envelope, the staffing epochs, the observation grid and the
-staffing level there.  Each replication then does only its own random
-work, in few calls: thinning draws one Poisson count and one block of
-uniforms per chunk of the envelope and sorts all candidates once, and
-the departure clock reads one draw at a time from a C-level iterator
-over blocks of 1024 exponentials.  A batch keeps one running mean and
-variance of the six tracked series stacked as rows, one update per path.
+the thinning envelope, the staffing epochs with the loop's lists of
+their times and levels and of the departure rates mu B, the observation
+grid and the staffing level there.  Each replication then does only its
+own random work, in few calls: thinning draws one Poisson count and one
+block of uniforms per chunk of the envelope and sorts all candidates
+once, and the departure clock reads one draw at a time from a C-level
+iterator over blocks of 1024 exponentials.  It keeps one list per
+customer, the arrival epoch until the queue's head passes it and then
+the entry epoch or nan, and one array of deadlines, which the read-out
+views in place.  A batch keeps one running mean and variance of the six
+tracked series stacked as rows, one update per path.
 """
 
 from __future__ import annotations
@@ -114,12 +118,11 @@ def arrival_envelope(spec: ModelSpec, horizon: float):
     bps = bps[(bps > 0.0) & (bps < horizon)]
     if len(bps):
         edges = np.union1d(edges, bps)
-    env = np.empty(len(edges) - 1)
-    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        ts = np.linspace(a, b, 257)
-        lam = np.asarray(spec.arrival_rate(ts), dtype=float)
-        slope = np.max(np.abs(np.asarray(spec.arrival_rate.deriv(ts), dtype=float)))
-        env[k] = np.max(lam) + 0.5 * (b - a) / 256.0 * slope + 1e-12
+    # the 257 samples of each chunk as a row, evaluated as one flat array
+    ts = np.linspace(edges[:-1], edges[1:], 257, axis=-1)
+    lam, slope = (np.broadcast_to(np.asarray(f(ts.ravel()), dtype=float), ts.size)
+                  .reshape(ts.shape) for f in (spec.arrival_rate, spec.arrival_rate.deriv))
+    env = lam.max(axis=1) + 0.5 * np.diff(edges) / 256.0 * np.abs(slope).max(axis=1) + 1e-12
     return edges, env
 
 
@@ -216,16 +219,21 @@ class SimPath(SimpleNamespace):
 def _fixed_setup(config: SimConfig):
     """What every replication of a config shares, as it depends on (spec,
     n, horizon, obs_step) alone: the arrival envelope, the staffing epochs
-    (times, levels), and the observation grid with the staffing at time 0,
-    the number of staffing epochs up to each grid point and the staffing
-    level there."""
+    (times, levels), the observation grid with the staffing at time 0, the
+    number of staffing epochs up to each grid point and the staffing level
+    there, and the loop's lists: the epoch times clipped to just past the
+    last observation, then one such time, their levels and the rates mu B."""
     spec, n, T = config.spec, config.n, config.spec.horizon
     st_t, st_lv = staffing_epochs(spec, n, T)
     grid = config.obs_grid()
     s0 = int(staffing_level(n, float(spec.staffing(0.0))))
     k = np.searchsorted(st_t, grid, side="right")
     S = np.concatenate(([s0], st_lv)).astype(int)[k]
-    return arrival_envelope(spec, T), (st_t, st_lv), (grid, s0, k, S)
+    past = nextafter(float(grid[-1]), inf)
+    levels = st_lv.tolist()
+    rate = [spec.mu * b for b in range(max([s0] + levels) + 1)]
+    return (arrival_envelope(spec, T), (st_t, st_lv), (grid, s0, k, S),
+            (np.minimum(st_t, past).tolist() + [past], levels, rate))
 
 
 def _exponentials(rng: np.random.Generator):
@@ -248,28 +256,21 @@ def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
     to the last observation; the counters, W and V there are read from
     the recorded epochs after it (see the module docstring).
     """
-    spec, n, mu = config.spec, config.n, config.spec.mu
-    envelope, (st_t, st_lv), (grid, s0, k_st, S) = (
+    spec, n = config.spec, config.n
+    envelope, _, (grid, s0, k_st, S), (st_times, st_levels, rate) = (
         _fixed_setup(config) if fixed is None else fixed)
     t_end = float(grid[-1])
-    past = nextafter(t_end, inf)
     ss = np.random.SeedSequence(seed)
     rng_arr, rng_srv, rng_pat = [np.random.default_rng(s) for s in ss.spawn(3)]
 
     arrivals = gen_arrivals(spec, n, rng_arr, envelope)
-    patience = spec.patience.sample(rng_pat, len(arrivals)) if len(arrivals) else np.empty(0)
-    # per arrival: epoch, abandonment deadline and service entry epoch;
-    # a final inf in the first two ends the queue.  An entry epoch starts
-    # as the arrival epoch, which it stays for an arrival that finds a
-    # free server, and becomes nan for one that abandons or is still
-    # waiting at the end
-    deadlines = arrivals + patience
-    arr = arrivals.tolist() + [inf]
-    deadline = array("d", np.append(deadlines, inf).tobytes())
-    left = arr[:-1]
-    # the staffing epochs, those after the end clipped to just past it
-    st_times = np.minimum(st_t, past).tolist() + [past]
-    st_levels = st_lv.tolist()
+    # per arrival, with a final inf that ends the queue: the deadline, and
+    # the arrival epoch until the head passes it, then the entry epoch or nan
+    deadline, arr = array("d"), arrivals.tolist()
+    if arr:
+        deadline.frombytes((arrivals + spec.patience.sample(rng_pat, len(arr))).tobytes())
+    deadline.append(inf)
+    arr.append(inf)
     # departures, staffing epochs that left a server idle, and the number
     # forced out of service at each staffing epoch
     deps, idle, cut = [], array("d"), array("q", [0]) * len(st_levels)
@@ -279,7 +280,6 @@ def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
     head = si = 0   # head: no one before it still waits or is yet to arrive
     draw = _exponentials(rng_srv).__next__
     dep = deps.append
-    rate = [mu * b for b in range(max([s0] + st_levels) + 1)]     # rate[B] = mu * B
     t_dep = draw() / rate[B] if B else inf
     t_st = st_times[0]      # t < t_st: before the next staffing epoch and the end
     # ties resolve staffing first, then arrival, departure; a customer
@@ -315,13 +315,13 @@ def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
                 d = t_dep
                 dep(d)
                 while deadline[head] < d:
-                    left[head] = nan
+                    arr[head] = nan
                     head += 1
                 if arr[head] > d:   # the queue is empty: a server frees
                     B -= 1
                     t_dep = d + draw() / rate[B] if B else inf
                     break
-                left[head] = d
+                arr[head] = d
                 head += 1
                 t_dep = d + draw() / r
             if B < s_now:
@@ -341,24 +341,26 @@ def run_replication(config: SimConfig, seed: int, fixed=None) -> SimPath:
             b0 = B
             while B < s_now:
                 while deadline[head] < now:
-                    left[head] = nan
+                    arr[head] = nan
                     head += 1
                 if arr[head] >= now:    # an arrival at now comes after
                     idle.append(now)
                     break
-                left[head] = now
+                arr[head] = now
                 head += 1
                 B += 1
             if B != b0:
                 t_dep = now + draw() / rate[B]
 
-    del arr, deadline    # the loop's sequences; the read-out needs their memory
-    # an event at an observation epoch comes before the observation
-    entry = np.fromiter(left, float, len(left))
+    # an event at an observation epoch comes before the observation; from
+    # head on, arr holds the arrival epochs of customers yet to enter
+    entry = np.fromiter(arr, float, len(arrivals))
     entry[head:] = nan
+    dep_t = np.fromiter(deps, float, len(deps))
+    del arr, deps, dep      # the loop's lists; the read-out needs their memory
+    deadlines = np.frombuffer(deadline)[:-1]
     waiting = np.isnan(entry)
     entered = entry[~waiting]       # nondecreasing: service is FCFS
-    dep_t = np.fromiter(deps, float, len(deps))
     N = np.searchsorted(arrivals, grid, side="right")
     E = np.searchsorted(entered, grid, side="right")
     A = np.searchsorted(np.sort(deadlines[waiting]), grid, side="right")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from oracles import chunked_arrivals, heap_replication
-from tvqueue.functions import ConstantFn, LinearFn, PiecewisePolyFn, SinusoidFn
+from tvqueue.functions import ConstantFn, LinearFn, PiecewisePolyFn, SinusoidFn, SmoothFn
 from tvqueue.model import ModelSpec
 from tvqueue.patience import ExponentialPatience, PatienceDist, TabulatedPatience, h2_from_scv
 from tvqueue.sim import (
@@ -244,6 +244,44 @@ def test_gen_arrivals_rejects_lambda_above_its_bound():
     edges, env = arrival_envelope(spec, spec.horizon)
     with pytest.raises(EnvelopeError, match="exceeds its thinning bound"):
         gen_arrivals(spec, 40, np.random.default_rng(0), (edges, 0.5 * env))
+
+
+class _OneDimFn(SmoothFn):
+    """Delegates to fn, asserting that every evaluation is on 1-D input."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, t):
+        assert np.ndim(t) == 1
+        return self.fn(t)
+
+    def deriv(self, t):
+        assert np.ndim(t) == 1
+        return self.fn.deriv(t)
+
+    def breakpoints(self):
+        return self.fn.breakpoints()
+
+
+@pytest.mark.parametrize("lam, breaks", [
+    (SinusoidFn(1.0, 0.6), []),
+    # a breakpoint at 3.3, off the 65 edges 12 k / 64
+    (PiecewisePolyFn([0.0, 3.3, 12.0], [[0.5, 0.2, 0.05], [1.61, -0.1, 0.002]]), [3.3]),
+], ids=["sinusoid", "piecewise"])
+def test_arrival_envelope_is_its_documented_bound(lam, breaks):
+    # per chunk: the largest of 257 samples of lambda plus half a spacing
+    # times the largest sampled |lambda'|, plus 1e-12, bit for bit
+    T = 12.0
+    edges, env = arrival_envelope(ModelSpec(_OneDimFn(lam), ConstantFn(1.0), 1.0,
+                                            ExponentialPatience(1.0), T), T)
+    assert np.array_equal(edges, np.union1d(np.linspace(0.0, T, 65), breaks))
+    ref = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        ts = np.linspace(a, b, 257)
+        slope = np.max(np.abs(lam.deriv(ts)))
+        ref.append(np.max(lam(ts)) + 0.5 * (b - a) / 256.0 * slope + 1e-12)
+    assert env.tobytes() == np.array(ref).tobytes()
 
 
 class FixedPatience(PatienceDist):
