@@ -42,6 +42,7 @@ def _load(args):
     report = validate(spec)
     if not report.ok:
         raise _CliError(EXIT_INVALID, f"invalid model: {report}")
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     return spec
 
 
@@ -70,37 +71,26 @@ def _solve_fluid(args):
         return fluid.solve_fluid(spec, args.grid_step)
 
 
-def _outdir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write(args, name, write, result):
+    """Write result to the named file of the output directory."""
+    path = Path(args.out) / name
+    write(result, path)
+    print(f"wrote {path}")
+    return EXIT_OK
 
 
 def cmd_fluid(args):
-    sol = _solve_fluid(args)
-    path = _outdir(args) / "fluid.csv"
-    fluid.write_fluid_csv(sol, path)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write(args, "fluid.csv", fluid.write_fluid_csv, _solve_fluid(args))
 
 
 def cmd_variance(args):
-    sol = _solve_fluid(args)
-    gs = gaussian.propagate(sol)
-    path = _outdir(args) / "variance.csv"
-    gaussian.write_gaussian_csv(gs, path)
-    print(f"wrote {path}")
-    return EXIT_OK
+    gs = gaussian.propagate(_solve_fluid(args))
+    return _write(args, "variance.csv", gaussian.write_gaussian_csv, gs)
 
 
 def cmd_approx(args):
-    sol = _solve_fluid(args)
-    gs = gaussian.propagate(sol)
-    rep = approx.report(args.n, gs)
-    path = _outdir(args) / "approx.csv"
-    approx.write_report_csv(rep, path)
-    print(f"wrote {path}")
-    return EXIT_OK
+    rep = approx.report(args.n, gaussian.propagate(_solve_fluid(args)))
+    return _write(args, "approx.csv", approx.write_report_csv, rep)
 
 
 def cmd_simulate(args):
@@ -109,10 +99,7 @@ def cmd_simulate(args):
         cfg = sim.SimConfig(spec, n=args.n, reps=args.reps, base_seed=args.seed,
                             obs_step=args.obs_step, parallel=args.parallel)
         est = sim.estimate(cfg)
-    path = _outdir(args) / "simulate.csv"
-    sim.write_estimate_csv(est, path)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write(args, "simulate.csv", sim.write_estimate_csv, est)
 
 
 def cmd_compare(args):
@@ -124,7 +111,7 @@ def cmd_compare(args):
             parallel=args.parallel, tol_mean=args.tol_mean,
             tol_var=args.tol_var, tol_wait=args.tol_wait,
         )
-    out = _outdir(args)
+    out = Path(args.out)
     write_compare_csv(result, out / "compare.csv")
     write_summary(result, out / "summary.txt")
     for line in result.summary_lines():
@@ -207,6 +194,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except OSError as exc:          # making the output directory or writing into it
+        print(f"error: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -141,6 +141,31 @@ def test_piecewise_poly_without_pieces_is_config_error(tmp_path, capsys, section
     assert "at least one piece" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_file"])
+@pytest.mark.parametrize("command", ["fluid", "approx", "simulate", "compare"])
+def test_output_path_that_is_no_directory_is_config_error(tmp_path, capsys, monkeypatch,
+                                                          command, under):
+    # an --out that names a file, or a path under one, fails with one
+    # config-error line before any solving or simulating
+    def not_called(*args, **kwargs):
+        raise AssertionError("solved before the output directory was made")
+
+    for target in ("tvqueue.fluid.solve_fluid", "tvqueue.sim.estimate", "tvqueue.cli.run_compare"):
+        monkeypatch.setattr(target, not_called)
+    cfg = _write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    argv = [command, "--config", cfg, "--out", str(taken / "sub" if under else taken)]
+    if command != "fluid":
+        argv += ["--n", "20"]
+    if command in ("simulate", "compare"):
+        argv += ["--reps", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config error: ") and err.count("\n") == 1
+    assert taken.read_text() == "keep"
+
+
 def test_invalid_model(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, **{"lambda": {"kind": "constant", "params": {"value": 0.0}}})

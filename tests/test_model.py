@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvqueue import model
 from tvqueue.functions import ConstantFn, SinusoidFn
@@ -180,3 +182,70 @@ def test_write_columns_memory_does_not_grow_with_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+
+@pytest.mark.parametrize("values", [[0, 7, -42, 9999999999, -9999999999], [10 ** 10, -1],
+                                    [np.iinfo(np.int64).min, np.iinfo(np.int64).max]])
+def test_integer_cells_match_percent_d(tmp_path, values):
+    # integer columns below 1e10 in magnitude are written by the float
+    # cells, where %.10g reads as %d; the others by numpy's decimal cast
+    i = np.array(values, dtype=np.int64)
+    u = np.abs(i).astype(np.uint64)
+    write_columns(tmp_path / "ints.csv", {"i": i, "u": u})
+    rows = (tmp_path / "ints.csv").read_bytes().split(b"\r\n")
+    assert rows[1:] == [b"%d,%d" % iu for iu in zip(i.tolist(), u.tolist())] + [b""]
+
+
+def _float_cells(x):
+    """The cells _float_words builds for the floats x, split at their
+    comma separators, and the indices it leaves to `b"%.10g" % v`."""
+    x = np.asarray(x, dtype=float)
+    words, slow = model._float_words(x, np.full(len(x), ord(","), "<u8"))
+    return words.tobytes().translate(None, b"\0").split(b",")[1:], slow
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+def test_float_cells_match_percent_format(values):
+    cells, _ = _float_cells(values)
+    assert cells == [b"%.10g" % v for v in values]
+
+
+def test_float_cells_match_percent_format_on_random_bits(tmp_path):
+    # random bit patterns: every exponent, subnormals, nan payloads and
+    # infinities, written through write_columns in blocks
+    x = np.frombuffer(np.random.default_rng(34).bytes(8 * 100_000), dtype=float)
+    write_columns(tmp_path / "bits.csv", {"x": x, "y": x[::-1]})
+    rows = (tmp_path / "bits.csv").read_bytes().split(b"\r\n")
+    assert rows[0] == b"x,y" and rows[-1] == b""
+    want = [b"%.10g,%.10g" % vw for vw in zip(x.tolist(), x[::-1].tolist())]
+    assert rows[1:-1] == want
+
+
+def _ulps(v):
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(_ulps(1e-5) + _ulps(-1e-5) + _ulps(1e-4) + _ulps(1e10) + _ulps(-1e10)
+                 + _ulps(1e16) + _ulps(9.9999999995e15), id="exponent_switches"),
+    pytest.param([1e100, -1e100, 1e-100, -1e-100, 5e-324, -5e-324, np.finfo(float).max,
+                  -np.finfo(float).max, np.finfo(float).tiny, 0.0, -0.0], id="extremes"),
+])
+def test_float_cells_fixed_values(values):
+    cells, _ = _float_cells(values)
+    assert cells == [b"%.10g" % v for v in values]
+
+
+def test_float_cells_ties_take_the_exact_format():
+    # exact halves at the 11th digit round to even, which the scaled
+    # mantissa cannot tell from a value next to them: every cell of these
+    # is written by the per-cell format
+    ties = [1234567890.5, 1234567891.5, 9999999999.5, -9999999999.5, 12345678905.0,
+            99999999995.0]
+    cells, slow = _float_cells(ties)
+    assert cells == [b"%.10g" % v for v in ties]
+    assert cells[0] == b"1234567890" and cells[1] == b"1234567892"
+    assert slow.tolist() == list(range(len(ties)))
