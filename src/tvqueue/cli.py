@@ -42,7 +42,9 @@ def _load(args):
     report = validate(spec)
     if not report.ok:
         raise _CliError(EXIT_INVALID, f"invalid model: {report}")
-    Path(args.out).mkdir(parents=True, exist_ok=True)
+    out = Path(args.out).absolute()
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise _CliError(EXIT_CONFIG, f"config error: --out {args.out} lies in no directory")
     return spec
 
 
@@ -71,26 +73,32 @@ def _solve_fluid(args):
         return fluid.solve_fluid(spec, args.grid_step)
 
 
-def _write(args, name, write, result):
-    """Write result to the named file of the output directory."""
-    path = Path(args.out) / name
-    write(result, path)
-    print(f"wrote {path}")
+def _write(args, *files):
+    """Write each (name, writer, result) of files into the output
+    directory, made if missing; an OSError doing so is a config error."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write, result in files:
+            write(result, out / name)
+    except OSError as exc:
+        raise _CliError(EXIT_CONFIG, f"config error: {exc}")
+    print("wrote " + " and ".join(str(out / name) for name, _, _ in files))
     return EXIT_OK
 
 
 def cmd_fluid(args):
-    return _write(args, "fluid.csv", fluid.write_fluid_csv, _solve_fluid(args))
+    return _write(args, ("fluid.csv", fluid.write_fluid_csv, _solve_fluid(args)))
 
 
 def cmd_variance(args):
     gs = gaussian.propagate(_solve_fluid(args))
-    return _write(args, "variance.csv", gaussian.write_gaussian_csv, gs)
+    return _write(args, ("variance.csv", gaussian.write_gaussian_csv, gs))
 
 
 def cmd_approx(args):
     rep = approx.report(args.n, gaussian.propagate(_solve_fluid(args)))
-    return _write(args, "approx.csv", approx.write_report_csv, rep)
+    return _write(args, ("approx.csv", approx.write_report_csv, rep))
 
 
 def cmd_simulate(args):
@@ -99,7 +107,7 @@ def cmd_simulate(args):
         cfg = sim.SimConfig(spec, n=args.n, reps=args.reps, base_seed=args.seed,
                             obs_step=args.obs_step, parallel=args.parallel)
         est = sim.estimate(cfg)
-    return _write(args, "simulate.csv", sim.write_estimate_csv, est)
+    return _write(args, ("simulate.csv", sim.write_estimate_csv, est))
 
 
 def cmd_compare(args):
@@ -111,12 +119,10 @@ def cmd_compare(args):
             parallel=args.parallel, tol_mean=args.tol_mean,
             tol_var=args.tol_var, tol_wait=args.tol_wait,
         )
-    out = Path(args.out)
-    write_compare_csv(result, out / "compare.csv")
-    write_summary(result, out / "summary.txt")
     for line in result.summary_lines():
         print(line)
-    print(f"wrote {out / 'compare.csv'} and {out / 'summary.txt'}")
+    _write(args, ("compare.csv", write_compare_csv, result),
+           ("summary.txt", write_summary, result))
     return EXIT_OK if result.ok else EXIT_ACCEPTANCE
 
 
@@ -142,7 +148,9 @@ def _nonnegative_int(text):
 _nonnegative_int.__name__ = "int"      # argparse names the type in its errors
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser of the command line.  Given the command, only that
+    command's options are added: parsing its line needs no others."""
     parser = argparse.ArgumentParser(
         prog="tvqueue",
         description="Fluid and Gaussian approximations for time-varying "
@@ -150,7 +158,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_scale=False, with_sim=False, with_fluid=True):
+    def common(name, run, text, with_scale=False, with_sim=False, with_fluid=True):
+        p = sub.add_parser(name, help=text)
+        if command not in (None, name):
+            return
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="JSON model config")
         p.add_argument("--out", default=".", help="output directory")
         if with_fluid:
@@ -164,39 +176,27 @@ def build_parser():
             p.add_argument("--obs-step", type=_positive(float), default=0.05,
                            dest="obs_step")
             p.add_argument("--parallel", type=_positive(int), default=1)
+        if name == "compare":
+            p.add_argument("--tol-mean", type=_positive(float), default=0.05, dest="tol_mean")
+            p.add_argument("--tol-var", type=_positive(float), default=1.25, dest="tol_var",
+                           help="variance ratio must lie in [1/tol, tol]")
+            p.add_argument("--tol-wait", type=_positive(float), default=0.07, dest="tol_wait")
 
-    common(sub.add_parser("fluid", help="deterministic fluid solution"))
-    common(sub.add_parser("variance", help="Gaussian variance grids"))
-    common(sub.add_parser("approx", help="finite-scale performance report"),
-           with_scale=True)
-    common(sub.add_parser("simulate", help="replicated exact simulation"),
-           with_scale=True, with_sim=True, with_fluid=False)
-    p = sub.add_parser("compare", help="predictions vs simulation with "
-                                       "pass/fail error metrics")
-    common(p, with_scale=True, with_sim=True)
-    p.add_argument("--tol-mean", type=_positive(float), default=0.05, dest="tol_mean")
-    p.add_argument("--tol-var", type=_positive(float), default=1.25, dest="tol_var",
-                   help="variance ratio must lie in [1/tol, tol]")
-    p.add_argument("--tol-wait", type=_positive(float), default=0.07, dest="tol_wait")
+    common("fluid", cmd_fluid, "deterministic fluid solution")
+    common("variance", cmd_variance, "Gaussian variance grids")
+    common("approx", cmd_approx, "finite-scale performance report", with_scale=True)
+    common("simulate", cmd_simulate, "replicated exact simulation", with_scale=True,
+           with_sim=True, with_fluid=False)
+    common("compare", cmd_compare, "predictions vs simulation with pass/fail error "
+           "metrics", with_scale=True, with_sim=True)
     return parser
 
 
-_COMMANDS = {
-    "fluid": cmd_fluid,
-    "variance": cmd_variance,
-    "approx": cmd_approx,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-}
-
-
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except OSError as exc:          # making the output directory or writing into it
-        print(f"error: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return args.run(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

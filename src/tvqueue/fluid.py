@@ -453,16 +453,12 @@ def _sweep(ctx, kind, grid, start, k, y):
     """Integrate regime `kind` from state y at `start` over grid[k:] until
     it ends or the horizon; returns (end, next grid index, interval).
 
-    The state is X in UL, which ends when X reaches s(t) while lambda(t)
-    pushes it up, lambda > b(t,0), and w in OL, which ends when w returns
-    to zero.  Where lambda <= b(t,0), X - s cannot grow from below, so a
-    step at or past s there is the steps' own error, as when X tends to s
-    with lambda = b; a UL interval that starts on the boundary ends where
-    lambda = b too, since the fluid does not leave it.  Adaptive steps
-    (_march) run from start, or from grid[k] if start lies within 1e-14
-    of it, until a step ends past the regime or at the horizon.  Their
-    path (_path) gives the state at the grid points they cover in one
-    array pass, where the regime is tested too, so a crossing that only a grid point sees is
+    The state is X in UL, which ends when X reaches s(t), and w in OL,
+    which ends when w returns to zero.  Adaptive steps (_march) run from
+    start, or from grid[k] if start lies within 1e-14 of it, until a step
+    ends past the regime or at the horizon.  Their path (_path) gives the
+    state at the grid points they cover in one array pass, where the
+    regime is tested too, so a crossing that only a grid point sees is
     found.  The first crossing among step ends and grid points is
     bisected to float resolution, each probe one step from the start of
     the step that holds it.  An OL interval must hold a grid point after
@@ -478,27 +474,16 @@ def _sweep(ctx, kind, grid, start, k, y):
     f = stage(t, y, term(t))
     steps = []
     hit, t_end, y_end, f_end, h, rejected = False, t, y, f, ctx.step, 0
-    on = ul and y >= s(t) - 1e-12   # a UL start on the boundary
-
-    def pushed(d):
-        # lambda - b(t,0) = d moves a UL fluid at the boundary above it
-        return d >= 0.0 if on else d > 0.0
-
-    lam, b0 = ctx.lam, ctx.b0
     if t < T:
-        done = ((lambda te, x: x - s(te) >= 0.0 and pushed(lam(te) - b0(te))) if ul
-                else (lambda te, w: w <= 0.0))
+        done = (lambda te, x: x - s(te) >= 0.0) if ul else (lambda te, w: w <= 0.0)
         t_end, y_end, f_end, hit, h, rejected = _march(ctx, kind, t, y, f, h, T, done, steps)
     k_first = k + snap
     k_last = int(np.searchsorted(grid, t_end, side="right")) - 1
     tg = grid[k_first : k_last + 1]
     path = _path(steps) if steps else None
     yg = path(tg) if steps else np.empty(0)
-    if ul:
-        crossed = np.flatnonzero(yg - np.asarray(ctx.spec.staffing(tg), dtype=float) >= 0.0)
-        crossed = crossed[[pushed(lam(te) - b0(te)) for te in tg[crossed].tolist()]]
-    else:
-        crossed = np.flatnonzero(yg <= 0.0)
+    crossed = np.flatnonzero(yg - np.asarray(ctx.spec.staffing(tg), dtype=float) >= 0.0
+                             if ul else yg <= 0.0)
     if len(crossed) or hit:
         kc = k_first + int(crossed[0]) if len(crossed) else k_last + 1
         c = float(grid[kc]) if len(crossed) else t_end
@@ -508,17 +493,14 @@ def _sweep(ctx, kind, grid, start, k, y):
         t0, _, y0, f0 = steps[j][:4]
 
         def edge(tc):
-            # UL X - s, or -1 where lambda does not push X up; OL w; after
-            # one step from the start of step j
+            # UL X - s, OL w, after one step from the start of step j
             yc = _dp5(term, stage, t0, tc, y0, f0)[0]
-            if not ul:
-                return yc
-            return yc - s(tc) if pushed(lam(tc) - b0(tc)) else -1.0
+            return yc - s(tc) if ul else yc
 
         a = max(float(grid[kc - 1]), t0) if kc > k_first else t0
         tau = _bisect(edge, a, c, edge(a))
-        d = lam(tau) - b0(tau)
-        if d <= 1e-9 if ul else d >= -1e-9:
+        lam, b = ctx.lam(tau), ctx.b0(tau)
+        if lam - b <= 1e-9 if ul else lam >= b - 1e-9:
             raise CriticalLoadingError(
                 f"non-isolated critical loading near t={tau:.6f}" + ("" if ul else
                 " (waiting time grazed zero while still overloaded)"))

@@ -218,9 +218,7 @@ def write_columns(path, columns):
     cells is one array of NUL-padded cells, written without the NULs.
     """
     cells = [np.asarray(col) for col in columns.values()]
-    # integers of magnitude below 1e10 read the same as %d and as %.10g
-    floats = np.array([c.dtype.kind == "f" or c.dtype.kind in "iu" and len(c) > 0
-                       and -1e10 < c.min() and c.max() < 1e10 for c in cells])
+    floats = np.array([c.dtype.kind == "f" for c in cells])
     sep = np.array([0x0A0D] + [ord(",")] * (len(cells) - 1), "<u8")
     rows, step = len(cells[0]), max(1, _CSV_BLOCK // len(cells))
     with open(path, "wb") as fh:

@@ -215,6 +215,29 @@ def test_infeasible_staffing(tmp_path, capsys):
     assert main(["fluid", "--config", cfg, "--out", str(tmp_path)]) == 4
 
 
+def test_failed_run_makes_no_output_directory(tmp_path, capsys):
+    # the output directory is checked before solving, made only to write
+    cfg = _write_config(
+        tmp_path,
+        **{"lambda": {"kind": "constant", "params": {"value": 3.0}},
+           "staffing": {"kind": "linear",
+                        "params": {"intercept": 1.0, "slope": -0.9}},
+           "horizon": 1.0})
+    assert main(["fluid", "--config", cfg, "--out", str(tmp_path / "out" / "sub")]) == 4
+    assert not (tmp_path / "out").exists()
+
+
+def test_os_error_outside_the_output_is_no_config_error(tmp_path, monkeypatch):
+    # only making the output directory and writing into it map an OSError
+    # to a config error
+    def broken(*args, **kwargs):
+        raise BrokenPipeError("pipe closed")
+
+    monkeypatch.setattr("tvqueue.fluid.solve_fluid", broken)
+    with pytest.raises(BrokenPipeError):
+        main(["fluid", "--config", _write_config(tmp_path), "--out", str(tmp_path)])
+
+
 @pytest.mark.parametrize("command", ["fluid", "compare"])
 def test_critical_loading_exits_invalid(tmp_path, capsys, command):
     # lambda = s = mu = 1 starting full: the fluid stays on the boundary

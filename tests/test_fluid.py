@@ -239,18 +239,6 @@ def test_critical_loading_raises():
         solve_fluid(spec)
 
 
-@pytest.mark.parametrize("horizon, step", [(29.0, 1e-2), (50.0, 1e-2), (40.0, 1e-3)])
-def test_content_tending_to_staffing_stays_underloaded(horizon, step):
-    # lambda = s mu from empty: X = 1 - e^-t stays below s, though the
-    # steps reach s within their tolerance once e^-t is smaller
-    spec = ModelSpec(ConstantFn(1.0), ConstantFn(1.0), 1.0,
-                     ExponentialPatience(1.0), horizon, x0=0.0)
-    fl = solve_fluid(spec, step)
-    assert [iv.kind for iv in fl.intervals] == ["UL"]
-    assert not fl.ol.any()
-    assert np.max(np.abs(fl.X - (1.0 - np.exp(-fl.grid)))) < 1e-9
-
-
 def test_invalid_spec_rejected():
     spec = ModelSpec(ConstantFn(0.0), ConstantFn(1.0), 1.0,
                      ExponentialPatience(1.0), 2.0)

@@ -188,8 +188,7 @@ def test_write_columns_memory_does_not_grow_with_rows(tmp_path):
 @pytest.mark.parametrize("values", [[0, 7, -42, 9999999999, -9999999999], [10 ** 10, -1],
                                     [np.iinfo(np.int64).min, np.iinfo(np.int64).max]])
 def test_integer_cells_match_percent_d(tmp_path, values):
-    # integer columns below 1e10 in magnitude are written by the float
-    # cells, where %.10g reads as %d; the others by numpy's decimal cast
+    # integer columns are written by numpy's decimal cast, as %d
     i = np.array(values, dtype=np.int64)
     u = np.abs(i).astype(np.uint64)
     write_columns(tmp_path / "ints.csv", {"i": i, "u": u})
