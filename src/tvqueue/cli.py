@@ -44,7 +44,7 @@ def _load(args):
         raise _CliError(EXIT_INVALID, f"invalid model: {report}")
     out = Path(args.out).absolute()
     if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
-        raise _CliError(EXIT_CONFIG, f"config error: --out {args.out} lies in no directory")
+        raise _CliError(EXIT_CONFIG, f"config error: --out {args.out} cannot be a directory")
     return spec
 
 
