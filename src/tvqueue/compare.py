@@ -78,7 +78,7 @@ def compare_metrics(fluid, gaussian, est):
     vf = np.interp(tg, fluid.grid, fluid.v)
     ol = np.interp(tg, fluid.grid, fluid.ol.astype(float)) > 0.99
     wait = _away_from_switches(fluid, tg, WAIT_WINDOW) & ol & (wf > 1e-9)
-    resolved = est.moments["V"].count >= est.config.reps
+    resolved = est.count("V") >= est.config.reps
     vmask = wait & resolved & np.isfinite(est.mean("V")) & (vf > 1e-9)
 
     metrics = {}

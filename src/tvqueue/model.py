@@ -171,16 +171,20 @@ def _float_words(x, sep):
     """The floats x as cells of 4 words, opened by the separator words
     sep, and the indices of the cells written by `b"%.10g" % v`.  The
     others are +-0, or have 1e-280 <= |x| <= 1e280 and a mantissa |x|
-    10^(9-X), X = floor(log10|x|) (+1 where low), rounding below 1e10 and
-    more than 1e-4 from a tie, which two roundings move by at most 4e-6."""
+    10^(9-X), X = floor(log10|x|) (+1 where low), more than 1e-4 from a
+    tie, which two roundings move by at most 4e-6; one that rounds to 1e10
+    is 1e9 with X + 1."""
     digits, sig, masks, scale, dot, lead, expo = _tables()
     ok = (np.abs(x) >= 1e-280) & (np.abs(x) <= 1e280)
     y = np.where(ok, np.abs(x), 1.0)
     xi = np.floor(np.log10(y)).astype(np.intp) + 290
     xi += y * scale[xi] >= 1e10
     y *= scale[xi]
-    ok &= (np.abs(y - np.rint(y)) < 0.4999) & (y < 9999999999.5)
+    ok &= np.abs(y - np.rint(y)) < 0.4999
     y = np.rint(y) * ok
+    up = y >= 1e10
+    xi += up
+    y[up] = 1e9
     slow = np.flatnonzero(~(ok | (x == 0)))
     q = np.zeros((4, len(x)), np.intp)
     q[1], q[2] = np.floor(y / 1e6), np.floor(y / 100)

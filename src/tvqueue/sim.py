@@ -434,18 +434,22 @@ _TRACKED = ("X", "Q", "B", "W", "V", "A")     # the rows of a batch's Moments
 
 
 class SimEstimate(SimpleNamespace):
+    """Replication statistics: `moments` holds a row per name of _TRACKED."""
     config: SimConfig
     t: np.ndarray
-    moments: dict
+    moments: Moments
+
+    def count(self, name):
+        return self.moments.count[_TRACKED.index(name)].copy()
 
     def mean(self, name):
-        return self.moments[name].mean.copy()
+        return self.moments.mean[_TRACKED.index(name)].copy()
 
     def var(self, name):
-        return self.moments[name].variance()
+        return self.moments.variance()[_TRACKED.index(name)]
 
     def se(self, name):
-        return self.moments[name].se()
+        return self.moments.se()[_TRACKED.index(name)]
 
     # scaled views matching the limit quantities
     def scaled_mean(self, name):
@@ -468,15 +472,6 @@ def _replicate_batch(args):
         path = run_replication(config, seed, fixed)
         mm.add(np.stack([getattr(path, name) for name in _TRACKED]))
     return mm
-
-
-def _by_name(stacked: Moments) -> dict:
-    """{name: Moments of its row} of a stacked Moments."""
-    rows = {}
-    for i, name in enumerate(_TRACKED):
-        rows[name] = mm = Moments(0)
-        mm.count, mm.mean, mm.M2 = stacked.count[i], stacked.mean[i], stacked.M2[i]
-    return rows
 
 
 def estimate(config: SimConfig) -> SimEstimate:
@@ -502,7 +497,7 @@ def estimate(config: SimConfig) -> SimEstimate:
         merged = results[0]
         for mm in results[1:]:
             merged.merge(mm)
-    return SimEstimate(config=config, t=config.obs_grid(), moments=_by_name(merged))
+    return SimEstimate(config=config, t=config.obs_grid(), moments=merged)
 
 
 def write_path_csv(path: SimPath, out):

@@ -1,4 +1,3 @@
-import ast
 import importlib
 import json
 import math
@@ -21,14 +20,6 @@ from tvqueue.model import spec_from_dict
 from tvqueue.sim import SimConfig, estimate, run_replication
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tvqueue.__path__))
-
-
-def _package_imports():
-    """(module, name) of every `from .module import name` in tvqueue/__init__.py."""
-    tree = ast.parse(Path(tvqueue.__file__).read_text(encoding="utf-8"))
-    return [(node.module, alias.name) for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -64,15 +55,6 @@ def test_public_api_is_pinned():
     assert sorted(PUBLIC) == MODULES
     for module, names in PUBLIC.items():
         assert importlib.import_module(f"tvqueue.{module}").__all__ == names, module
-
-
-def test_package_imports_resolve():
-    imports = _package_imports()
-    assert imports
-    for module, name in imports:
-        mod = importlib.import_module(f"tvqueue.{module}")
-        assert name in mod.__all__, f"tvqueue.{module}.{name}"
-        assert getattr(tvqueue, name) is getattr(mod, name)
 
 
 # piecewise-polynomial arrivals with a tabulated patience cdf: an approx
@@ -140,12 +122,12 @@ def test_approx_run_loads_no_numpy_polynomial(tmp_path):
     assert _modules_after_approx(tmp_path, SINE_H2, ["numpy.polynomial"]) == []
 
 
-def _modules_after_cli_import(prefixes):
+def _modules_after_import(prefixes, module="tvqueue.cli"):
     """The modules named in `prefixes`, or under them, that `import
-    tvqueue.cli` loads in a fresh interpreter."""
+    module` loads in a fresh interpreter."""
     code = textwrap.dedent(f"""
         import json, sys
-        import tvqueue.cli
+        import {module}
         prefixes = {tuple(prefixes)!r}
         under = tuple(p + "." for p in prefixes)
         print(json.dumps(sorted(m for m in sys.modules if m in prefixes or m.startswith(under))))
@@ -161,19 +143,29 @@ def _modules_after_cli_import(prefixes):
 def test_cli_import_loads_no_process_pool():
     # the process pool is imported only by a parallel simulation, so
     # importing the CLI loads neither it nor multiprocessing
-    assert _modules_after_cli_import(["multiprocessing", "concurrent.futures.process"]) == []
+    assert _modules_after_import(["multiprocessing", "concurrent.futures.process"]) == []
 
 
 def test_cli_import_loads_no_dataclasses():
     # the spec, function, patience and result types are plain classes, so
     # importing the CLI neither loads dataclasses nor generates methods
-    assert _modules_after_cli_import(["dataclasses"]) == []
+    assert _modules_after_import(["dataclasses"]) == []
 
 
 def test_cli_import_loads_no_numpy_polynomial():
     # the age integrals' Gauss-Legendre nodes are hard-coded, so importing
     # the CLI does not load numpy.polynomial (3-6 ms)
-    assert _modules_after_cli_import(["numpy.polynomial"]) == []
+    assert _modules_after_import(["numpy.polynomial"]) == []
+
+
+def test_sim_import_loads_no_other_pipeline():
+    # the package exports no names, so importing the simulator loads only
+    # the modules it uses: not the fluid, Gaussian, approx or compare layers
+    loaded = _modules_after_import(["tvqueue"], "tvqueue.sim")
+    assert loaded == ["tvqueue", "tvqueue.functions", "tvqueue.model", "tvqueue.patience",
+                      "tvqueue.sim"]
+    assert not {"tvqueue.fluid", "tvqueue.gaussian", "tvqueue.approx",
+                "tvqueue.compare"} & set(loaded)
 
 
 def test_result_records_pickle():

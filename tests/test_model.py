@@ -248,3 +248,15 @@ def test_float_cells_ties_take_the_exact_format():
     assert cells == [b"%.10g" % v for v in ties]
     assert cells[0] == b"1234567890" and cells[1] == b"1234567892"
     assert slow.tolist() == list(range(len(ties)))
+
+
+def test_float_cells_round_ups_take_the_fast_path():
+    # a mantissa that rounds up to 1e10 is the next power's "1" digits with
+    # the exponent one higher: these cells are built from the words, none
+    # by the per-cell format
+    ups = [np.nextafter(1.0, 0.0), np.nextafter(10.0, 0.0), 0.0099999999999996,
+           -0.0099999999999996, 9999999999.6, 99.99999999996, 9.9999999999e-5]
+    cells, slow = _float_cells(ups)
+    assert cells == [b"%.10g" % v for v in ups]
+    assert cells[0] == b"1" and cells[4] == b"1e+10" and cells[6] == b"0.0001"
+    assert slow.tolist() == []

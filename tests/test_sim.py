@@ -17,7 +17,6 @@ from tvqueue.sim import (
     Moments,
     SimConfig,
     _TRACKED,
-    _by_name,
     _exponentials,
     _fixed_setup,
     arrival_envelope,
@@ -624,8 +623,9 @@ def test_moments_skip_nan():
     assert np.isnan(mm.variance()[1])
 
 
-def _same_moments(a, b):
-    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+def _same_row(stacked, i, m):
+    """Whether row i of a stacked Moments equals m bit for bit."""
+    return all(getattr(stacked, f)[i].tobytes() == getattr(m, f).tobytes()
                for f in ("count", "mean", "M2"))
 
 
@@ -642,8 +642,8 @@ def test_stacked_moments_equal_one_per_name():
         stacked.add(path)
         for i, m in enumerate(rows):
             m.add(path[i])
-    for name, m in zip(_TRACKED, rows):
-        assert _same_moments(_by_name(stacked)[name], m), name
+    for i, m in enumerate(rows):
+        assert _same_row(stacked, i, m), _TRACKED[i]
     # and merging stacked halves equals merging each name's halves
     halves = [Moments((6, 9)), Moments((6, 9))]
     parts = [[Moments(9) for _ in range(6)] for _ in range(2)]
@@ -654,7 +654,7 @@ def test_stacked_moments_equal_one_per_name():
     halves[0].merge(halves[1])
     for i, name in enumerate(_TRACKED):
         parts[0][i].merge(parts[1][i])
-        assert _same_moments(_by_name(halves[0])[name], parts[0][i]), name
+        assert _same_row(halves[0], i, parts[0][i]), name
 
 
 def test_single_rep_has_no_variance():
@@ -699,8 +699,23 @@ def test_pool_sized_by_chunks(monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
         est = estimate(SimConfig(spec, n=5, reps=reps, parallel=64))
         assert sizes[-1] == size, cpus
-        assert np.all(est.moments["X"].count == reps)
+        assert np.all(est.count("X") == reps)
     assert len(sizes) == 3
+
+
+def test_estimate_reads_stacked_rows():
+    # the estimate keeps the batch's one stacked Moments, a row per
+    # tracked name; count, mean, var and se read that name's row
+    est = estimate(SimConfig(_mmn_spec(1.5, 0.5, horizon=2.0), n=10, reps=5))
+    mm = est.moments
+    assert mm.mean.shape == (len(_TRACKED), len(est.t))
+    for i, name in enumerate(_TRACKED):
+        assert np.array_equal(est.count(name), mm.count[i])
+        assert np.array_equal(est.mean(name), mm.mean[i])
+        assert np.array_equal(est.var(name), mm.variance()[i], equal_nan=True)
+        assert np.array_equal(est.se(name), mm.se()[i], equal_nan=True)
+    est.mean("X")[:] = -1.0
+    assert np.all(mm.mean[0] >= 0.0)
 
 
 def test_scaled_views():
