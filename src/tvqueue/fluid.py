@@ -459,10 +459,16 @@ def _sweep(ctx, kind, grid, start, k, y):
     ends past the regime or at the horizon.  Their path (_path) gives the
     state at the grid points they cover in one array pass, where the
     regime is tested too, so a crossing that only a grid point sees is
-    found.  The first crossing among step ends and grid points is
-    bisected to float resolution, each probe one step from the start of
-    the step that holds it.  An OL interval must hold a grid point after
-    its start; the grid step is too coarse otherwise.
+    found.  A crossing among step ends and grid points is bisected to
+    float resolution, each probe one step from the start of the step that
+    holds it, and judged at the bisected time tau by d = lambda - b(t,0):
+    X - s grows at rate d where X = s.  A UL interval that starts below s
+    ends at the first crossing with d > 1e-9; where d <= 1e-9, X only
+    tends to s, the crossing is the steps' own error, and the steps go on
+    (_to_judge).  Any other interval ends at its first crossing, and raises
+    CriticalLoadingError if d does not move the state off the boundary
+    there.  An OL interval must hold a grid point after its start; the
+    grid step is too coarse otherwise.
     """
     n = len(grid) - 1
     T = float(grid[n])
@@ -473,44 +479,61 @@ def _sweep(ctx, kind, grid, start, k, y):
     t = float(grid[k]) if snap else start
     f = stage(t, y, term(t))
     steps = []
+    done = (lambda te, x: x - s(te) >= 0.0) if ul else (lambda te, w: w <= 0.0)
     hit, t_end, y_end, f_end, h, rejected = False, t, y, f, ctx.step, 0
-    if t < T:
-        done = (lambda te, x: x - s(te) >= 0.0) if ul else (lambda te, w: w <= 0.0)
-        t_end, y_end, f_end, hit, h, rejected = _march(ctx, kind, t, y, f, h, T, done, steps)
-    k_first = k + snap
-    k_last = int(np.searchsorted(grid, t_end, side="right")) - 1
-    tg = grid[k_first : k_last + 1]
-    path = _path(steps) if steps else None
-    yg = path(tg) if steps else np.empty(0)
-    crossed = np.flatnonzero(yg - np.asarray(ctx.spec.staffing(tg), dtype=float) >= 0.0
-                             if ul else yg <= 0.0)
-    if len(crossed) or hit:
-        kc = k_first + int(crossed[0]) if len(crossed) else k_last + 1
-        c = float(grid[kc]) if len(crossed) else t_end
-        j = len(steps) - 1
-        while steps[j][0] >= c:
-            j -= 1
-        t0, _, y0, f0 = steps[j][:4]
+    k_first = k_scan = k + snap
+    gap = y - s(t) if ul else -y    # X - s (UL) or -w (OL) at the last point scanned
+    below = ul and gap < -1e-12
+    tau = None
+    while tau is None and t_end < T:
+        j0 = len(steps)
+        t_end, y_end, f_end, hit, h, r = _march(ctx, kind, t_end, y_end, f_end, h, T,
+                                                done, steps)
+        rejected += r
+        # the grid points the new steps cover, then the step end if it hit
+        k_last = int(np.searchsorted(grid, t_end, side="right")) - 1
+        tc = np.append(grid[k_scan : k_last + 1], t_end)
+        yc = np.append(_path(steps[j0:])(tc[:-1]), y_end)
+        zc = yc - np.asarray(ctx.spec.staffing(tc), dtype=float) if ul else -yc
+        cand = np.flatnonzero(zc[:-1] >= 0.0).tolist() + [len(zc) - 1] * hit
+        if below:
+            cand = _to_judge(ctx.spec, tc, zc, gap, cand)
+        for i in cand:
+            kc = k_scan + i
+            c = float(tc[i])
+            j = len(steps) - 1
+            while steps[j][0] >= c:
+                j -= 1
+            t0, _, y0, f0 = steps[j][:4]
 
-        def edge(tc):
-            # UL X - s, OL w, after one step from the start of step j
-            yc = _dp5(term, stage, t0, tc, y0, f0)[0]
-            return yc - s(tc) if ul else yc
+            def edge(tp):
+                # UL X - s, OL w, after one step from the start of step j
+                yp = _dp5(term, stage, t0, tp, y0, f0)[0]
+                return yp - s(tp) if ul else yp
 
-        a = max(float(grid[kc - 1]), t0) if kc > k_first else t0
-        tau = _bisect(edge, a, c, edge(a))
-        lam, b = ctx.lam(tau), ctx.b0(tau)
-        if lam - b <= 1e-9 if ul else lam >= b - 1e-9:
-            raise CriticalLoadingError(
-                f"non-isolated critical loading near t={tau:.6f}" + ("" if ul else
-                " (waiting time grazed zero while still overloaded)"))
+            a = max(float(grid[kc - 1]), t0) if kc > k_first else t0
+            tau = _bisect(edge, a, c, edge(a))
+            d = ctx.lam(tau) - ctx.b0(tau)
+            if d > 1e-9 if ul else d < -1e-9:
+                break
+            if not below:
+                raise CriticalLoadingError(
+                    f"non-isolated critical loading near t={tau:.6f}" + ("" if ul else
+                    " (waiting time grazed zero while still overloaded)"))
+            tau = None
+        gap, k_scan = float(zc[-1]), k_last + 1
+    if tau is not None:
         if not ul and kc == k_first:
             raise ValueError(f"grid step {ctx.step:g} too coarse: the overload on "
                              f"[{start:.6f}, {tau:.6f}] holds no grid point")
-        m = kc - k_first
-        tg, yg = np.append(tg[:m], tau), np.append(yg[:m], s(tau) if ul else 0.0)
+        path = _path(steps)
+        tg = np.append(grid[k_first:kc], tau)
+        yg = np.append(path(tg[:-1]), s(tau) if ul else 0.0)
         iv = FluidInterval(kind, start, tau, k, kc - 1)
     else:
+        path = _path(steps) if steps else None
+        tg = grid[k_first:]
+        yg = path(tg) if steps else np.empty(0)
         iv = FluidInterval(kind, start, T, k, n)
         if not ul:
             path, ext_t, ext_rejected = _extend_ol(ctx, T, y_end, f_end, h, steps)
@@ -521,6 +544,23 @@ def _sweep(ctx, kind, grid, start, k, y):
     iv.path, iv.steps, iv.rejected = path, len(steps), rejected
     _attach_local(iv, grid, np.concatenate([[start], tg]), np.concatenate([[y], yg]), ctx.spec)
     return iv.end, iv.i1 + 1, iv
+
+
+def _to_judge(spec, t, gap, before, cand):
+    """The crossings at t[cand] of a UL interval that starts below s worth
+    a bisection: those whose point before has X - s < 0 (gap[i-1], or
+    `before` for the first), and those where d = lambda - b(t,0) > 1e-9.
+    The others continue a run at or above s whose first crossing was
+    judged one where X only tends to s."""
+    cand = np.array(cand, dtype=np.intp)
+    run = cand[np.append(before, gap)[cand] >= 0.0]
+    if len(run):
+        tr = t[run]
+        d = (np.asarray(spec.arrival_rate(tr), dtype=float)
+             - np.asarray(spec.staffing(tr), dtype=float) * spec.mu
+             - np.asarray(spec.staffing.deriv(tr), dtype=float))
+        cand = np.setdiff1d(cand, run[d <= 1e-9])
+    return cand.tolist()
 
 
 def _attach_local(iv, grid, t, y, spec):

@@ -252,6 +252,18 @@ def test_critical_loading_exits_invalid(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["fluid", "variance"])
+@pytest.mark.parametrize("horizon, step", [(29.0, "1e-2"), (45.0, None)])
+def test_ul_tending_to_staffing_exits_ok(tmp_path, command, horizon, step):
+    # lambda = s = mu = 1 from x0 = 0: X = 1 - e^-t only tends to s, so
+    # the model is underloaded throughout at any grid step
+    cfg = _write_config(tmp_path, horizon=horizon, x0=0.0, **{
+        "lambda": {"kind": "constant", "params": {"value": 1.0}},
+        "patience": {"kind": "exponential", "params": {"rate": 1.0}}})
+    argv = [command, "--config", cfg, "--out", str(tmp_path)]
+    assert main(argv + (["--grid-step", step] if step else [])) == 0
+
+
 def test_compare_pass_and_fail(tmp_path, capsys):
     cfg = _write_config(tmp_path, horizon=4.0)
     out = tmp_path / "cmp"

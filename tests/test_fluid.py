@@ -239,6 +239,38 @@ def test_critical_loading_raises():
         solve_fluid(spec)
 
 
+@pytest.mark.parametrize("horizon, step", [(29.0, 1e-2), (45.0, 1e-3)])
+def test_ul_tending_to_staffing_stays_underloaded(horizon, step):
+    # lambda = s = mu = 1 from x0 = 0: X = 1 - e^-t tends to s and never
+    # reaches it, so a step that ends at or past s is the steps' own error
+    # (lambda = b(t,0) there), not a switch; at these steps the sweep
+    # raised CriticalLoadingError near t = 26.8 and t = 34.857
+    spec = ModelSpec(ConstantFn(1.0), ConstantFn(1.0), 1.0, ExponentialPatience(1.0),
+                     horizon, x0=0.0)
+    fl = solve_fluid(spec, step)
+    assert [iv.kind for iv in fl.intervals] == ["UL"] and len(fl.switch_times) == 0
+    assert np.max(np.abs(fl.X - (1.0 - np.exp(-fl.grid)))) <= 1e-8
+
+
+def test_crossing_is_judged_where_it_is_bisected():
+    # X = 1 - e^-t / 2 meets s = 1 - t / 10 at tau = W(5) with lambda > b(t,0);
+    # a staffing knot after tau, before the next grid point, lifts b(t,0)
+    # just above lambda, so that grid point sees X >= s where lambda < b.
+    # The crossing is real, judged at the bisected tau: an OL stretch
+    # follows, and both switches match DOP853's
+    tau, knot = 1.3267246652422002, 1.3268
+    s_knot = 1.0 - 0.1 * knot
+    s = PiecewisePolyFn([0.0, knot, 3.0], [[1.0, -0.1], [s_knot, 1.001 - s_knot]])
+    spec = ModelSpec(ConstantFn(1.0), s, 1.0, ExponentialPatience(1.0), 3.0, x0=0.5)
+    fl = solve_fluid(spec)
+    c = fl.grid[np.searchsorted(fl.grid, tau)]
+    assert tau < knot < c
+    assert 1.0 - 0.5 * np.exp(-c) >= s(c) and 1.0 < s(c) + s.deriv(c)
+    assert [iv.kind for iv in fl.intervals] == ["UL", "OL", "UL"]
+    assert abs(fl.switch_times[0] - tau) <= 1e-12
+    assert np.max(np.abs(fl.switch_times - dop853_switch_times(fl))) <= 1e-12
+
+
 def test_invalid_spec_rejected():
     spec = ModelSpec(ConstantFn(0.0), ConstantFn(1.0), 1.0,
                      ExponentialPatience(1.0), 2.0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
@@ -369,6 +369,7 @@ def _gaussian_models(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_gaussian_models())
+@example(ModelSpec(ConstantFn(1.0), ConstantFn(1.0), 1.0, ExponentialPatience(1.0), 29.0))
 def test_propagate_properties(spec):
     # finite on overloaded points, non-negative, and the content-wait
     # covariance within the Cauchy-Schwarz bound
