@@ -484,7 +484,7 @@ def _sweep(ctx, kind, grid, start, k, y):
     k_first = k_scan = k + snap
     gap = y - s(t) if ul else -y    # X - s (UL) or -w (OL) at the last point scanned
     below = ul and gap < -1e-12
-    tau = None
+    tau, path, j0 = None, None, 0
     while tau is None and t_end < T:
         j0 = len(steps)
         t_end, y_end, f_end, hit, h, r = _march(ctx, kind, t_end, y_end, f_end, h, T,
@@ -493,7 +493,8 @@ def _sweep(ctx, kind, grid, start, k, y):
         # the grid points the new steps cover, then the step end if it hit
         k_last = int(np.searchsorted(grid, t_end, side="right")) - 1
         tc = np.append(grid[k_scan : k_last + 1], t_end)
-        yc = np.append(_path(steps[j0:])(tc[:-1]), y_end)
+        path = _path(steps[j0:])
+        yc = np.append(path(tc[:-1]), y_end)
         zc = yc - np.asarray(ctx.spec.staffing(tc), dtype=float) if ul else -yc
         cand = np.flatnonzero(zc[:-1] >= 0.0).tolist() + [len(zc) - 1] * hit
         if below:
@@ -522,16 +523,16 @@ def _sweep(ctx, kind, grid, start, k, y):
                     " (waiting time grazed zero while still overloaded)"))
             tau = None
         gap, k_scan = float(zc[-1]), k_last + 1
+    if j0:      # the steps ran on past a crossing where X only tends to s
+        path = _path(steps)
     if tau is not None:
         if not ul and kc == k_first:
             raise ValueError(f"grid step {ctx.step:g} too coarse: the overload on "
                              f"[{start:.6f}, {tau:.6f}] holds no grid point")
-        path = _path(steps)
         tg = np.append(grid[k_first:kc], tau)
         yg = np.append(path(tg[:-1]), s(tau) if ul else 0.0)
         iv = FluidInterval(kind, start, tau, k, kc - 1)
     else:
-        path = _path(steps) if steps else None
         tg = grid[k_first:]
         yg = path(tg) if steps else np.empty(0)
         iv = FluidInterval(kind, start, T, k, n)
@@ -553,14 +554,13 @@ def _to_judge(spec, t, gap, before, cand):
     The others continue a run at or above s whose first crossing was
     judged one where X only tends to s."""
     cand = np.array(cand, dtype=np.intp)
-    run = cand[np.append(before, gap)[cand] >= 0.0]
-    if len(run):
-        tr = t[run]
-        d = (np.asarray(spec.arrival_rate(tr), dtype=float)
-             - np.asarray(spec.staffing(tr), dtype=float) * spec.mu
-             - np.asarray(spec.staffing.deriv(tr), dtype=float))
-        cand = np.setdiff1d(cand, run[d <= 1e-9])
-    return cand.tolist()
+    run = np.append(before, gap)[cand] >= 0.0
+    if run.any():
+        tr = t[cand[run]]
+        run[run] = (np.asarray(spec.arrival_rate(tr), dtype=float)
+                    - np.asarray(spec.staffing(tr), dtype=float) * spec.mu
+                    - np.asarray(spec.staffing.deriv(tr), dtype=float)) <= 1e-9
+    return cand[~run].tolist()
 
 
 def _attach_local(iv, grid, t, y, spec):
