@@ -547,14 +547,14 @@ def _sweep(ctx, kind, grid, start, k, y):
     return iv.end, iv.i1 + 1, iv
 
 
-def _to_judge(spec, t, gap, before, cand):
+def _to_judge(spec, t, z, before, cand):
     """The crossings at t[cand] of a UL interval that starts below s worth
-    a bisection: those whose point before has X - s < 0 (gap[i-1], or
-    `before` for the first), and those where d = lambda - b(t,0) > 1e-9.
-    The others continue a run at or above s whose first crossing was
-    judged one where X only tends to s."""
+    a bisection, z = X - s at the times t and `before` at the point before
+    them: those whose point before has X - s < 0, and those where
+    d = lambda - b(t,0) > 1e-9.  The others continue a run at or above s
+    whose first crossing was judged one where X only tends to s."""
     cand = np.array(cand, dtype=np.intp)
-    run = np.append(before, gap)[cand] >= 0.0
+    run = np.append(before, z)[cand] >= 0.0
     if run.any():
         tr = t[cand[run]]
         run[run] = (np.asarray(spec.arrival_rate(tr), dtype=float)

@@ -703,21 +703,6 @@ def test_pool_sized_by_chunks(monkeypatch):
     assert len(sizes) == 3
 
 
-def test_estimate_reads_stacked_rows():
-    # the estimate keeps the batch's one stacked Moments, a row per
-    # tracked name; count, mean, var and se read that name's row
-    est = estimate(SimConfig(_mmn_spec(1.5, 0.5, horizon=2.0), n=10, reps=5))
-    mm = est.moments
-    assert mm.mean.shape == (len(_TRACKED), len(est.t))
-    for i, name in enumerate(_TRACKED):
-        assert np.array_equal(est.count(name), mm.count[i])
-        assert np.array_equal(est.mean(name), mm.mean[i])
-        assert np.array_equal(est.var(name), mm.variance()[i], equal_nan=True)
-        assert np.array_equal(est.se(name), mm.se()[i], equal_nan=True)
-    est.mean("X")[:] = -1.0
-    assert np.all(mm.mean[0] >= 0.0)
-
-
 def test_scaled_views():
     est = estimate(SimConfig(_mmn_spec(1.5, 0.5, horizon=2.0), n=10, reps=8))
     assert np.allclose(est.scaled_mean("X"), est.mean("X") / 10.0)
