@@ -12,16 +12,16 @@ as the first of the next (FSAL), and the free quartic interpolant, one
 piecewise polynomial per interval, its path (_path).  The local error
 tolerance is tied to the grid step, 1e-2 step^4 within [1e-14, 1e-6]
 (_step_tolerance), so that the solution converges with the grid step.
-One sweep (_sweep) serves both regimes, the switch bisection and the
-continuation past the horizon.  Each regime's ODE is a
-time-only term, lambda(t) in UL and b(t,0) = s(t) mu + sdot(t) in OL,
+One sweep (_sweep) per interval serves both regimes, the switch
+bisection and the continuation past the horizon.  Each regime's ODE is
+a time-only term, lambda(t) in UL and b(t,0) = s(t) mu + sdot(t) in OL,
 and a scalar stage that takes the state and that term's value; the term
 is evaluated once per node of a step.  A stage whose state fails the OL
 check, or overflows, rejects its step.  The path gives the state at the
 grid points in one array pass per interval, where the same stage on
-arrays (ol_rates) gives its derivative in OL, and the regime is tested
-at every step end and grid point; each switch is bisected to float
-resolution.
+arrays (ol_rates) gives its derivative in OL.  One march and one scan of
+its step ends and grid points find the crossings; the path tells which
+to bisect, and each switch is bisected with fresh steps.
 
 One age-integral pass per OL interval (age_integrals) gives the queue
 content, the abandonment rate and the Fc^2 integral of the Gaussian
@@ -57,7 +57,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .functions import PiecewisePolyFn
+from .functions import PiecewisePolyFn, halve_brackets
 from .model import ModelSpec, validate, write_columns
 
 __all__ = [
@@ -252,8 +252,7 @@ class _Ctx:
 def ol_rates(spec, t, w):
     """The OL stage on arrays: (wdot, q = lambda(t - w) Fc(w), b = b(t,0))
     at the times t and waits w, after the OL check at every point."""
-    b = (np.asarray(spec.staffing(t), dtype=float) * spec.mu
-         + np.asarray(spec.staffing.deriv(t), dtype=float))
+    b = _b0_rates(spec, t)
     q = (np.asarray(spec.arrival_rate(t - w), dtype=float)
          * np.asarray(spec.patience.survival(w), dtype=float))
     bad = (q < _QTILDE_FLOOR) | (b <= 0.0)
@@ -261,6 +260,12 @@ def ol_rates(spec, t, w):
         i = int(np.argmax(bad))
         _ol_check(float(t[i]), q[i], b[i])
     return 1.0 - b / q, q, b
+
+
+def _b0_rates(spec, t):
+    """b(t,0) = s(t) mu + sdot(t) at the times t."""
+    return (np.asarray(spec.staffing(t), dtype=float) * spec.mu
+            + np.asarray(spec.staffing.deriv(t), dtype=float))
 
 
 def _ol_check(t, q, b):
@@ -454,67 +459,67 @@ def _sweep(ctx, kind, grid, start, k, y):
     it ends or the horizon; returns (end, next grid index, interval).
 
     The state is X in UL, which ends when X reaches s(t), and w in OL,
-    which ends when w returns to zero.  Adaptive steps (_march) run from
-    start, or from grid[k] if start lies within 1e-14 of it, until a step
-    ends past the regime or at the horizon.  Their path (_path) gives the
-    state at the grid points they cover in one array pass, where the
-    regime is tested too, so a crossing that only a grid point sees is
-    found.  A crossing among step ends and grid points is bisected to
-    float resolution, each probe one step from the start of the step that
-    holds it, and judged at the bisected time tau by d = lambda - b(t,0):
-    X - s grows at rate d where X = s.  A UL interval that starts below s
-    ends at the first crossing with d > 1e-9; where d <= 1e-9, X only
-    tends to s, the crossing is the steps' own error, and the steps go on
-    (_to_judge).  Any other interval ends at its first crossing, and raises
-    CriticalLoadingError if d does not move the state off the boundary
-    there.  An OL interval must hold a grid point after its start; the
-    grid step is too coarse otherwise.
+    which ends when w returns to zero.  One march of adaptive steps
+    (_march) runs from start, or from grid[k] if start lies within 1e-14
+    of it, until a step ends past the regime or at the horizon; one scan
+    of the grid points it passed, on its path (_path), and of its step
+    ends past the regime finds the crossings.  Each crossing is bisected
+    to float resolution with fresh steps from the start of the step that
+    holds it (on the path, an overload end at grid step 1 moved 1.7e-5),
+    and judged at the bisected tau by d = lambda - b(t,0), the rate of
+    X - s where X = s.  The interval ends at its first crossing, and
+    raises CriticalLoadingError if d does not move the state off the
+    boundary there.  A UL interval that starts below s is the exception:
+    where d <= 1e-9, X only tends to s and a crossing is the steps' own
+    error.  Its march stops only where d > 1e-9 too, so that its steps
+    may run on past a crossing where d falls to 1e-9 before the next step
+    end (iv.steps counts them); only the crossings _kept keeps are
+    bisected, and it ends at the first with d > 1e-9 at tau, or else at
+    the march's end.  An OL interval must hold a grid point after its
+    start; the grid step is too coarse otherwise.
     """
     n = len(grid) - 1
     T = float(grid[n])
     ul = kind == UL
     term, stage = ctx.ode[kind]
-    s = ctx.s
+    s, lam, b0 = ctx.s, ctx.lam, ctx.b0
     snap = k <= n and abs(float(grid[k]) - start) < 1e-14
     t = float(grid[k]) if snap else start
     f = stage(t, y, term(t))
-    steps = []
-    done = (lambda te, x: x - s(te) >= 0.0) if ul else (lambda te, w: w <= 0.0)
-    hit, t_end, y_end, f_end, h, rejected = False, t, y, f, ctx.step, 0
-    k_first = k_scan = k + snap
-    gap = y - s(t) if ul else -y    # X - s (UL) or -w (OL) at the last point scanned
-    below = ul and gap < -1e-12
-    tau, path, j0 = None, None, 0
-    while tau is None and t_end < T:
-        j0 = len(steps)
-        t_end, y_end, f_end, hit, h, r = _march(ctx, kind, t_end, y_end, f_end, h, T,
-                                                done, steps)
-        rejected += r
-        # the grid points the new steps cover, then the step end if it hit
-        k_last = int(np.searchsorted(grid, t_end, side="right")) - 1
-        tc = np.append(grid[k_scan : k_last + 1], t_end)
-        path = _path(steps[j0:])
-        yc = np.append(path(tc[:-1]), y_end)
-        zc = yc - np.asarray(ctx.spec.staffing(tc), dtype=float) if ul else -yc
-        cand = np.flatnonzero(zc[:-1] >= 0.0).tolist() + [len(zc) - 1] * hit
-        if below:
-            cand = _to_judge(ctx.spec, tc, zc, gap, cand)
-        for i in cand:
-            kc = k_scan + i
-            c = float(tc[i])
-            j = len(steps) - 1
-            while steps[j][0] >= c:
-                j -= 1
-            t0, _, y0, f0 = steps[j][:4]
+    k_first = k + snap
+    below = ul and y - s(t) < -1e-12
+
+    def done(te, ye):
+        if not (ye - s(te) >= 0.0 if ul else ye <= 0.0):
+            return False
+        past.append(te)
+        return not below or lam(te) - b0(te) > 1e-9
+
+    steps, past, path, tau, hit, rejected = [], [], None, None, False, 0
+    t_end, y_end, f_end, h = t, y, f, ctx.step
+    if t < T:   # a sweep that starts at the horizon takes no step
+        t_end, y_end, f_end, hit, h, rejected = _march(ctx, kind, t, y, f, h, T, done, steps)
+        path = _path(steps)
+        # the scan: the grid points passed, each step end past the regime
+        # after those up to it; kc: a grid point's index, or the next one's
+        tc = grid[k_first : int(np.searchsorted(grid, t_end, side="right"))]
+        yc = path(tc)
+        up = yc - np.asarray(ctx.spec.staffing(tc), dtype=float) >= 0.0 if ul else yc <= 0.0
+        at = np.searchsorted(tc, past, side="right")
+        kcs = k_first + np.insert(np.arange(len(tc)), at, at)
+        tc, up = np.insert(tc, at, past), np.insert(up, at, True)
+        for i in _kept(ctx.spec, path, t, tc, up) if below else np.flatnonzero(up):
+            c, kc = float(tc[i]), int(kcs[i])
+            t0, _, y0, f0 = steps[int(np.searchsorted(path.knots[:-1], c)) - 1][:4]
 
             def edge(tp):
-                # UL X - s, OL w, after one step from the start of step j
+                # X - s (UL) or w (OL) one step from the start of c's step
                 yp = _dp5(term, stage, t0, tp, y0, f0)[0]
                 return yp - s(tp) if ul else yp
 
             a = max(float(grid[kc - 1]), t0) if kc > k_first else t0
             tau = _bisect(edge, a, c, edge(a))
-            d = ctx.lam(tau) - ctx.b0(tau)
+            d = lam(tau) - b0(tau)
             if d > 1e-9 if ul else d < -1e-9:
                 break
             if not below:
@@ -522,9 +527,8 @@ def _sweep(ctx, kind, grid, start, k, y):
                     f"non-isolated critical loading near t={tau:.6f}" + ("" if ul else
                     " (waiting time grazed zero while still overloaded)"))
             tau = None
-        gap, k_scan = float(zc[-1]), k_last + 1
-    if j0:      # the steps ran on past a crossing where X only tends to s
-        path = _path(steps)
+        if tau is None and hit:     # d > 1e-9 at the march's end only
+            tau, kc = t_end, int(kcs[-1])
     if tau is not None:
         if not ul and kc == k_first:
             raise ValueError(f"grid step {ctx.step:g} too coarse: the overload on "
@@ -547,20 +551,21 @@ def _sweep(ctx, kind, grid, start, k, y):
     return iv.end, iv.i1 + 1, iv
 
 
-def _to_judge(spec, t, z, before, cand):
-    """The crossings at t[cand] of a UL interval that starts below s worth
-    a bisection, z = X - s at the times t and `before` at the point before
-    them: those whose point before has X - s < 0, and those where
-    d = lambda - b(t,0) > 1e-9.  The others continue a run at or above s
-    whose first crossing was judged one where X only tends to s."""
-    cand = np.array(cand, dtype=np.intp)
-    run = np.append(before, z)[cand] >= 0.0
-    if run.any():
-        tr = t[cand[run]]
-        run[run] = (np.asarray(spec.arrival_rate(tr), dtype=float)
-                    - np.asarray(spec.staffing(tr), dtype=float) * spec.mu
-                    - np.asarray(spec.staffing.deriv(tr), dtype=float)) <= 1e-9
-    return cand[~run].tolist()
+def _kept(spec, path, t0, t, up):
+    """The indices of the scan times t, after a UL start below s at t0,
+    worth a bisection: of those at or above s (up), where d = lambda -
+    b(t,0) > 1e-9, and where the time before is below s and d > 1e-9 at
+    the crossing between the two, located on the path."""
+    def pushed(u):
+        return np.asarray(spec.arrival_rate(u), dtype=float) - _b0_rates(spec, u) > 1e-9
+
+    i = np.flatnonzero(up)
+    keep = pushed(t[i])
+    after = ~keep & ~np.append(False, up)[i]
+    cross = halve_brackets(lambda u: path(u) >= np.asarray(spec.staffing(u), dtype=float),
+                           np.append(t0, t)[i[after]], t[i[after]])[1]
+    keep[after] = pushed(cross)
+    return i[keep]
 
 
 def _attach_local(iv, grid, t, y, spec):

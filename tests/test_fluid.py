@@ -271,6 +271,54 @@ def test_crossing_is_judged_where_it_is_bisected():
     assert np.max(np.abs(fl.switch_times - dop853_switch_times(fl))) <= 1e-12
 
 
+@pytest.mark.parametrize("step", [1e-3, 1e-2])
+def test_ul_tracking_staffing_takes_one_march(monkeypatch, step):
+    # lambda = 1 + 0.5 sin t and s = 1 + (sqrt 2 / 4) sin(t - pi/4) give
+    # b(t,0) = s + sdot = lambda, so from x0 = s(0) - 0.5, X = s - e^-t / 2
+    # tracks s to float noise, which flips the sign of X - s at many step
+    # ends and grid points; d = 0 at all of them, so the steps run to the
+    # horizon in one march and no crossing is bisected
+    calls = {"_bisect": 0, "_march": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fun=getattr(fluid, name)):
+            calls[_name] += 1
+            return _fun(*args)
+        monkeypatch.setattr(fluid, name, counted)
+    s = SinusoidFn(1.0, 2.0 ** 0.5 / 4.0, 1.0, -np.pi / 4.0)
+    spec = ModelSpec(SinusoidFn(1.0, 0.5), s, 1.0, ExponentialPatience(1.0), 50.0,
+                     x0=float(s(0.0)) - 0.5)
+    fl = solve_fluid(spec, step)
+    assert [iv.kind for iv in fl.intervals] == ["UL"]
+    assert np.max(np.abs(fl.X - (s(fl.grid) - 0.5 * np.exp(-fl.grid)))) <= 1e-8
+    assert calls == {"_bisect": 0, "_march": 1}
+
+
+def test_crossing_before_a_step_end_past_it_is_found():
+    # at step 0.1, X crosses s near t = 0.3125 with lambda > b(t,0); the
+    # step ends next at 0.389, at or above s where lambda < b(t,0) already,
+    # so the steps run on, and the grid point 0.4 that also sees X >= s
+    # lies in the step after.  The step end is scanned with the grid
+    # points, so the crossing is bisected in the step that holds it and the
+    # overload on [0.3125, 0.4237] matches the one at the default step
+    lam, s = SinusoidFn(0.612, 0.579, 1.097, 2.454), SinusoidFn(1.0, 0.23, 0.928, 4.385)
+    spec = ModelSpec(lam, s, 1.0, ExponentialPatience(1.0), 3.0, x0=0.7255)
+    fl = solve_fluid(spec, step=0.1)
+    assert [iv.kind for iv in fl.intervals] == ["UL", "OL", "UL"]
+    e = next(k for k in fl.intervals[0].path.knots if k > fl.switch_times[0])
+    assert e < 0.4 and fl.intervals[0].path(e) >= s(e) and lam(e) < s(e) + s.deriv(e)
+    assert np.max(np.abs(fl.switch_times - solve_fluid(spec).switch_times)) <= 1e-6
+
+
+def _knot_spec():
+    """The model of test_crossing_is_judged_where_it_is_bisected: a staffing
+    knot lifts b(t,0) above lambda after a real crossing, so the steps run
+    on past it to the horizon."""
+    knot = 1.3268
+    s_knot = 1.0 - 0.1 * knot
+    s = PiecewisePolyFn([0.0, knot, 3.0], [[1.0, -0.1], [s_knot, 1.001 - s_knot]])
+    return ModelSpec(ConstantFn(1.0), s, 1.0, ExponentialPatience(1.0), 3.0, x0=0.5)
+
+
 def test_invalid_spec_rejected():
     spec = ModelSpec(ConstantFn(0.0), ConstantFn(1.0), 1.0,
                      ExponentialPatience(1.0), 2.0)
@@ -514,12 +562,14 @@ def test_kernels_read_the_intervals_boundary_values(request, model):
         assert np.array_equal(k.I1, spec.c_lambda * np.sqrt(Fc * b0) / iv.qw_loc)
 
 
-@pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed"])
+@pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed",
+                                   "knot"])
 def test_path_pieces_join_at_their_knots(request, model):
     # every accepted step's quartic, in u = t - (its start), reaches the
     # next step's start state at its right knot, continuation included:
     # the theta -> u conversion of the interpolant's coefficients
-    for iv in solve_fluid(_bench_spec(request, model)).intervals:
+    spec = _knot_spec() if model == "knot" else _bench_spec(request, model)
+    for iv in solve_fluid(spec).intervals:
         p = iv.path
         assert len(p.coeffs) == iv.steps
         ends = np.polynomial.polynomial.polyval(np.diff(p.knots)[:-1], p.coeffs[:-1].T,
@@ -536,10 +586,12 @@ def test_path_stores_its_coefficients_once(request, model):
         assert np.shares_memory(iv.path.coeffs, iv.path._columns[0])
 
 
-@pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed"])
+@pytest.mark.parametrize("model", ["stationary", "sine_h2", "piecewise_tab", "sine_staffed",
+                                   "knot"])
 def test_path_gives_the_grid_values(request, model):
-    # the grid columns are the path's values, X in UL and w in OL
-    fl = solve_fluid(_bench_spec(request, model))
+    # the grid columns are the path's values, X in UL and w in OL; in the
+    # knot model the first UL path runs on past its end
+    fl = solve_fluid(_knot_spec() if model == "knot" else _bench_spec(request, model))
     for iv in fl.intervals:
         sl = slice(iv.i0, iv.i1 + 1)
         assert np.array_equal(iv.path(fl.grid[sl]), (fl.X if iv.kind == "UL" else fl.w)[sl])
